@@ -152,46 +152,43 @@ def _transformed(box: OrientedBox, transform: str, delta: float) -> list[Oriente
     raise InvalidArgumentError(f"unknown transform {transform!r}")
 
 
-def probe_target_continuity(codec: BoxCodec, transform: str, cfg: ProbeConfig) -> MetricResult:
-    """Worst encoding gap per step; aspect sums the gap over both members."""
+def _transform_gap(codec: BoxCodec, kind: str, box: OrientedBox, transform: str, delta: float) -> float:
+    """Encoding (``kind`` "target") or loss ("loss") gap summed over the transformed twins."""
+    enc = codec.encode(box)
+    gap = 0.0
+    for other in _transformed(box, transform, delta):
+        if kind == "target":
+            gap += float(np.max(np.abs(enc - codec.encode(other))))
+        else:
+            gap += codec.loss(enc, codec.encode(other))
+    return gap
+
+
+def _probe_continuity(codec: BoxCodec, kind: str, transform: str, cfg: ProbeConfig, tol: float) -> MetricResult:
     families = build_families(cfg)
     steps: list[StepGap] = []
     for delta in cfg.steps:
         worst = StepGap(delta, -1.0)
         for fam, boxes in families.items():
             for box in boxes:
-                enc = codec.encode(box)
-                gap = 0.0
-                for other in _transformed(box, transform, delta):
-                    gap += float(np.max(np.abs(enc - codec.encode(other))))
+                gap = _transform_gap(codec, kind, box, transform, delta)
                 if gap > worst.gap:
                     worst = StepGap(
                         delta, gap,
                         {"family": fam, "box": _box_params(box), "transform": transform, "delta": delta},
                     )
         steps.append(worst)
-    return _verdict(f"target-{transform}", steps, cfg.target_gap_tol)
+    return _verdict(f"{kind}-{transform}", steps, tol)
+
+
+def probe_target_continuity(codec: BoxCodec, transform: str, cfg: ProbeConfig) -> MetricResult:
+    """Worst encoding gap per step; aspect sums the gap over both members."""
+    return _probe_continuity(codec, "target", transform, cfg, cfg.target_gap_tol)
 
 
 def probe_loss_continuity(codec: BoxCodec, transform: str, cfg: ProbeConfig) -> MetricResult:
     """Worst loss between the encodings of a box and its perturbed twin."""
-    families = build_families(cfg)
-    steps: list[StepGap] = []
-    for delta in cfg.steps:
-        worst = StepGap(delta, -1.0)
-        for fam, boxes in families.items():
-            for box in boxes:
-                enc = codec.encode(box)
-                gap = 0.0
-                for other in _transformed(box, transform, delta):
-                    gap += codec.loss(enc, codec.encode(other))
-                if gap > worst.gap:
-                    worst = StepGap(
-                        delta, gap,
-                        {"family": fam, "box": _box_params(box), "transform": transform, "delta": delta},
-                    )
-        steps.append(worst)
-    return _verdict(f"loss-{transform}", steps, cfg.loss_tol)
+    return _probe_continuity(codec, "loss", transform, cfg, cfg.loss_tol)
 
 
 def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
@@ -260,15 +257,8 @@ def _verdict(name: str, steps: list[StepGap], tol: float) -> MetricResult:
 def replay_witness(codec: BoxCodec, metric: str, witness: dict) -> float:
     """Recompute the gap recorded in a witness; used to audit the audit."""
     box = OrientedBox(*witness["box"])
-    if metric.startswith("target-") or metric.startswith("loss-"):
-        enc = codec.encode(box)
-        gap = 0.0
-        for other in _transformed(box, witness["transform"], witness["delta"]):
-            if metric.startswith("target-"):
-                gap += float(np.max(np.abs(enc - codec.encode(other))))
-            else:
-                gap += codec.loss(enc, codec.encode(other))
-        return gap
+    if metric.startswith(("target-", "loss-")):
+        return _transform_gap(codec, metric.partition("-")[0], box, witness["transform"], witness["delta"])
     if metric == "decoding-completeness":
         return 1.0 - iou(box, codec.decode(codec.encode(box)))
     if metric == "decoding-robustness":

@@ -37,10 +37,6 @@ def _fmt(v) -> str:
 # Report serialization (schema documented in the README)
 
 
-def _witness_json(w):
-    return w if w is not None else None
-
-
 def report_to_obj(report: audit_mod.MetricReport) -> dict:
     return {
         "codec": report.codec,
@@ -51,7 +47,8 @@ def report_to_obj(report: audit_mod.MetricReport) -> dict:
                 "name": m.name,
                 "steps": [{"delta": s.delta, "gap": s.gap} for s in m.steps],
                 "verdict": m.verdict,
-                "witness": _witness_json(m.witness),
+                "witness": m.witness,
+                "notes": m.notes,
             }
             for m in report.metrics
         ],

@@ -5,7 +5,8 @@ the sliding ratio ``rs`` of the second-smallest sorted vertex coordinate along
 the longer HBB dimension, and four IoU scores that disambiguate the four
 distinct boxes sharing one (xc, yc, w, h, rs).  The pairwise IoUs of those
 four candidates have closed forms; every entry is validated against the
-polygon-clipping oracle in :mod:`cobb.geometry`.
+polygon-clipping oracle in :mod:`cobb.geometry`.  Decoding reads the chosen
+candidate rectangle in closed form from its two edge vectors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from cobb.geometry import (
     HorizontalBox,
     OrientedBox,
     iou,
-    min_area_rect,
     outer_hbb,
     vertices_of,
 )
@@ -205,6 +205,31 @@ def select_candidate(cands: CandidateSet, scores) -> int:
     return order[0]
 
 
+def candidate_box(hbb: HorizontalBox, rs: float, i: int) -> OrientedBox:
+    """Candidate ``i`` of ``(hbb, rs)`` as a rectangle, in closed form.
+
+    The edge vectors come from the half extents and the slide offsets, so the
+    sides and the angle do not depend on where the HBB sits; the angle is read
+    from the longer edge, which stays well defined as a candidate thins
+    towards a diagonal.  A zero-area candidate raises
+    :class:`DegenerateGeometryError`.
+    """
+    if hbb.w <= 0.0 or hbb.h <= 0.0 or i not in range(4):
+        raise InvalidArgumentError(f"need positive HBB extents and index 0..3, got {hbb}, {i!r}")
+    hw, hh = 0.5 * hbb.w, 0.5 * hbb.h
+    xs, ys = slide_offsets(hbb.w, hbb.h, rs)
+    tx = xs if i in (1, 3) else -xs  # top vertex, relative to the center
+    ry = ys if i in (0, 1) else -ys  # right vertex
+    # edges top -> right and right -> bottom (the bottom vertex is -top)
+    ax, ay, bx, by = hw - tx, ry + hh, -tx - hw, hh - ry
+    la, lb = math.hypot(ax, ay), math.hypot(bx, by)
+    if la < lb:
+        ax, ay, la, lb = bx, by, lb, la
+    if lb == 0.0:
+        raise DegenerateGeometryError(f"candidate {i} of {hbb}, rs={rs!r} has zero area")
+    return OrientedBox(hbb.xc, hbb.yc, la, lb, math.atan2(-ay, ax))
+
+
 def decode(v: CobbVector) -> OrientedBox:
     """Decode nine parameters to the highest-scoring candidate box."""
     for s in v.scores:
@@ -212,9 +237,9 @@ def decode(v: CobbVector) -> OrientedBox:
             raise InvalidArgumentError(f"non-finite score {s!r}")
     if not (v.w > 0.0 and v.h > 0.0):
         raise InvalidArgumentError("decoded HBB extents must be positive")
-    cands = four_candidates(HorizontalBox(v.xc, v.yc, v.w, v.h), _clamp_rs(v.rs, tol=math.inf))
-    quad = cands.quads[select_candidate(cands, v.scores)]
-    return min_area_rect(quad.vertices)
+    hbb = HorizontalBox(v.xc, v.yc, v.w, v.h)
+    rs = _clamp_rs(v.rs, tol=math.inf)
+    return candidate_box(hbb, rs, select_candidate(four_candidates(hbb, rs), v.scores))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass
 
 from cobb.errors import DotaParseError
-from cobb.geometry import OrientedBox, Point2, min_area_rect
+from cobb.geometry import OrientedBox, Point2, canonical_order, min_area_rect
 
 log = logging.getLogger(__name__)
 
@@ -52,23 +52,7 @@ def parse_dota_line(line: str, line_no: int | None = None) -> DotaRecord:
     except ValueError:
         raise DotaParseError(f"non-integer difficulty {tokens[9]!r}", line_no) from None
     pts = tuple(Point2(coords[2 * i], coords[2 * i + 1]) for i in range(4))
-    return DotaRecord(_canonical_quad_order(pts), category, difficulty)
-
-
-def _canonical_quad_order(pts):
-    """Deterministic ordering: keep the cycle, start at the min-(y, x) vertex.
-
-    Annotation quads are not guaranteed convex, so only the starting vertex
-    and winding are normalized.
-    """
-    s = 0.0
-    for i in range(4):
-        a, b = pts[i], pts[(i + 1) % 4]
-        s += a.x * b.y - b.x * a.y
-    if s > 0:
-        pts = pts[::-1]
-    start = min(range(4), key=lambda i: (pts[i].y, pts[i].x))
-    return pts[start:] + pts[:start]
+    return DotaRecord(canonical_order(pts), category, difficulty)
 
 
 def record_box(record: DotaRecord) -> OrientedBox:

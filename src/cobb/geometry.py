@@ -117,7 +117,7 @@ class ConvexQuad:
         if len(pts) != 4:
             raise InvalidArgumentError(f"quad needs 4 vertices, got {len(pts)}")
         _validate_convex(pts)
-        return ConvexQuad(tuple(_canonical_order(pts)))
+        return ConvexQuad(tuple(canonical_order(pts)))
 
     def flat(self) -> tuple[float, ...]:
         v = self.vertices
@@ -146,7 +146,12 @@ def _validate_convex(pts: list[Point2]) -> None:
         raise InvalidArgumentError("vertices do not form a convex quadrilateral")
 
 
-def _canonical_order(pts: list[Point2]) -> list[Point2]:
+def canonical_order(pts):
+    """Keep the cycle; wind counterclockwise and start at the min-(y, x) vertex.
+
+    Returns the same sequence type it is given.  Convexity is not required,
+    so annotation quads use it too.
+    """
     # CCW in y-down frame <=> negative shoelace sum in raw coordinates.
     s = 0.0
     for i in range(4):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from cobb import codec
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError
-from cobb.geometry import HorizontalBox, OrientedBox, iou, min_area_rect, rotate_about
+from cobb.geometry import HorizontalBox, OrientedBox, iou, rotate_about
 
 DEFAULT_LAMBDA = {"sig": 2.0, "ln": 1.0}
 
@@ -141,32 +141,27 @@ def encode_target(
 def decode_target(t: TargetVector, proposal: Proposal) -> OrientedBox:
     """Invert :func:`encode_target`.
 
-    The candidate class comes solely from the score argmax; the ratio target
-    only carries the sliding ratio (its sign picks the inversion branch for
-    the log variant).
+    Recovers the nine parameters and decodes them with :func:`codec.decode`,
+    so the candidate class comes solely from the score argmax; the ratio
+    target only carries the sliding ratio (its sign picks the inversion branch
+    for the log variant).
     """
     for v in (t.tx, t.ty, t.tw, t.th, t.rt, *t.st):
         if not math.isfinite(v):
             raise InvalidArgumentError(f"non-finite target component {v!r}")
-    orig = proposal
-    if proposal.kind == "oriented":
-        proposal = Proposal.horizontal(proposal.xp, proposal.yp, proposal.wp, proposal.hp)
-    w = proposal.wp * math.exp(t.tw)
-    h = proposal.hp * math.exp(t.th)
-    if not (math.isfinite(w) and math.isfinite(h)) or w <= 0.0 or h <= 0.0:
-        raise InvalidArgumentError("recovered extents must be positive and finite")
-    hbb = HorizontalBox(
-        t.tx * proposal.wp + proposal.xp,
-        t.ty * proposal.hp + proposal.yp,
-        w,
-        h,
+    p = proposal
+    box = codec.decode(
+        codec.CobbVector(
+            t.tx * p.wp + p.xp,
+            t.ty * p.hp + p.yp,
+            p.wp * math.exp(t.tw),
+            p.hp * math.exp(t.th),
+            _rs_from_rt(t.rt, t.variant),
+            t.st,
+        )
     )
-    rs = _rs_from_rt(t.rt, t.variant)
-    cands = codec.four_candidates(hbb, rs)
-    quad = cands.quads[codec.select_candidate(cands, t.st)]
-    box = min_area_rect(quad.vertices)
-    if orig.kind == "oriented":
-        box = rotate_about(box, orig.xp, orig.yp, orig.theta_p)
+    if p.kind == "oriented":
+        box = rotate_about(box, p.xp, p.yp, p.theta_p)
     return box
 
 
@@ -207,9 +202,7 @@ def _decode_ratio_param(fn: str, r: float, hbb: HorizontalBox) -> OrientedBox:
         branch_above = ra >= 0.5
     else:
         raise InvalidArgumentError(f"unknown ratio function {fn!r}")
-    cands = codec.four_candidates(hbb, rs)
-    quad = cands.quads[1 if branch_above else 0]
-    return min_area_rect(quad.vertices)
+    return codec.candidate_box(hbb, rs, 1 if branch_above else 0)
 
 
 def sensitivity_probe(variant_fn: str, r: float, eps: float, hbb: HorizontalBox) -> float:

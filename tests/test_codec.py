@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cobb.codec import (
+    CobbVector,
+    candidate_box,
     classify,
     decode,
     encode,
@@ -16,7 +18,7 @@ from cobb.codec import (
     rs_from_ra,
     sliding_ratio,
 )
-from cobb.errors import InvalidArgumentError
+from cobb.errors import DegenerateGeometryError, InvalidArgumentError
 from cobb.geometry import HorizontalBox, OrientedBox, iou, min_area_rect, outer_hbb, vertices_of
 
 SQRT3 = math.sqrt(3.0)
@@ -197,8 +199,6 @@ class TestEncodeDecode:
             assert v.scores[classify(box)] == 1.0
 
     def test_decode_trivial(self):
-        from cobb.codec import CobbVector
-
         out = decode(CobbVector(0, 0, 4, 2, 0.0, (1, 1, 1, 1)))
         assert iou(out, OrientedBox(0, 0, 4, 2, 0)) == pytest.approx(1.0)
 
@@ -253,6 +253,41 @@ class TestEncodeDecode:
             lo = decode(CobbVector(0, 0, 1 - 1e-6, 1.0, rs, (0, 1, 0, 0)))
             hi = decode(CobbVector(0, 0, 1 + 1e-6, 1.0, rs, (0, 1, 0, 0)))
             assert 1 - iou(lo, hi) <= 1e-4
+
+
+class TestCandidateBox:
+    def test_matches_min_area_rect_of_the_candidate(self):
+        rng = np.random.Generator(np.random.PCG64(31))
+        worst, checked = 0.0, 0
+        while checked < 400:
+            w = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+            hbb = HorizontalBox(0.0, 0.0, w, 1.0)
+            rs, i = float(rng.uniform(0.0, 0.5)), int(rng.integers(4))
+            quad = four_candidates(hbb, rs).quads[i]
+            if quad.area < 1e-3 * w:
+                continue
+            worst = max(worst, 1.0 - iou(candidate_box(hbb, rs, i), min_area_rect(quad.vertices)))
+            checked += 1
+        assert worst <= 1e-9
+
+    def test_decode_does_not_depend_on_the_center(self):
+        for box in seeded_boxes(200, seed=32, scale=10.0):
+            v = encode(OrientedBox(0.0, 0.0, box.w_side, box.h_side, box.theta))
+            at_origin = decode(v)
+            far = decode(CobbVector(2e4 + 0.3, 1.7e4, v.w, v.h, v.rs, v.scores))
+            assert (far.cx, far.cy) == (2e4 + 0.3, 1.7e4)
+            assert (far.w_side, far.h_side, far.theta) == (at_origin.w_side, at_origin.h_side, at_origin.theta)
+
+    def test_zero_area_candidate_raises(self):
+        # rs = 0 makes candidate 0 the HBB diagonal
+        with pytest.raises(DegenerateGeometryError):
+            decode(CobbVector(0, 0, 4, 2, 0.0, (1, 0, 0, 0)))
+
+    def test_invalid_index_or_extents(self):
+        with pytest.raises(InvalidArgumentError):
+            candidate_box(HorizontalBox(0, 0, 4, 2), 0.2, 4)
+        with pytest.raises(InvalidArgumentError):
+            candidate_box(HorizontalBox(0, 0, 0, 2), 0.2, 1)
 
 
 class TestRsRaRelation:

@@ -135,6 +135,13 @@ class TestCli:
         failing = [m for m in data[0]["metrics"] if m["verdict"] == "fail"]
         assert all(m["witness"] is not None for m in failing)
 
+    def test_audit_json_carries_notes(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["audit", "--codec", "cobb", "--samples", "4", "--seed", "7", "--out", str(out)]) == 1
+        metrics = {m["name"]: m for m in json.loads(out.read_text())[0]["metrics"]}
+        assert all("notes" in m for m in metrics.values())
+        assert "vanishing with the perturbation" in metrics["decoding-robustness"]["notes"]
+
     def test_audit_byte_identical(self, tmp_path):
         args = ["audit", "--codec", "long-edge", "--seed", "3", "--samples", "8"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"

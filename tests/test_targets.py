@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cobb import codec
 from cobb.codec import four_candidates
 from cobb.errors import InvalidArgumentError
 from cobb.geometry import HorizontalBox, OrientedBox, iou, min_area_rect, rotate_about
@@ -17,6 +18,7 @@ from cobb.targets import (
     encode_target,
     sensitivity_probe,
     smooth_l1,
+    _rs_from_rt,
 )
 from test_codec import seeded_boxes
 
@@ -118,6 +120,16 @@ class TestDecodeTarget:
             t = encode_target(gt, p, variant)
             worst = min(worst, iou(gt, decode_target(t, p)))
         assert worst >= 1 - 1e-9
+
+    @pytest.mark.parametrize("variant", ["sig", "ln"])
+    def test_horizontal_proposal_is_codec_decode(self, variant):
+        for gt, p in zip(seeded_boxes(50, seed=23), seeded_proposals(50, seed=24, oriented=False)):
+            t = encode_target(gt, p, variant)
+            vec = codec.CobbVector(
+                t.tx * p.wp + p.xp, t.ty * p.hp + p.yp, p.wp * math.exp(t.tw), p.hp * math.exp(t.th),
+                _rs_from_rt(t.rt, variant), t.st,
+            )
+            assert decode_target(t, p) == codec.decode(vec)
 
     def test_out_of_range_rt_clamped(self):
         t = TargetVector(0, 0, 0, 0, 1.7, (1, 0, 0, 0), "sig", 2.0)
