@@ -1,19 +1,71 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The clipping kernel: quad area and convex-quad intersection area.
 
-Set ``COBB_PURE_PYTHON=1`` to force the fallback (used by the benchmark and by
-tests that exercise both twins).
+Quads are flat 8-sequences ``(x0, y0, x1, y1, x2, y2, x3, y3)``.
 """
 
-import os
+IMPLEMENTATION = "python"
 
-if os.environ.get("COBB_PURE_PYTHON"):
-    from cobb import _kernels_py as _impl
-else:
-    try:
-        from cobb import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from cobb import _kernels_py as _impl
 
-IMPLEMENTATION = _impl.IMPLEMENTATION
-quad_area = _impl.quad_area
-quad_intersection_area = _impl.quad_intersection_area
+def quad_area(q):
+    """Unsigned area of a quadrilateral given as a flat 8-sequence."""
+    s = (
+        q[0] * q[3] - q[2] * q[1]
+        + q[2] * q[5] - q[4] * q[3]
+        + q[4] * q[7] - q[6] * q[5]
+        + q[6] * q[1] - q[0] * q[7]
+    )
+    return 0.5 * abs(s)
+
+
+def _signed_area2(pts):
+    n = len(pts)
+    s = 0.0
+    for i in range(n):
+        x1, y1 = pts[i]
+        x2, y2 = pts[(i + 1) % n]
+        s += x1 * y2 - x2 * y1
+    return s
+
+
+def quad_intersection_area(a, b):
+    """Area of the intersection of two convex quads (flat 8-sequences).
+
+    Successive half-plane clipping of ``a`` against the edges of ``b``.
+    Degenerate (zero-area) inputs yield 0.
+    """
+    area_b2 = (
+        b[0] * b[3] - b[2] * b[1]
+        + b[2] * b[5] - b[4] * b[3]
+        + b[4] * b[7] - b[6] * b[5]
+        + b[6] * b[1] - b[0] * b[7]
+    )
+    if area_b2 == 0.0:
+        return 0.0
+    poly = [(a[0], a[1]), (a[2], a[3]), (a[4], a[5]), (a[6], a[7])]
+    clip = [(b[0], b[1]), (b[2], b[3]), (b[4], b[5]), (b[6], b[7])]
+    if area_b2 < 0.0:
+        clip.reverse()
+    for i in range(4):
+        if not poly:
+            return 0.0
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % 4]
+        ex, ey = bx - ax, by - ay
+        if ex == 0.0 and ey == 0.0:
+            continue
+        out = []
+        n = len(poly)
+        for j in range(n):
+            px, py = poly[j]
+            qx, qy = poly[(j + 1) % n]
+            dp = ex * (py - ay) - ey * (px - ax)
+            dq = ex * (qy - ay) - ey * (qx - ax)
+            if dp >= 0.0:
+                out.append((px, py))
+            if (dp > 0.0 and dq < 0.0) or (dp < 0.0 and dq > 0.0):
+                t = dp / (dp - dq)
+                out.append((px + t * (qx - px), py + t * (qy - py)))
+        poly = out
+    if len(poly) < 3:
+        return 0.0
+    return 0.5 * abs(_signed_area2(poly))

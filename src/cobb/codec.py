@@ -47,7 +47,8 @@ class CandidateSet:
     """The four boxes sharing one outer HBB and sliding ratio.
 
     Index order follows the construction: 0 and 3 are the pair whose area
-    ratio against the HBB is below one half, 1 and 2 the pair above.
+    ratio against the HBB is at most one half, 1 and 2 the pair at least one
+    half.  Decoding needs neither the quads nor their areas.
     """
 
     hbb: HorizontalBox
@@ -83,16 +84,18 @@ def sliding_ratio(box: OrientedBox) -> float:
     return min(max(rs, 0.0), 0.5)
 
 
-def slide_offsets(w: float, h: float, rs: float) -> tuple[float, float]:
-    """Half-spans (x_s, y_s) of the sliding vertices from the HBB center."""
+def slide_gaps(w: float, h: float, rs: float) -> tuple[float, float]:
+    """Gaps (w/2 - x_s, h/2 - y_s) of the sliding vertices from the HBB corners.
+
+    Computed without cancellation, so a needle candidate's short side keeps
+    its relative precision as rs goes to 0.
+    """
     rs = _clamp_rs(rs)
     if w >= h:
-        ys = 0.5 * (1.0 - 2.0 * rs) * h
-        xs = 0.5 * math.sqrt(max(0.0, 1.0 - 4.0 * (h * h) / (w * w) * rs * (1.0 - rs))) * w
-    else:
-        ys = 0.5 * math.sqrt(max(0.0, 1.0 - 4.0 * (w * w) / (h * h) * rs * (1.0 - rs))) * h
-        xs = 0.5 * (1.0 - 2.0 * rs) * w
-    return xs, ys
+        k = 4.0 * (h / w) ** 2 * rs * (1.0 - rs)
+        return 0.5 * w * k / (1.0 + math.sqrt(max(0.0, 1.0 - k))), rs * h
+    k = 4.0 * (w / h) ** 2 * rs * (1.0 - rs)
+    return rs * w, 0.5 * h * k / (1.0 + math.sqrt(max(0.0, 1.0 - k)))
 
 
 def four_candidates(hbb: HorizontalBox, rs: float) -> CandidateSet:
@@ -105,7 +108,8 @@ def four_candidates(hbb: HorizontalBox, rs: float) -> CandidateSet:
         raise InvalidArgumentError("HBB extents must be positive")
     rs = _clamp_rs(rs)
     xc, yc, w, h = hbb.xc, hbb.yc, hbb.w, hbb.h
-    xs, ys = slide_offsets(w, h, rs)
+    gx, gy = slide_gaps(w, h, rs)
+    xs, ys = 0.5 * w - gx, 0.5 * h - gy
     top, bot = yc - 0.5 * h, yc + 0.5 * h
     lef, rig = xc - 0.5 * w, xc + 0.5 * w
     quads = (
@@ -193,35 +197,37 @@ def encode(box: OrientedBox) -> CobbVector:
     return CobbVector(hbb.xc, hbb.yc, hbb.w, hbb.h, rs, tuple(row))
 
 
-def select_candidate(cands: CandidateSet, scores) -> int:
-    """Argmax score; exact ties prefer larger candidate area, then lower index.
+def select_candidate(scores) -> int:
+    """Argmax score; exact ties prefer candidates 1 and 2, then lower index.
 
     Encoded rows tie only across coincident candidates, where any choice is
-    equivalent.  The area preference guards externally supplied all-ones
-    score vectors at rs = 0, where two candidates degenerate to HBB
-    diagonals and plain lowest-index would pick a zero-area quad.
+    equivalent.  Preferring the pair that covers at least half the HBB
+    guards externally supplied all-ones score vectors at rs = 0, where 0 and
+    3 degenerate to HBB diagonals and plain lowest-index would pick a
+    zero-area quad; unlike comparing areas, it does not depend on where the
+    HBB sits.
     """
-    order = sorted(range(4), key=lambda i: (-scores[i], -cands.quads[i].area, i))
-    return order[0]
+    return min(range(4), key=lambda i: (-scores[i], i in (0, 3), i))
 
 
 def candidate_box(hbb: HorizontalBox, rs: float, i: int) -> OrientedBox:
     """Candidate ``i`` of ``(hbb, rs)`` as a rectangle, in closed form.
 
-    The edge vectors come from the half extents and the slide offsets, so the
-    sides and the angle do not depend on where the HBB sits; the angle is read
-    from the longer edge, which stays well defined as a candidate thins
-    towards a diagonal.  A zero-area candidate raises
+    The edge vectors come from the HBB extents and :func:`slide_gaps`, so the
+    sides and the angle do not depend on where the HBB sits and a needle's
+    short side keeps its relative precision; the angle is read from the
+    longer edge, which stays well defined as a candidate thins towards a
+    diagonal.  A zero-area candidate raises
     :class:`DegenerateGeometryError`.
     """
     if hbb.w <= 0.0 or hbb.h <= 0.0 or i not in range(4):
         raise InvalidArgumentError(f"need positive HBB extents and index 0..3, got {hbb}, {i!r}")
-    hw, hh = 0.5 * hbb.w, 0.5 * hbb.h
-    xs, ys = slide_offsets(hbb.w, hbb.h, rs)
-    tx = xs if i in (1, 3) else -xs  # top vertex, relative to the center
-    ry = ys if i in (0, 1) else -ys  # right vertex
-    # edges top -> right and right -> bottom (the bottom vertex is -top)
-    ax, ay, bx, by = hw - tx, ry + hh, -tx - hw, hh - ry
+    gx, gy = slide_gaps(hbb.w, hbb.h, rs)
+    fx, fy = hbb.w - gx, hbb.h - gy  # hw + x_s, hh + y_s
+    # edges top -> right and right -> bottom (the bottom vertex is -top); the
+    # top vertex is at +x_s in candidates 1 and 3, the right one at +y_s in 0, 1
+    ax, bx = (gx, -fx) if i in (1, 3) else (fx, -gx)
+    ay, by = (fy, gy) if i in (0, 1) else (gy, fy)
     la, lb = math.hypot(ax, ay), math.hypot(bx, by)
     if la < lb:
         ax, ay, la, lb = bx, by, lb, la
@@ -239,7 +245,7 @@ def decode(v: CobbVector) -> OrientedBox:
         raise InvalidArgumentError("decoded HBB extents must be positive")
     hbb = HorizontalBox(v.xc, v.yc, v.w, v.h)
     rs = _clamp_rs(v.rs, tol=math.inf)
-    return candidate_box(hbb, rs, select_candidate(four_candidates(hbb, rs), v.scores))
+    return candidate_box(hbb, rs, select_candidate(v.scores))
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,10 @@ def _cross(o: Point2, a: Point2, b: Point2) -> float:
 
 
 def _validate_convex(pts: list[Point2]) -> None:
-    scale = max(abs(p.x) + abs(p.y) for p in pts) or 1.0
+    # the quad's own extent, so the tolerance does not grow with distance
+    # from the origin
+    o = pts[0]
+    scale = max(abs(p.x - o.x) + abs(p.y - o.y) for p in pts) or 1.0
     tol = GEOM_EPS * scale * scale
     pos = neg = False
     for i in range(4):

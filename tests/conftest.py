@@ -1,21 +1,4 @@
-import pytest
 from hypothesis import settings
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
 settings.load_profile("suite")
-
-from cobb import _kernels_py
-
-_IMPLS = {"python": _kernels_py}
-try:
-    from cobb import _kernels
-
-    _IMPLS["cython"] = _kernels
-except ImportError:
-    pass
-
-
-@pytest.fixture(params=sorted(_IMPLS))
-def kern(request):
-    """Both kernel twins when the compiled one is available."""
-    return _IMPLS[request.param]

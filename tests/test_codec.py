@@ -1,6 +1,7 @@
 """Codec math against the polygon oracle and hand-derived values."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -277,6 +278,25 @@ class TestCandidateBox:
             far = decode(CobbVector(2e4 + 0.3, 1.7e4, v.w, v.h, v.rs, v.scores))
             assert (far.cx, far.cy) == (2e4 + 0.3, 1.7e4)
             assert (far.w_side, far.h_side, far.theta) == (at_origin.w_side, at_origin.h_side, at_origin.theta)
+
+    def test_score_ties_do_not_depend_on_the_center(self):
+        # candidates 1 and 2 tie; comparing their shoelace areas in absolute
+        # coordinates picked 2 at this center and 1 at the origin
+        w, h, rs = 1.4586932877108225, 3.968606702469787, 0.31493636020075005
+        at_origin = decode(CobbVector(0.0, 0.0, w, h, rs, (0, 1, 1, 0)))
+        far = decode(CobbVector(181.56913298587278, 720.3431132161568, w, h, rs, (0, 1, 1, 0)))
+        assert (far.w_side, far.h_side, far.theta) == (at_origin.w_side, at_origin.h_side, at_origin.theta)
+
+    def test_needle_short_side_keeps_relative_precision(self):
+        # candidate 0 of a 4x2 HBB has the short edge (2 - x_s, 1 - y_s) with
+        # x_s = 2 sqrt(1 - rs (1 - rs)) and y_s = 1 - 2 rs
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for rs in (1e-3, 1e-6, 1e-9):
+                d = Decimal(rs)
+                short = ((2 - 2 * (1 - d * (1 - d)).sqrt()) ** 2 + (2 * d) ** 2).sqrt()
+                box = candidate_box(HorizontalBox(0.0, 0.0, 4.0, 2.0), rs, 0)
+                assert abs(Decimal(min(box.w_side, box.h_side)) / short - 1) <= Decimal("4e-16")
 
     def test_zero_area_candidate_raises(self):
         # rs = 0 makes candidate 0 the HBB diagonal

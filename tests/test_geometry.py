@@ -5,9 +5,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from cobb.codec import four_candidates
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError, UndefinedIoUError
 from cobb.geometry import (
     ConvexQuad,
+    HorizontalBox,
     OrientedBox,
     Point2,
     adjust_side,
@@ -217,6 +219,15 @@ def test_canonicalize_idempotent(b):
 def test_convex_quad_rejects_nonconvex():
     with pytest.raises(InvalidArgumentError):
         ConvexQuad.from_points([(0, 0), (2, 0), (0.4, 0.4), (0, 2)])
+
+
+def test_convex_quad_tolerance_does_not_grow_with_the_offset():
+    for o in (0.0, 1e3, 1e5, 1e6):
+        with pytest.raises(InvalidArgumentError):
+            ConvexQuad.from_points([(o, o), (o + 1, o + 1), (o + 1, o), (o, o + 1)])
+    # near-degenerate candidates far from the origin still build
+    for rs in (0.0, 1e-12, 1e-9):
+        four_candidates(HorizontalBox(2e4 + 0.3, 1.7e4, 40, 12), rs)
 
 
 def test_point_requires_finite():
