@@ -45,26 +45,25 @@ def quad_intersection_area(a, b):
     clip = [(b[0], b[1]), (b[2], b[3]), (b[4], b[5]), (b[6], b[7])]
     if area_b2 < 0.0:
         clip.reverse()
-    for i in range(4):
+    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
         if not poly:
             return 0.0
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % 4]
         ex, ey = bx - ax, by - ay
         if ex == 0.0 and ey == 0.0:
             continue
+        # walk the edges p -> q from poly[0]; each vertex's side of the
+        # clip line is computed once and carried to the next edge
         out = []
-        n = len(poly)
-        for j in range(n):
-            px, py = poly[j]
-            qx, qy = poly[(j + 1) % n]
-            dp = ex * (py - ay) - ey * (px - ax)
+        px, py = poly[0]
+        dp = ex * (py - ay) - ey * (px - ax)
+        for qx, qy in poly[1:] + poly[:1]:
             dq = ex * (qy - ay) - ey * (qx - ax)
             if dp >= 0.0:
                 out.append((px, py))
             if (dp > 0.0 and dq < 0.0) or (dp < 0.0 and dq > 0.0):
                 t = dp / (dp - dq)
                 out.append((px + t * (qx - px), py + t * (qy - py)))
+            px, py, dp = qx, qy, dq
         poly = out
     if len(poly) < 3:
         return 0.0

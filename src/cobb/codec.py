@@ -122,11 +122,18 @@ def four_candidates(hbb: HorizontalBox, rs: float) -> CandidateSet:
 
 
 def classify(box: OrientedBox) -> int:
-    """Candidate index reproducing the box: argmax oracle IoU, lowest on ties."""
-    cands = four_candidates(outer_hbb(box), sliding_ratio(box))
+    """Candidate index reproducing the box: argmax oracle IoU, lowest on ties.
+
+    The box and the candidates are compared centred on the origin (the HBB
+    centre is the box centre).  IoU does not depend on where the pair sits,
+    but the clipping arithmetic loses precision far from the origin.
+    """
+    hbb = outer_hbb(box)
+    cands = four_candidates(HorizontalBox(0.0, 0.0, hbb.w, hbb.h), sliding_ratio(box))
+    q = vertices_of(OrientedBox(0.0, 0.0, box.w_side, box.h_side, box.theta))
     best, best_iou = 0, -1.0
     for i, quad in enumerate(cands.quads):
-        v = iou(box, quad) if quad.area > 0.0 else 0.0
+        v = iou(q, quad) if quad.area > 0.0 else 0.0
         if v > best_iou:
             best, best_iou = i, v
     return best

@@ -35,7 +35,8 @@ class Point2:
     y: float
 
     def __post_init__(self):
-        _require_finite("coordinate", self.x, self.y)
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            _require_finite("coordinate", self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -128,24 +129,21 @@ class ConvexQuad:
         return quad_area(self.flat())
 
 
-def _cross(o: Point2, a: Point2, b: Point2) -> float:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
 def _validate_convex(pts: list[Point2]) -> None:
     # the quad's own extent, so the tolerance does not grow with distance
     # from the origin
-    o = pts[0]
-    scale = max(abs(p.x - o.x) + abs(p.y - o.y) for p in pts) or 1.0
+    p0, p1, p2, p3 = pts
+    x0, y0, x1, y1, x2, y2, x3, y3 = p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y
+    scale = max(
+        abs(x1 - x0) + abs(y1 - y0), abs(x2 - x0) + abs(y2 - y0), abs(x3 - x0) + abs(y3 - y0)
+    ) or 1.0
     tol = GEOM_EPS * scale * scale
-    pos = neg = False
-    for i in range(4):
-        c = _cross(pts[i], pts[(i + 1) % 4], pts[(i + 2) % 4])
-        if c > tol:
-            pos = True
-        elif c < -tol:
-            neg = True
-    if pos and neg:
+    # twice the signed area of each triangle of three consecutive vertices
+    c0 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    c1 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    c2 = (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2)
+    c3 = (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3)
+    if max(c0, c1, c2, c3) > tol and min(c0, c1, c2, c3) < -tol:
         raise InvalidArgumentError("vertices do not form a convex quadrilateral")
 
 
@@ -167,13 +165,24 @@ def canonical_order(pts):
 
 
 def vertices_of(box: OrientedBox) -> ConvexQuad:
-    """The four corners of the rectangle."""
+    """The four corners of the rectangle, in canonical order.
+
+    Offsets ``(-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh)`` wind clockwise on
+    screen at every angle, so the corners are built in the reverse cycle and
+    only rotated to start at the min-(y, x) vertex.  No shoelace sum decides
+    the winding, so it stays counterclockwise however far from the origin
+    the box sits.
+    """
     c, s = math.cos(box.theta), math.sin(box.theta)
     hw, hh = 0.5 * box.w_side, 0.5 * box.h_side
-    pts = []
-    for dx, dy in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh)):
-        pts.append(Point2(box.cx + dx * c + dy * s, box.cy - dx * s + dy * c))
-    return ConvexQuad.from_points(pts)
+    cx, cy = box.cx, box.cy
+    pts = [
+        Point2(cx + dx * c + dy * s, cy - dx * s + dy * c)
+        for dx, dy in ((-hw, hh), (hw, hh), (hw, -hh), (-hw, -hh))
+    ]
+    _validate_convex(pts)
+    start = min(range(4), key=lambda i: (pts[i].y, pts[i].x))
+    return ConvexQuad(tuple(pts[start:] + pts[:start]))
 
 
 def outer_hbb(box: OrientedBox) -> HorizontalBox:
@@ -233,11 +242,11 @@ def iou(a, b) -> float:
     This is the brute-force oracle every closed form in the package is
     validated against.
     """
-    qa, qb = _as_quad(a), _as_quad(b)
-    area_a, area_b = qa.area, qb.area
+    fa, fb = _as_quad(a).flat(), _as_quad(b).flat()
+    area_a, area_b = quad_area(fa), quad_area(fb)
     if area_a == 0.0 and area_b == 0.0:
         raise UndefinedIoUError("IoU of two zero-area shapes is undefined")
-    inter = quad_intersection_area(qa.flat(), qb.flat())
+    inter = quad_intersection_area(fa, fb)
     union = area_a + area_b - inter
     if union <= 0.0:
         raise UndefinedIoUError("empty union")

@@ -134,6 +134,18 @@ class TestClassify:
         mirror = OrientedBox(0, 0, 4, 2, math.pi - math.pi / 6)
         assert classify(box) != classify(mirror)
 
+    def test_does_not_depend_on_where_the_box_sits(self):
+        # a thin box far from the origin: clipping in absolute coordinates
+        # chose candidate 0, whose round trip misses the box entirely
+        far = OrientedBox(
+            1e6 + 0.8474337369, 1e6 + 0.763774619, 7.144982684668243, 7.144982684668243e-06, 0.801322977421273
+        )
+        at_origin = OrientedBox(0.0, 0.0, far.w_side, far.h_side, far.theta)
+        assert classify(far) == classify(at_origin) == 3
+        back = decode(encode(far))
+        moved = OrientedBox(back.cx - far.cx, back.cy - far.cy, back.w_side, back.h_side, back.theta)
+        assert 1.0 - iou(at_origin, moved) <= 1e-5
+
 
 class TestIoUMatrix:
     def test_diamond_all_ones(self):

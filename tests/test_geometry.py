@@ -1,6 +1,7 @@
 """Geometry core: frozen hand-derived values plus property checks."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +25,23 @@ from cobb.geometry import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def raw_corners(box):
+    """Corners in construction order, winding clockwise on screen."""
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    hw, hh = 0.5 * box.w_side, 0.5 * box.h_side
+    return [
+        (box.cx + dx * c + dy * s, box.cy - dx * s + dy * c)
+        for dx, dy in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
+    ]
+
+
+def recentred_shoelace(quad):
+    """Twice the signed area relative to the first vertex: < 0 is CCW in y-down."""
+    v = quad.vertices
+    pts = [(p.x - v[0].x, p.y - v[0].y) for p in v]
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
 
 
 def vertex_set(box):
@@ -82,6 +100,21 @@ class TestVertices:
         cx = sum(p.x for p in q.vertices) / 4
         cy = sum(p.y for p in q.vertices) / 4
         assert abs(cx - b.cx) < 1e-12 and abs(cy - b.cy) < 1e-12
+
+    def test_counterclockwise_far_from_the_origin(self):
+        # the absolute-coordinate shoelace of this thin box has the wrong
+        # sign, so deciding the winding from it returned a clockwise quad
+        q = vertices_of(OrientedBox(2e4 + 0.3, 1.7e4 + 0.7, 1e-3, 1e-9, 0.3))
+        assert recentred_shoelace(q) < 0.0
+
+    def test_same_quad_as_from_points(self):
+        rng = random.Random(41)
+        thetas = [0.0, math.nextafter(0.5 * math.pi, 0.0)] + [rng.uniform(0.0, math.pi) for _ in range(2000)]
+        for t in thetas:
+            b = OrientedBox(rng.uniform(0, 2e4), rng.uniform(0, 2e4), rng.uniform(1, 300), rng.uniform(1, 300), t)
+            q = vertices_of(b)
+            assert q.flat() == ConvexQuad.from_points(raw_corners(b)).flat()
+            assert recentred_shoelace(q) < 0.0
 
 
 class TestOuterHbb:

@@ -1,6 +1,7 @@
 """Clipping kernel: intersection area against brute shoelace facts."""
 
 import math
+import random
 
 from hypothesis import given, strategies as st
 
@@ -65,3 +66,60 @@ def test_bounds_and_symmetry(a, b):
     inter = _kern.quad_intersection_area(qa, qb)
     assert -1e-12 <= inter <= min(area_a, area_b) + 1e-9 * max(area_a, area_b)
     assert abs(inter - _kern.quad_intersection_area(qb, qa)) < 1e-9
+
+
+def reference_intersection_area(a, b):
+    """The clipping loop with each vertex's side recomputed per edge (``% n``)."""
+    area_b2 = (
+        b[0] * b[3] - b[2] * b[1]
+        + b[2] * b[5] - b[4] * b[3]
+        + b[4] * b[7] - b[6] * b[5]
+        + b[6] * b[1] - b[0] * b[7]
+    )
+    if area_b2 == 0.0:
+        return 0.0
+    poly = [(a[0], a[1]), (a[2], a[3]), (a[4], a[5]), (a[6], a[7])]
+    clip = [(b[0], b[1]), (b[2], b[3]), (b[4], b[5]), (b[6], b[7])]
+    if area_b2 < 0.0:
+        clip.reverse()
+    for i in range(4):
+        if not poly:
+            return 0.0
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % 4]
+        ex, ey = bx - ax, by - ay
+        if ex == 0.0 and ey == 0.0:
+            continue
+        out = []
+        n = len(poly)
+        for j in range(n):
+            px, py = poly[j]
+            qx, qy = poly[(j + 1) % n]
+            dp = ex * (py - ay) - ey * (px - ax)
+            dq = ex * (qy - ay) - ey * (qx - ax)
+            if dp >= 0.0:
+                out.append((px, py))
+            if (dp > 0.0 and dq < 0.0) or (dp < 0.0 and dq > 0.0):
+                t = dp / (dp - dq)
+                out.append((px + t * (qx - px), py + t * (qy - py)))
+        poly = out
+    if len(poly) < 3:
+        return 0.0
+    return 0.5 * abs(_kern._signed_area2(poly))
+
+
+def test_matches_the_reference_loop_exactly():
+    rng = random.Random(17)
+
+    def quad(offset, reverse):
+        w = rng.uniform(0.1, 5.0)
+        h = w * (rng.uniform(1e-6, 1e-3) if rng.random() < 0.3 else rng.uniform(0.1, 1.0))
+        q = rect(offset + rng.uniform(-2, 2), offset + rng.uniform(-2, 2), w, h, rng.uniform(0, math.pi))
+        return tuple(v for i in range(3, -1, -1) for v in q[2 * i:2 * i + 2]) if reverse else q
+
+    for offset in (0.0, 2e4, 1e6):
+        for reverse_a in (False, True):
+            for reverse_b in (False, True):
+                for _ in range(500):
+                    a, b = quad(offset, reverse_a), quad(offset, reverse_b)
+                    assert _kern.quad_intersection_area(a, b) == reference_intersection_area(a, b)
