@@ -2,7 +2,6 @@
 
 from cobb._kern import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from cobb.codec import (
-    CandidateSet,
     CobbVector,
     classify,
     decode,
@@ -25,7 +24,6 @@ from cobb.geometry import (
     ConvexQuad,
     HorizontalBox,
     OrientedBox,
-    Point2,
     adjust_side,
     intersection_area,
     iou,
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KERNEL_IMPLEMENTATION",
-    "CandidateSet",
     "CobbVector",
     "CobbError",
     "ConvexQuad",
@@ -59,7 +56,6 @@ __all__ = [
     "InvalidArgumentError",
     "LossWeights",
     "OrientedBox",
-    "Point2",
     "Proposal",
     "TargetVector",
     "UndefinedIoUError",

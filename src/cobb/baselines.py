@@ -10,7 +10,6 @@ codecs exclusively through this interface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,24 +23,12 @@ _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
 
 
-@dataclass(frozen=True)
-class CodecDescriptor:
-    name: str
-    dim: int
-    decodes_exactly: bool
-
-
 class BoxCodec:
     """Interface shared by all codecs."""
 
     name: str = ""
     dim: int = 0
     component_names: tuple[str, ...] = ()
-    decodes_exactly: bool = True
-
-    @property
-    def descriptor(self) -> CodecDescriptor:
-        return CodecDescriptor(self.name, self.dim, self.decodes_exactly)
 
     def encode(self, box: OrientedBox) -> np.ndarray:
         raise NotImplementedError
@@ -77,13 +64,12 @@ class CobbCodec(BoxCodec):
     dim = 9
     component_names = ("tx", "ty", "tw", "th", "rt", "s0", "s1", "s2", "s3")
     curve_component_names = ("xc", "yc", "w", "h", "rs", "s0", "s1", "s2", "s3")
-    decodes_exactly = True
 
-    def __init__(self, variant: str = "sig", lam: float | None = None):
+    def __init__(self, variant: str = "sig"):
         if variant not in ("sig", "ln"):
             raise InvalidArgumentError(f"unknown variant {variant!r}")
         self.variant = variant
-        self.lam = targets.DEFAULT_LAMBDA[variant] if lam is None else lam
+        self.lam = targets.DEFAULT_LAMBDA[variant]
         self.name = "cobb" if variant == "sig" else "cobb-ln"
         self.proposal = Proposal.horizontal(0.0, 0.0, 1.0, 1.0)
 
@@ -117,7 +103,6 @@ class AcuteAngleCodec(BoxCodec):
     name = "acute"
     dim = 5
     component_names = ("cx", "cy", "w", "h", "theta")
-    decodes_exactly = True
 
     def encode(self, box: OrientedBox) -> np.ndarray:
         w, h, t = box.w_side, box.h_side, box.theta  # t in [0, pi/2)
@@ -142,7 +127,6 @@ class LongEdgeCodec(BoxCodec):
     name = "long-edge"
     dim = 5
     component_names = ("cx", "cy", "long", "short", "theta")
-    decodes_exactly = True
 
     @staticmethod
     def _long_edge_angle(box: OrientedBox) -> tuple[float, float, float]:
@@ -172,8 +156,6 @@ class CslCodec(BoxCodec):
     ``bins`` discrete angles covering the long-edge period pi.  Decoding
     takes the argmax bin center, which quantizes the angle to half a bin.
     """
-
-    decodes_exactly = False
 
     def __init__(self, bins: int = 90, window_sigma: float = 2.0):
         if bins < 4:
@@ -222,22 +204,21 @@ class GlidingVertexCodec(BoxCodec):
     name = "gv"
     dim = 8
     component_names = ("xc", "yc", "w", "h", "a_top", "a_right", "a_bottom", "a_left")
-    decodes_exactly = True
 
     def encode(self, box: OrientedBox) -> np.ndarray:
         hbb = outer_hbb(box)
-        verts = vertices_of(box).vertices
-        top = min(verts, key=lambda p: (p.y, -p.x))
-        right = max(verts, key=lambda p: (p.x, p.y))
-        bottom = max(verts, key=lambda p: (p.y, -p.x))
-        left = min(verts, key=lambda p: (p.x, p.y))
+        f = vertices_of(box).flat
+        corners = list(zip(f[0::2], f[1::2]))
+        top = min(corners, key=lambda p: (p[1], -p[0]))
+        bottom = max(corners, key=lambda p: (p[1], -p[0]))
+        right, left = max(corners), min(corners)
         x_lo, x_hi = hbb.xc - 0.5 * hbb.w, hbb.xc + 0.5 * hbb.w
         y_lo, y_hi = hbb.yc - 0.5 * hbb.h, hbb.yc + 0.5 * hbb.h
         a = (
-            (x_hi - top.x) / hbb.w,
-            (y_hi - right.y) / hbb.h,
-            (bottom.x - x_lo) / hbb.w,
-            (left.y - y_lo) / hbb.h,
+            (x_hi - top[0]) / hbb.w,
+            (y_hi - right[1]) / hbb.h,
+            (bottom[0] - x_lo) / hbb.w,
+            (left[1] - y_lo) / hbb.h,
         )
         a = tuple(min(max(v, 0.0), 1.0) for v in a)
         return np.array([hbb.xc, hbb.yc, hbb.w, hbb.h, *a], dtype=float)
@@ -264,18 +245,18 @@ def available_codecs() -> tuple[str, ...]:
     return ("cobb", "cobb-ln", "acute", "long-edge", "csl", "gv")
 
 
-def get_codec(name: str, **kwargs) -> BoxCodec:
+def get_codec(name: str) -> BoxCodec:
     """Instantiate a codec by registry name."""
     if name == "cobb":
-        return CobbCodec("sig", **kwargs)
+        return CobbCodec("sig")
     if name == "cobb-ln":
-        return CobbCodec("ln", **kwargs)
+        return CobbCodec("ln")
     if name == "acute":
         return AcuteAngleCodec()
     if name == "long-edge":
         return LongEdgeCodec()
     if name == "csl":
-        return CslCodec(**kwargs)
+        return CslCodec()
     if name == "gv":
         return GlidingVertexCodec()
     raise InvalidArgumentError(f"unknown codec {name!r}; available: {', '.join(available_codecs())}")

@@ -99,22 +99,6 @@ def _load_config(path) -> dict:
     return values
 
 
-_CONFIG_CASTS = {
-    "seed": int,
-    "samples": int,
-    "directions": int,
-    "grid_points": int,
-    "bins": int,
-    "steps": lambda s: s,
-    "codec": lambda s: s,
-    "format": lambda s: s,
-    "out": lambda s: s,
-    "sweep": lambda s: s,
-    "box": lambda s: s,
-    "perturbation": float,
-}
-
-
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     path = None
     for i, arg in enumerate(argv):
@@ -125,16 +109,26 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     if path is None:
         return
     raw = _load_config(path)
-    defaults = {}
-    for key, value in raw.items():
-        cast = _CONFIG_CASTS.get(key)
-        if cast is None:
-            raise CobbError(f"unknown config key {key!r}")
-        defaults[key] = cast(value)
-    # subparsers parse into a fresh namespace, so defaults must land on them
-    for action in parser._subparsers._group_actions[0].choices.values():
-        known = {k: v for k, v in defaults.items() if any(a.dest == k for a in action._actions)}
-        action.set_defaults(**known)
+    unknown = set(raw)
+    # subparsers parse into a fresh namespace, so defaults must land on them;
+    # each value goes through the type and choices of its own flag
+    for sub in parser._subparsers._group_actions[0].choices.values():
+        defaults = {}
+        for action in sub._actions:
+            key = action.dest
+            if key not in raw or not action.option_strings or key in ("help", "config"):
+                continue
+            unknown.discard(key)
+            try:
+                value = action.type(raw[key]) if action.type else raw[key]
+            except (TypeError, ValueError):
+                raise CobbError(f"bad config value {key}={raw[key]!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise CobbError(f"bad config value {key}={value!r}; choose from {', '.join(action.choices)}")
+            defaults[key] = value
+        sub.set_defaults(**defaults)
+    if unknown:
+        raise CobbError(f"unknown config key {min(unknown)!r}")
 
 
 def _parse_steps(text: str) -> tuple[float, ...]:
@@ -211,7 +205,7 @@ def _cmd_iou_check(args) -> int:
         m = codec_mod.iou_matrix(w, h, rs)
         for i in range(4):
             for j in range(i + 1, 4):
-                worst = max(worst, abs(m[i][j] - iou(cands.quads[i], cands.quads[j])))
+                worst = max(worst, abs(m[i][j] - iou(cands[i], cands[j])))
     print(f"max |closed-form - oracle| over {args.samples} samples: {_fmt(worst)}")
     return 0 if worst <= 1e-7 else 1
 

@@ -42,23 +42,6 @@ class CobbVector:
         return (self.xc, self.yc, self.w, self.h, self.rs) + self.scores
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """The four boxes sharing one outer HBB and sliding ratio.
-
-    Index order follows the construction: 0 and 3 are the pair whose area
-    ratio against the HBB is at most one half, 1 and 2 the pair at least one
-    half.  Decoding needs neither the quads nor their areas.
-    """
-
-    hbb: HorizontalBox
-    rs: float
-    quads: tuple[ConvexQuad, ConvexQuad, ConvexQuad, ConvexQuad]
-
-    def areas(self) -> tuple[float, float, float, float]:
-        return tuple(q.area for q in self.quads)
-
-
 def _clamp_rs(rs: float, tol: float = _RS_CLAMP_TOL) -> float:
     if not math.isfinite(rs) or rs < -tol or rs > 0.5 + tol:
         raise InvalidArgumentError(f"sliding ratio outside [0, 0.5]: {rs!r}")
@@ -74,12 +57,12 @@ def sliding_ratio(box: OrientedBox) -> float:
     hbb = outer_hbb(box)
     if hbb.w <= 0.0 or hbb.h <= 0.0:
         raise DegenerateGeometryError("zero-extent outer HBB")
-    verts = vertices_of(box).vertices
+    f = vertices_of(box).flat
     if hbb.w < hbb.h:
-        c = sorted(v.x for v in verts)
+        c = sorted(f[0::2])
         rs = (c[1] - c[0]) / hbb.w
     else:
-        c = sorted(v.y for v in verts)
+        c = sorted(f[1::2])
         rs = (c[1] - c[0]) / hbb.h
     return min(max(rs, 0.0), 0.5)
 
@@ -98,11 +81,14 @@ def slide_gaps(w: float, h: float, rs: float) -> tuple[float, float]:
     return rs * w, 0.5 * h * k / (1.0 + math.sqrt(max(0.0, 1.0 - k)))
 
 
-def four_candidates(hbb: HorizontalBox, rs: float) -> CandidateSet:
-    """Construct the four boxes sharing ``(hbb, rs)``.
+def four_candidates(hbb: HorizontalBox, rs: float) -> tuple[ConvexQuad, ...]:
+    """The four quads sharing ``(hbb, rs)``.
 
     Each candidate has one vertex per HBB side; the four sign choices of the
-    two slide offsets give the four members.
+    two slide offsets give the four members.  Index order follows the
+    construction: 0 and 3 are the pair whose area ratio against the HBB is
+    at most one half, 1 and 2 the pair at least one half.  Decoding needs
+    neither the quads nor their areas.
     """
     if hbb.w <= 0.0 or hbb.h <= 0.0:
         raise InvalidArgumentError("HBB extents must be positive")
@@ -112,13 +98,12 @@ def four_candidates(hbb: HorizontalBox, rs: float) -> CandidateSet:
     xs, ys = 0.5 * w - gx, 0.5 * h - gy
     top, bot = yc - 0.5 * h, yc + 0.5 * h
     lef, rig = xc - 0.5 * w, xc + 0.5 * w
-    quads = (
+    return (
         ConvexQuad.from_points([(xc - xs, top), (rig, yc + ys), (xc + xs, bot), (lef, yc - ys)]),
         ConvexQuad.from_points([(xc + xs, top), (rig, yc + ys), (xc - xs, bot), (lef, yc - ys)]),
         ConvexQuad.from_points([(xc - xs, top), (rig, yc - ys), (xc + xs, bot), (lef, yc + ys)]),
         ConvexQuad.from_points([(xc + xs, top), (rig, yc - ys), (xc - xs, bot), (lef, yc + ys)]),
     )
-    return CandidateSet(hbb, rs, quads)
 
 
 def classify(box: OrientedBox) -> int:
@@ -132,7 +117,7 @@ def classify(box: OrientedBox) -> int:
     cands = four_candidates(HorizontalBox(0.0, 0.0, hbb.w, hbb.h), sliding_ratio(box))
     q = vertices_of(OrientedBox(0.0, 0.0, box.w_side, box.h_side, box.theta))
     best, best_iou = 0, -1.0
-    for i, quad in enumerate(cands.quads):
+    for i, quad in enumerate(cands):
         v = iou(q, quad) if quad.area > 0.0 else 0.0
         if v > best_iou:
             best, best_iou = i, v

@@ -10,8 +10,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from cobb.errors import DotaParseError
-from cobb.geometry import OrientedBox, Point2, canonical_order, min_area_rect
+from cobb.errors import DegenerateGeometryError, DotaParseError
+from cobb.geometry import OrientedBox, canonical_order, min_area_rect
 
 log = logging.getLogger(__name__)
 
@@ -20,9 +20,10 @@ _METADATA_PREFIXES = ("imagesource", "gsd")
 
 @dataclass(frozen=True)
 class DotaRecord:
-    quad: tuple[Point2, Point2, Point2, Point2]
+    quad: tuple[tuple[float, float], ...]  # four (x, y) pairs in canonical order
     category: str
     difficulty: int
+    line_no: int | None
 
 
 def is_metadata_line(line: str) -> bool:
@@ -51,8 +52,8 @@ def parse_dota_line(line: str, line_no: int | None = None) -> DotaRecord:
         difficulty = int(tokens[9])
     except ValueError:
         raise DotaParseError(f"non-integer difficulty {tokens[9]!r}", line_no) from None
-    pts = tuple(Point2(coords[2 * i], coords[2 * i + 1]) for i in range(4))
-    return DotaRecord(canonical_order(pts), category, difficulty)
+    pts = tuple(zip(coords[0::2], coords[1::2]))
+    return DotaRecord(canonical_order(pts), category, difficulty, line_no)
 
 
 def record_box(record: DotaRecord) -> OrientedBox:
@@ -79,15 +80,20 @@ def read_dota_file(path) -> tuple[list[DotaRecord], list[str]]:
 def convert_annotations(input_path, codec, output_path, float_fmt: str = "%.17g") -> int:
     """Fit each annotation with a box, encode it, write one CSV row per record.
 
-    Returns the number of rows written; unparseable lines are logged and
-    skipped (reasons also land in the module logger).
+    Returns the number of rows written; unparseable lines and degenerate
+    (collinear) quads are skipped, with their reasons in the module logger.
     """
     records, _ = read_dota_file(input_path)
     n = 0
     with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("category,difficulty," + ",".join(codec.component_names) + "\n")
         for rec in records:
-            enc = codec.encode(record_box(rec))
+            try:
+                box = record_box(rec)
+            except DegenerateGeometryError as exc:
+                log.warning("%s: skipped line %s: %s", input_path, rec.line_no, exc)
+                continue
+            enc = codec.encode(box)
             fh.write(f"{rec.category},{rec.difficulty}," + ",".join(float_fmt % v for v in enc) + "\n")
             n += 1
     return n

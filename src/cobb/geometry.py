@@ -30,16 +30,6 @@ def _require_finite(name: str, *values: float) -> None:
 
 
 @dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            _require_finite("coordinate", self.x, self.y)
-
-
-@dataclass(frozen=True)
 class HorizontalBox:
     """Axis-aligned box given by center and extents."""
 
@@ -58,7 +48,7 @@ class HorizontalBox:
 class OrientedBox:
     """Rotated rectangle: center, two side lengths, clockwise angle.
 
-    Construction canonicalizes the angle into [0, pi/2): full-turn symmetry
+    Construction brings the angle into [0, pi/2): full-turn symmetry
     removes multiples of pi, and a quarter-turn is absorbed by relabeling the
     two sides.  Side labels are never sorted by length.
     """
@@ -96,44 +86,44 @@ class OrientedBox:
         return self.w_side * self.h_side
 
 
-def canonicalize(box: OrientedBox) -> OrientedBox:
-    """Idempotent canonical form (the constructor already applies it)."""
-    return OrientedBox(box.cx, box.cy, box.w_side, box.h_side, box.theta)
-
-
 @dataclass(frozen=True)
 class ConvexQuad:
-    """Convex quadrilateral with a deterministic vertex order.
+    """Convex quadrilateral as the flat tuple ``(x0, y0, x1, y1, x2, y2, x3, y3)``.
 
     Vertices run counterclockwise in the y-down frame and start at the
-    lexicographically smallest (y, then x) vertex.  Zero-area (collinear)
-    quads are representable; genuinely non-convex input is rejected.
+    lexicographically smallest (y, then x) vertex; :meth:`from_points` puts
+    any four points in that order, the constructor takes the tuple as given.
+    Zero-area (collinear) quads are representable; non-finite coordinates
+    and genuinely non-convex input are rejected.
     """
 
-    vertices: tuple[Point2, Point2, Point2, Point2]
+    flat: tuple[float, ...]
+
+    def __post_init__(self):
+        f = self.flat
+        if len(f) != 8:
+            raise InvalidArgumentError(f"quad needs 8 coordinates, got {len(f)}")
+        if not all(map(math.isfinite, f)):
+            _require_finite("coordinate", *f)
+        _validate_convex(f)
 
     @staticmethod
     def from_points(points) -> "ConvexQuad":
-        pts = [p if isinstance(p, Point2) else Point2(p[0], p[1]) for p in points]
+        pts = [(p[0], p[1]) for p in points]
         if len(pts) != 4:
             raise InvalidArgumentError(f"quad needs 4 vertices, got {len(pts)}")
-        _validate_convex(pts)
-        return ConvexQuad(tuple(canonical_order(pts)))
-
-    def flat(self) -> tuple[float, ...]:
-        v = self.vertices
-        return (v[0].x, v[0].y, v[1].x, v[1].y, v[2].x, v[2].y, v[3].x, v[3].y)
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = canonical_order(pts)
+        return ConvexQuad((x0, y0, x1, y1, x2, y2, x3, y3))
 
     @property
     def area(self) -> float:
-        return quad_area(self.flat())
+        return quad_area(self.flat)
 
 
-def _validate_convex(pts: list[Point2]) -> None:
+def _validate_convex(f) -> None:
     # the quad's own extent, so the tolerance does not grow with distance
     # from the origin
-    p0, p1, p2, p3 = pts
-    x0, y0, x1, y1, x2, y2, x3, y3 = p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y
+    x0, y0, x1, y1, x2, y2, x3, y3 = f
     scale = max(
         abs(x1 - x0) + abs(y1 - y0), abs(x2 - x0) + abs(y2 - y0), abs(x3 - x0) + abs(y3 - y0)
     ) or 1.0
@@ -150,17 +140,17 @@ def _validate_convex(pts: list[Point2]) -> None:
 def canonical_order(pts):
     """Keep the cycle; wind counterclockwise and start at the min-(y, x) vertex.
 
-    Returns the same sequence type it is given.  Convexity is not required,
-    so annotation quads use it too.
+    Takes four ``(x, y)`` pairs and returns the same sequence type it is
+    given.  Convexity is not required, so annotation quads use it too.
     """
     # CCW in y-down frame <=> negative shoelace sum in raw coordinates.
     s = 0.0
     for i in range(4):
-        a, b = pts[i], pts[(i + 1) % 4]
-        s += a.x * b.y - b.x * a.y
+        (ax, ay), (bx, by) = pts[i], pts[(i + 1) % 4]
+        s += ax * by - bx * ay
     if s > 0:
         pts = pts[::-1]
-    start = min(range(4), key=lambda i: (pts[i].y, pts[i].x))
+    start = min(range(4), key=lambda i: (pts[i][1], pts[i][0]))
     return pts[start:] + pts[:start]
 
 
@@ -176,13 +166,11 @@ def vertices_of(box: OrientedBox) -> ConvexQuad:
     c, s = math.cos(box.theta), math.sin(box.theta)
     hw, hh = 0.5 * box.w_side, 0.5 * box.h_side
     cx, cy = box.cx, box.cy
-    pts = [
-        Point2(cx + dx * c + dy * s, cy - dx * s + dy * c)
-        for dx, dy in ((-hw, hh), (hw, hh), (hw, -hh), (-hw, -hh))
-    ]
-    _validate_convex(pts)
-    start = min(range(4), key=lambda i: (pts[i].y, pts[i].x))
-    return ConvexQuad(tuple(pts[start:] + pts[:start]))
+    f = []
+    for dx, dy in ((-hw, hh), (hw, hh), (hw, -hh), (-hw, -hh)):
+        f += (cx + dx * c + dy * s, cy - dx * s + dy * c)
+    start = 2 * min(range(4), key=lambda i: (f[2 * i + 1], f[2 * i]))
+    return ConvexQuad(tuple(f[start:] + f[:start]))
 
 
 def outer_hbb(box: OrientedBox) -> HorizontalBox:
@@ -225,7 +213,7 @@ def adjust_side(box: OrientedBox, ratio: float) -> tuple[OrientedBox, OrientedBo
 
 def intersection_area(a: ConvexQuad, b: ConvexQuad) -> float:
     """Area of the convex intersection polygon (half-plane clipping)."""
-    return quad_intersection_area(a.flat(), b.flat())
+    return quad_intersection_area(a.flat, b.flat)
 
 
 def _as_quad(shape) -> ConvexQuad:
@@ -242,7 +230,7 @@ def iou(a, b) -> float:
     This is the brute-force oracle every closed form in the package is
     validated against.
     """
-    fa, fb = _as_quad(a).flat(), _as_quad(b).flat()
+    fa, fb = _as_quad(a).flat, _as_quad(b).flat
     area_a, area_b = quad_area(fa), quad_area(fb)
     if area_a == 0.0 and area_b == 0.0:
         raise UndefinedIoUError("IoU of two zero-area shapes is undefined")
@@ -258,10 +246,10 @@ def iou(a, b) -> float:
 # Minimum-area enclosing rectangle (rotating calipers over the convex hull)
 
 
-def _convex_hull(points: list[Point2]) -> list[Point2]:
-    pts = sorted(set((p.x, p.y) for p in points))
+def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    pts = sorted(set(points))
     if len(pts) < 3:
-        return [Point2(x, y) for x, y in pts]
+        return pts
 
     def build(seq):
         out = []
@@ -276,17 +264,17 @@ def _convex_hull(points: list[Point2]) -> list[Point2]:
 
     lower = build(pts)
     upper = build(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    return [Point2(x, y) for x, y in hull]
+    return lower[:-1] + upper[:-1]
 
 
 def min_area_rect(points) -> OrientedBox:
-    """Minimum-area oriented rectangle enclosing the points.
+    """Minimum-area oriented rectangle enclosing the ``(x, y)`` points.
 
-    Requires at least 3 non-collinear points; the optimum has one side flush
-    with a hull edge, so only hull-edge orientations are scanned.
+    Requires at least 3 finite, non-collinear points; the optimum has one
+    side flush with a hull edge, so only hull-edge orientations are scanned.
     """
-    pts = [p if isinstance(p, Point2) else Point2(p[0], p[1]) for p in points]
+    pts = [(p[0], p[1]) for p in points]
+    _require_finite("coordinate", *(v for p in pts for v in p))
     if len(pts) < 3:
         raise DegenerateGeometryError("min_area_rect needs at least 3 points")
     hull = _convex_hull(pts)
@@ -296,16 +284,16 @@ def min_area_rect(points) -> OrientedBox:
     best = None
     n = len(hull)
     for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        ex, ey = b.x - a.x, b.y - a.y
+        (ax, ay), (bx, by) = hull[i], hull[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
         norm = math.hypot(ex, ey)
         if norm == 0.0:
             continue
         ux, uy = ex / norm, ey / norm
         lo_u = hi_u = lo_v = hi_v = None
-        for p in hull:
-            u = p.x * ux + p.y * uy
-            v = -p.x * uy + p.y * ux
+        for px, py in hull:
+            u = px * ux + py * uy
+            v = -px * uy + py * ux
             lo_u = u if lo_u is None or u < lo_u else lo_u
             hi_u = u if hi_u is None or u > hi_u else hi_u
             lo_v = v if lo_v is None or v < lo_v else lo_v

@@ -95,7 +95,7 @@ def test_criterion_1_closed_form_matrix_vs_oracle():
         m = codec_mod.iou_matrix(w, h, rs)
         for i in range(4):
             for j in range(i + 1, 4):
-                worst = max(worst, abs(m[i][j] - iou(cands.quads[i], cands.quads[j])))
+                worst = max(worst, abs(m[i][j] - iou(cands[i], cands[j])))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-7 and elapsed <= 10.0
     assert _verdict(

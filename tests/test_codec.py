@@ -47,9 +47,9 @@ def seeded_boxes(n, seed, scale=1.0):
 def quad_sliding_ratio(quad, hbb):
     """Independent re-derivation of the sliding ratio from raw vertices."""
     if hbb.w < hbb.h:
-        c = sorted(p.x for p in quad.vertices)
+        c = sorted(quad.flat[0::2])
         return (c[1] - c[0]) / hbb.w
-    c = sorted(p.y for p in quad.vertices)
+    c = sorted(quad.flat[1::2])
     return (c[1] - c[0]) / hbb.h
 
 
@@ -68,24 +68,24 @@ class TestFourCandidates:
     def test_rs_zero_candidates_sit_on_hbb_corners(self):
         cands = four_candidates(HorizontalBox(0, 0, 4, 2), 0.0)
         corners = {(-2, -1), (2, -1), (2, 1), (-2, 1)}
-        for q in cands.quads:
-            assert {(p.x, p.y) for p in q.vertices} <= corners
+        for q in cands:
+            assert set(zip(q.flat[0::2], q.flat[1::2])) <= corners
         # the pair above the half-area branch is the full HBB, the other
         # pair degenerates to the diagonals
-        areas = cands.areas()
+        areas = [q.area for q in cands]
         assert areas[1] == pytest.approx(8.0) and areas[2] == pytest.approx(8.0)
         assert areas[0] == 0.0 and areas[3] == 0.0
 
     def test_rs_half_square_is_diamond(self):
         cands = four_candidates(HorizontalBox(0, 0, 2, 2), 0.5)
         diamond = {(0, -1), (1, 0), (0, 1), (-1, 0)}
-        for q in cands.quads:
-            assert {(p.x, p.y) for p in q.vertices} == diamond
+        for q in cands:
+            assert set(zip(q.flat[0::2], q.flat[1::2])) == diamond
 
     def test_contains_the_source_box(self):
         box = OrientedBox(0, 0, 4, 2, math.pi / 6)
         cands = four_candidates(outer_hbb(box), sliding_ratio(box))
-        assert max(iou(box, q) for q in cands.quads) >= 1 - 1e-9
+        assert max(iou(box, q) for q in cands) >= 1 - 1e-9
 
     def test_candidates_share_hbb_and_rs(self):
         for box in seeded_boxes(40, seed=11):
@@ -94,9 +94,8 @@ class TestFourCandidates:
             if rs < 1e-3:
                 continue
             cands = four_candidates(hbb, rs)
-            for q in cands.quads:
-                xs = [p.x for p in q.vertices]
-                ys = [p.y for p in q.vertices]
+            for q in cands:
+                xs, ys = q.flat[0::2], q.flat[1::2]
                 assert max(xs) - min(xs) == pytest.approx(hbb.w, abs=1e-9 * box.diagonal)
                 assert max(ys) - min(ys) == pytest.approx(hbb.h, abs=1e-9 * box.diagonal)
                 assert quad_sliding_ratio(q, hbb) == pytest.approx(rs, abs=1e-9)
@@ -105,7 +104,7 @@ class TestFourCandidates:
         for box in seeded_boxes(40, seed=12):
             hbb = outer_hbb(box)
             cands = four_candidates(hbb, sliding_ratio(box))
-            areas = cands.areas()
+            areas = [q.area for q in cands]
             half = 0.5 * hbb.w * hbb.h
             assert areas[0] <= half + 1e-9 and areas[3] <= half + 1e-9
             assert areas[1] >= half - 1e-9 and areas[2] >= half - 1e-9
@@ -127,7 +126,7 @@ class TestClassify:
         box = OrientedBox(0, 0, 4, 2, math.pi / 6)
         idx = classify(box)
         cands = four_candidates(outer_hbb(box), sliding_ratio(box))
-        assert iou(box, cands.quads[idx]) >= 1 - 1e-9
+        assert iou(box, cands[idx]) >= 1 - 1e-9
 
     def test_mirror_changes_class(self):
         box = OrientedBox(0, 0, 4, 2, math.pi / 6)
@@ -181,7 +180,7 @@ class TestIoUMatrix:
             m = iou_matrix(w, h, float(rs))
             for i in range(4):
                 for j in range(i + 1, 4):
-                    assert m[i][j] == pytest.approx(iou(cands.quads[i], cands.quads[j]), abs=1e-7)
+                    assert m[i][j] == pytest.approx(iou(cands[i], cands[j]), abs=1e-7)
 
     def test_invalid_args(self):
         with pytest.raises(InvalidArgumentError):
@@ -276,10 +275,11 @@ class TestCandidateBox:
             w = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
             hbb = HorizontalBox(0.0, 0.0, w, 1.0)
             rs, i = float(rng.uniform(0.0, 0.5)), int(rng.integers(4))
-            quad = four_candidates(hbb, rs).quads[i]
+            quad = four_candidates(hbb, rs)[i]
             if quad.area < 1e-3 * w:
                 continue
-            worst = max(worst, 1.0 - iou(candidate_box(hbb, rs, i), min_area_rect(quad.vertices)))
+            corners = zip(quad.flat[0::2], quad.flat[1::2])
+            worst = max(worst, 1.0 - iou(candidate_box(hbb, rs, i), min_area_rect(corners)))
             checked += 1
         assert worst <= 1e-9
 
@@ -339,9 +339,9 @@ class TestRsRaRelation:
         lo, hi = 0.0, 0.5  # candidate 1 area ratio falls from 1 to 0.5
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            ra_mid = four_candidates(hbb, mid).quads[1].area / (w * h)
+            ra_mid = four_candidates(hbb, mid)[1].area / (w * h)
             lo, hi = (lo, mid) if ra_mid < target else (mid, hi)
-        measured_rs = quad_sliding_ratio(four_candidates(hbb, lo).quads[1], hbb)
+        measured_rs = quad_sliding_ratio(four_candidates(hbb, lo)[1], hbb)
         assert rs_from_ra(target, w, h) == pytest.approx(measured_rs, abs=1e-9)
 
     def test_measured_boxes(self):
@@ -358,7 +358,7 @@ class TestRsRaRelation:
                 assert rs_from_ra(max(ra, 1e-300), w, h) == pytest.approx(rs, abs=1e-9)
             ra = ra_from_rs(0.3, w, h, branch)
             idx = 1 if branch == "above" else 0
-            area = four_candidates(HorizontalBox(0, 0, w, h), 0.3).quads[idx].area
+            area = four_candidates(HorizontalBox(0, 0, w, h), 0.3)[idx].area
             assert ra == pytest.approx(area / (w * h), abs=1e-9)
         assert ra_from_rs(0.0, w, h, "above") == 1.0
         assert ra_from_rs(0.5, w, h, "below") == pytest.approx(0.5)

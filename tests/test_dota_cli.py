@@ -19,7 +19,7 @@ class TestParse:
     def test_simple_line(self):
         rec = parse_dota_line(GOOD)
         assert rec.category == "plane" and rec.difficulty == 0
-        assert {(p.x, p.y) for p in rec.quad} == {(0, 0), (4, 0), (4, 2), (0, 2)}
+        assert rec.quad == ((0, 0), (0, 2), (4, 2), (4, 0))  # canonical order
 
     def test_token_count(self):
         with pytest.raises(DotaParseError, match="line 7.*10 tokens"):
@@ -40,7 +40,7 @@ class TestParse:
 
     def test_rotated_square_fit(self):
         box = OrientedBox(10, 5, 3, 3, 0.6)
-        coords = " ".join(f"{p.x:.9f} {p.y:.9f}" for p in vertices_of(box).vertices)
+        coords = " ".join(f"{v:.9f}" for v in vertices_of(box).flat)
         rec = parse_dota_line(coords + " storage-tank 1")
         assert iou(record_box(rec), box) >= 1 - 1e-6
 
@@ -170,6 +170,43 @@ class TestCli:
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("nonsense=1\n")
         assert main(["roundtrip", "--config", str(cfgfile)]) == 2
+
+    def test_config_key_no_subcommand_defines(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bins.cfg"
+        cfgfile.write_text("bins=45\n")
+        assert main(["iou-check", "--samples", "1", "--config", str(cfgfile)]) == 2
+        assert "error: unknown config key 'bins'" in capsys.readouterr().err
+
+    def test_config_value_goes_through_the_flag_type(self, tmp_path, capsys):
+        cfgfile = tmp_path / "seed.cfg"
+        cfgfile.write_text("seed=abc\n")
+        assert main(["iou-check", "--samples", "1", "--config", str(cfgfile)]) == 2
+        assert "error: bad config value seed='abc'" in capsys.readouterr().err
+
+    def test_config_value_goes_through_the_flag_choices(self, tmp_path, capsys):
+        cfgfile = tmp_path / "format.cfg"
+        cfgfile.write_text("format=xml\n")
+        out = tmp_path / "rep.out"
+        args = ["audit", "--codec", "acute", "--samples", "1", "--out", str(out)]
+        assert main(args + ["--config", str(cfgfile)]) == 2
+        assert "error: bad config value format='xml'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_convert_skips_degenerate_annotations(self, tmp_path, capsys):
+        src = tmp_path / "ann.txt"
+        src.write_text(
+            f"{GOOD}\n"
+            "5 5 5 5 5 5 5 5 ship 1\n"
+            "1 1 2 2 3 3 4 4 ship 0\n"
+            "5 5 9 5 9 7 5 7 harbor 2\n"
+        )
+        out = tmp_path / "enc.csv"
+        assert main(["convert", str(src), "--codec", "cobb", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["plane", "harbor"]
+        err = capsys.readouterr().err
+        assert "skipped line 2: points are collinear" in err
+        assert "skipped line 3: points are collinear" in err
 
     def test_convert(self, tmp_path, capsys):
         src = tmp_path / "ann.txt"

@@ -12,9 +12,7 @@ from cobb.geometry import (
     ConvexQuad,
     HorizontalBox,
     OrientedBox,
-    Point2,
     adjust_side,
-    canonicalize,
     intersection_area,
     iou,
     min_area_rect,
@@ -37,15 +35,20 @@ def raw_corners(box):
     ]
 
 
+def corners(quad):
+    f = quad.flat
+    return list(zip(f[0::2], f[1::2]))
+
+
 def recentred_shoelace(quad):
     """Twice the signed area relative to the first vertex: < 0 is CCW in y-down."""
-    v = quad.vertices
-    pts = [(p.x - v[0].x, p.y - v[0].y) for p in v]
+    f = quad.flat
+    pts = [(x - f[0], y - f[1]) for x, y in corners(quad)]
     return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
 
 
 def vertex_set(box):
-    return {(round(p.x, 9), round(p.y, 9)) for p in vertices_of(box).vertices}
+    return {(round(x, 9), round(y, 9)) for x, y in corners(vertices_of(box))}
 
 
 class TestCanonicalization:
@@ -57,7 +60,7 @@ class TestCanonicalization:
 
     def test_idempotent(self):
         b = OrientedBox(1, 2, 3, 4, 2.8)
-        assert canonicalize(b) == b
+        assert OrientedBox(b.cx, b.cy, b.w_side, b.h_side, b.theta) == b
 
     def test_rotate_identity_and_pi(self):
         b = OrientedBox(0, 0, 4, 2, 0.3)
@@ -90,15 +93,14 @@ class TestVertices:
         quad = vertices_of(OrientedBox(0, 0, 4, 2, math.pi / 6))
         expected = (SQRT3 + 0.5, 0.5 * SQRT3 - 1.0)
         assert any(
-            abs(p.x - expected[0]) < 1e-12 and abs(p.y - expected[1]) < 1e-12
-            for p in quad.vertices
+            abs(x - expected[0]) < 1e-12 and abs(y - expected[1]) < 1e-12 for x, y in corners(quad)
         )
 
     def test_centroid_matches_center(self):
         b = OrientedBox(3.7, -1.2, 2.5, 0.7, 1.1)
         q = vertices_of(b)
-        cx = sum(p.x for p in q.vertices) / 4
-        cy = sum(p.y for p in q.vertices) / 4
+        cx = sum(q.flat[0::2]) / 4
+        cy = sum(q.flat[1::2]) / 4
         assert abs(cx - b.cx) < 1e-12 and abs(cy - b.cy) < 1e-12
 
     def test_counterclockwise_far_from_the_origin(self):
@@ -113,7 +115,7 @@ class TestVertices:
         for t in thetas:
             b = OrientedBox(rng.uniform(0, 2e4), rng.uniform(0, 2e4), rng.uniform(1, 300), rng.uniform(1, 300), t)
             q = vertices_of(b)
-            assert q.flat() == ConvexQuad.from_points(raw_corners(b)).flat()
+            assert q == ConvexQuad.from_points(raw_corners(b))
             assert recentred_shoelace(q) < 0.0
 
 
@@ -192,7 +194,7 @@ class TestMinAreaRect:
 
     def test_rotated_square_roundtrip(self):
         b = OrientedBox(1, -2, 2, 2, 0.9)
-        got = min_area_rect(vertices_of(b).vertices)
+        got = min_area_rect(corners(vertices_of(b)))
         assert iou(got, b) >= 1 - 1e-9
 
     def test_right_triangle(self):
@@ -232,7 +234,7 @@ def test_iou_symmetric(a, b):
 
 @given(box_strategy)
 def test_min_area_rect_reproduces_box(b):
-    assert iou(min_area_rect(vertices_of(b).vertices), b) >= 1 - 1e-9
+    assert iou(min_area_rect(corners(vertices_of(b))), b) >= 1 - 1e-9
 
 
 @given(box_strategy)
@@ -245,13 +247,22 @@ def test_outer_hbb_lipschitz_in_theta(b):
 
 
 @given(box_strategy)
-def test_canonicalize_idempotent(b):
-    assert canonicalize(canonicalize(b)) == canonicalize(b)
+def test_constructor_idempotent(b):
+    assert OrientedBox(b.cx, b.cy, b.w_side, b.h_side, b.theta) == b
+    q = vertices_of(b)
+    assert ConvexQuad(q.flat) == q == ConvexQuad.from_points(corners(q))
 
 
 def test_convex_quad_rejects_nonconvex():
     with pytest.raises(InvalidArgumentError):
         ConvexQuad.from_points([(0, 0), (2, 0), (0.4, 0.4), (0, 2)])
+
+
+def test_convex_quad_constructor_validates():
+    with pytest.raises(InvalidArgumentError, match="convex"):
+        ConvexQuad((0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0))  # bow-tie
+    with pytest.raises(InvalidArgumentError, match="8 coordinates"):
+        ConvexQuad((0.0, 0.0, 1.0, 0.0, 1.0, 1.0))
 
 
 def test_convex_quad_tolerance_does_not_grow_with_the_offset():
@@ -263,6 +274,10 @@ def test_convex_quad_tolerance_does_not_grow_with_the_offset():
         four_candidates(HorizontalBox(2e4 + 0.3, 1.7e4, 40, 12), rs)
 
 
-def test_point_requires_finite():
-    with pytest.raises(InvalidArgumentError):
-        Point2(math.inf, 0.0)
+def test_quad_requires_finite():
+    with pytest.raises(InvalidArgumentError, match="coordinate must be finite"):
+        ConvexQuad.from_points([(0, 0), (1, 0), (math.inf, 1), (0, 1)])
+    with pytest.raises(InvalidArgumentError, match="coordinate must be finite"):
+        vertices_of(OrientedBox(1.7e308, 0, 1e308, 1, 0))  # a corner overflows
+    with pytest.raises(InvalidArgumentError, match="coordinate must be finite"):
+        min_area_rect([(0, 0), (1, 0), (math.nan, 1)])

@@ -26,8 +26,8 @@ from test_codec import seeded_boxes
 def box_with_rs(rs, w=4.0, h=2.0, branch="below"):
     """Construct a box with a prescribed sliding ratio via its candidate."""
     idx = 0 if branch == "below" else 1
-    quad = four_candidates(HorizontalBox(0, 0, w, h), rs).quads[idx]
-    return min_area_rect(quad.vertices)
+    f = four_candidates(HorizontalBox(0, 0, w, h), rs)[idx].flat
+    return min_area_rect(zip(f[0::2], f[1::2]))
 
 
 def seeded_proposals(n, seed, oriented):
