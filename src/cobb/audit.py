@@ -16,14 +16,17 @@ step size.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from cobb.baselines import BoxCodec
 from cobb.errors import InvalidArgumentError, UndefinedNormalizationError
-from cobb.geometry import OrientedBox, adjust_side, iou, rotate
+from cobb.geometry import OrientedBox, adjust_side, iou, rotate, vertices_of
 
 FAMILY_NAMES = ("near-horizontal", "near-square", "near-diagonal", "random")
 
@@ -45,15 +48,24 @@ class ProbeConfig:
     robustness_k: float = 100.0
 
     def __post_init__(self):
-        if not self.steps or any(s <= 0 for s in self.steps):
-            raise InvalidArgumentError("steps must be positive")
+        # tuples keep a config built from lists hashable
+        object.__setattr__(self, "steps", tuple(self.steps))
+        object.__setattr__(self, "families", tuple(self.families))
+        if not self.steps or not all(0 < s < math.inf for s in self.steps):
+            raise InvalidArgumentError("steps must be positive and finite")
         if any(a <= b for a, b in zip(self.steps, self.steps[1:])):
             raise InvalidArgumentError("steps must be strictly decreasing")
         if self.samples < 1:
             raise InvalidArgumentError("samples must be >= 1")
+        if not self.families:
+            raise InvalidArgumentError("families must not be empty")
         unknown = set(self.families) - set(FAMILY_NAMES)
         if unknown:
             raise InvalidArgumentError(f"unknown families: {sorted(unknown)}")
+        if not 0 < self.perturbation < math.inf:
+            raise InvalidArgumentError("perturbation must be positive and finite")
+        if self.directions < 1:
+            raise InvalidArgumentError("directions must be >= 1")
 
 
 @dataclass
@@ -102,9 +114,14 @@ def _random_aspect(rng: np.random.Generator) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def build_families(cfg: ProbeConfig) -> dict[str, list[OrientedBox]]:
-    """Seeded boundary families, all normalized to unit diagonal."""
-    out: dict[str, list[OrientedBox]] = {}
+@functools.lru_cache(maxsize=1)
+def build_families(cfg: ProbeConfig) -> Mapping[str, tuple[OrientedBox, ...]]:
+    """Seeded boundary families, all normalized to unit diagonal.
+
+    The last config's families are kept, so the six metrics of a run share
+    one read-only build.
+    """
+    out: dict[str, tuple[OrientedBox, ...]] = {}
     for fi, fam in enumerate(cfg.families):
         rng = _rng(cfg.seed, 101, fi)
         boxes: list[OrientedBox] = []
@@ -140,8 +157,8 @@ def build_families(cfg: ProbeConfig) -> dict[str, list[OrientedBox]]:
                     boxes.append(
                         normalize_box(OrientedBox(0.0, 0.0, a, 1.0, 0.25 * math.pi - 0.5 * delta))
                     )
-        out[fam] = boxes
-    return out
+        out[fam] = tuple(boxes)
+    return MappingProxyType(out)
 
 
 def _transformed(box: OrientedBox, transform: str, delta: float) -> list[OrientedBox]:
@@ -197,7 +214,7 @@ def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResu
     worst = StepGap(0.0, -1.0)
     for fam, boxes in families.items():
         for box in boxes:
-            gap = 1.0 - iou(box, codec.decode(codec.encode(box)))
+            gap = 1.0 - iou(vertices_of(box), codec.decode(codec.encode(box)))
             if gap > worst.gap:
                 worst = StepGap(0.0, gap, {"family": fam, "box": _box_params(box)})
     verdict = "pass" if worst.gap <= cfg.completeness_tol else "fail"
@@ -210,19 +227,20 @@ def probe_decoding_robustness(
     """Worst 1 - IoU(x, decode(encode(x) + d)) over random unit directions."""
     if perturbation is None:
         perturbation = cfg.perturbation
-    if perturbation <= 0:
-        raise InvalidArgumentError("perturbation must be positive")
+    if not 0 < perturbation < math.inf:
+        raise InvalidArgumentError("perturbation must be positive and finite")
     families = build_families(cfg)
     worst = StepGap(perturbation, -1.0)
     for fi, (fam, boxes) in enumerate(families.items()):
         rng = _rng(cfg.seed, 202, fi)
         for box in boxes:
             enc = codec.encode(box)
+            quad = vertices_of(box)
             dirs = rng.standard_normal((cfg.directions, codec.dim))
             norms = np.linalg.norm(dirs, axis=1, keepdims=True)
             dirs = dirs / np.where(norms == 0.0, 1.0, norms)
             for d in dirs:
-                gap = 1.0 - iou(box, codec.decode(enc + perturbation * d))
+                gap = 1.0 - iou(quad, codec.decode(enc + perturbation * d))
                 if gap > worst.gap:
                     worst = StepGap(
                         perturbation, gap,
@@ -325,13 +343,41 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
     return out
 
 
+class _EncodeOnce:
+    """``codec`` with ``encode`` run once per distinct box.
+
+    The probes of one run encode the same family boxes and twins again and
+    again; the stored encodings are read-only so that no probe can alter
+    another's.  Every other attribute is the codec's own.
+    """
+
+    def __init__(self, codec: BoxCodec):
+        self._codec = codec
+        self._encodings: dict[OrientedBox, np.ndarray] = {}
+
+    def __getattr__(self, name):
+        return getattr(self._codec, name)
+
+    def encode(self, box: OrientedBox) -> np.ndarray:
+        enc = self._encodings.get(box)
+        if enc is None:
+            enc = self._codec.encode(box)
+            enc.flags.writeable = False
+            self._encodings[box] = enc
+        return enc
+
+
 def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:
-    """All six metrics for every codec, plus NAE / ratio-sensitivity extras."""
+    """All six metrics for every codec, plus NAE / ratio-sensitivity extras.
+
+    The metrics of a codec share one build of the families and one encoding
+    of each distinct box.
+    """
     from cobb.geometry import HorizontalBox
     from cobb.targets import sensitivity_probe
 
     reports = []
-    for codec in codecs:
+    for codec in map(_EncodeOnce, codecs):
         rep = MetricReport(codec=codec.name, seed=cfg.seed)
         rep.metrics.append(probe_target_continuity(codec, "rotation", cfg))
         rep.metrics.append(probe_target_continuity(codec, "aspect", cfg))

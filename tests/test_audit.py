@@ -1,6 +1,7 @@
 """Continuity audit: probe behavior, determinism, witnesses, NAE."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from cobb.audit import (
     MetricReport,
     ProbeConfig,
+    _EncodeOnce,
+    _nae_summary,
     build_families,
     check_decoding_completeness,
     nae,
@@ -18,7 +21,7 @@ from cobb.audit import (
     replay_witness,
     run_audit,
 )
-from cobb.baselines import get_codec
+from cobb.baselines import AcuteAngleCodec, available_codecs, get_codec
 from cobb.errors import InvalidArgumentError, UndefinedNormalizationError
 from cobb.geometry import OrientedBox, rotate
 
@@ -59,14 +62,49 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError):
             ProbeConfig(families=("near-vertical",))
 
+    # each config below used to audit nothing, or fail halfway through a run
+
+    def test_families_must_not_be_empty(self):
+        with pytest.raises(InvalidArgumentError, match="families"):
+            ProbeConfig(families=())
+
+    @pytest.mark.parametrize("directions", [0, -1])
+    def test_directions_must_be_positive(self, directions):
+        with pytest.raises(InvalidArgumentError, match="directions"):
+            ProbeConfig(directions=directions)
+
+    @pytest.mark.parametrize("perturbation", [0.0, -1e-4, math.inf, math.nan])
+    def test_perturbation_must_be_positive_and_finite(self, perturbation):
+        with pytest.raises(InvalidArgumentError, match="perturbation"):
+            ProbeConfig(perturbation=perturbation)
+
+    @pytest.mark.parametrize("steps", [(math.inf,), (math.inf, 1e-3), (1e-3, math.nan)])
+    def test_steps_must_be_finite(self, steps):
+        with pytest.raises(InvalidArgumentError, match="steps"):
+            ProbeConfig(steps=steps)
+
+    def test_lists_become_tuples(self):
+        cfg = ProbeConfig(steps=[1e-3, 1e-4], families=["random"])
+        assert cfg.steps == (1e-3, 1e-4) and cfg.families == ("random",)
+        assert hash(cfg) == hash(ProbeConfig(steps=(1e-3, 1e-4), families=("random",)))
+
 
 class TestFamilies:
     def test_deterministic(self):
-        a = build_families(CFG)
-        b = build_families(CFG)
+        # two separate builds: the cached function would return one object
+        a = build_families.__wrapped__(CFG)
+        b = build_families.__wrapped__(CFG)
+        assert a is not b
         assert list(a) == list(b)
         for fam in a:
             assert a[fam] == b[fam]
+
+    def test_built_once_per_config(self):
+        fams = build_families(CFG)
+        assert build_families(ProbeConfig(samples=24, seed=9)) is fams
+        assert fams == build_families.__wrapped__(CFG)
+        with pytest.raises(TypeError):
+            fams["random"] = ()
 
     def test_normalized_unit_diagonal(self):
         for boxes in build_families(CFG).values():
@@ -155,6 +193,42 @@ class TestRunAudit:
         rep = run_audit([get_codec("cobb")], CFG)[0]
         rs = rep.extras["ratio_sensitivity"]
         assert rs["f_ln_ra@1e-3"] >= 10 * rs["r_ln@1e-3"]
+
+    @pytest.mark.parametrize("name", available_codecs())
+    def test_same_results_as_the_metrics_on_a_bare_codec(self, name):
+        cfg = ProbeConfig(samples=4, seed=5)
+        assert len(cfg.steps) == 3
+        rep = run_audit([get_codec(name)], cfg)[0]
+        codec = get_codec(name)
+        assert rep.metrics == [
+            probe_target_continuity(codec, "rotation", cfg),
+            probe_target_continuity(codec, "aspect", cfg),
+            probe_loss_continuity(codec, "rotation", cfg),
+            probe_loss_continuity(codec, "aspect", cfg),
+            check_decoding_completeness(codec, cfg),
+            probe_decoding_robustness(codec, cfg),
+        ]
+        assert rep.extras["nae"] == _nae_summary(codec, cfg)
+
+    def test_each_box_encoded_once(self):
+        encoded = Counter()
+
+        class Counting(AcuteAngleCodec):
+            def encode(self, box):
+                encoded[box] += 1
+                return super().encode(box)
+
+        run_audit([Counting()], ProbeConfig(samples=4, seed=5))
+        assert encoded and set(encoded.values()) == {1}
+
+    def test_shared_encoding_is_read_only(self):
+        codec = _EncodeOnce(get_codec("cobb"))
+        box = build_families(CFG)["random"][0]
+        enc = codec.encode(box)
+        assert codec.encode(box) is enc
+        with pytest.raises(ValueError):
+            enc[0] = 0.0
+        assert codec.name == "cobb" and codec.dim == 9
 
 
 def test_normalize_box():

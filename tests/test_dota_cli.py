@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cobb
 from cobb.cli import main
 from cobb.dota import DotaRecord, is_metadata_line, parse_dota_line, read_dota_file, record_box
 from cobb.errors import DotaParseError
@@ -149,6 +152,18 @@ class TestCli:
         assert main(args + ["--out", str(b)]) == 1
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--directions", "0"), ("--directions", "-1"), ("--steps", "inf"), ("--perturbation", "inf")],
+    )
+    def test_audit_rejects_config_before_running(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "rep.json"
+        args = ["audit", "--codec", "cobb", "--samples", "2", "--out", str(out), flag, value]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} must be")
+        assert not out.exists()
+
     def test_audit_csv_format(self, tmp_path):
         out = tmp_path / "rep.csv"
         main(["audit", "--codec", "acute", "--seed", "1", "--samples", "8",
@@ -248,8 +263,10 @@ class TestCli:
         assert len(lines) == 65
 
     def test_module_entrypoint(self):
+        # run the package this suite imported, whether installed or not
+        env = dict(os.environ, PYTHONPATH=str(Path(cobb.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "cobb", "iou-check", "--samples", "50"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
