@@ -33,6 +33,12 @@ FAMILY_NAMES = ("near-horizontal", "near-square", "near-diagonal", "random")
 _BOUNDARY_OFFSET = 1e-3  # half-width of the boundary families
 _ASPECT_RANGE = (0.2, 5.0)
 
+# Verdict thresholds at the finest step.
+TARGET_GAP_TOL = 1e-3
+LOSS_TOL = 1e-6
+COMPLETENESS_TOL = 1e-6
+ROBUSTNESS_K = 100.0  # robustness passes when 1 - IoU <= ROBUSTNESS_K * perturbation
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -42,10 +48,6 @@ class ProbeConfig:
     seed: int = 0
     perturbation: float = 1e-4
     directions: int = 16
-    target_gap_tol: float = 1e-3
-    loss_tol: float = 1e-6
-    completeness_tol: float = 1e-6
-    robustness_k: float = 100.0
 
     def __post_init__(self):
         # tuples keep a config built from lists hashable
@@ -57,6 +59,8 @@ class ProbeConfig:
             raise InvalidArgumentError("steps must be strictly decreasing")
         if self.samples < 1:
             raise InvalidArgumentError("samples must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgumentError("seed must be >= 0")
         if not self.families:
             raise InvalidArgumentError("families must not be empty")
         unknown = set(self.families) - set(FAMILY_NAMES)
@@ -200,12 +204,12 @@ def _probe_continuity(codec: BoxCodec, kind: str, transform: str, cfg: ProbeConf
 
 def probe_target_continuity(codec: BoxCodec, transform: str, cfg: ProbeConfig) -> MetricResult:
     """Worst encoding gap per step; aspect sums the gap over both members."""
-    return _probe_continuity(codec, "target", transform, cfg, cfg.target_gap_tol)
+    return _probe_continuity(codec, "target", transform, cfg, TARGET_GAP_TOL)
 
 
 def probe_loss_continuity(codec: BoxCodec, transform: str, cfg: ProbeConfig) -> MetricResult:
     """Worst loss between the encodings of a box and its perturbed twin."""
-    return _probe_continuity(codec, "loss", transform, cfg, cfg.loss_tol)
+    return _probe_continuity(codec, "loss", transform, cfg, LOSS_TOL)
 
 
 def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
@@ -217,18 +221,13 @@ def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResu
             gap = 1.0 - iou(vertices_of(box), codec.decode(codec.encode(box)))
             if gap > worst.gap:
                 worst = StepGap(0.0, gap, {"family": fam, "box": _box_params(box)})
-    verdict = "pass" if worst.gap <= cfg.completeness_tol else "fail"
+    verdict = "pass" if worst.gap <= COMPLETENESS_TOL else "fail"
     return MetricResult("decoding-completeness", [worst], verdict, worst.witness)
 
 
-def probe_decoding_robustness(
-    codec: BoxCodec, cfg: ProbeConfig, perturbation: float | None = None
-) -> MetricResult:
+def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
     """Worst 1 - IoU(x, decode(encode(x) + d)) over random unit directions."""
-    if perturbation is None:
-        perturbation = cfg.perturbation
-    if not 0 < perturbation < math.inf:
-        raise InvalidArgumentError("perturbation must be positive and finite")
+    perturbation = cfg.perturbation
     families = build_families(cfg)
     worst = StepGap(perturbation, -1.0)
     for fi, (fam, boxes) in enumerate(families.items()):
@@ -246,7 +245,7 @@ def probe_decoding_robustness(
                         perturbation, gap,
                         {"family": fam, "box": _box_params(box), "perturbation": [float(v) for v in perturbation * d]},
                     )
-    verdict = "pass" if worst.gap <= cfg.robustness_k * perturbation else "fail"
+    verdict = "pass" if worst.gap <= ROBUSTNESS_K * perturbation else "fail"
     notes = ""
     if verdict == "fail" and worst.witness is not None:
         # distinguish a vanishing (sub-linear but continuous) response from

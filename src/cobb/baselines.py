@@ -74,7 +74,7 @@ class CobbCodec(BoxCodec):
         self.proposal = Proposal.horizontal(0.0, 0.0, 1.0, 1.0)
 
     def encode(self, box: OrientedBox) -> np.ndarray:
-        t = targets.encode_target(box, self.proposal, self.variant, self.lam)
+        t = targets.encode_target(box, self.proposal, self.variant)
         return np.array(t.as_tuple(), dtype=float)
 
     def decode(self, vec) -> OrientedBox:
@@ -157,18 +157,13 @@ class CslCodec(BoxCodec):
     takes the argmax bin center, which quantizes the angle to half a bin.
     """
 
-    def __init__(self, bins: int = 90, window_sigma: float = 2.0):
-        if bins < 4:
-            raise InvalidArgumentError(f"need at least 4 bins, got {bins}")
-        self.bins = bins
-        self.window_sigma = window_sigma  # in bins
-        self.name = "csl"
-        self.dim = 4 + bins
-        self.component_names = ("cx", "cy", "long", "short") + tuple(
-            f"bin{i}" for i in range(bins)
-        )
-        self.bin_width = math.pi / bins
-        self.bin_centers = np.array([-_HALF_PI + i * self.bin_width for i in range(bins)])
+    name = "csl"
+    bins = 90
+    window_sigma = 2.0  # in bins
+    dim = 4 + bins
+    component_names = ("cx", "cy", "long", "short") + tuple(f"bin{i}" for i in range(bins))
+    bin_width = math.pi / bins
+    bin_centers = -_HALF_PI + bin_width * np.arange(bins)
 
     def window(self, theta_long: float) -> np.ndarray:
         d = np.abs(self.bin_centers - theta_long)
@@ -241,22 +236,23 @@ class GlidingVertexCodec(BoxCodec):
         return {"xy": [0, 1], "wh": [2, 3], "alpha": [4, 5, 6, 7]}
 
 
+_CODECS = {
+    "cobb": lambda: CobbCodec("sig"),
+    "cobb-ln": lambda: CobbCodec("ln"),
+    "acute": AcuteAngleCodec,
+    "long-edge": LongEdgeCodec,
+    "csl": CslCodec,
+    "gv": GlidingVertexCodec,
+}
+
+
 def available_codecs() -> tuple[str, ...]:
-    return ("cobb", "cobb-ln", "acute", "long-edge", "csl", "gv")
+    return tuple(_CODECS)
 
 
 def get_codec(name: str) -> BoxCodec:
     """Instantiate a codec by registry name."""
-    if name == "cobb":
-        return CobbCodec("sig")
-    if name == "cobb-ln":
-        return CobbCodec("ln")
-    if name == "acute":
-        return AcuteAngleCodec()
-    if name == "long-edge":
-        return LongEdgeCodec()
-    if name == "csl":
-        return CslCodec()
-    if name == "gv":
-        return GlidingVertexCodec()
-    raise InvalidArgumentError(f"unknown codec {name!r}; available: {', '.join(available_codecs())}")
+    factory = _CODECS.get(name)
+    if factory is None:
+        raise InvalidArgumentError(f"unknown codec {name!r}; available: {', '.join(_CODECS)}")
+    return factory()

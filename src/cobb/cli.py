@@ -26,11 +26,9 @@ from cobb.baselines import available_codecs, get_codec
 from cobb.errors import CobbError
 from cobb.geometry import HorizontalBox, OrientedBox, iou
 
-FLOAT_FMT = "%.17g"
-
 
 def _fmt(v) -> str:
-    return FLOAT_FMT % float(v)
+    return codec_mod.FLOAT_FMT % float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +193,10 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_iou_check(args) -> int:
+    if args.samples < 1:
+        raise CobbError("--samples must be >= 1")
+    if args.seed < 0:
+        raise CobbError("--seed must be >= 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed, 7])))
     worst = 0.0
     for _ in range(args.samples):
@@ -218,7 +220,7 @@ def _cmd_convert(args) -> int:
     handler.setFormatter(logging.Formatter("skipped: %(message)s"))
     dota_mod.log.addHandler(handler)
     try:
-        n = dota_mod.convert_annotations(args.input, codec, args.out, float_fmt=FLOAT_FMT)
+        n = dota_mod.convert_annotations(args.input, codec, args.out)
     finally:
         dota_mod.log.removeHandler(handler)
     print(f"wrote {n} encodings to {args.out}")

@@ -24,6 +24,10 @@ from cobb.geometry import (
     vertices_of,
 )
 
+# Text format of every number written to a report or CSV: 17 significant
+# digits read back as the same float64.
+FLOAT_FMT = "%.17g"
+
 _RS_CLAMP_TOL = 1e-12
 
 

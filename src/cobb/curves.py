@@ -12,10 +12,11 @@ import math
 import numpy as np
 
 from cobb.baselines import BoxCodec
+from cobb.codec import FLOAT_FMT
 from cobb.errors import InvalidArgumentError
 from cobb.geometry import OrientedBox, rotate
 
-FLOAT_FMT = "%.17g"
+_RATIO_RANGE = (0.25, 4.0)  # aspect sweep: w_side scaled from 1/4 to 4
 
 
 def rotation_sweep(codec: BoxCodec, box: OrientedBox, grid_points: int = 1440) -> tuple[list[str], np.ndarray]:
@@ -31,16 +32,11 @@ def rotation_sweep(codec: BoxCodec, box: OrientedBox, grid_points: int = 1440) -
     return ["sweep"] + names, rows
 
 
-def aspect_sweep(
-    codec: BoxCodec,
-    box: OrientedBox,
-    grid_points: int = 513,
-    ratio_range: tuple[float, float] = (0.25, 4.0),
-) -> tuple[list[str], np.ndarray]:
+def aspect_sweep(codec: BoxCodec, box: OrientedBox, grid_points: int = 513) -> tuple[list[str], np.ndarray]:
     """Components over a log-spaced side-ratio grid (w_side scaled by the ratio)."""
-    lo, hi = ratio_range
-    if grid_points < 8 or lo <= 0 or hi <= lo:
-        raise InvalidArgumentError("invalid aspect grid")
+    if grid_points < 8:
+        raise InvalidArgumentError("need at least 8 grid points")
+    lo, hi = _RATIO_RANGE
     names = list(codec.curve_component_names or codec.component_names)
     ratios = np.exp(np.linspace(math.log(lo), math.log(hi), grid_points))
     rows = np.empty((grid_points, 1 + len(names)))
@@ -51,12 +47,12 @@ def aspect_sweep(
     return ["sweep"] + names, rows
 
 
-def emit_curves(codec: BoxCodec, sweep: str, box: OrientedBox, out_path, **kwargs) -> int:
+def emit_curves(codec: BoxCodec, sweep: str, box: OrientedBox, out_path, grid_points: int = 1440) -> int:
     """Write a sweep CSV; returns the number of data rows."""
     if sweep == "rotation":
-        header, rows = rotation_sweep(codec, box, **kwargs)
+        header, rows = rotation_sweep(codec, box, grid_points)
     elif sweep == "aspect":
-        header, rows = aspect_sweep(codec, box, **kwargs)
+        header, rows = aspect_sweep(codec, box, grid_points)
     else:
         raise InvalidArgumentError(f"unknown sweep {sweep!r}")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

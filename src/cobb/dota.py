@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+from cobb.codec import FLOAT_FMT
 from cobb.errors import DegenerateGeometryError, DotaParseError
 from cobb.geometry import OrientedBox, canonical_order, min_area_rect
 
@@ -77,7 +78,7 @@ def read_dota_file(path) -> tuple[list[DotaRecord], list[str]]:
     return records, skipped
 
 
-def convert_annotations(input_path, codec, output_path, float_fmt: str = "%.17g") -> int:
+def convert_annotations(input_path, codec, output_path) -> int:
     """Fit each annotation with a box, encode it, write one CSV row per record.
 
     Returns the number of rows written; unparseable lines and degenerate
@@ -94,6 +95,6 @@ def convert_annotations(input_path, codec, output_path, float_fmt: str = "%.17g"
                 log.warning("%s: skipped line %s: %s", input_path, rec.line_no, exc)
                 continue
             enc = codec.encode(box)
-            fh.write(f"{rec.category},{rec.difficulty}," + ",".join(float_fmt % v for v in enc) + "\n")
+            fh.write(f"{rec.category},{rec.difficulty}," + ",".join(FLOAT_FMT % v for v in enc) + "\n")
             n += 1
     return n

@@ -3,10 +3,10 @@
 The HBB part follows the standard two-stage detector bias (center offsets
 normalized by proposal extents, log extent ratios).  The sliding ratio enters
 either as ``r_sig = 2*rs`` (bounded head) or the log form ``r_ln`` whose sign
-tracks the area-ratio branch.  Scores are raised to a configurable power to
-sharpen the gap between the true candidate and the rest.  Oriented proposals
-reduce to the horizontal rule after de-rotating both shapes about the
-proposal center.
+tracks the area-ratio branch.  Scores are raised to a power set per variant
+(``DEFAULT_LAMBDA``) to sharpen the gap between the true candidate and the
+rest.  A proposal with a nonzero angle reduces to the horizontal rule after
+de-rotating both shapes about the proposal center.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ _LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class Proposal:
-    kind: str  # "horizontal" | "oriented"
+    """A detector proposal; ``theta_p == 0`` is the horizontal case."""
+
     xp: float
     yp: float
     wp: float
@@ -33,20 +34,18 @@ class Proposal:
     theta_p: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("horizontal", "oriented"):
-            raise InvalidArgumentError(f"unknown proposal kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.xp, self.yp, self.wp, self.hp, self.theta_p)):
+            raise InvalidArgumentError("proposal fields must be finite")
         if not (self.wp > 0.0 and self.hp > 0.0):
             raise DegenerateGeometryError("proposal extents must be positive")
-        if self.kind == "horizontal" and self.theta_p != 0.0:
-            raise InvalidArgumentError("horizontal proposals have theta_p = 0")
 
     @staticmethod
     def horizontal(xp, yp, wp, hp) -> "Proposal":
-        return Proposal("horizontal", xp, yp, wp, hp, 0.0)
+        return Proposal(xp, yp, wp, hp, 0.0)
 
     @staticmethod
     def oriented(xp, yp, wp, hp, theta_p) -> "Proposal":
-        return Proposal("oriented", xp, yp, wp, hp, theta_p)
+        return Proposal(xp, yp, wp, hp, theta_p)
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,10 @@ class LossWeights:
     smooth_l1_beta: float = 1.0
 
     def __post_init__(self):
-        if min(self.w_box, self.w_r, self.w_s) < 0 or self.smooth_l1_beta <= 0:
-            raise InvalidArgumentError("weights must be >= 0 and beta > 0")
+        if not all(0.0 <= w < math.inf for w in (self.w_box, self.w_r, self.w_s)):
+            raise InvalidArgumentError("weights must be finite and >= 0")
+        if not 0.0 < self.smooth_l1_beta < math.inf:
+            raise InvalidArgumentError("beta must be finite and > 0")
 
 
 def _rt_from_rs(rs: float, ra: float, variant: str) -> float:
@@ -103,25 +104,13 @@ def _rs_from_rt(rt: float, variant: str) -> float:
     raise InvalidArgumentError(f"unknown variant {variant!r}")
 
 
-def _derotated(gt: OrientedBox, proposal: Proposal) -> tuple[OrientedBox, Proposal]:
-    if proposal.kind == "horizontal":
-        return gt, proposal
-    gt2 = rotate_about(gt, proposal.xp, proposal.yp, -proposal.theta_p)
-    return gt2, Proposal.horizontal(proposal.xp, proposal.yp, proposal.wp, proposal.hp)
-
-
-def encode_target(
-    gt: OrientedBox,
-    proposal: Proposal,
-    variant: str = "sig",
-    lam: float | None = None,
-) -> TargetVector:
+def encode_target(gt: OrientedBox, proposal: Proposal, variant: str = "sig") -> TargetVector:
     """Regression target of a ground-truth box relative to a proposal."""
+    lam = DEFAULT_LAMBDA.get(variant)
     if lam is None:
-        lam = DEFAULT_LAMBDA.get(variant)
-        if lam is None:
-            raise InvalidArgumentError(f"unknown variant {variant!r}")
-    gt, proposal = _derotated(gt, proposal)
+        raise InvalidArgumentError(f"unknown variant {variant!r}")
+    if proposal.theta_p != 0.0:
+        gt = rotate_about(gt, proposal.xp, proposal.yp, -proposal.theta_p)
     vec = codec.encode(gt)
     if vec.w <= 0.0 or vec.h <= 0.0:
         raise DegenerateGeometryError("degenerate ground-truth HBB")
@@ -160,7 +149,7 @@ def decode_target(t: TargetVector, proposal: Proposal) -> OrientedBox:
             t.st,
         )
     )
-    if p.kind == "oriented":
+    if p.theta_p != 0.0:
         box = rotate_about(box, p.xp, p.yp, p.theta_p)
     return box
 

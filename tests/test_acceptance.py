@@ -10,6 +10,7 @@ discontinuous in its encoder near horizontal (the slide fractions flip
 0 <-> 1) and linear in its decoder there.  The README analyses both.
 """
 
+import dataclasses
 import math
 import time
 
@@ -119,7 +120,6 @@ def test_criterion_2_decoding_completeness_roundtrips():
             for box in _random_boxes(10_000, rng):
                 theta = float(rng.uniform(0, math.pi)) if kind == "oriented" else 0.0
                 p = Proposal(
-                    kind,
                     float(rng.uniform(-5, 5)),
                     float(rng.uniform(-5, 5)),
                     float(rng.uniform(0.5, 6.0)),
@@ -144,7 +144,7 @@ def _diamond_cusp(codec_name: str) -> tuple[bool, str]:
     """
     ok, parts = True, []
     for p in (1e-4, 1e-6):
-        res = probe_decoding_robustness(get_codec(codec_name), AUDIT_CFG, p)
+        res = probe_decoding_robustness(get_codec(codec_name), dataclasses.replace(AUDIT_CFG, perturbation=p))
         gap, envelope = res.steps[0].gap, math.sqrt(2 * math.sqrt(2) * p)
         box = OrientedBox(*res.witness["box"])
         hbb = outer_hbb(box)
@@ -185,7 +185,7 @@ def test_criterion_3b_gv_fails_near_horizontal():
         and replay_witness(gv, "target-rotation", s.witness) == s.gap
         for s in enc.steps
     )
-    slopes = [probe_decoding_robustness(gv, cfg, p).steps[0].gap / p for p in (1e-4, 1e-5, 1e-6)]
+    slopes = [probe_decoding_robustness(gv, dataclasses.replace(cfg, perturbation=p)).steps[0].gap / p for p in (1e-4, 1e-5, 1e-6)]
     linear = max(slopes) <= 1.01 * min(slopes)
     steps = ", ".join(f"{s.gap:.7g}@{s.delta:g}" for s in enc.steps)
     assert _verdict(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cobb.audit import (
+    LOSS_TOL,
     MetricReport,
     ProbeConfig,
     _EncodeOnce,
@@ -73,6 +74,10 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError, match="directions"):
             ProbeConfig(directions=directions)
 
+    def test_seed_must_not_be_negative(self):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            ProbeConfig(seed=-1)
+
     @pytest.mark.parametrize("perturbation", [0.0, -1e-4, math.inf, math.nan])
     def test_perturbation_must_be_positive_and_finite(self, perturbation):
         with pytest.raises(InvalidArgumentError, match="perturbation"):
@@ -134,15 +139,11 @@ class TestProbes:
         # moves slightly, so the loss is tiny but the probe applies cleanly
         res = probe_loss_continuity(get_codec("cobb"), "rotation", CFG)
         assert res.verdict == "pass"
-        assert res.steps[-1].gap <= CFG.loss_tol
+        assert res.steps[-1].gap <= LOSS_TOL
 
     def test_completeness_csl_fails(self):
         res = check_decoding_completeness(get_codec("csl"), CFG)
         assert res.verdict == "fail"
-
-    def test_robustness_zero_perturbation_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            probe_decoding_robustness(get_codec("cobb"), CFG, 0.0)
 
     def test_witness_replay_reproduces_gap(self):
         for codec_name, probe, kwargs in (

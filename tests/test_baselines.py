@@ -81,13 +81,13 @@ class TestLongEdge:
 
 class TestCsl:
     def test_bin_center_roundtrips_exactly(self):
-        c = CslCodec(bins=90)
+        c = CslCodec()
         theta = float(c.bin_centers[50])
         box = OrientedBox(0, 0, 4, 2, theta)
         assert iou(box, c.decode(c.encode(box))) >= 1 - 1e-9
 
     def test_bin_boundary_quantizes(self):
-        c = CslCodec(bins=90)
+        c = CslCodec()
         theta = float(c.bin_centers[50]) + 0.5 * c.bin_width
         box = OrientedBox(0, 0, 4, 2, theta)
         dec = c.decode(c.encode(box))
@@ -97,7 +97,7 @@ class TestCsl:
         assert min(err, math.pi / 2 - err) <= 0.5 * c.bin_width + 1e-12
 
     def test_window_against_hand_evaluation(self):
-        c = CslCodec(bins=90, window_sigma=2.0)
+        c = CslCodec()
         sigma = 2.0 * math.pi / 90
         for theta in (0.1, 0.7, 1.2):
             box = OrientedBox(0, 0, 3, 1, theta)
@@ -110,10 +110,6 @@ class TestCsl:
                 d = min(d, math.pi - d)
                 assert label[k] == pytest.approx(math.exp(-0.5 * (d / sigma) ** 2), abs=1e-12)
             assert int(np.argmax(label)) == int(np.argmin(np.abs(c.bin_centers - theta)))
-
-    def test_too_few_bins(self):
-        with pytest.raises(InvalidArgumentError):
-            CslCodec(bins=3)
 
 
 class TestGlidingVertex:

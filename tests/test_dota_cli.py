@@ -1,5 +1,6 @@
 """Annotation ingestion and the command-line surface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import cobb
-from cobb.cli import main
+from cobb.audit import ProbeConfig
+from cobb.cli import build_parser, main
 from cobb.dota import DotaRecord, is_metadata_line, parse_dota_line, read_dota_file, record_box
 from cobb.errors import DotaParseError
 from cobb.geometry import OrientedBox, iou, vertices_of
@@ -163,6 +165,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag[2:]} must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["audit", "roundtrip", "iou-check"])
+    def test_negative_seed_exits_2(self, capsys, command):
+        assert main([command, "--seed", "-1", "--samples", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_iou_check_without_samples_exits_2(self, capsys, samples):
+        assert main(["iou-check", "--samples", samples]) == 2
+        assert capsys.readouterr().err.startswith("error: --samples must be >= 1")
+
+    def test_every_probe_setting_is_an_audit_flag(self):
+        # a ProbeConfig field no flag sets is a setting no caller changes;
+        # families stays for API callers that audit one family
+        dests = set(vars(build_parser().parse_args(["audit"])))
+        fields = {f.name for f in dataclasses.fields(ProbeConfig)} - {"families"}
+        assert fields <= dests, sorted(fields - dests)
 
     def test_audit_csv_format(self, tmp_path):
         out = tmp_path / "rep.csv"

@@ -35,10 +35,8 @@ def seeded_proposals(n, seed, oriented):
     out = []
     for _ in range(n):
         theta = float(rng.uniform(0, math.pi)) if oriented else 0.0
-        kind = "oriented" if oriented else "horizontal"
         out.append(
             Proposal(
-                kind,
                 float(rng.uniform(-5, 5)),
                 float(rng.uniform(-5, 5)),
                 float(rng.uniform(0.5, 6)),
@@ -52,7 +50,7 @@ def seeded_proposals(n, seed, oriented):
 class TestEncodeTarget:
     def test_axis_aligned_at_own_hbb(self):
         gt = OrientedBox(0, 0, 4, 2, 0)
-        t = encode_target(gt, Proposal.horizontal(0, 0, 4, 2), "sig", 2.0)
+        t = encode_target(gt, Proposal.horizontal(0, 0, 4, 2), "sig")
         assert (t.tx, t.ty, t.tw, t.th, t.rt) == (0, 0, 0, 0, 0)
         assert t.st == (0.0, 1.0, 1.0, 0.0)
 
@@ -84,18 +82,35 @@ class TestEncodeTarget:
         from cobb.codec import encode
 
         gt = OrientedBox(0, 0, 4, 2, 0.4)
-        t = encode_target(gt, Proposal.horizontal(0, 0, 1, 1), "sig", 2.0)
+        t = encode_target(gt, Proposal.horizontal(0, 0, 1, 1), "sig")
         raw = encode(gt).scores
         assert t.st == pytest.approx(tuple(s**2 for s in raw))
 
     def test_oriented_proposal_coincident(self):
         gt = OrientedBox(0, 0, 4, 2, math.pi / 6)
         p = Proposal.oriented(0, 0, 4, 2, math.pi / 6)
-        t = encode_target(gt, p, "sig", 2.0)
+        t = encode_target(gt, p, "sig")
         assert (t.tx, t.ty) == (pytest.approx(0, abs=1e-12), pytest.approx(0, abs=1e-12))
         assert t.tw == pytest.approx(0, abs=1e-9) and t.th == pytest.approx(0, abs=1e-9)
         assert t.rt == pytest.approx(0, abs=1e-9)
         assert t.st == pytest.approx((0, 1, 1, 0), abs=1e-4)
+
+
+class TestProposal:
+    def test_zero_angle_oriented_is_horizontal(self):
+        p = Proposal.oriented(1.5, -2.0, 3.0, 2.0, 0.0)
+        assert p == Proposal.horizontal(1.5, -2.0, 3.0, 2.0)
+        for gt in seeded_boxes(20, seed=25):
+            for variant in ("sig", "ln"):
+                assert encode_target(gt, p, variant) == encode_target(gt, Proposal.horizontal(1.5, -2.0, 3.0, 2.0), variant)
+
+    @pytest.mark.parametrize("field", range(5))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, field, bad):
+        args = [0.0, 0.0, 1.0, 1.0, 0.3]
+        args[field] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            Proposal(*args)
 
 
 class TestDecodeTarget:
@@ -204,6 +219,12 @@ class TestLoss:
             got = cobb_loss(ta, tb, wts)
             assert got == pytest.approx(expected, rel=1e-12)
             assert got > 0.0  # nonnegative, zero only on equality
+
+    @pytest.mark.parametrize("field", ["w_box", "w_r", "w_s", "smooth_l1_beta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, field, bad):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            LossWeights(**{field: bad})
 
     def test_variant_mismatch(self):
         a = TargetVector(0, 0, 0, 0, 0, (0, 0, 0, 0), "sig", 2.0)
