@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from cobb._kern import quad_area, quad_intersection_area
+import numpy as np
+
+from cobb._kern import quad_area, quad_intersection_area, quad_intersection_area_many, shoelace2
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError, UndefinedIoUError
 
 # Absolute tolerance for geometric predicates on unit-scale inputs; callers
@@ -120,20 +122,28 @@ class ConvexQuad:
         return quad_area(self.flat)
 
 
+def _spans_and_turns(x0, y0, x1, y1, x2, y2, x3, y3):
+    """Taxicab distances of vertices 1-3 from vertex 0, and twice the signed
+    area of each triangle of three consecutive vertices; floats or
+    equal-shape arrays."""
+    return (
+        (abs(x1 - x0) + abs(y1 - y0), abs(x2 - x0) + abs(y2 - y0), abs(x3 - x0) + abs(y3 - y0)),
+        (
+            (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0),
+            (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1),
+            (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2),
+            (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3),
+        ),
+    )
+
+
 def _validate_convex(f) -> None:
     # the quad's own extent, so the tolerance does not grow with distance
     # from the origin
-    x0, y0, x1, y1, x2, y2, x3, y3 = f
-    scale = max(
-        abs(x1 - x0) + abs(y1 - y0), abs(x2 - x0) + abs(y2 - y0), abs(x3 - x0) + abs(y3 - y0)
-    ) or 1.0
+    spans, turns = _spans_and_turns(*f)
+    scale = max(spans) or 1.0
     tol = GEOM_EPS * scale * scale
-    # twice the signed area of each triangle of three consecutive vertices
-    c0 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    c1 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-    c2 = (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2)
-    c3 = (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3)
-    if max(c0, c1, c2, c3) > tol and min(c0, c1, c2, c3) < -tol:
+    if max(turns) > tol and min(turns) < -tol:
         raise InvalidArgumentError("vertices do not form a convex quadrilateral")
 
 
@@ -171,6 +181,45 @@ def vertices_of(box: OrientedBox) -> ConvexQuad:
         f += (cx + dx * c + dy * s, cy - dx * s + dy * c)
     start = 2 * min(range(4), key=lambda i: (f[2 * i + 1], f[2 * i]))
     return ConvexQuad(tuple(f[start:] + f[:start]))
+
+
+def vertices_many(params) -> np.ndarray:
+    """Row-wise ``vertices_of(box).flat`` of an ``(N, 5)`` array of box fields.
+
+    Each row holds a constructed box's ``(cx, cy, w_side, h_side, theta)``.
+    The arithmetic is :func:`vertices_of`'s, with cos and sin taken per row
+    by :mod:`math`, so every row is bit-identical to the scalar corners.  A
+    non-finite field, and corners that fail :class:`ConvexQuad`'s checks,
+    raise the error the scalar path raises for the first such row.
+    """
+    p = np.asarray(params, dtype=float).reshape(-1, 5)
+    bad = ~np.isfinite(p).all(axis=1)
+    if bad.any():
+        _require_finite("OrientedBox field", *p[np.argmax(bad)].tolist())
+    cx, cy, w, h, theta = p.T
+    t = theta.tolist()
+    c, s = np.array([math.cos(v) for v in t]), np.array([math.sin(v) for v in t])
+    hw, hh = 0.5 * w, 0.5 * h
+    corners = ((-hw, hh), (hw, hh), (hw, -hh), (-hw, -hh))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.stack([cx + dx * c + dy * s for dx, dy in corners], axis=1)
+        y = np.stack([cy - dx * s + dy * c for dx, dy in corners], axis=1)
+        # start at the first min-(y, x) corner: lexsort is stable
+        start = np.lexsort((x, y), axis=1)[:, :1]
+        order = (start + np.arange(4)) % 4
+        f = np.empty((len(p), 8))
+        f[:, 0::2] = np.take_along_axis(x, order, axis=1)
+        f[:, 1::2] = np.take_along_axis(y, order, axis=1)
+        spans, turns = _spans_and_turns(*f.T)
+        scale = np.maximum.reduce(spans)
+        scale[scale == 0.0] = 1.0
+        tol = GEOM_EPS * scale * scale
+        bad = ~np.isfinite(f).all(axis=1) | (
+            (np.maximum.reduce(turns) > tol) & (np.minimum.reduce(turns) < -tol)
+        )
+    if bad.any():
+        ConvexQuad(tuple(f[np.argmax(bad)].tolist()))
+    return f
 
 
 def outer_hbb(box: OrientedBox) -> HorizontalBox:
@@ -240,6 +289,26 @@ def iou(a, b) -> float:
         raise UndefinedIoUError("empty union")
     v = inter / union
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+
+
+def iou_many(a, b) -> np.ndarray:
+    """Row-wise :func:`iou` of two ``(N, 8)`` arrays of ``ConvexQuad.flat`` rows.
+
+    The same float operations as the scalar oracle, so each row equals it
+    bit for bit; raises :class:`UndefinedIoUError` where it would.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 8)
+    b = np.asarray(b, dtype=float).reshape(-1, 8)
+    if a.shape != b.shape:
+        raise InvalidArgumentError(f"need equal row counts, got {len(a)} and {len(b)}")
+    area_a, area_b = 0.5 * np.abs(shoelace2(*a.T)), 0.5 * np.abs(shoelace2(*b.T))
+    if ((area_a == 0.0) & (area_b == 0.0)).any():
+        raise UndefinedIoUError("IoU of two zero-area shapes is undefined")
+    inter = quad_intersection_area_many(a, b)
+    union = area_a + area_b - inter
+    if (union <= 0.0).any():
+        raise UndefinedIoUError("empty union")
+    return np.clip(inter / union, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

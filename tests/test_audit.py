@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 
 from cobb.audit import (
+    COMPLETENESS_TOL,
     LOSS_TOL,
+    ROBUSTNESS_K,
     MetricReport,
+    MetricResult,
     ProbeConfig,
+    StepGap,
     _EncodeOnce,
+    _box_params,
     _nae_summary,
+    _rng,
     build_families,
     check_decoding_completeness,
     nae,
@@ -24,7 +30,7 @@ from cobb.audit import (
 )
 from cobb.baselines import AcuteAngleCodec, available_codecs, get_codec
 from cobb.errors import InvalidArgumentError, UndefinedNormalizationError
-from cobb.geometry import OrientedBox, rotate
+from cobb.geometry import OrientedBox, iou, rotate, vertices_of
 
 CFG = ProbeConfig(samples=24, seed=9)
 
@@ -230,6 +236,46 @@ class TestRunAudit:
         with pytest.raises(ValueError):
             enc[0] = 0.0
         assert codec.name == "cobb" and codec.dim == 9
+
+
+def scalar_completeness(codec, cfg):
+    """The completeness probe as a loop over the scalar oracle."""
+    worst = StepGap(0.0, -1.0)
+    for fam, boxes in build_families(cfg).items():
+        for box in boxes:
+            gap = 1.0 - iou(vertices_of(box), codec.decode(codec.encode(box)))
+            if gap > worst.gap:
+                worst = StepGap(0.0, gap, {"family": fam, "box": _box_params(box)})
+    verdict = "pass" if worst.gap <= COMPLETENESS_TOL else "fail"
+    return MetricResult("decoding-completeness", [worst], verdict, worst.witness)
+
+
+def scalar_robustness(codec, cfg):
+    """The robustness probe's worst gap and witness as a loop over the scalar oracle."""
+    worst = StepGap(cfg.perturbation, -1.0)
+    for fi, (fam, boxes) in enumerate(build_families(cfg).items()):
+        rng = _rng(cfg.seed, 202, fi)
+        for box in boxes:
+            enc = codec.encode(box)
+            dirs = rng.standard_normal((cfg.directions, codec.dim))
+            norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+            for d in dirs / np.where(norms == 0.0, 1.0, norms):
+                gap = 1.0 - iou(vertices_of(box), codec.decode(enc + cfg.perturbation * d))
+                if gap > worst.gap:
+                    witness = {"family": fam, "box": _box_params(box), "perturbation": [float(v) for v in cfg.perturbation * d]}
+                    worst = StepGap(cfg.perturbation, gap, witness)
+    verdict = "pass" if worst.gap <= ROBUSTNESS_K * cfg.perturbation else "fail"
+    return worst, verdict
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_batched_decoding_probes_equal_the_scalar_loop(name):
+    cfg = ProbeConfig(samples=6, seed=11, directions=5)
+    codec = get_codec(name)
+    assert check_decoding_completeness(codec, cfg) == scalar_completeness(codec, cfg)
+    res = probe_decoding_robustness(codec, cfg)
+    worst, verdict = scalar_robustness(codec, cfg)
+    assert (res.steps, res.verdict, res.witness) == ([worst], verdict, worst.witness)
 
 
 def test_normalize_box():

@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cobb.codec import four_candidates
+from cobb import geometry
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError, UndefinedIoUError
 from cobb.geometry import (
     ConvexQuad,
@@ -15,10 +17,12 @@ from cobb.geometry import (
     adjust_side,
     intersection_area,
     iou,
+    iou_many,
     min_area_rect,
     outer_hbb,
     rotate,
     rotate_about,
+    vertices_many,
     vertices_of,
 )
 
@@ -281,3 +285,106 @@ def test_quad_requires_finite():
         vertices_of(OrientedBox(1.7e308, 0, 1e308, 1, 0))  # a corner overflows
     with pytest.raises(InvalidArgumentError, match="coordinate must be finite"):
         min_area_rect([(0, 0), (1, 0), (math.nan, 1)])
+
+
+# ---------------------------------------------------------------------------
+# The batch oracle: every row equals the scalar result under ==
+
+
+def params(box):
+    return [box.cx, box.cy, box.w_side, box.h_side, box.theta]
+
+
+def oracle_pairs():
+    """Seeded box pairs at offsets 0, 2e4 and 1e6: thin boxes down to aspect
+    1e-6, overlapping twins, disjoint pairs and identical pairs."""
+    rng = random.Random(31)
+    pairs = []
+    for offset in (0.0, 2e4, 1e6):
+        for _ in range(400):
+            long = rng.uniform(1.0, 10.0)
+            short = long * (10.0 ** rng.uniform(-6.0, 0.0))
+            w, h = (long, short) if rng.random() < 0.5 else (short, long)
+            a = OrientedBox(offset + rng.random(), offset + rng.random(), w, h, rng.uniform(0.0, math.pi))
+            b = OrientedBox(
+                a.cx + rng.uniform(-0.2, 0.2) * long, a.cy + rng.uniform(-0.2, 0.2) * long,
+                a.w_side * rng.uniform(0.8, 1.2), a.h_side * rng.uniform(0.8, 1.2), a.theta + rng.uniform(-0.2, 0.2),
+            )
+            pairs += [(a, b), (b, a), (a, a), (a, OrientedBox(a.cx + 3 * long, a.cy, w, h, 0.3))]
+    return pairs
+
+
+def test_vertices_many_matches_vertices_of_exactly():
+    boxes = [box for pair in oracle_pairs() for box in pair]
+    got = vertices_many([params(b) for b in boxes])
+    assert got.shape == (len(boxes), 8)
+    assert [i for i, (row, b) in enumerate(zip(got.tolist(), boxes)) if tuple(row) != vertices_of(b).flat] == []
+
+
+def scalar_iou(a, b):
+    try:
+        return iou(ConvexQuad(tuple(a)), ConvexQuad(tuple(b)))
+    except UndefinedIoUError:
+        return None
+
+
+def test_iou_many_matches_iou_exactly():
+    pairs = oracle_pairs()
+    a = vertices_many([params(x) for x, _ in pairs])
+    b = vertices_many([params(y) for _, y in pairs])
+    want = [scalar_iou(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    defined = [i for i, v in enumerate(want) if v is not None]
+    assert len(defined) > 0.9 * len(pairs)
+    got = iou_many(a[defined], b[defined]).tolist()
+    assert [i for i, g in zip(defined, got) if g != want[i]] == []
+    assert {0.0, 1.0} <= set(got)
+
+
+def test_iou_many_raises_where_iou_does():
+    pairs = oracle_pairs()
+    a = vertices_many([params(x) for x, _ in pairs])
+    b = vertices_many([params(y) for _, y in pairs])
+    line = (0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+    a = np.vstack([a, [line, line, line]])
+    b = np.vstack([b, [line, vertices_of(OrientedBox(0.5, 0.5, 1, 1, 0)).flat, a[0]]])
+    undefined = [i for i in range(len(a)) if scalar_iou(a[i], b[i]) is None]
+    assert len(undefined) > 1  # thin boxes far out have zero shoelace area, and the two lines
+    for i in range(len(a)):
+        if i in undefined:
+            with pytest.raises(UndefinedIoUError, match="zero-area"):
+                iou_many(a[i], b[i])
+        else:
+            assert iou_many(a[i], b[i]).tolist() == [scalar_iou(a[i], b[i])]
+    with pytest.raises(UndefinedIoUError):
+        iou_many(a, b)
+    with pytest.raises(InvalidArgumentError, match="row counts"):
+        iou_many(a, b[1:])
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0.0, 0.0, 1.0, 1.0, math.nan],
+        [math.inf, 0.0, 1.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0, -math.inf],
+        [1.7e308, 0.0, 1e308, 1.0, 0.0],  # a corner overflows
+    ],
+)
+def test_vertices_many_raises_what_the_scalar_path_raises(row):
+    with pytest.raises(InvalidArgumentError) as scalar:
+        vertices_of(OrientedBox(*row))
+    good = params(OrientedBox(0.3, 0.2, 2.0, 1.0, 0.4))
+    with pytest.raises(InvalidArgumentError) as batch:
+        vertices_many([good, row, good])
+    assert str(batch.value) == str(scalar.value)
+
+
+def test_vertices_many_runs_the_convexity_check(monkeypatch):
+    # corners of a rectangle always pass; a negative tolerance fails every quad
+    monkeypatch.setattr(geometry, "GEOM_EPS", -1.0)
+    box = OrientedBox(0.3, 0.2, 2.0, 1.0, 0.4)
+    with pytest.raises(InvalidArgumentError, match="convex") as scalar:
+        vertices_of(box)
+    with pytest.raises(InvalidArgumentError, match="convex") as batch:
+        vertices_many([params(box)])
+    assert str(batch.value) == str(scalar.value)

@@ -3,9 +3,12 @@
 import math
 import random
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from cobb import _kern
+from cobb.codec import four_candidates
+from cobb.geometry import HorizontalBox
 
 
 def rect(cx, cy, w, h, t):
@@ -108,14 +111,19 @@ def reference_intersection_area(a, b):
     return 0.5 * abs(_kern._signed_area2(poly))
 
 
+def random_quad(rng, offset, reverse):
+    """A rectangle near ``offset``, thin (aspect down to 1e-6) 30% of the time."""
+    w = rng.uniform(0.1, 5.0)
+    h = w * (rng.uniform(1e-6, 1e-3) if rng.random() < 0.3 else rng.uniform(0.1, 1.0))
+    q = rect(offset + rng.uniform(-2, 2), offset + rng.uniform(-2, 2), w, h, rng.uniform(0, math.pi))
+    return tuple(v for i in range(3, -1, -1) for v in q[2 * i:2 * i + 2]) if reverse else q
+
+
 def test_matches_the_reference_loop_exactly():
     rng = random.Random(17)
 
     def quad(offset, reverse):
-        w = rng.uniform(0.1, 5.0)
-        h = w * (rng.uniform(1e-6, 1e-3) if rng.random() < 0.3 else rng.uniform(0.1, 1.0))
-        q = rect(offset + rng.uniform(-2, 2), offset + rng.uniform(-2, 2), w, h, rng.uniform(0, math.pi))
-        return tuple(v for i in range(3, -1, -1) for v in q[2 * i:2 * i + 2]) if reverse else q
+        return random_quad(rng, offset, reverse)
 
     for offset in (0.0, 2e4, 1e6):
         for reverse_a in (False, True):
@@ -123,3 +131,36 @@ def test_matches_the_reference_loop_exactly():
                 for _ in range(500):
                     a, b = quad(offset, reverse_a), quad(offset, reverse_b)
                     assert _kern.quad_intersection_area(a, b) == reference_intersection_area(a, b)
+
+
+def test_batch_matches_the_scalar_kernel_exactly():
+    rng = random.Random(23)
+    pairs = []
+    for offset in (0.0, 2e4, 1e6):
+        for reverse_a in (False, True):
+            for reverse_b in (False, True):
+                for _ in range(300):
+                    pairs.append((random_quad(rng, offset, reverse_a), random_quad(rng, offset, reverse_b)))
+                a = random_quad(rng, offset, reverse_a)
+                pairs.append((a, a))
+                # disjoint
+                pairs.append((a, rect(offset + 50, offset - 50, 1, 1, 0.3)))
+    # zero-area rs = 0 candidates (the HBB diagonals) on either side
+    for w, h in ((4.0, 2.0), (1.0, 3.0), (1e-3, 1.0)):
+        for hbb in (HorizontalBox(0, 0, w, h), HorizontalBox(2e4, 1e6, w, h)):
+            cands = [q.flat for q in four_candidates(hbb, 0.0)]
+            for x in cands:
+                for y in cands:
+                    pairs.append((x, y))
+    # a zero-length clip edge: a triangle with a repeated vertex
+    tri = (0.0, 0.0, 2.0, 0.0, 2.0, 0.0, 0.0, 2.0)
+    pairs += [(UNIT, tri), (rect(0.5, 0.5, 1, 1, 0.7), tri), (tri, UNIT), (tri, tri)]
+    a, b = np.array(pairs).transpose(1, 0, 2)
+    got = _kern.quad_intersection_area_many(a, b).tolist()
+    want = [_kern.quad_intersection_area(x, y) for x, y in pairs]
+    assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+    assert 0.0 < sum(v > 0.0 for v in want) < len(want)
+
+
+def test_batch_of_no_rows():
+    assert _kern.quad_intersection_area_many(np.empty((0, 8)), np.empty((0, 8))).shape == (0,)
