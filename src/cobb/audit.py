@@ -307,6 +307,8 @@ def nae(predictions, truths) -> float:
     t = np.asarray(truths, dtype=float)
     if p.shape != t.shape or p.size == 0:
         raise InvalidArgumentError("predictions and truths must be equal-length, non-empty")
+    if not (np.isfinite(p).all() and np.isfinite(t).all()):
+        raise InvalidArgumentError("predictions and truths must be finite")
     spread = float(np.max(t) - np.min(t))
     if spread == 0.0:
         raise UndefinedNormalizationError("constant ground truth has no range")

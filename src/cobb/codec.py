@@ -56,18 +56,20 @@ def sliding_ratio(box: OrientedBox) -> float:
     """Gap between the two smallest sorted vertex coordinates, normalized.
 
     Uses x-coordinates over w when the outer HBB is taller than wide,
-    y-coordinates over h otherwise.
+    y-coordinates over h otherwise.  The gap has the closed form
+    ``min(w_side*s, h_side*c)`` along y and ``min(w_side*c, h_side*s)``
+    along x (``c, s = cos theta, sin theta``): no absolute coordinate and no
+    subtraction, so it keeps its precision however far the box sits from
+    the origin.
     """
     hbb = outer_hbb(box)
     if hbb.w <= 0.0 or hbb.h <= 0.0:
         raise DegenerateGeometryError("zero-extent outer HBB")
-    f = vertices_of(box).flat
+    c, s = math.cos(box.theta), math.sin(box.theta)
     if hbb.w < hbb.h:
-        c = sorted(f[0::2])
-        rs = (c[1] - c[0]) / hbb.w
+        rs = min(box.w_side * c, box.h_side * s) / hbb.w
     else:
-        c = sorted(f[1::2])
-        rs = (c[1] - c[0]) / hbb.h
+        rs = min(box.w_side * s, box.h_side * c) / hbb.h
     return min(max(rs, 0.0), 0.5)
 
 

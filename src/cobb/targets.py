@@ -196,8 +196,10 @@ def _decode_ratio_param(fn: str, r: float, hbb: HorizontalBox) -> OrientedBox:
 
 def sensitivity_probe(variant_fn: str, r: float, eps: float, hbb: HorizontalBox) -> float:
     """Decoded-shape sensitivity (1 - IoU(dec(r), dec(r+eps))) / eps."""
-    if eps <= 0.0:
-        raise InvalidArgumentError("eps must be positive")
+    if not math.isfinite(r):
+        raise InvalidArgumentError(f"r must be finite, got {r!r}")
+    if not 0.0 < eps < math.inf:
+        raise InvalidArgumentError(f"eps must be positive and finite, got {eps!r}")
     a = _decode_ratio_param(variant_fn, r, hbb)
     b = _decode_ratio_param(variant_fn, r + eps, hbb)
     return (1.0 - iou(a, b)) / eps

@@ -57,6 +57,15 @@ class TestNae:
         with pytest.raises(InvalidArgumentError):
             nae([1], [1, 2])
 
+    @pytest.mark.parametrize(
+        "predictions, truths",
+        [([math.nan, 1.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, math.inf]), ([-math.inf, 1.0], [0.0, 1.0])],
+    )
+    def test_non_finite_values(self, predictions, truths):
+        # a NaN encoding used to reach the report as a NaN NAE
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            nae(predictions, truths)
+
 
 class TestConfig:
     def test_steps_must_decrease(self):

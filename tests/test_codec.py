@@ -63,6 +63,25 @@ class TestSlidingRatio:
     def test_pi_over_6(self):
         assert sliding_ratio(OrientedBox(0, 0, 4, 2, math.pi / 6)) == pytest.approx(RS_PI6, abs=1e-12)
 
+    @pytest.mark.parametrize("offset", [0.0, 2e4, 1e6])
+    def test_thin_boxes_round_trip_far_from_the_origin(self, offset):
+        # rs from sorted absolute vertex coordinates carried ~1e-10 of
+        # rounding at a 1e6 offset, more than a box of aspect 1e-6 absorbs
+        rng = np.random.Generator(np.random.PCG64(41))
+        worst = 0.0
+        for _ in range(500):
+            long = float(rng.uniform(1.0, 10.0))
+            box = OrientedBox(
+                offset + float(rng.uniform(0.0, 1.0)), offset + float(rng.uniform(0.0, 1.0)),
+                long, 1e-6 * long, float(rng.uniform(0.0, math.pi)),
+            )
+            back = decode(encode(box))
+            # both shapes re-centred on the box centre
+            at_origin = OrientedBox(0.0, 0.0, box.w_side, box.h_side, box.theta)
+            moved = OrientedBox(back.cx - box.cx, back.cy - box.cy, back.w_side, back.h_side, back.theta)
+            worst = max(worst, 1.0 - iou(at_origin, moved))
+        assert worst <= 1e-8
+
 
 class TestFourCandidates:
     def test_rs_zero_candidates_sit_on_hbb_corners(self):

@@ -1,6 +1,7 @@
 """Annotation ingestion and the command-line surface."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -18,6 +19,9 @@ from cobb.errors import DotaParseError
 from cobb.geometry import OrientedBox, iou, vertices_of
 
 GOOD = "0 0 4 0 4 2 0 2 plane 0"
+
+# sha256 of `cobb audit --codec all --seed 7 --samples 4` (JSON), x86-64 Linux
+AUDIT_SEED7_SAMPLES4_SHA256 = "5feb163e22f3160a7ebc75274ef5e9d4a720a6fdba58f31e37a507bf91d5c05c"
 
 
 class TestParse:
@@ -153,6 +157,17 @@ class TestCli:
         assert main(args + ["--out", str(a)]) == 1
         assert main(args + ["--out", str(b)]) == 1
         assert a.read_bytes() == b.read_bytes()
+
+    def test_audit_report_is_pinned(self, tmp_path):
+        """Reports for a given seed stay byte-identical across commits.
+
+        A change that moves any value of the report must say so and re-pin
+        the hash.  The values come from libm's cos, sin and atan2, so another
+        platform may need its own pin.
+        """
+        out = tmp_path / "all.json"
+        assert main(["audit", "--codec", "all", "--seed", "7", "--samples", "4", "--out", str(out)]) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == AUDIT_SEED7_SAMPLES4_SHA256
 
     @pytest.mark.parametrize(
         "flag, value",

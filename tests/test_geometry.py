@@ -341,14 +341,14 @@ def test_iou_many_matches_iou_exactly():
 
 
 def test_iou_many_raises_where_iou_does():
-    pairs = oracle_pairs()
+    pairs = oracle_pairs()[::5]
     a = vertices_many([params(x) for x, _ in pairs])
     b = vertices_many([params(y) for _, y in pairs])
     line = (0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
     a = np.vstack([a, [line, line, line]])
     b = np.vstack([b, [line, vertices_of(OrientedBox(0.5, 0.5, 1, 1, 0)).flat, a[0]]])
     undefined = [i for i in range(len(a)) if scalar_iou(a[i], b[i]) is None]
-    assert len(undefined) > 1  # thin boxes far out have zero shoelace area, and the two lines
+    assert len(undefined) > 2  # the two lines, and thin boxes far out with zero shoelace area
     for i in range(len(a)):
         if i in undefined:
             with pytest.raises(UndefinedIoUError, match="zero-area"):

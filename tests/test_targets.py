@@ -264,3 +264,9 @@ class TestSensitivityProbe:
             sensitivity_probe("f_ln_of_ra", 1.5, 1e-4, self.SQUARE)
         with pytest.raises(InvalidArgumentError):
             sensitivity_probe("nope", 0.5, 1e-4, self.SQUARE)
+
+    @pytest.mark.parametrize("r, eps", [(0.5, math.inf), (0.5, math.nan), (math.nan, 1e-4), (-math.inf, 1e-4)])
+    def test_non_finite_args(self, r, eps):
+        # an infinite eps used to return 0.0: (1 - IoU) / inf
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            sensitivity_probe("r_ln", r, eps, self.SQUARE)
