@@ -121,15 +121,11 @@ def random_quad(rng, offset, reverse):
 
 def test_matches_the_reference_loop_exactly():
     rng = random.Random(17)
-
-    def quad(offset, reverse):
-        return random_quad(rng, offset, reverse)
-
     for offset in (0.0, 2e4, 1e6):
         for reverse_a in (False, True):
             for reverse_b in (False, True):
                 for _ in range(500):
-                    a, b = quad(offset, reverse_a), quad(offset, reverse_b)
+                    a, b = random_quad(rng, offset, reverse_a), random_quad(rng, offset, reverse_b)
                     assert _kern.quad_intersection_area(a, b) == reference_intersection_area(a, b)
 
 
