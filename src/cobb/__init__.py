@@ -8,7 +8,6 @@ from cobb.codec import (
     encode,
     four_candidates,
     iou_matrix,
-    ra_from_rs,
     rs_from_ra,
     sliding_ratio,
 )
@@ -25,7 +24,6 @@ from cobb.geometry import (
     HorizontalBox,
     OrientedBox,
     adjust_side,
-    intersection_area,
     iou,
     min_area_rect,
     outer_hbb,
@@ -68,12 +66,10 @@ __all__ = [
     "encode",
     "encode_target",
     "four_candidates",
-    "intersection_area",
     "iou",
     "iou_matrix",
     "min_area_rect",
     "outer_hbb",
-    "ra_from_rs",
     "rotate",
     "rotate_about",
     "rs_from_ra",

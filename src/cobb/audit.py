@@ -215,14 +215,14 @@ def probe_loss_continuity(codec: BoxCodec, transform: str, cfg: ProbeConfig) -> 
 def _worst_decoding_gap(codec: BoxCodec, boxes: list[OrientedBox], encodings: np.ndarray) -> tuple[int, float]:
     """Row and value of the worst 1 - IoU(box, decode(row)) over ``encodings``.
 
-    The rows come in equal runs per box of ``boxes``.  Each row is decoded on
-    its own; all the decodes are scored in one :func:`iou_many` call, which
-    equals the scalar oracle bit for bit, and the first worst row is the one
+    The rows come in equal runs per box of ``boxes``.  They are decoded in
+    one ``decode_many`` call and scored in one :func:`iou_many` call, both
+    equal to the scalar path bit for bit, and the first worst row is the one
     a loop keeping strictly larger gaps would pick.
     """
     runs = len(encodings) // len(boxes)
     sources = np.repeat(vertices_many([_box_params(b) for b in boxes]), runs, axis=0)
-    decoded = vertices_many([_box_params(codec.decode(e)) for e in encodings])
+    decoded = vertices_many(codec.decode_many(encodings))
     gaps = 1.0 - iou_many(sources, decoded)
     i = int(np.argmax(gaps))
     return i, float(gaps[i])
@@ -232,7 +232,7 @@ def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResu
     """Worst 1 - IoU(x, decode(encode(x))) over all families."""
     members = [(fam, box) for fam, boxes in build_families(cfg).items() for box in boxes]
     boxes = [box for _, box in members]
-    i, gap = _worst_decoding_gap(codec, boxes, np.array([codec.encode(box) for box in boxes]))
+    i, gap = _worst_decoding_gap(codec, boxes, codec.encode_many(boxes))
     worst = StepGap(0.0, gap, {"family": members[i][0], "box": _box_params(boxes[i])})
     verdict = "pass" if worst.gap <= COMPLETENESS_TOL else "fail"
     return MetricResult("decoding-completeness", [worst], verdict, worst.witness)
@@ -241,18 +241,17 @@ def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResu
 def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
     """Worst 1 - IoU(x, decode(encode(x) + d)) over random unit directions."""
     perturbation = cfg.perturbation
-    fams, boxes, deltas, encodings = [], [], [], []
+    fams, boxes, deltas = [], [], []
     for fi, (fam, fam_boxes) in enumerate(build_families(cfg).items()):
         rng = _rng(cfg.seed, 202, fi)
         for box in fam_boxes:
             dirs = rng.standard_normal((cfg.directions, codec.dim))
             norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-            delta = perturbation * (dirs / np.where(norms == 0.0, 1.0, norms))
             fams.append(fam)
             boxes.append(box)
-            deltas.append(delta)
-            encodings.append(codec.encode(box) + delta)
-    i, gap = _worst_decoding_gap(codec, boxes, np.concatenate(encodings))
+            deltas.append(perturbation * (dirs / np.where(norms == 0.0, 1.0, norms)))
+    encodings = np.repeat(codec.encode_many(boxes), cfg.directions, axis=0) + np.concatenate(deltas)
+    i, gap = _worst_decoding_gap(codec, boxes, encodings)
     b, d = divmod(i, cfg.directions)
     worst = StepGap(
         perturbation, gap,
@@ -342,8 +341,8 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
             )
         )
     noise = rng.normal(0.0, 1e-3, size=len(boxes))
-    truths = np.array([codec.encode(b) for b in boxes])
-    preds = np.array([codec.encode(rotate(b, float(e))) for b, e in zip(boxes, noise)])
+    rows = codec.encode_many(boxes + [rotate(b, float(e)) for b, e in zip(boxes, noise)])
+    truths, preds = rows[: len(boxes)], rows[len(boxes) :]
     out = {}
     for gname, idxs in groups.items():
         vals = []
@@ -358,7 +357,7 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
 
 
 class _EncodeOnce:
-    """``codec`` with ``encode`` run once per distinct box.
+    """``codec`` with each distinct box encoded once.
 
     The probes of one run encode the same family boxes and twins again and
     again; the stored encodings are read-only so that no probe can alter
@@ -380,18 +379,39 @@ class _EncodeOnce:
             self._encodings[box] = enc
         return enc
 
+    def encode_many(self, boxes) -> np.ndarray:
+        """The stored rows of ``boxes``; the boxes not stored yet are encoded
+        in one ``encode_many`` call of the codec."""
+        boxes = list(boxes)
+        new = [b for b in dict.fromkeys(boxes) if b not in self._encodings]
+        if new:
+            for box, enc in zip(new, self._codec.encode_many(new)):
+                enc.flags.writeable = False
+                self._encodings[box] = enc
+        return np.array([self._encodings[b] for b in boxes]).reshape(-1, self.dim)
+
 
 def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:
     """All six metrics for every codec, plus NAE / ratio-sensitivity extras.
 
     The metrics of a codec share one build of the families and one encoding
-    of each distinct box.
+    of each distinct box; the family boxes and all their twins are encoded
+    in one batch.
     """
     from cobb.geometry import HorizontalBox
     from cobb.targets import sensitivity_probe
 
+    boxes = [box for fam in build_families(cfg).values() for box in fam]
+    twins = [
+        twin
+        for box in boxes
+        for delta in cfg.steps
+        for transform in ("rotation", "aspect")
+        for twin in _transformed(box, transform, delta)
+    ]
     reports = []
     for codec in map(_EncodeOnce, codecs):
+        codec.encode_many(boxes + twins)
         rep = MetricReport(codec=codec.name, seed=cfg.seed)
         rep.metrics.append(probe_target_continuity(codec, "rotation", cfg))
         rep.metrics.append(probe_target_continuity(codec, "aspect", cfg))

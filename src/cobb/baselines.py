@@ -15,12 +15,26 @@ import numpy as np
 
 from cobb import codec as cobb_codec
 from cobb import targets
-from cobb.errors import InvalidArgumentError
-from cobb.geometry import OrientedBox, min_area_rect, outer_hbb, vertices_of
+from cobb.errors import CobbError, InvalidArgumentError
+from cobb.geometry import OrientedBox, min_area_rect, oriented_many, outer_hbb, vertices_of
 from cobb.targets import LossWeights, Proposal, TargetVector, cobb_loss, smooth_l1
 
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
+
+
+def _fields(boxes) -> np.ndarray:
+    """``(N, 5)`` rows ``(cx, cy, w_side, h_side, theta)`` of the boxes."""
+    return np.array([(b.cx, b.cy, b.w_side, b.h_side, b.theta) for b in boxes], dtype=float).reshape(-1, 5)
+
+
+def _attempt(batch, *args):
+    """``batch(*args)``, or None where it raises a package or arithmetic error."""
+    try:
+        with np.errstate(all="ignore"):
+            return batch(*args)
+    except (CobbError, ArithmeticError):
+        return None
 
 
 class BoxCodec:
@@ -35,6 +49,33 @@ class BoxCodec:
 
     def decode(self, vec) -> OrientedBox:
         raise NotImplementedError
+
+    def encode_many(self, boxes) -> np.ndarray:
+        """``(N, dim)`` rows: :meth:`encode` of each box, bit for bit.
+
+        Runs the codec's array form where it has one; where that may meet a
+        box :meth:`encode` rejects, loops over :meth:`encode`, which raises
+        for the first such box.
+        """
+        boxes = list(boxes)
+        rows = _attempt(self._encode_rows, boxes)
+        return np.array([self.encode(b) for b in boxes], dtype=float).reshape(-1, self.dim) if rows is None else rows
+
+    def decode_many(self, rows) -> np.ndarray:
+        """``(N, 5)`` fields ``(cx, cy, w_side, h_side, theta)`` of :meth:`decode`
+        of each ``(N, dim)`` row, bit for bit; the first row :meth:`decode`
+        rejects raises its error, as in :meth:`encode_many`."""
+        rows = np.asarray(rows, dtype=float).reshape(-1, self.dim)
+        boxes = _attempt(self._decode_rows, rows)
+        return _fields([self.decode(r) for r in rows]) if boxes is None else boxes
+
+    def _encode_rows(self, boxes: list[OrientedBox]) -> np.ndarray | None:
+        """Array form of :meth:`encode`, or None to loop."""
+        return None
+
+    def _decode_rows(self, rows: np.ndarray) -> np.ndarray | None:
+        """Array form of :meth:`decode` on ``(N, dim)`` rows, or None to loop."""
+        return None
 
     def loss(self, a, b) -> float:
         """Default loss: elementwise smooth-L1 summed over components."""
@@ -85,6 +126,12 @@ class CobbCodec(BoxCodec):
         )
         return targets.decode_target(t, self.proposal)
 
+    def _encode_rows(self, boxes):
+        return targets._encode_targets_many(_fields(boxes), self.proposal, self.variant)
+
+    def _decode_rows(self, rows):
+        return targets._decode_targets_many(rows, self.proposal, self.variant)
+
     def loss(self, a, b) -> float:
         ta = TargetVector(a[0], a[1], a[2], a[3], a[4], tuple(a[5:9]), self.variant, self.lam)
         tb = TargetVector(b[0], b[1], b[2], b[3], b[4], tuple(b[5:9]), self.variant, self.lam)
@@ -113,6 +160,9 @@ class AcuteAngleCodec(BoxCodec):
 
     def decode(self, vec) -> OrientedBox:
         return OrientedBox(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(vec[4]))
+
+    def _decode_rows(self, rows):
+        return oriented_many(rows)
 
     def parameter_groups(self) -> dict[str, list[int]]:
         return {"xy": [0, 1], "wh": [2, 3], "angle": [4]}
@@ -144,6 +194,9 @@ class LongEdgeCodec(BoxCodec):
 
     def decode(self, vec) -> OrientedBox:
         return OrientedBox(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(vec[4]))
+
+    def _decode_rows(self, rows):
+        return oriented_many(rows)
 
     def parameter_groups(self) -> dict[str, list[int]]:
         return {"xy": [0, 1], "wh": [2, 3], "angle": [4]}
@@ -179,6 +232,9 @@ class CslCodec(BoxCodec):
         label = np.asarray(vec[4:], dtype=float)
         theta = self.bin_centers[int(np.argmax(label))]
         return OrientedBox(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(theta))
+
+    def _decode_rows(self, rows):
+        return oriented_many(np.column_stack([rows[:, :4], self.bin_centers[np.argmax(rows[:, 4:], axis=1)]]))
 
     def parameter_groups(self) -> dict[str, list[int]]:
         return {"xy": [0, 1], "wh": [2, 3], "label": list(range(4, self.dim))}

@@ -14,13 +14,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from cobb._kern import shoelace2
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError
 from cobb.geometry import (
     ConvexQuad,
     HorizontalBox,
     OrientedBox,
+    _invalid_quads,
+    _rowwise,
+    _start_at_min,
     iou,
+    iou_many,
+    oriented_many,
     outer_hbb,
+    vertices_many,
     vertices_of,
 )
 
@@ -272,13 +281,143 @@ def rs_from_ra(ra: float, w: float, h: float) -> float:
     return 0.5 * (1.0 - math.sqrt(1.0 - rhs))
 
 
-def ra_from_rs(rs: float, w: float, h: float, branch: str) -> float:
-    """Invert :func:`rs_from_ra`; ``branch`` picks ra <= 0.5 or ra >= 0.5."""
-    if branch not in ("below", "above"):
-        raise InvalidArgumentError(f"branch must be 'below' or 'above', got {branch!r}")
-    rs = _clamp_rs(rs)
-    r2 = _aspect(w, h) ** 2
-    u = 4.0 * rs * (1.0 - rs)
-    v = u * ((r2 + 1.0) - r2 * u) / 4.0
-    root = math.sqrt(max(0.0, 1.0 - 4.0 * v))
-    return 0.5 * (1.0 - root) if branch == "below" else 0.5 * (1.0 + root)
+# ---------------------------------------------------------------------------
+# Array forms of encode and decode.  Each repeats the scalar float operations
+# in the same order, so every row equals the scalar result bit for bit.  They
+# return None when a row might be one the scalar path rejects; callers then
+# run the scalar path, which raises its own error for the first such row.
+
+# entries of iou_matrix rows, as indices into (1, m01, m02, m03, m12)
+_MATRIX_ENTRIES = np.array([[0, 1, 2, 3], [1, 0, 4, 2], [2, 4, 0, 1], [3, 2, 1, 0]])
+_TIE_ORDER = np.array([1, 2, 0, 3])  # select_candidate's preference among equal scores
+
+
+def _clamp_many(x, lo, hi):
+    """``min(max(x, lo), hi)`` per element, keeping Python's pick on ties."""
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
+
+
+def _slide_gaps_many(w, h, rs):
+    """:func:`slide_gaps` per row, for rs already in [0, 0.5]."""
+    wide = w >= h
+    big, small = np.where(wide, w, h), np.where(wide, h, w)
+    k = 4.0 * _rowwise(lambda v: v ** 2, small / big) * rs * (1.0 - rs)
+    g = 0.5 * big * k / (1.0 + np.sqrt(np.where(1.0 - k > 0.0, 1.0 - k, 0.0)))
+    return np.where(wide, g, rs * w), np.where(wide, rs * h, g)
+
+
+def _classify_many(w_side, h_side, theta, w, h, rs):
+    """:func:`classify` per row: one :func:`iou_many` call over the four
+    candidates of every box, in :func:`canonical_order`, centred on the
+    origin; zero-area candidates score 0."""
+    gx, gy = _slide_gaps_many(w, h, rs)
+    xs, ys = 0.5 * w - gx, 0.5 * h - gy
+    top, bot, lef, rig = 0.0 - 0.5 * h, 0.0 + 0.5 * h, 0.0 - 0.5 * w, 0.0 + 0.5 * w
+    xm, xp, ym, yp = 0.0 - xs, 0.0 + xs, 0.0 - ys, 0.0 + ys
+    # (N, 4 candidates, 4 vertices) in four_candidates' order, then one row per candidate
+    x = np.stack([np.stack(v, axis=1) for v in ((xm, rig, xp, lef), (xp, rig, xm, lef))] * 2, axis=1)
+    y = np.stack([np.stack(v, axis=1) for v in ((top, yp, bot, ym),) * 2 + ((top, ym, bot, yp),) * 2], axis=1)
+    x, y = x.reshape(-1, 4), y.reshape(-1, 4)
+    s = 0.0
+    for i in range(4):
+        j = (i + 1) % 4
+        s = s + (x[:, i] * y[:, j] - x[:, j] * y[:, i])
+    cw = (s > 0.0)[:, None]
+    quads = _start_at_min(np.where(cw, x[:, ::-1], x), np.where(cw, y[:, ::-1], y))
+    if _invalid_quads(quads).any():
+        return None
+    zero = np.zeros_like(w)
+    q = np.repeat(vertices_many(np.stack([zero, zero, w_side, h_side, theta], axis=1)), 4, axis=0)
+    scores = np.zeros(len(quads))
+    live = 0.5 * np.abs(shoelace2(*quads.T)) > 0.0
+    scores[live] = iou_many(q[live], quads[live])
+    if np.isnan(scores).any():
+        return None
+    return np.argmax(scores.reshape(-1, 4), axis=1)
+
+
+def _closed_forms_many(w, h, rs):
+    """:func:`_closed_forms` per row (w >= h)."""
+    d = 1.0 - 4.0 * (h * h) / (w * w) * rs * (1.0 - rs)
+    rsx = 0.5 * (1.0 - np.sqrt(np.where(d > 0.0, d, 0.0)))
+    rsy = rs
+    l1 = _rowwise(math.hypot, rsx * w, rsy * h)
+    l2 = _rowwise(math.hypot, (1.0 - rsx) * w, (1.0 - rsy) * h)
+    l3 = _rowwise(math.hypot, rsx * w, (1.0 - rsy) * h)
+    l4 = _rowwise(math.hypot, (1.0 - rsx) * w, rsy * h)
+
+    i01 = (1.0 - ((1.0 - 2.0 * rsx) * rsx * w * w) / ((1.0 - rsy) * h * h)) * l1 * l2
+    iou01 = i01 / (l1 * l2 + l3 * l4 - i01)
+
+    i02 = (1.0 - ((1.0 - 2.0 * rsy) * rsy * h * h) / ((1.0 - rsx) * w * w)) * l1 * l2
+    iou02 = i02 / (l1 * l2 + l3 * l4 - i02)
+
+    i03 = _rowwise(lambda v: v ** 2, rsx + rsy - 2.0 * rsx * rsy) / ((1.0 - rsx) * (1.0 - rsy)) * w * h / 2.0
+    iou03 = np.where(i03 != 0.0, i03 / (2.0 * l1 * l2 - i03), 0.0)
+
+    h1 = 0.5 * w - (0.5 - rsy) / (1.0 - rsy) * rsx * w
+    h2 = 0.5 * h - (0.5 - rsx) / (1.0 - rsx) * rsy * h
+    tana = ((0.5 - rsx) / (1.0 - rsx) * l4) / (l3 / (2.0 * (1.0 - rsy)))
+    tanb = ((0.5 - rsy) / (1.0 - rsy) * l3) / (l4 / (2.0 * (1.0 - rsx)))
+    i12 = 2.0 * tana * tanb / (tana + tanb) * (h1 * h1 + h2 * h2) + 2.0 * h1 * h2
+    iou12 = np.where(
+        tana * tanb != 0.0,
+        i12 / (2.0 * l3 * l4 - i12),
+        2.0 * h1 * h2 / (2.0 * l3 * l4 - 2.0 * h1 * h2),
+    )
+    return iou01, iou02, iou03, iou12
+
+
+def _encode_many(p):
+    """Row-wise :func:`encode` of ``(N, 5)`` constructed-box fields: the
+    ``(N, 9)`` rows ``(xc, yc, w, h, rs, s0, s1, s2, s3)``, or None."""
+    cx, cy, w_side, h_side, theta = p.T
+    c, s = _rowwise(math.cos, theta), _rowwise(math.sin, theta)
+    # outer_hbb
+    w = w_side * np.abs(c) + h_side * np.abs(s)
+    h = w_side * np.abs(s) + h_side * np.abs(c)
+    if not (np.isfinite(w) & np.isfinite(h) & (w > 0.0) & (h > 0.0)).all():
+        return None
+    # sliding_ratio
+    tall = w < h
+    a, b = np.where(tall, w_side * c, w_side * s), np.where(tall, h_side * s, h_side * c)
+    rs = _clamp_many(np.where(b < a, b, a) / np.where(tall, w, h), 0.0, 0.5)
+    index = _classify_many(w_side, h_side, theta, w, h, rs)
+    if index is None:
+        return None
+    # iou_matrix(w, h, rs)[index]
+    wide = w >= h
+    m01, m02, m03, m12 = _closed_forms_many(np.where(wide, w, h), np.where(wide, h, w), rs)
+    m01, m02 = np.where(wide, m01, m02), np.where(wide, m02, m01)
+    m = np.stack([np.ones_like(w), m01, m02, m03, m12], axis=1)
+    if not np.isfinite(m).all():  # where the scalar divides by zero, or overflows
+        return None
+    m = np.where(m < 0.0, 0.0, np.where(m > 1.0, 1.0, m))
+    scores = np.take_along_axis(m, _MATRIX_ENTRIES[index], axis=1)
+    return np.column_stack([cx, cy, w, h, rs, scores])
+
+
+def _decode_many(xc, yc, w, h, rs, scores):
+    """Row-wise ``decode(CobbVector(xc, yc, w, h, rs, scores))`` as
+    ``(N, 5)`` constructed-box fields, or None."""
+    fields = np.column_stack([xc, yc, w, h, rs, scores])
+    if not (np.isfinite(fields).all() and (w > 0.0).all() and (h > 0.0).all()):
+        return None
+    rs = _clamp_many(rs, 0.0, 0.5)
+    # select_candidate
+    best = scores == scores.max(axis=1, keepdims=True)
+    i = _TIE_ORDER[np.argmax(best[:, _TIE_ORDER], axis=1)]
+    # candidate_box
+    gx, gy = _slide_gaps_many(w, h, rs)
+    fx, fy = w - gx, h - gy
+    # the top vertex is at +x_s in candidates 1 and 3, the right one at +y_s in 0, 1
+    top_plus, right_plus = (i == 1) | (i == 3), i <= 1
+    ax, bx = np.where(top_plus, gx, fx), np.where(top_plus, -fx, -gx)
+    ay, by = np.where(right_plus, fy, gy), np.where(right_plus, gy, fy)
+    la, lb = _rowwise(math.hypot, ax, ay), _rowwise(math.hypot, bx, by)
+    swap = la < lb
+    ax, ay, la, lb = np.where(swap, bx, ax), np.where(swap, by, ay), np.where(swap, lb, la), np.where(swap, la, lb)
+    if (lb == 0.0).any():
+        return None
+    return oriented_many(np.stack([xc, yc, la, lb, _rowwise(math.atan2, -ay, ax)], axis=1))

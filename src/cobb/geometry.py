@@ -183,6 +183,39 @@ def vertices_of(box: OrientedBox) -> ConvexQuad:
     return ConvexQuad(tuple(f[start:] + f[:start]))
 
 
+def _rowwise(fn, *cols) -> np.ndarray:
+    """``fn`` of each row of equal-length float columns, as an array.
+
+    numpy's cos, sin, exp, log, log2, hypot and power can differ from
+    :mod:`math` and Python's float ``**`` in the last bit, so the batch
+    paths, which promise rows bit-identical to the scalar ones, take every
+    such value from the scalar function.
+    """
+    return np.fromiter(map(fn, *(np.asarray(c, dtype=float).tolist() for c in cols)), float, len(cols[0]))
+
+
+def _start_at_min(x, y) -> np.ndarray:
+    """``(N, 8)`` flat rows of ``(N, 4)`` vertex cycles, each rotated to start
+    at its first min-(y, x) vertex (lexsort is stable)."""
+    order = (np.lexsort((x, y), axis=1)[:, :1] + np.arange(4)) % 4
+    f = np.empty((len(x), 8))
+    f[:, 0::2] = np.take_along_axis(x, order, axis=1)
+    f[:, 1::2] = np.take_along_axis(y, order, axis=1)
+    return f
+
+
+def _invalid_quads(f) -> np.ndarray:
+    """Rows of ``(N, 8)`` flat quads that :class:`ConvexQuad` rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spans, turns = _spans_and_turns(*f.T)
+        scale = np.maximum.reduce(spans)
+        scale[scale == 0.0] = 1.0
+        tol = GEOM_EPS * scale * scale
+        return ~np.isfinite(f).all(axis=1) | (
+            (np.maximum.reduce(turns) > tol) & (np.minimum.reduce(turns) < -tol)
+        )
+
+
 def vertices_many(params) -> np.ndarray:
     """Row-wise ``vertices_of(box).flat`` of an ``(N, 5)`` array of box fields.
 
@@ -197,29 +230,39 @@ def vertices_many(params) -> np.ndarray:
     if bad.any():
         _require_finite("OrientedBox field", *p[np.argmax(bad)].tolist())
     cx, cy, w, h, theta = p.T
-    t = theta.tolist()
-    c, s = np.array([math.cos(v) for v in t]), np.array([math.sin(v) for v in t])
+    c, s = _rowwise(math.cos, theta), _rowwise(math.sin, theta)
     hw, hh = 0.5 * w, 0.5 * h
     corners = ((-hw, hh), (hw, hh), (hw, -hh), (-hw, -hh))
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.stack([cx + dx * c + dy * s for dx, dy in corners], axis=1)
         y = np.stack([cy - dx * s + dy * c for dx, dy in corners], axis=1)
-        # start at the first min-(y, x) corner: lexsort is stable
-        start = np.lexsort((x, y), axis=1)[:, :1]
-        order = (start + np.arange(4)) % 4
-        f = np.empty((len(p), 8))
-        f[:, 0::2] = np.take_along_axis(x, order, axis=1)
-        f[:, 1::2] = np.take_along_axis(y, order, axis=1)
-        spans, turns = _spans_and_turns(*f.T)
-        scale = np.maximum.reduce(spans)
-        scale[scale == 0.0] = 1.0
-        tol = GEOM_EPS * scale * scale
-        bad = ~np.isfinite(f).all(axis=1) | (
-            (np.maximum.reduce(turns) > tol) & (np.minimum.reduce(turns) < -tol)
-        )
+    f = _start_at_min(x, y)
+    bad = _invalid_quads(f)
     if bad.any():
         ConvexQuad(tuple(f[np.argmax(bad)].tolist()))
     return f
+
+
+def oriented_many(params) -> np.ndarray:
+    """Row-wise ``OrientedBox(*row)`` fields of an ``(N, 5)`` array.
+
+    The angle is brought into [0, pi/2) with the constructor's float
+    operations (``fmod`` is exact in numpy too), so every row equals the
+    constructed box's ``(cx, cy, w_side, h_side, theta)``; the first row the
+    constructor rejects raises its error.
+    """
+    p = np.asarray(params, dtype=float).reshape(-1, 5)
+    cx, cy, w, h, theta = p.T
+    bad = ~np.isfinite(p).all(axis=1) | ~((w > 0) & (h > 0))
+    if bad.any():
+        OrientedBox(*p[np.argmax(bad)].tolist())
+    t = np.fmod(theta, math.pi)
+    t = np.where(t < 0, t + math.pi, t)
+    t = np.where(t >= math.pi, t - math.pi, t)
+    quarter = t >= _HALF_PI
+    return np.stack(
+        [cx, cy, np.where(quarter, h, w), np.where(quarter, w, h), np.where(quarter, t - _HALF_PI, t)], axis=1
+    )
 
 
 def outer_hbb(box: OrientedBox) -> HorizontalBox:
@@ -258,11 +301,6 @@ def adjust_side(box: OrientedBox, ratio: float) -> tuple[OrientedBox, OrientedBo
         OrientedBox(box.cx, box.cy, box.w_side * ratio, box.h_side, box.theta),
         OrientedBox(box.cx, box.cy, box.w_side, box.h_side * ratio, box.theta),
     )
-
-
-def intersection_area(a: ConvexQuad, b: ConvexQuad) -> float:
-    """Area of the convex intersection polygon (half-plane clipping)."""
-    return quad_intersection_area(a.flat, b.flat)
 
 
 def _as_quad(shape) -> ConvexQuad:

@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from cobb import codec
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError
-from cobb.geometry import HorizontalBox, OrientedBox, iou, rotate_about
+from cobb.geometry import HorizontalBox, OrientedBox, _rowwise, iou, rotate_about
 
 DEFAULT_LAMBDA = {"sig": 2.0, "ln": 1.0}
 
@@ -152,6 +154,52 @@ def decode_target(t: TargetVector, proposal: Proposal) -> OrientedBox:
     if p.theta_p != 0.0:
         box = rotate_about(box, p.xp, p.yp, p.theta_p)
     return box
+
+
+def _encode_targets_many(boxes, proposal: Proposal, variant: str):
+    """Row-wise ``encode_target(box, proposal, variant).as_tuple()`` of
+    ``(N, 5)`` constructed-box fields against a horizontal proposal, or None
+    (see the array forms in :mod:`cobb.codec`)."""
+    v = None if proposal.theta_p != 0.0 else codec._encode_many(boxes)
+    if v is None:
+        return None
+    xc, yc, w, h, rs = v[:, :5].T
+    p, lam = proposal, DEFAULT_LAMBDA[variant]
+    if not ((w * h != 0.0) & (w / p.wp > 0.0) & (h / p.hp > 0.0)).all():  # division by zero, log of zero
+        return None
+    if variant == "sig":
+        rt = 2.0 * rs
+    else:
+        below = boxes[:, 2] * boxes[:, 3] / (w * h) < 0.5
+        zero = below & ~(rs > 0.0)
+        rt = np.where(zero, -math.inf, 1.0 + _rowwise(math.log2, np.where(below, np.where(zero, 1.0, rs), 1.0 - rs)))
+    return np.column_stack([
+        (xc - p.xp) / p.wp,
+        (yc - p.yp) / p.hp,
+        _rowwise(math.log, w / p.wp),
+        _rowwise(math.log, h / p.hp),
+        rt,
+        _rowwise(lambda s: s**lam, v[:, 5:].ravel()).reshape(-1, 4),
+    ])
+
+
+def _decode_targets_many(rows, proposal: Proposal, variant: str):
+    """Row-wise ``decode_target(TargetVector(*row), proposal)`` of ``(N, 9)``
+    target rows against a horizontal proposal, as ``(N, 5)`` constructed-box
+    fields, or None."""
+    if proposal.theta_p != 0.0 or not np.isfinite(rows).all():
+        return None
+    tx, ty, tw, th, rt = rows[:, :5].T
+    if variant == "sig":
+        rs = 0.5 * codec._clamp_many(rt, 0.0, 1.0)
+    else:
+        rt = np.where(1.0 < rt, 1.0, rt)
+        e = _rowwise(lambda x: 2.0 ** x, rt - 1.0)
+        rs = np.where(rt <= 0.0, np.where(0.5 < e, 0.5, e), 1.0 - e)
+    p = proposal
+    return codec._decode_many(
+        tx * p.wp + p.xp, ty * p.hp + p.yp, p.wp * _rowwise(math.exp, tw), p.hp * _rowwise(math.exp, th), rs, rows[:, 5:]
+    )
 
 
 def smooth_l1(diff: float, beta: float = 1.0) -> float:

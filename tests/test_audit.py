@@ -247,6 +247,25 @@ class TestRunAudit:
         assert codec.name == "cobb" and codec.dim == 9
 
 
+    def test_encode_many_batches_only_the_boxes_not_stored(self):
+        batches = []
+
+        class Recording(AcuteAngleCodec):
+            def encode_many(self, boxes):
+                batches.append(list(boxes))
+                return super().encode_many(boxes)
+
+        codec = _EncodeOnce(Recording())
+        a, b, c = build_families(CFG)["random"][:3]
+        first = codec.encode(a)
+        rows = codec.encode_many([b, a, c, b])
+        assert batches == [[b, c]]
+        assert np.array_equal(rows, AcuteAngleCodec().encode_many([b, a, c, b]))
+        assert codec.encode(a) is first and not codec.encode(c).flags.writeable
+        codec.encode_many([c, a])
+        assert len(batches) == 1
+
+
 def scalar_completeness(codec, cfg):
     """The completeness probe as a loop over the scalar oracle."""
     worst = StepGap(0.0, -1.0)

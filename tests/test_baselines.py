@@ -14,7 +14,7 @@ from cobb.baselines import (
     available_codecs,
     get_codec,
 )
-from cobb.errors import InvalidArgumentError
+from cobb.errors import CobbError, InvalidArgumentError
 from cobb.geometry import OrientedBox, iou
 from test_codec import seeded_boxes
 
@@ -155,3 +155,131 @@ class TestCobbCodecAdapter:
         c = CobbCodec("sig")
         box = OrientedBox(0, 0, 4, 2, 0.5)
         assert list(c.curve_components(box)) == pytest.approx(list(raw_encode(box).as_tuple()))
+
+
+# -- the array forms ----------------------------------------------------------
+
+
+def pixel_boxes(n, seed):
+    """Seeded boxes at DOTA scale: centres up to 2e4, sides up to 300, aspect
+    down to 1e-6; one in 10 takes theta from {0, pi/4, uniform} and one in 17
+    is an exact square."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    boxes = []
+    for i in range(n):
+        cx, cy = (float(v) for v in rng.uniform(0.0, 2e4, 2))
+        long = float(np.exp(rng.uniform(0.0, math.log(300.0))))
+        short = long * 10.0 ** float(rng.uniform(-6.0, 0.0))
+        w, h = (long, short) if rng.random() < 0.5 else (short, long)
+        theta = float(rng.uniform(0.0, math.pi))
+        if i % 10 == 0:
+            theta = (0.0, QUARTER, theta)[int(rng.integers(3))]
+        if i % 17 == 0:
+            w = h = long
+        boxes.append(OrientedBox(cx, cy, w, h, theta))
+    return boxes
+
+
+BATCH_BOXES = pixel_boxes(2000, 41)
+
+
+def fields(box):
+    return [box.cx, box.cy, box.w_side, box.h_side, box.theta]
+
+
+def scalar_outcome(call, arg):
+    """``call(arg)``, or the error it raises as ``(class, message)``."""
+    try:
+        return call(arg)
+    except (CobbError, ArithmeticError) as e:
+        return type(e), str(e)
+
+
+def assert_raises_like(outcome, call, arg):
+    with pytest.raises(outcome[0]) as got:
+        call(arg)
+    assert (type(got.value), str(got.value)) == outcome
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_array_forms_equal_the_scalar_ones_bit_for_bit(name):
+    codec = get_codec(name)
+    want = np.array([codec.encode(b) for b in BATCH_BOXES])
+    assert np.array_equal(codec.encode_many(BATCH_BOXES), want)
+    noise = np.random.Generator(np.random.PCG64(42)).normal(0.0, 1e-3, want.shape)
+    rows = np.vstack([want, want + noise])
+    outcomes = [scalar_outcome(codec.decode, r) for r in rows]
+    ok = [i for i, o in enumerate(outcomes) if isinstance(o, OrientedBox)]
+    assert len(ok) > len(want)
+    assert np.array_equal(codec.decode_many(rows[ok]), np.array([fields(outcomes[i]) for i in ok]))
+    # rows the scalar decode rejects, each between two good rows
+    for i in [i for i, o in enumerate(outcomes) if not isinstance(o, OrientedBox)][:10]:
+        assert_raises_like(outcomes[i], codec.decode_many, rows[[ok[0], i, ok[0]]])
+
+
+GOOD = OrientedBox(3.0, 4.0, 2.0, 1.0, 0.3)
+NAN_TARGET = [0.0, 0.0, 0.0, 0.0, 0.5, math.nan, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "name, row",
+    [
+        ("cobb", NAN_TARGET),  # a non-finite target component
+        ("cobb-ln", [0.0, 0.0, 0.0, 0.0, math.inf, 1.0, 0.0, 0.0, 0.0]),
+        ("cobb", [0.0, 0.0, -800.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0]),  # a zero-extent decoded HBB
+        ("cobb", [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),  # rs = 0 and a zero-area candidate
+        ("cobb", [0.0, 0.0, 800.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0]),  # exp overflows
+        ("acute", [0.0, 0.0, 0.0, 1.0, 0.2]),  # non-positive or non-finite sides
+        ("acute", [0.0, 0.0, math.nan, 1.0, 0.2]),
+        ("long-edge", [0.0, 0.0, 1.0, -1.0, 0.2]),
+        ("csl", [0.0, 0.0, math.inf, 1.0] + [0.0] * 90),
+        ("gv", [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
+    ],
+)
+def test_decode_many_raises_what_decode_raises_for_the_first_bad_row(name, row):
+    codec = get_codec(name)
+    good = codec.encode(GOOD)
+    outcome = scalar_outcome(codec.decode, row)
+    assert not isinstance(outcome, OrientedBox)
+    later = NAN_TARGET if name.startswith("cobb") else [0.0] * codec.dim
+    assert_raises_like(outcome, codec.decode_many, [good, row, later, good])
+
+
+@pytest.mark.parametrize("name", available_codecs())
+@pytest.mark.parametrize(
+    "box",
+    [
+        OrientedBox(0.0, 0.0, 1.5e308, 1.5e308, 0.7),  # the outer HBB overflows
+        OrientedBox(0.0, 0.0, 1e-170, 1e-170, 0.5),  # products underflow to 0
+        OrientedBox(1.7e308, 0.0, 1e308, 1.0, 0.3),  # a corner overflows
+    ],
+)
+def test_encode_many_raises_what_encode_raises(name, box):
+    codec = get_codec(name)
+    outcome = scalar_outcome(codec.encode, box)
+    if isinstance(outcome, np.ndarray):
+        assert np.array_equal(codec.encode_many([GOOD, box])[1], outcome, equal_nan=True)
+    else:
+        assert_raises_like(outcome, codec.encode_many, [GOOD, box, GOOD])
+
+
+@pytest.mark.parametrize("name", ["cobb", "cobb-ln", "acute", "long-edge", "csl"])
+def test_array_forms_do_not_fall_back_on_valid_input(name, monkeypatch):
+    codec = get_codec(name)
+    rows = codec.encode_many(BATCH_BOXES[:300])
+
+    def refuse(self, arg):
+        raise AssertionError("scalar path called")
+
+    monkeypatch.setattr(type(codec), "decode", refuse)
+    if name.startswith("cobb"):
+        monkeypatch.setattr(type(codec), "encode", refuse)
+        assert np.array_equal(codec.encode_many(BATCH_BOXES[:300]), rows)
+    assert codec.decode_many(rows).shape == (300, 5)
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_array_forms_of_no_rows(name):
+    codec = get_codec(name)
+    assert codec.encode_many([]).shape == (0, codec.dim)
+    assert codec.decode_many(np.empty((0, codec.dim))).shape == (0, 5)

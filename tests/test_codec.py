@@ -15,10 +15,10 @@ from cobb.codec import (
     encode,
     four_candidates,
     iou_matrix,
-    ra_from_rs,
     rs_from_ra,
     sliding_ratio,
 )
+from cobb.baselines import get_codec
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError
 from cobb.geometry import HorizontalBox, OrientedBox, iou, min_area_rect, outer_hbb, vertices_of
 
@@ -42,6 +42,17 @@ def seeded_boxes(n, seed, scale=1.0):
             )
         )
     return out
+
+
+def ra_from_rs(rs, w, h, branch):
+    """Area ratio of the candidates with sliding ratio ``rs``: the inverse of
+    :func:`rs_from_ra` on its ra <= 0.5 (``"below"``) or ra >= 0.5
+    (``"above"``) branch."""
+    r2 = min(w / h, h / w) ** 2
+    u = 4.0 * rs * (1.0 - rs)
+    v = u * ((r2 + 1.0) - r2 * u) / 4.0
+    root = math.sqrt(max(0.0, 1.0 - 4.0 * v))
+    return 0.5 * (1.0 - root) if branch == "below" else 0.5 * (1.0 + root)
 
 
 def quad_sliding_ratio(quad, hbb):
@@ -397,8 +408,6 @@ class TestRsRaRelation:
             rs_from_ra(0.0, 1, 1)
         with pytest.raises(InvalidArgumentError):
             rs_from_ra(1.2, 1, 1)
-        with pytest.raises(InvalidArgumentError):
-            ra_from_rs(0.3, 1, 1, "sideways")
 
 
 @given(
@@ -408,3 +417,43 @@ class TestRsRaRelation:
 def test_roundtrip_property(w, h, cx, cy, theta):
     box = OrientedBox(cx, cy, w, h, theta)
     assert iou(box, decode(encode(box))) >= 1 - 1e-9
+
+
+# Sides 1-300 with aspect down to 1e-3, centres within 1e3 of the origin.
+# The symmetries are exact while no product underflows, so a nonzero angle
+# stays above 1e-100.
+box_lists = st.lists(
+    st.builds(
+        lambda cx, cy, side, aspect, theta: OrientedBox(cx, cy, side, side * aspect, theta),
+        st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1.0, 300.0), st.floats(1e-3, 1.0),
+        st.just(0.0) | st.floats(1e-100, math.pi),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+@given(box_lists)
+def test_scaling_by_four_is_exact(boxes):
+    """4x scales the outer HBB by 4 and keeps rs and the scores bit for bit."""
+    scaled = [OrientedBox(4 * b.cx, 4 * b.cy, 4 * b.w_side, 4 * b.h_side, b.theta) for b in boxes]
+    for b, s in zip(boxes, scaled):
+        v, u = encode(b), encode(s)
+        assert (u.xc, u.yc, u.w, u.h) == (4 * v.xc, 4 * v.yc, 4 * v.w, 4 * v.h)
+        assert (u.rs, u.scores) == (v.rs, v.scores)
+    for name in ("cobb", "cobb-ln"):
+        codec = get_codec(name)
+        rows, got = codec.encode_many(boxes), codec.encode_many(scaled)
+        assert np.array_equal(got[:, :2], 4 * rows[:, :2])  # tx, ty against the unit proposal
+        assert np.array_equal(got[:, 4:], rows[:, 4:])
+
+
+@given(box_lists)
+def test_translation_is_exact(boxes):
+    """Moving by (1024, -2048) keeps w, h, rs and the scores bit for bit."""
+    moved = [OrientedBox(b.cx + 1024.0, b.cy - 2048.0, b.w_side, b.h_side, b.theta) for b in boxes]
+    for b, m in zip(boxes, moved):
+        v, u = encode(b), encode(m)
+        assert (u.w, u.h, u.rs, u.scores) == (v.w, v.h, v.rs, v.scores)
+    for name in ("cobb", "cobb-ln"):
+        codec = get_codec(name)
+        assert np.array_equal(codec.encode_many(moved)[:, 2:], codec.encode_many(boxes)[:, 2:])

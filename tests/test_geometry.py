@@ -2,22 +2,23 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cobb.codec import four_candidates
-from cobb import geometry
+from cobb import _kern, geometry
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError, UndefinedIoUError
 from cobb.geometry import (
     ConvexQuad,
     HorizontalBox,
     OrientedBox,
     adjust_side,
-    intersection_area,
     iou,
     iou_many,
+    oriented_many,
     min_area_rect,
     outer_hbb,
     rotate,
@@ -164,17 +165,17 @@ class TestAdjustSide:
 class TestIntersectionAndIoU:
     def test_identical(self):
         q = vertices_of(OrientedBox(0, 0, 3, 1, 0.7))
-        assert intersection_area(q, q) == pytest.approx(3.0, abs=1e-12)
+        assert _kern.quad_intersection_area(q.flat, q.flat) == pytest.approx(3.0, abs=1e-12)
 
     def test_disjoint(self):
         a = vertices_of(OrientedBox(0, 0, 1, 1, 0.2))
         b = vertices_of(OrientedBox(10, 10, 1, 1, 0.9))
-        assert intersection_area(a, b) == 0.0
+        assert _kern.quad_intersection_area(a.flat, b.flat) == 0.0
 
     def test_half_overlap(self):
         a = vertices_of(OrientedBox(0, 0, 1, 1, 0))
         b = vertices_of(OrientedBox(0.5, 0, 1, 1, 0))
-        assert intersection_area(a, b) == pytest.approx(0.5, abs=1e-12)
+        assert _kern.quad_intersection_area(a.flat, b.flat) == pytest.approx(0.5, abs=1e-12)
 
     def test_self_iou(self):
         b = OrientedBox(1, 2, 3, 4, 0.5)
@@ -388,3 +389,20 @@ def test_vertices_many_runs_the_convexity_check(monkeypatch):
     with pytest.raises(InvalidArgumentError, match="convex") as batch:
         vertices_many([params(box)])
     assert str(batch.value) == str(scalar.value)
+
+
+def test_oriented_many_matches_the_constructor_exactly():
+    half = 0.5 * math.pi
+    angles = [0.0, -0.0, -1e-17, 1e-300, half, -half, math.nextafter(half, 0.0), math.pi, -math.pi,
+              math.nextafter(math.pi, 0.0), 3.0, -5.5, 7 * math.pi, 1e6, -1e300]
+    rows = [[0.5 * k, -3.0, 1.0 + k, 2.0, t] for k, t in enumerate(angles)]
+    want = [params(OrientedBox(*r)) for r in rows]
+    assert oriented_many(rows).tolist() == want
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0, 1.0, 0.2], [0.0, 0.0, 1.0, -2.0, 0.2], [0.0, math.nan, 1.0, 1.0, 0.2]])
+def test_oriented_many_raises_what_the_constructor_raises(bad):
+    with pytest.raises((InvalidArgumentError, DegenerateGeometryError)) as scalar:
+        OrientedBox(*bad)
+    with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+        oriented_many([[0.0, 0.0, 1.0, 1.0, 0.0], bad, [0.0, 0.0, math.inf, 1.0, 0.0]])
