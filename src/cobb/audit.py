@@ -173,8 +173,27 @@ def _transformed(box: OrientedBox, transform: str, delta: float) -> list[Oriente
     raise InvalidArgumentError(f"unknown transform {transform!r}")
 
 
+@functools.lru_cache(maxsize=1)
+def _twin_boxes(cfg: ProbeConfig) -> Mapping[tuple[str, float], tuple[tuple[OrientedBox, ...], ...]]:
+    """Twin columns of the family boxes per ``(transform, delta)``.
+
+    A rotation gives each box one twin and an aspect change two (the w- and
+    h-scaled boxes); column ``k`` holds twin ``k`` of every family box, in
+    family order.  Like :func:`build_families`, the last config's columns
+    are kept, so a run builds each twin once.
+    """
+    boxes = [box for fam in build_families(cfg).values() for box in fam]
+    return MappingProxyType({
+        (transform, delta): tuple(zip(*(_transformed(box, transform, delta) for box in boxes)))
+        for delta in cfg.steps
+        for transform in ("rotation", "aspect")
+    })
+
+
 def _transform_gap(codec: BoxCodec, kind: str, box: OrientedBox, transform: str, delta: float) -> float:
-    """Encoding (``kind`` "target") or loss ("loss") gap summed over the transformed twins."""
+    """Encoding (``kind`` "target") or loss ("loss") gap summed over the
+    transformed twins of one box: the scalar reference that
+    :func:`replay_witness` recomputes a witness with."""
     enc = codec.encode(box)
     gap = 0.0
     for other in _transformed(box, transform, delta):
@@ -186,18 +205,30 @@ def _transform_gap(codec: BoxCodec, kind: str, box: OrientedBox, transform: str,
 
 
 def _probe_continuity(codec: BoxCodec, kind: str, transform: str, cfg: ProbeConfig, tol: float) -> MetricResult:
-    families = build_families(cfg)
+    """Each step's gaps as one array, equal to :func:`_transform_gap` per box.
+
+    Per twin column, the gap is the row-wise max |enc - twin| ("target") or
+    ``loss_many`` ("loss"); the columns are added from 0.0, left to right.
+    The witness is the first box with the largest gap, as a loop keeping
+    strictly larger gaps picks it, and a NaN gap is never picked.
+    """
+    members = [(fam, box) for fam, boxes in build_families(cfg).items() for box in boxes]
+    enc = codec.encode_many([box for _, box in members])
+    twins = _twin_boxes(cfg)
     steps: list[StepGap] = []
     for delta in cfg.steps:
+        gaps = 0.0
+        for column in twins[transform, delta]:
+            other = codec.encode_many(column)
+            gaps = gaps + (np.max(np.abs(enc - other), axis=1) if kind == "target" else codec.loss_many(enc, other))
         worst = StepGap(delta, -1.0)
-        for fam, boxes in families.items():
-            for box in boxes:
-                gap = _transform_gap(codec, kind, box, transform, delta)
-                if gap > worst.gap:
-                    worst = StepGap(
-                        delta, gap,
-                        {"family": fam, "box": _box_params(box), "transform": transform, "delta": delta},
-                    )
+        if not np.isnan(gaps).all():
+            i = int(np.nanargmax(gaps))
+            fam, box = members[i]
+            worst = StepGap(
+                delta, float(gaps[i]),
+                {"family": fam, "box": _box_params(box), "transform": transform, "delta": delta},
+            )
         steps.append(worst)
     return _verdict(f"{kind}-{transform}", steps, tol)
 
@@ -383,32 +414,28 @@ class _EncodeOnce:
         """The stored rows of ``boxes``; the boxes not stored yet are encoded
         in one ``encode_many`` call of the codec."""
         boxes = list(boxes)
-        new = [b for b in dict.fromkeys(boxes) if b not in self._encodings]
+        rows = [self._encodings.get(b) for b in boxes]
+        new = list(dict.fromkeys(b for b, row in zip(boxes, rows) if row is None))
         if new:
             for box, enc in zip(new, self._codec.encode_many(new)):
                 enc.flags.writeable = False
                 self._encodings[box] = enc
-        return np.array([self._encodings[b] for b in boxes]).reshape(-1, self.dim)
+            rows = [self._encodings[b] for b in boxes]
+        return np.array(rows).reshape(-1, self.dim)
 
 
 def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:
     """All six metrics for every codec, plus NAE / ratio-sensitivity extras.
 
-    The metrics of a codec share one build of the families and one encoding
-    of each distinct box; the family boxes and all their twins are encoded
-    in one batch.
+    The metrics of a codec share one build of the families and their twins
+    and one encoding of each distinct box; the family boxes and all their
+    twins are encoded in one batch.
     """
     from cobb.geometry import HorizontalBox
     from cobb.targets import sensitivity_probe
 
     boxes = [box for fam in build_families(cfg).values() for box in fam]
-    twins = [
-        twin
-        for box in boxes
-        for delta in cfg.steps
-        for transform in ("rotation", "aspect")
-        for twin in _transformed(box, transform, delta)
-    ]
+    twins = [twin for columns in _twin_boxes(cfg).values() for column in columns for twin in column]
     reports = []
     for codec in map(_EncodeOnce, codecs):
         codec.encode_many(boxes + twins)

@@ -81,6 +81,21 @@ class BoxCodec:
         """Default loss: elementwise smooth-L1 summed over components."""
         return float(sum(smooth_l1(x - y) for x, y in zip(a, b)))
 
+    def loss_many(self, a, b) -> np.ndarray:
+        """``(N,)``: :meth:`loss` of each pair of rows of two ``(N, dim)``
+        arrays, bit for bit.  A codec that overrides :meth:`loss` overrides
+        this too.
+
+        The components are added column by column, left to right, as the
+        scalar ``sum`` adds them; ``np.sum`` adds in pairs and can differ in
+        the last bit.
+        """
+        terms = targets._smooth_l1_many(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), 1.0)
+        total = np.zeros(len(terms))
+        for column in terms.T:
+            total = total + column
+        return total
+
     def curve_components(self, box: OrientedBox) -> np.ndarray:
         """Components plotted by the sweep CSVs (defaults to the encoding)."""
         return self.encode(box)
@@ -136,6 +151,9 @@ class CobbCodec(BoxCodec):
         ta = TargetVector(a[0], a[1], a[2], a[3], a[4], tuple(a[5:9]), self.variant, self.lam)
         tb = TargetVector(b[0], b[1], b[2], b[3], b[4], tuple(b[5:9]), self.variant, self.lam)
         return cobb_loss(ta, tb, LossWeights())
+
+    def loss_many(self, a, b) -> np.ndarray:
+        return targets._cobb_loss_many(np.asarray(a, dtype=float), np.asarray(b, dtype=float), LossWeights())
 
     def curve_components(self, box: OrientedBox) -> np.ndarray:
         return np.array(cobb_codec.encode(box).as_tuple(), dtype=float)

@@ -12,6 +12,7 @@ candidate rectangle in closed form from its two edge vectors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,12 @@ from cobb.geometry import (
 FLOAT_FMT = "%.17g"
 
 _RS_CLAMP_TOL = 1e-12
+
+# Squared HBB extents the closed forms are evaluated on: normal floats, with
+# room for the sums of four such products in their denominators.  Outside it
+# they lose every digit (an overflowed sum turns an IoU into 0) or divide by
+# an underflowed zero.
+_SQUARE_MIN, _SQUARE_MAX = sys.float_info.min, sys.float_info.max / 16.0
 
 
 @dataclass(frozen=True)
@@ -178,14 +185,20 @@ def iou_matrix(w: float, h: float, rs: float):
     wider-than-tall HBB the closed forms apply directly; otherwise they are
     evaluated on the transposed HBB, which swaps the roles of the 0-1 and 0-2
     pairs (candidates 1 and 2 trade places under the x/y reflection).
+    Extents whose squares leave the normal float range, or whose closed
+    forms are not finite, raise :class:`DegenerateGeometryError`.
     """
     if not (math.isfinite(w) and math.isfinite(h)) or w <= 0.0 or h <= 0.0:
         raise InvalidArgumentError("HBB extents must be positive")
     rs = _clamp_rs(rs)
+    if not (_SQUARE_MIN <= w * w <= _SQUARE_MAX and _SQUARE_MIN <= h * h <= _SQUARE_MAX):
+        raise DegenerateGeometryError(f"HBB extents {w!r} x {h!r} out of range for the candidate IoUs")
     if w >= h:
         m01, m02, m03, m12 = _closed_forms(w, h, rs)
     else:
         m02, m01, m03, m12 = _closed_forms(h, w, rs)
+    if not all(map(math.isfinite, (m01, m02, m03, m12))):
+        raise DegenerateGeometryError(f"candidate IoUs of a {w!r} x {h!r} HBB at rs={rs!r} are not finite")
     clamp = lambda v: 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
     m01, m02, m03, m12 = clamp(m01), clamp(m02), clamp(m03), clamp(m12)
     return [
@@ -379,6 +392,9 @@ def _encode_many(p):
     h = w_side * np.abs(s) + h_side * np.abs(c)
     if not (np.isfinite(w) & np.isfinite(h) & (w > 0.0) & (h > 0.0)).all():
         return None
+    ww, hh = w * w, h * h
+    if not ((_SQUARE_MIN <= ww) & (ww <= _SQUARE_MAX) & (_SQUARE_MIN <= hh) & (hh <= _SQUARE_MAX)).all():
+        return None  # iou_matrix rejects the extents
     # sliding_ratio
     tall = w < h
     a, b = np.where(tall, w_side * c, w_side * s), np.where(tall, h_side * s, h_side * c)
@@ -391,7 +407,7 @@ def _encode_many(p):
     m01, m02, m03, m12 = _closed_forms_many(np.where(wide, w, h), np.where(wide, h, w), rs)
     m01, m02 = np.where(wide, m01, m02), np.where(wide, m02, m01)
     m = np.stack([np.ones_like(w), m01, m02, m03, m12], axis=1)
-    if not np.isfinite(m).all():  # where the scalar divides by zero, or overflows
+    if not np.isfinite(m).all():  # where iou_matrix raises
         return None
     m = np.where(m < 0.0, 0.0, np.where(m > 1.0, 1.0, m))
     scores = np.take_along_axis(m, _MATRIX_ENTRIES[index], axis=1)

@@ -81,8 +81,9 @@ def read_dota_file(path) -> tuple[list[DotaRecord], list[str]]:
 def convert_annotations(input_path, codec, output_path) -> int:
     """Fit each annotation with a box, encode it, write one CSV row per record.
 
-    Returns the number of rows written; unparseable lines and degenerate
-    (collinear) quads are skipped, with their reasons in the module logger.
+    Returns the number of rows written; unparseable lines, degenerate
+    (collinear) quads and boxes outside the range the codec encodes are
+    skipped, with their reasons in the module logger.
     """
     records, _ = read_dota_file(input_path)
     n = 0
@@ -90,11 +91,10 @@ def convert_annotations(input_path, codec, output_path) -> int:
         fh.write("category,difficulty," + ",".join(codec.component_names) + "\n")
         for rec in records:
             try:
-                box = record_box(rec)
+                enc = codec.encode(record_box(rec))
             except DegenerateGeometryError as exc:
                 log.warning("%s: skipped line %s: %s", input_path, rec.line_no, exc)
                 continue
-            enc = codec.encode(box)
             fh.write(f"{rec.category},{rec.difficulty}," + ",".join(FLOAT_FMT % v for v in enc) + "\n")
             n += 1
     return n

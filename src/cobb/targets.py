@@ -207,6 +207,13 @@ def smooth_l1(diff: float, beta: float = 1.0) -> float:
     return 0.5 * d * d / beta if d < beta else d - 0.5 * beta
 
 
+def _smooth_l1_many(diff, beta: float) -> np.ndarray:
+    """:func:`smooth_l1` of each element of ``diff``."""
+    d = np.abs(diff)
+    with np.errstate(over="ignore"):  # the branch a large d does not take
+        return np.where(d < beta, 0.5 * d * d / beta, d - 0.5 * beta)
+
+
 def cobb_loss(pred: TargetVector, target: TargetVector, weights: LossWeights = LossWeights()) -> float:
     """Weighted smooth-L1 over the box, ratio and score components."""
     if pred.variant != target.variant or pred.lam != target.lam:
@@ -221,6 +228,15 @@ def cobb_loss(pred: TargetVector, target: TargetVector, weights: LossWeights = L
     r_term = smooth_l1(pred.rt - target.rt, beta)
     s_term = sum(smooth_l1(p - q, beta) for p, q in zip(pred.st, target.st))
     return weights.w_box * box_term + weights.w_r * r_term + weights.w_s * s_term
+
+
+def _cobb_loss_many(pred, target, weights: LossWeights) -> np.ndarray:
+    """:func:`cobb_loss` of each pair of ``(N, 9)`` target rows, bit for bit:
+    the terms are added in the scalar order, column by column."""
+    t = _smooth_l1_many(pred - target, weights.smooth_l1_beta)
+    box_term = t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
+    s_term = t[:, 5] + t[:, 6] + t[:, 7] + t[:, 8]
+    return weights.w_box * box_term + weights.w_r * t[:, 4] + weights.w_s * s_term
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cobb import audit
 from cobb.audit import (
     COMPLETENESS_TOL,
     LOSS_TOL,
     ROBUSTNESS_K,
+    TARGET_GAP_TOL,
     MetricReport,
     MetricResult,
     ProbeConfig,
@@ -18,6 +20,9 @@ from cobb.audit import (
     _box_params,
     _nae_summary,
     _rng,
+    _transform_gap,
+    _twin_boxes,
+    _verdict,
     build_families,
     check_decoding_completeness,
     nae,
@@ -28,7 +33,7 @@ from cobb.audit import (
     replay_witness,
     run_audit,
 )
-from cobb.baselines import AcuteAngleCodec, available_codecs, get_codec
+from cobb.baselines import AcuteAngleCodec, BoxCodec, available_codecs, get_codec
 from cobb.errors import InvalidArgumentError, UndefinedNormalizationError
 from cobb.geometry import OrientedBox, iou, rotate, vertices_of
 
@@ -161,15 +166,17 @@ class TestProbes:
         assert res.verdict == "fail"
 
     def test_witness_replay_reproduces_gap(self):
+        # the array probes equal the scalar reference bit for bit
         for codec_name, probe, kwargs in (
             ("acute", probe_target_continuity, {"transform": "rotation"}),
             ("long-edge", probe_loss_continuity, {"transform": "aspect"}),
+            ("cobb", probe_loss_continuity, {"transform": "rotation"}),
+            ("cobb-ln", probe_target_continuity, {"transform": "aspect"}),
         ):
             codec = get_codec(codec_name)
             res = probe(codec, cfg=CFG, **kwargs)
             replayed = replay_witness(codec, res.name, res.witness)
-            worst = max(s.gap for s in res.steps)
-            assert replayed == pytest.approx(worst, rel=1e-9)
+            assert replayed == max(s.gap for s in res.steps)
 
     def test_robustness_witness_replay(self):
         codec = get_codec("csl")
@@ -237,6 +244,22 @@ class TestRunAudit:
         run_audit([Counting()], ProbeConfig(samples=4, seed=5))
         assert encoded and set(encoded.values()) == {1}
 
+    def test_each_twin_built_once(self, monkeypatch):
+        built = []
+        transformed = audit._transformed
+
+        def counting(box, transform, delta):
+            built.append((box, transform, delta))
+            return transformed(box, transform, delta)
+
+        monkeypatch.setattr(audit, "_transformed", counting)
+        _twin_boxes.cache_clear()
+        cfg = ProbeConfig(samples=4, seed=5)
+        run_audit([get_codec("cobb"), get_codec("acute")], cfg)
+        boxes = [box for fam in build_families(cfg).values() for box in fam]
+        assert len(built) == len(boxes) * len(cfg.steps) * 2
+        assert set(built) == {(b, t, d) for b in boxes for d in cfg.steps for t in ("rotation", "aspect")}
+
     def test_shared_encoding_is_read_only(self):
         codec = _EncodeOnce(get_codec("cobb"))
         box = build_families(CFG)["random"][0]
@@ -294,6 +317,65 @@ def scalar_robustness(codec, cfg):
                     worst = StepGap(cfg.perturbation, gap, witness)
     verdict = "pass" if worst.gap <= ROBUSTNESS_K * cfg.perturbation else "fail"
     return worst, verdict
+
+
+def scalar_continuity(codec, kind, transform, cfg):
+    """A continuity probe as the loop over :func:`_transform_gap` per box."""
+    steps = []
+    for delta in cfg.steps:
+        worst = StepGap(delta, -1.0)
+        for fam, boxes in build_families(cfg).items():
+            for box in boxes:
+                gap = _transform_gap(codec, kind, box, transform, delta)
+                if gap > worst.gap:
+                    witness = {"family": fam, "box": _box_params(box), "transform": transform, "delta": delta}
+                    worst = StepGap(delta, gap, witness)
+        steps.append(worst)
+    return _verdict(f"{kind}-{transform}", steps, TARGET_GAP_TOL if kind == "target" else LOSS_TOL)
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_array_continuity_probes_equal_the_scalar_loop(name):
+    cfg = ProbeConfig(samples=6, seed=11)
+    assert len(cfg.steps) == 3
+    codec = get_codec(name)
+    for transform in ("rotation", "aspect"):
+        assert probe_target_continuity(codec, transform, cfg) == scalar_continuity(codec, "target", transform, cfg)
+        assert probe_loss_continuity(codec, transform, cfg) == scalar_continuity(codec, "loss", transform, cfg)
+
+
+class Scripted(BoxCodec):
+    """One-component codec: 0.0 for every box but the scripted ones."""
+
+    name, dim = "scripted", 1
+
+    def __init__(self, values):
+        self.values = values
+
+    def encode(self, box):
+        return np.array([self.values.get(box, 0.0)])
+
+
+@pytest.mark.parametrize("kind", ["target", "loss"])
+def test_continuity_witness_is_the_first_largest_gap_and_never_nan(kind):
+    cfg = ProbeConfig(samples=4, seed=5)
+    boxes = [box for fam in build_families(cfg).values() for box in fam]
+    probe = probe_target_continuity if kind == "target" else probe_loss_continuity
+    # per step: box 0 a NaN gap, boxes 2 and 5 the same largest gap
+    values = {}
+    for delta in cfg.steps:
+        values[rotate(boxes[0], delta)] = math.nan
+        values[rotate(boxes[2], delta)] = values[rotate(boxes[5], delta)] = 3.0
+    codec = Scripted(values)
+    res = probe(codec, "rotation", cfg)
+    want_gap = 3.0 if kind == "target" else 2.5  # smooth-L1 above the knee
+    assert [s.gap for s in res.steps] == [want_gap] * len(cfg.steps)
+    assert {tuple(s.witness["box"]) for s in res.steps} == {tuple(_box_params(boxes[2]))}
+    assert res == scalar_continuity(codec, kind, "rotation", cfg)
+    # every gap NaN: no witness, as the loop leaves it
+    res = probe(Scripted({rotate(b, d): math.nan for b in boxes for d in cfg.steps}), "rotation", cfg)
+    assert [(s.gap, s.witness) for s in res.steps] == [(-1.0, None)] * len(cfg.steps)
+    assert res.witness is None
 
 
 @pytest.mark.parametrize("name", available_codecs())

@@ -283,3 +283,28 @@ def test_array_forms_of_no_rows(name):
     codec = get_codec(name)
     assert codec.encode_many([]).shape == (0, codec.dim)
     assert codec.decode_many(np.empty((0, codec.dim))).shape == (0, 5)
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_loss_many_equals_the_scalar_loss(name):
+    codec = get_codec(name)
+    rng = np.random.Generator(np.random.PCG64(43))
+    shape = (60, codec.dim)
+    # real encodings of boxes and their slightly rotated twins
+    boxes = BATCH_BOXES[:200]
+    real_a = codec.encode_many(boxes)
+    real_b = codec.encode_many([OrientedBox(b.cx, b.cy, b.w_side, b.h_side, b.theta + 1e-3) for b in boxes])
+    # exact component differences below, at and above the smooth-L1 knee
+    base = 0.5 * rng.integers(-8, 9, shape)
+    knee = rng.choice([0.0, 0.25, -0.75, 1.0, -1.0, 1.5, -4.0], shape)
+    assert np.array_equal(base - (base - knee), knee)
+    # signed zeros, and non-finite components
+    zeros_a, zeros_b = rng.choice([0.0, -0.0], shape), rng.choice([0.0, -0.0], shape)
+    odd = np.where(rng.random(shape) < 0.1, rng.choice([math.inf, -math.inf, math.nan], shape), base)
+    a = np.vstack([real_a, base, zeros_a, odd])
+    b = np.vstack([real_b, base - knee, zeros_b, base])
+    want = np.array([codec.loss(x, y) for x, y in zip(a, b)])
+    got = codec.loss_many(a, b)
+    assert got.shape == (len(a),)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(codec.loss_many(a[:0], b[:0]), np.empty(0))

@@ -457,3 +457,58 @@ def test_translation_is_exact(boxes):
     for name in ("cobb", "cobb-ln"):
         codec = get_codec(name)
         assert np.array_equal(codec.encode_many(moved)[:, 2:], codec.encode_many(boxes)[:, 2:])
+
+
+QUARTER_TURN = (3, 1, 2, 0)  # score j of the turned box is score QUARTER_TURN[j] of the box
+
+
+@given(box_lists)
+def test_quarter_turn_is_exact(boxes):
+    """Swapping the sides at the same angle swaps w and h, keeps rs bit for
+    bit and permutes the score row by 0 <-> 3 (1 and 2 stay)."""
+    # a square is its own turn, and a square HBB sends a box and its turn
+    # down the same w >= h branch, so neither has the map
+    boxes = [b for b in boxes if b.w_side != b.h_side and outer_hbb(b).w != outer_hbb(b).h]
+    turned = [OrientedBox(b.cx, b.cy, b.h_side, b.w_side, b.theta) for b in boxes]
+    for b, t in zip(boxes, turned):
+        v, u = encode(b), encode(t)
+        assert (u.xc, u.yc, u.w, u.h, u.rs) == (v.xc, v.yc, v.h, v.w, v.rs)
+        assert u.scores == tuple(v.scores[i] for i in QUARTER_TURN)
+    for name in ("cobb", "cobb-ln"):
+        codec = get_codec(name)
+        rows, got = codec.encode_many(boxes), codec.encode_many(turned)
+        assert np.array_equal(got[:, [0, 1, 3, 2, 4]], rows[:, :5])  # tw <-> th
+        assert np.array_equal(got[:, 5:], rows[:, 5:][:, QUARTER_TURN])
+
+
+# Boxes whose candidate IoUs have no float64 closed form: squared HBB
+# extents that overflow or underflow, or sums of them that overflow.
+EXTREME_BOXES = [
+    OrientedBox(0.0, 0.0, 1e200, 1e-200, 0.3),  # scores were (1.0, nan, nan, nan)
+    OrientedBox(0.0, 0.0, 1e308, 1.0, 0.3),  # so were these
+    OrientedBox(0.0, 0.0, 1e-170, 1e-170, 0.5),  # a bare ZeroDivisionError
+    OrientedBox(0.0, 0.0, 1e154, 1e154, 0.3),  # finite but wrong scores
+]
+
+
+@pytest.mark.parametrize("box", EXTREME_BOXES)
+def test_extreme_scales_raise_a_typed_error(box):
+    with pytest.raises(DegenerateGeometryError, match="out of range"):
+        encode(box)
+    with pytest.raises(DegenerateGeometryError, match="out of range"):
+        get_codec("cobb").encode_many([OrientedBox(3.0, 4.0, 2.0, 1.0, 0.3), box])
+
+
+def test_every_scale_encodes_to_the_same_scores_or_raises():
+    """Power-of-two scales from 2**-540 to 2**519: the sliding ratio and the
+    scores of the unit-scale box, or a typed error, never silent garbage."""
+    for box in seeded_boxes(8, 17):
+        v = encode(box)
+        for k in range(-540, 520, 9):
+            f = 2.0**k
+            try:
+                u = encode(OrientedBox(0.0, 0.0, box.w_side * f, box.h_side * f, box.theta))
+            except DegenerateGeometryError:
+                continue
+            assert u.rs == pytest.approx(v.rs, rel=1e-15)
+            assert u.scores == pytest.approx(v.scores, abs=1e-14)

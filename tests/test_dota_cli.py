@@ -247,6 +247,7 @@ class TestCli:
             f"{GOOD}\n"
             "5 5 5 5 5 5 5 5 ship 1\n"
             "1 1 2 2 3 3 4 4 ship 0\n"
+            "0 0 5e153 0 5e153 2e153 0 2e153 ship 0\n"  # too large for the candidate IoUs
             "5 5 9 5 9 7 5 7 harbor 2\n"
         )
         out = tmp_path / "enc.csv"
@@ -256,6 +257,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "skipped line 2: points are collinear" in err
         assert "skipped line 3: points are collinear" in err
+        assert "skipped line 4: HBB extents 5e+153 x 2e+153 out of range" in err
 
     def test_convert(self, tmp_path, capsys):
         src = tmp_path / "ann.txt"
