@@ -32,7 +32,6 @@ from cobb.geometry import (
     vertices_of,
 )
 from cobb.targets import (
-    LossWeights,
     Proposal,
     TargetVector,
     cobb_loss,
@@ -52,7 +51,6 @@ __all__ = [
     "DotaParseError",
     "HorizontalBox",
     "InvalidArgumentError",
-    "LossWeights",
     "OrientedBox",
     "Proposal",
     "TargetVector",

@@ -190,6 +190,39 @@ def _twin_boxes(cfg: ProbeConfig) -> Mapping[tuple[str, float], tuple[tuple[Orie
     })
 
 
+def _encode_distinct(codec: BoxCodec, boxes: list[OrientedBox]) -> np.ndarray:
+    """Read-only ``(N, dim)`` rows of ``boxes``, from one ``encode_many``
+    call over the distinct boxes."""
+    index: dict[OrientedBox, int] = {}
+    at = [index.setdefault(box, len(index)) for box in boxes]
+    rows = codec.encode_many(list(index))[at]
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=1)
+def _family_rows(codec: BoxCodec, cfg: ProbeConfig) -> np.ndarray:
+    """Encodings of the family boxes, in family order.
+
+    Like :func:`build_families`, the last ``(codec, cfg)``'s rows are kept,
+    so the six metrics of a run encode each family box once.
+    """
+    return _encode_distinct(codec, [box for fam in build_families(cfg).values() for box in fam])
+
+
+@functools.lru_cache(maxsize=1)
+def _twin_rows(codec: BoxCodec, cfg: ProbeConfig) -> Mapping[tuple[str, float], tuple[np.ndarray, ...]]:
+    """Encodings of the :func:`_twin_boxes` columns, with the same keys.
+
+    Kept apart from :func:`_family_rows`, so a metric that reads no twin
+    encodes none.
+    """
+    twins = _twin_boxes(cfg)
+    columns = [column for cols in twins.values() for column in cols]
+    rows = iter(np.split(_encode_distinct(codec, [box for column in columns for box in column]), len(columns)))
+    return MappingProxyType({key: tuple(next(rows) for _ in cols) for key, cols in twins.items()})
+
+
 def _transform_gap(codec: BoxCodec, kind: str, box: OrientedBox, transform: str, delta: float) -> float:
     """Encoding (``kind`` "target") or loss ("loss") gap summed over the
     transformed twins of one box: the scalar reference that
@@ -213,13 +246,12 @@ def _probe_continuity(codec: BoxCodec, kind: str, transform: str, cfg: ProbeConf
     strictly larger gaps picks it, and a NaN gap is never picked.
     """
     members = [(fam, box) for fam, boxes in build_families(cfg).items() for box in boxes]
-    enc = codec.encode_many([box for _, box in members])
-    twins = _twin_boxes(cfg)
+    enc = _family_rows(codec, cfg)
+    twins = _twin_rows(codec, cfg)
     steps: list[StepGap] = []
     for delta in cfg.steps:
         gaps = 0.0
-        for column in twins[transform, delta]:
-            other = codec.encode_many(column)
+        for other in twins[transform, delta]:
             gaps = gaps + (np.max(np.abs(enc - other), axis=1) if kind == "target" else codec.loss_many(enc, other))
         worst = StepGap(delta, -1.0)
         if not np.isnan(gaps).all():
@@ -263,7 +295,7 @@ def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResu
     """Worst 1 - IoU(x, decode(encode(x))) over all families."""
     members = [(fam, box) for fam, boxes in build_families(cfg).items() for box in boxes]
     boxes = [box for _, box in members]
-    i, gap = _worst_decoding_gap(codec, boxes, codec.encode_many(boxes))
+    i, gap = _worst_decoding_gap(codec, boxes, _family_rows(codec, cfg))
     worst = StepGap(0.0, gap, {"family": members[i][0], "box": _box_params(boxes[i])})
     verdict = "pass" if worst.gap <= COMPLETENESS_TOL else "fail"
     return MetricResult("decoding-completeness", [worst], verdict, worst.witness)
@@ -281,7 +313,8 @@ def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult
             fams.append(fam)
             boxes.append(box)
             deltas.append(perturbation * (dirs / np.where(norms == 0.0, 1.0, norms)))
-    encodings = np.repeat(codec.encode_many(boxes), cfg.directions, axis=0) + np.concatenate(deltas)
+    rows = _family_rows(codec, cfg)
+    encodings = np.repeat(rows, cfg.directions, axis=0) + np.concatenate(deltas)
     i, gap = _worst_decoding_gap(codec, boxes, encodings)
     b, d = divmod(i, cfg.directions)
     worst = StepGap(
@@ -290,15 +323,10 @@ def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult
     )
     verdict = "pass" if worst.gap <= ROBUSTNESS_K * perturbation else "fail"
     notes = ""
-    if verdict == "fail" and worst.witness is not None:
+    if verdict == "fail":
         # distinguish a vanishing (sub-linear but continuous) response from
         # true decoding ambiguity: shrink the worst perturbation and re-decode
-        box = OrientedBox(*worst.witness["box"])
-        enc = codec.encode(box)
-        delta = np.asarray(worst.witness["perturbation"])
-        shrunk = [
-            1.0 - iou(box, codec.decode(enc + delta / f)) for f in (10.0, 100.0)
-        ]
+        shrunk = [1.0 - iou(boxes[b], codec.decode(rows[b] + deltas[b][d] / f)) for f in (10.0, 100.0)]
         kind = "vanishing with the perturbation" if shrunk[1] < 0.3 * worst.gap else "persistent (decoding ambiguity)"
         notes = (
             f"worst-direction gap at /10: {shrunk[0]:.3g}, at /100: {shrunk[1]:.3g} -- {kind}"
@@ -387,58 +415,18 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
     return out
 
 
-class _EncodeOnce:
-    """``codec`` with each distinct box encoded once.
-
-    The probes of one run encode the same family boxes and twins again and
-    again; the stored encodings are read-only so that no probe can alter
-    another's.  Every other attribute is the codec's own.
-    """
-
-    def __init__(self, codec: BoxCodec):
-        self._codec = codec
-        self._encodings: dict[OrientedBox, np.ndarray] = {}
-
-    def __getattr__(self, name):
-        return getattr(self._codec, name)
-
-    def encode(self, box: OrientedBox) -> np.ndarray:
-        enc = self._encodings.get(box)
-        if enc is None:
-            enc = self._codec.encode(box)
-            enc.flags.writeable = False
-            self._encodings[box] = enc
-        return enc
-
-    def encode_many(self, boxes) -> np.ndarray:
-        """The stored rows of ``boxes``; the boxes not stored yet are encoded
-        in one ``encode_many`` call of the codec."""
-        boxes = list(boxes)
-        rows = [self._encodings.get(b) for b in boxes]
-        new = list(dict.fromkeys(b for b, row in zip(boxes, rows) if row is None))
-        if new:
-            for box, enc in zip(new, self._codec.encode_many(new)):
-                enc.flags.writeable = False
-                self._encodings[box] = enc
-            rows = [self._encodings[b] for b in boxes]
-        return np.array(rows).reshape(-1, self.dim)
-
-
 def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:
     """All six metrics for every codec, plus NAE / ratio-sensitivity extras.
 
     The metrics of a codec share one build of the families and their twins
-    and one encoding of each distinct box; the family boxes and all their
-    twins are encoded in one batch.
+    (:func:`build_families`, :func:`_twin_boxes`) and one encoding of each
+    distinct family box and twin (:func:`_family_rows`, :func:`_twin_rows`).
     """
     from cobb.geometry import HorizontalBox
     from cobb.targets import sensitivity_probe
 
-    boxes = [box for fam in build_families(cfg).values() for box in fam]
-    twins = [twin for columns in _twin_boxes(cfg).values() for column in columns for twin in column]
     reports = []
-    for codec in map(_EncodeOnce, codecs):
-        codec.encode_many(boxes + twins)
+    for codec in codecs:
         rep = MetricReport(codec=codec.name, seed=cfg.seed)
         rep.metrics.append(probe_target_continuity(codec, "rotation", cfg))
         rep.metrics.append(probe_target_continuity(codec, "aspect", cfg))

@@ -17,7 +17,7 @@ from cobb import codec as cobb_codec
 from cobb import targets
 from cobb.errors import CobbError, InvalidArgumentError
 from cobb.geometry import OrientedBox, min_area_rect, oriented_many, outer_hbb, vertices_of
-from cobb.targets import LossWeights, Proposal, TargetVector, cobb_loss, smooth_l1
+from cobb.targets import Proposal, TargetVector, cobb_loss, smooth_l1
 
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -90,7 +90,7 @@ class BoxCodec:
         scalar ``sum`` adds them; ``np.sum`` adds in pairs and can differ in
         the last bit.
         """
-        terms = targets._smooth_l1_many(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), 1.0)
+        terms = targets._smooth_l1_many(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
         total = np.zeros(len(terms))
         for column in terms.T:
             total = total + column
@@ -150,10 +150,10 @@ class CobbCodec(BoxCodec):
     def loss(self, a, b) -> float:
         ta = TargetVector(a[0], a[1], a[2], a[3], a[4], tuple(a[5:9]), self.variant, self.lam)
         tb = TargetVector(b[0], b[1], b[2], b[3], b[4], tuple(b[5:9]), self.variant, self.lam)
-        return cobb_loss(ta, tb, LossWeights())
+        return cobb_loss(ta, tb)
 
     def loss_many(self, a, b) -> np.ndarray:
-        return targets._cobb_loss_many(np.asarray(a, dtype=float), np.asarray(b, dtype=float), LossWeights())
+        return targets._cobb_loss_many(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
     def curve_components(self, box: OrientedBox) -> np.ndarray:
         return np.array(cobb_codec.encode(box).as_tuple(), dtype=float)

@@ -86,7 +86,11 @@ def _write_out(text: str, out_path) -> None:
 def _load_config(path) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise CobbError(f"{path}: not valid UTF-8: {exc}") from None
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

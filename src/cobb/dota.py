@@ -33,7 +33,15 @@ def is_metadata_line(line: str) -> bool:
 
 
 def parse_dota_line(line: str, line_no: int | None = None) -> DotaRecord:
-    """Parse one annotation line; malformed input raises :class:`DotaParseError`."""
+    """Parse one annotation line; malformed input raises :class:`DotaParseError`.
+
+    Bytes that are not UTF-8, which :func:`read_dota_file` passes on as lone
+    surrogates, make a line malformed.
+    """
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DotaParseError("not valid UTF-8", line_no) from None
     tokens = line.split()
     if len(tokens) != 10:
         raise DotaParseError(f"expected 10 tokens, got {len(tokens)}", line_no)
@@ -66,7 +74,7 @@ def read_dota_file(path) -> tuple[list[DotaRecord], list[str]]:
     """All parseable records of a file plus skip reasons for the rest."""
     records: list[DotaRecord] = []
     skipped: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip() or is_metadata_line(line):
                 continue

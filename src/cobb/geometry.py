@@ -377,7 +377,8 @@ def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]
 def min_area_rect(points) -> OrientedBox:
     """Minimum-area oriented rectangle enclosing the ``(x, y)`` points.
 
-    Requires at least 3 finite, non-collinear points; the optimum has one
+    Requires at least 3 finite, non-collinear points, and a fit that
+    overflows raises :class:`DegenerateGeometryError`; the optimum has one
     side flush with a hull edge, so only hull-edge orientations are scanned.
     """
     pts = [(p[0], p[1]) for p in points]
@@ -417,4 +418,7 @@ def min_area_rect(points) -> OrientedBox:
     cy = cu * uy + cv * ux
     # the u axis (cos t, -sin t) carries w_side; theta is clockwise-positive
     theta = math.atan2(-uy, ux)
-    return OrientedBox(cx, cy, hi_u - lo_u, hi_v - lo_v, theta)
+    try:
+        return OrientedBox(cx, cy, hi_u - lo_u, hi_v - lo_v, theta)
+    except InvalidArgumentError:  # a field overflowed
+        raise DegenerateGeometryError("rectangle fit is not finite") from None

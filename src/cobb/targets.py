@@ -65,22 +65,6 @@ class TargetVector:
         return (self.tx, self.ty, self.tw, self.th, self.rt) + self.st
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights for the box, ratio and score terms plus the smooth-L1 knee."""
-
-    w_box: float = 1.0
-    w_r: float = 1.0
-    w_s: float = 1.0
-    smooth_l1_beta: float = 1.0
-
-    def __post_init__(self):
-        if not all(0.0 <= w < math.inf for w in (self.w_box, self.w_r, self.w_s)):
-            raise InvalidArgumentError("weights must be finite and >= 0")
-        if not 0.0 < self.smooth_l1_beta < math.inf:
-            raise InvalidArgumentError("beta must be finite and > 0")
-
-
 def _rt_from_rs(rs: float, ra: float, variant: str) -> float:
     if variant == "sig":
         return 2.0 * rs
@@ -202,41 +186,41 @@ def _decode_targets_many(rows, proposal: Proposal, variant: str):
     )
 
 
-def smooth_l1(diff: float, beta: float = 1.0) -> float:
+def smooth_l1(diff: float) -> float:
     d = abs(diff)
-    return 0.5 * d * d / beta if d < beta else d - 0.5 * beta
+    return 0.5 * d * d if d < 1.0 else d - 0.5
 
 
-def _smooth_l1_many(diff, beta: float) -> np.ndarray:
+def _smooth_l1_many(diff) -> np.ndarray:
     """:func:`smooth_l1` of each element of ``diff``."""
     d = np.abs(diff)
     with np.errstate(over="ignore"):  # the branch a large d does not take
-        return np.where(d < beta, 0.5 * d * d / beta, d - 0.5 * beta)
+        return np.where(d < 1.0, 0.5 * d * d, d - 0.5)
 
 
-def cobb_loss(pred: TargetVector, target: TargetVector, weights: LossWeights = LossWeights()) -> float:
-    """Weighted smooth-L1 over the box, ratio and score components."""
+def cobb_loss(pred: TargetVector, target: TargetVector) -> float:
+    """Smooth-L1 (knee at 1) summed over the box, ratio and score components,
+    added as ``(box + ratio) + score``."""
     if pred.variant != target.variant or pred.lam != target.lam:
         raise InvalidArgumentError("pred/target variant or lambda mismatch")
-    beta = weights.smooth_l1_beta
     box_term = (
-        smooth_l1(pred.tx - target.tx, beta)
-        + smooth_l1(pred.ty - target.ty, beta)
-        + smooth_l1(pred.tw - target.tw, beta)
-        + smooth_l1(pred.th - target.th, beta)
+        smooth_l1(pred.tx - target.tx)
+        + smooth_l1(pred.ty - target.ty)
+        + smooth_l1(pred.tw - target.tw)
+        + smooth_l1(pred.th - target.th)
     )
-    r_term = smooth_l1(pred.rt - target.rt, beta)
-    s_term = sum(smooth_l1(p - q, beta) for p, q in zip(pred.st, target.st))
-    return weights.w_box * box_term + weights.w_r * r_term + weights.w_s * s_term
+    r_term = smooth_l1(pred.rt - target.rt)
+    s_term = sum(smooth_l1(p - q) for p, q in zip(pred.st, target.st))
+    return box_term + r_term + s_term
 
 
-def _cobb_loss_many(pred, target, weights: LossWeights) -> np.ndarray:
+def _cobb_loss_many(pred, target) -> np.ndarray:
     """:func:`cobb_loss` of each pair of ``(N, 9)`` target rows, bit for bit:
     the terms are added in the scalar order, column by column."""
-    t = _smooth_l1_many(pred - target, weights.smooth_l1_beta)
+    t = _smooth_l1_many(pred - target)
     box_term = t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
     s_term = t[:, 5] + t[:, 6] + t[:, 7] + t[:, 8]
-    return weights.w_box * box_term + weights.w_r * t[:, 4] + weights.w_s * s_term
+    return box_term + t[:, 4] + s_term
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ from cobb.audit import (
     MetricResult,
     ProbeConfig,
     StepGap,
-    _EncodeOnce,
     _box_params,
+    _family_rows,
     _nae_summary,
     _rng,
     _transform_gap,
     _twin_boxes,
+    _twin_rows,
     _verdict,
     build_families,
     check_decoding_completeness,
@@ -261,16 +262,17 @@ class TestRunAudit:
         assert set(built) == {(b, t, d) for b in boxes for d in cfg.steps for t in ("rotation", "aspect")}
 
     def test_shared_encoding_is_read_only(self):
-        codec = _EncodeOnce(get_codec("cobb"))
-        box = build_families(CFG)["random"][0]
-        enc = codec.encode(box)
-        assert codec.encode(box) is enc
-        with pytest.raises(ValueError):
-            enc[0] = 0.0
-        assert codec.name == "cobb" and codec.dim == 9
+        codec = get_codec("cobb")
+        rows = _family_rows(codec, CFG)
+        assert _family_rows(codec, CFG) is rows
+        twins = _twin_rows(codec, CFG)
+        assert set(twins) == set(_twin_boxes(CFG))
+        for array in [rows, *(column for columns in twins.values() for column in columns)]:
+            assert array.shape == (len(rows), codec.dim)
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
 
-
-    def test_encode_many_batches_only_the_boxes_not_stored(self):
+    def test_encodes_in_three_batches_of_distinct_boxes(self):
         batches = []
 
         class Recording(AcuteAngleCodec):
@@ -278,15 +280,30 @@ class TestRunAudit:
                 batches.append(list(boxes))
                 return super().encode_many(boxes)
 
-        codec = _EncodeOnce(Recording())
-        a, b, c = build_families(CFG)["random"][:3]
-        first = codec.encode(a)
-        rows = codec.encode_many([b, a, c, b])
-        assert batches == [[b, c]]
-        assert np.array_equal(rows, AcuteAngleCodec().encode_many([b, a, c, b]))
-        assert codec.encode(a) is first and not codec.encode(c).flags.writeable
-        codec.encode_many([c, a])
-        assert len(batches) == 1
+        cfg = ProbeConfig(samples=4, seed=5)
+        run_audit([Recording()], cfg)
+        # family boxes, their twins, the NAE sample; the a = 1 near-diagonal
+        # straddles at atan2(1, 1) - delta/2 and pi/4 - delta/2 are one box
+        boxes = [box for fam in build_families(cfg).values() for box in fam]
+        twins = [twin for columns in _twin_boxes(cfg).values() for column in columns for twin in column]
+        assert (len(boxes), len(twins)) == (52, 468)
+        assert [len(batch) for batch in batches] == [49, 441, 64]
+        assert batches[0] == list(dict.fromkeys(boxes)) and batches[1] == list(dict.fromkeys(twins))
+
+    @pytest.mark.parametrize("probe", [check_decoding_completeness, probe_decoding_robustness])
+    def test_decoding_probes_build_no_twin(self, probe):
+        batches = []
+
+        class Recording(AcuteAngleCodec):
+            def encode_many(self, boxes):
+                batches.append(len(boxes))
+                return super().encode_many(boxes)
+
+        cfg = ProbeConfig(samples=3, seed=123)
+        calls = [_twin_boxes.cache_info(), _twin_rows.cache_info()]
+        probe(Recording(), cfg)
+        assert [_twin_boxes.cache_info(), _twin_rows.cache_info()] == calls
+        assert batches == [len(set(box for fam in build_families(cfg).values() for box in fam))]
 
 
 def scalar_completeness(codec, cfg):

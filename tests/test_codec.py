@@ -481,6 +481,52 @@ def test_quarter_turn_is_exact(boxes):
         assert np.array_equal(got[:, 5:], rows[:, 5:][:, QUARTER_TURN])
 
 
+MIRROR = (3, 2, 1, 0)  # score j of the mirrored box is score MIRROR[j] of the box
+
+
+def test_mirror_holds_to_rounding():
+    """cx -> -cx, theta -> -theta negates xc, keeps w, h and rs and reverses
+    the score row, within 1e-12: the mirrored angle is rounded, so the map
+    is not bit for bit (largest delta 4.6e-14 on these boxes)."""
+    rng = np.random.Generator(np.random.PCG64(17))
+    boxes = []
+    for _ in range(3000):
+        side = float(rng.uniform(1.0, 300.0))
+        boxes.append(OrientedBox(
+            float(rng.uniform(-1e3, 1e3)), float(rng.uniform(-1e3, 1e3)),
+            side, side * float(rng.uniform(1e-3, 1.0)), float(rng.uniform(0.0, math.pi)),
+        ))
+    mirrored = [OrientedBox(-b.cx, b.cy, b.w_side, b.h_side, -b.theta) for b in boxes]
+    for b, m in zip(boxes, mirrored):
+        v, u = encode(b), encode(m)
+        assert (u.xc, u.yc) == (-v.xc, v.yc)
+        assert (u.w, u.h, u.rs) == pytest.approx((v.w, v.h, v.rs), rel=1e-12, abs=1e-12)
+        assert u.scores == pytest.approx(tuple(v.scores[i] for i in MIRROR), rel=0.0, abs=1e-12)
+    for name in ("cobb", "cobb-ln"):
+        codec = get_codec(name)
+        rows, got = codec.encode_many(boxes), codec.encode_many(mirrored)
+        want = np.column_stack([-rows[:, 0], rows[:, 1:5], rows[:, 5:][:, MIRROR]])
+        assert np.array_equal(got[:, :2], want[:, :2])
+        assert np.allclose(got[:, 2:], want[:, 2:], rtol=0.0, atol=1e-12)
+
+
+@given(box_lists)
+def test_decode_is_exact_under_scaling_and_translation(boxes):
+    """decode commutes with 4x scaling and a (1024, -2048) move of the vector."""
+    for b in boxes:
+        v = encode(b)
+        d = decode(v)
+        got = decode(CobbVector(4 * v.xc, 4 * v.yc, 4 * v.w, 4 * v.h, v.rs, v.scores))
+        assert (got.cx, got.cy, got.w_side, got.h_side, got.theta) == (4 * d.cx, 4 * d.cy, 4 * d.w_side, 4 * d.h_side, d.theta)
+        got = decode(CobbVector(v.xc + 1024.0, v.yc - 2048.0, v.w, v.h, v.rs, v.scores))
+        assert (got.cx, got.cy, got.w_side, got.h_side, got.theta) == (d.cx + 1024.0, d.cy - 2048.0, d.w_side, d.h_side, d.theta)
+    for name in ("cobb", "cobb-ln"):
+        codec = get_codec(name)
+        rows = codec.encode_many(boxes)
+        want = codec.decode_many(rows) + [1024.0, -2048.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(codec.decode_many(rows + [1024.0, -2048.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]), want)
+
+
 # Boxes whose candidate IoUs have no float64 closed form: squared HBB
 # extents that overflow or underflow, or sums of them that overflow.
 EXTREME_BOXES = [

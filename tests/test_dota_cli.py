@@ -68,6 +68,13 @@ class TestReadFile:
         assert [r.category for r in records] == ["plane", "harbor"]
         assert len(skipped) == 1 and "line 4" in skipped[0]
 
+    def test_line_that_is_not_utf8_is_skipped(self, tmp_path):
+        f = tmp_path / "ann.txt"
+        f.write_bytes(b"5 5 9 5 9 7 5 7 pl\xffane 0\n" + GOOD.encode() + b"\n1\xe9 1 2 1 2 2 1 2 ship 0\n")
+        records, skipped = read_dota_file(f)
+        assert [(r.category, r.line_no) for r in records] == [("plane", 2)]
+        assert skipped == ["line 1: not valid UTF-8", "line 3: not valid UTF-8"]
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "empty.txt"
         f.write_text("")
@@ -258,6 +265,32 @@ class TestCli:
         assert "skipped line 2: points are collinear" in err
         assert "skipped line 3: points are collinear" in err
         assert "skipped line 4: HBB extents 5e+153 x 2e+153 out of range" in err
+
+    def test_convert_skips_an_overflowing_fit(self, tmp_path, capsys):
+        src = tmp_path / "ann.txt"
+        src.write_text(
+            "1.7e308 1.7e308 -1.7e308 1.7e308 -1.7e308 -1.7e308 1.7e308 -1.7e308 ship 0\n"
+            "10 10 20 10 20 20 10 20 plane 0\n"
+        )
+        out = tmp_path / "enc.csv"
+        assert main(["convert", str(src), "--out", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["plane"]
+        assert "skipped line 1: rectangle fit is not finite" in capsys.readouterr().err
+
+    def test_convert_skips_a_line_that_is_not_utf8(self, tmp_path, capsys):
+        src = tmp_path / "ann.txt"
+        src.write_bytes(GOOD.encode() + b"\n5 5 9 5 9 7 5 7 harb\xf0r 2\n5 5 9 5 9 7 5 7 harbor 2\n")
+        out = tmp_path / "enc.csv"
+        assert main(["convert", str(src), "--codec", "acute", "--out", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["plane", "harbor"]
+        assert "skipped line 2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(b"seed=1\ncodec=\xff\n")
+        assert main(["roundtrip", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid UTF-8" in err
 
     def test_convert(self, tmp_path, capsys):
         src = tmp_path / "ann.txt"

@@ -210,6 +210,11 @@ class TestMinAreaRect:
         with pytest.raises(DegenerateGeometryError):
             min_area_rect([(0, 0), (1, 1), (2, 2), (3, 3)])
 
+    def test_fit_that_overflows(self):
+        big = 1.7e308
+        with pytest.raises(DegenerateGeometryError, match="not finite"):
+            min_area_rect([(big, big), (-big, big), (-big, -big), (big, -big)])
+
 
 class TestRotateAbout:
     def test_pivot_at_center_matches_rotate(self):

@@ -10,7 +10,6 @@ from cobb.codec import four_candidates
 from cobb.errors import InvalidArgumentError
 from cobb.geometry import HorizontalBox, OrientedBox, iou, min_area_rect, rotate_about
 from cobb.targets import (
-    LossWeights,
     Proposal,
     TargetVector,
     cobb_loss,
@@ -194,11 +193,11 @@ class TestLoss:
         assert cobb_loss(t, t) == 0.0
 
     def test_quadratic_knee(self):
-        beta = 0.7
-        w = LossWeights(smooth_l1_beta=beta)
         a = TargetVector(0, 0, 0, 0, 0, (0, 0, 0, 0), "sig", 2.0)
-        b = TargetVector(beta, 0, 0, 0, 0, (0, 0, 0, 0), "sig", 2.0)
-        assert cobb_loss(a, b, w) == pytest.approx(0.5 * beta)
+        b = TargetVector(1.0, 0, 0, 0, 0, (0, 0, 0, 0), "sig", 2.0)
+        c = TargetVector(0.5, 0, 0, 0, 0, (0, 0, 0, 0), "sig", 2.0)
+        assert cobb_loss(a, b) == pytest.approx(0.5)
+        assert cobb_loss(a, c) == pytest.approx(0.125)
 
     def test_matches_second_path(self):
         rng = np.random.Generator(np.random.PCG64(33))
@@ -207,24 +206,12 @@ class TestLoss:
             b = rng.normal(size=9)
             ta = TargetVector(*a[:5], tuple(a[5:]), "sig", 2.0)
             tb = TargetVector(*b[:5], tuple(b[5:]), "sig", 2.0)
-            wts = LossWeights(
-                w_box=float(rng.uniform(0, 2)),
-                w_r=float(rng.uniform(0, 2)),
-                w_s=float(rng.uniform(0, 2)),
-                smooth_l1_beta=float(rng.uniform(0.2, 2)),
-            )
             d = np.abs(a - b)
-            sl1 = np.where(d < wts.smooth_l1_beta, 0.5 * d * d / wts.smooth_l1_beta, d - 0.5 * wts.smooth_l1_beta)
-            expected = wts.w_box * sl1[:4].sum() + wts.w_r * sl1[4] + wts.w_s * sl1[5:].sum()
-            got = cobb_loss(ta, tb, wts)
+            sl1 = np.where(d < 1.0, 0.5 * d * d, d - 0.5)
+            expected = sl1[:4].sum() + sl1[4] + sl1[5:].sum()
+            got = cobb_loss(ta, tb)
             assert got == pytest.approx(expected, rel=1e-12)
             assert got > 0.0  # nonnegative, zero only on equality
-
-    @pytest.mark.parametrize("field", ["w_box", "w_r", "w_s", "smooth_l1_beta"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_weights_rejected(self, field, bad):
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            LossWeights(**{field: bad})
 
     def test_variant_mismatch(self):
         a = TargetVector(0, 0, 0, 0, 0, (0, 0, 0, 0), "sig", 2.0)
@@ -234,8 +221,8 @@ class TestLoss:
 
     def test_smooth_l1_shape(self):
         assert smooth_l1(0.0) == 0.0
-        assert smooth_l1(2.0, beta=1.0) == pytest.approx(1.5)
-        assert smooth_l1(-0.5, beta=1.0) == pytest.approx(0.125)
+        assert smooth_l1(2.0) == pytest.approx(1.5)
+        assert smooth_l1(-0.5) == pytest.approx(0.125)
 
 
 class TestSensitivityProbe:
