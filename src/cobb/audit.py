@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -57,6 +58,9 @@ class ProbeConfig:
             raise InvalidArgumentError("steps must be positive and finite")
         if any(a <= b for a, b in zip(self.steps, self.steps[1:])):
             raise InvalidArgumentError("steps must be strictly decreasing")
+        for name in ("samples", "seed", "directions"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidArgumentError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.samples < 1:
             raise InvalidArgumentError("samples must be >= 1")
         if self.seed < 0:

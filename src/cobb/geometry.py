@@ -194,28 +194,6 @@ def _rowwise(fn, *cols) -> np.ndarray:
     return np.fromiter(map(fn, *(np.asarray(c, dtype=float).tolist() for c in cols)), float, len(cols[0]))
 
 
-def _start_at_min(x, y) -> np.ndarray:
-    """``(N, 8)`` flat rows of ``(N, 4)`` vertex cycles, each rotated to start
-    at its first min-(y, x) vertex (lexsort is stable)."""
-    order = (np.lexsort((x, y), axis=1)[:, :1] + np.arange(4)) % 4
-    f = np.empty((len(x), 8))
-    f[:, 0::2] = np.take_along_axis(x, order, axis=1)
-    f[:, 1::2] = np.take_along_axis(y, order, axis=1)
-    return f
-
-
-def _invalid_quads(f) -> np.ndarray:
-    """Rows of ``(N, 8)`` flat quads that :class:`ConvexQuad` rejects."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        spans, turns = _spans_and_turns(*f.T)
-        scale = np.maximum.reduce(spans)
-        scale[scale == 0.0] = 1.0
-        tol = GEOM_EPS * scale * scale
-        return ~np.isfinite(f).all(axis=1) | (
-            (np.maximum.reduce(turns) > tol) & (np.minimum.reduce(turns) < -tol)
-        )
-
-
 def vertices_many(params) -> np.ndarray:
     """Row-wise ``vertices_of(box).flat`` of an ``(N, 5)`` array of box fields.
 
@@ -236,8 +214,17 @@ def vertices_many(params) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.stack([cx + dx * c + dy * s for dx, dy in corners], axis=1)
         y = np.stack([cy - dx * s + dy * c for dx, dy in corners], axis=1)
-    f = _start_at_min(x, y)
-    bad = _invalid_quads(f)
+        # each cycle starts at its first min-(y, x) vertex (lexsort is stable)
+        order = (np.lexsort((x, y), axis=1)[:, :1] + np.arange(4)) % 4
+        f = np.empty((len(p), 8))
+        f[:, 0::2] = np.take_along_axis(x, order, axis=1)
+        f[:, 1::2] = np.take_along_axis(y, order, axis=1)
+        # ConvexQuad's finiteness and convexity checks
+        spans, turns = _spans_and_turns(*f.T)
+        scale = np.maximum.reduce(spans)
+        scale[scale == 0.0] = 1.0
+        tol = GEOM_EPS * scale * scale
+        bad = ~np.isfinite(f).all(axis=1) | ((np.maximum.reduce(turns) > tol) & (np.minimum.reduce(turns) < -tol))
     if bad.any():
         ConvexQuad(tuple(f[np.argmax(bad)].tolist()))
     return f

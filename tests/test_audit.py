@@ -99,6 +99,14 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError, match="seed"):
             ProbeConfig(seed=-1)
 
+    @pytest.mark.parametrize(
+        "name, value", [("samples", 1.5), ("samples", 4.0), ("seed", 1.5), ("directions", 2.5), ("directions", "8")]
+    )
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        # a float used to pass here and raise a bare TypeError inside run_audit
+        with pytest.raises(InvalidArgumentError, match=name):
+            ProbeConfig(steps=(1e-3,), **{name: value})
+
     @pytest.mark.parametrize("perturbation", [0.0, -1e-4, math.inf, math.nan])
     def test_perturbation_must_be_positive_and_finite(self, perturbation):
         with pytest.raises(InvalidArgumentError, match="perturbation"):

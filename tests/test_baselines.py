@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cobb import codec as cobb_codec, geometry
 from cobb.baselines import (
     AcuteAngleCodec,
     CobbCodec,
@@ -215,6 +216,60 @@ def test_array_forms_equal_the_scalar_ones_bit_for_bit(name):
     # rows the scalar decode rejects, each between two good rows
     for i in [i for i, o in enumerate(outcomes) if not isinstance(o, OrientedBox)][:10]:
         assert_raises_like(outcomes[i], codec.decode_many, rows[[ok[0], i, ok[0]]])
+
+
+def tie_boxes():
+    """Boxes whose candidates tie exactly: theta 0 (rs = 0, where candidates
+    1 and 2 are both the HBB), squares at pi/4 (all four are the diamond),
+    and theta at atan2(h, w) and atan2(w, h), where a term of the sign index
+    is zero, on the angle and one ulp to either side."""
+    rng = np.random.Generator(np.random.PCG64(44))
+    boxes = []
+    for _ in range(40):
+        cx, cy = (float(v) for v in rng.uniform(0.0, 2e4, 2))
+        w = float(np.exp(rng.uniform(0.0, math.log(300.0))))
+        h = w * 10.0 ** float(rng.uniform(-6.0, 0.0))
+        boxes += [OrientedBox(cx, cy, w, h, 0.0), OrientedBox(cx, cy, w, w, QUARTER)]
+        for t in (math.atan2(h, w), math.atan2(w, h)):
+            boxes += [OrientedBox(cx, cy, w, h, a) for a in (math.nextafter(t, 0.0), t, math.nextafter(t, 2.0))]
+    return boxes
+
+
+def near_tie(box):
+    """Whether a second candidate scores 1 within 1e-9 in the box's score row."""
+    return sum(v >= 1.0 - 1e-9 for v in cobb_codec.encode(box).scores) >= 2
+
+
+def sign_index(box):
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    return (box.w_side * c - box.h_side * s > 0.0) + 2 * (box.h_side * c - box.w_side * s < 0.0)
+
+
+@pytest.mark.parametrize("name", ["cobb", "cobb-ln"])
+def test_encode_many_asks_the_oracle_only_at_ties(name, monkeypatch):
+    """The array form picks the candidate by the sign of two vertex
+    coordinates, with no batch clipping; only rows where a second candidate
+    ties within 1e-9 take the scalar oracle's pick, and each row stays equal
+    to the scalar encode bit for bit."""
+    codec = get_codec(name)
+    ties = tie_boxes()
+    assert any(sign_index(b) != cobb_codec.classify(b) for b in ties)  # the sign alone is not enough here
+    uniform = [b for i, b in enumerate(pixel_boxes(2000, 43)) if i % 10 and i % 17]
+    cases = [(ties, None), (BATCH_BOXES, 69), (uniform, 0)]
+    wants = [np.array([codec.encode(b) for b in boxes]) for boxes, _ in cases]
+    tied = [[b for b in boxes if near_tie(b)] for boxes, _ in cases]
+
+    def refuse(a, b):
+        raise AssertionError("batch clipping oracle called")
+
+    seen, classify = [], cobb_codec.classify
+    monkeypatch.setattr(cobb_codec, "classify", lambda box: seen.append(box) or classify(box))
+    monkeypatch.setattr(geometry, "quad_intersection_area_many", refuse)
+    for (boxes, count), want, expected in zip(cases, wants, tied):
+        seen.clear()
+        assert np.array_equal(codec.encode_many(boxes), want)
+        assert seen == expected
+        assert count is None or len(seen) == count
 
 
 GOOD = OrientedBox(3.0, 4.0, 2.0, 1.0, 0.3)
