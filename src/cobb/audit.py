@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -52,8 +52,13 @@ class ProbeConfig:
 
     def __post_init__(self):
         # tuples keep a config built from lists hashable
-        object.__setattr__(self, "steps", tuple(self.steps))
-        object.__setattr__(self, "families", tuple(self.families))
+        for name in ("steps", "families"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise InvalidArgumentError(f"{name} must be a sequence, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        if not all(isinstance(s, numbers.Real) for s in self.steps):
+            raise InvalidArgumentError(f"steps must be numbers, got {self.steps!r}")
         if not self.steps or not all(0 < s < math.inf for s in self.steps):
             raise InvalidArgumentError("steps must be positive and finite")
         if any(a <= b for a, b in zip(self.steps, self.steps[1:])):
@@ -70,6 +75,8 @@ class ProbeConfig:
         unknown = set(self.families) - set(FAMILY_NAMES)
         if unknown:
             raise InvalidArgumentError(f"unknown families: {sorted(unknown)}")
+        if not isinstance(self.perturbation, numbers.Real):
+            raise InvalidArgumentError(f"perturbation must be a number, got {self.perturbation!r}")
         if not 0 < self.perturbation < math.inf:
             raise InvalidArgumentError("perturbation must be positive and finite")
         if self.directions < 1:

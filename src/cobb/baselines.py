@@ -96,9 +96,10 @@ class BoxCodec:
             total = total + column
         return total
 
-    def curve_components(self, box: OrientedBox) -> np.ndarray:
-        """Components plotted by the sweep CSVs (defaults to the encoding)."""
-        return self.encode(box)
+    def curve_components(self, boxes) -> np.ndarray:
+        """``(N, len(names))`` components plotted by the sweep CSVs, one row
+        per box (defaults to :meth:`encode_many`)."""
+        return self.encode_many(boxes)
 
     curve_component_names: tuple[str, ...] | None = None
 
@@ -155,8 +156,12 @@ class CobbCodec(BoxCodec):
     def loss_many(self, a, b) -> np.ndarray:
         return targets._cobb_loss_many(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
-    def curve_components(self, box: OrientedBox) -> np.ndarray:
-        return np.array(cobb_codec.encode(box).as_tuple(), dtype=float)
+    def curve_components(self, boxes) -> np.ndarray:
+        boxes = list(boxes)
+        rows = _attempt(cobb_codec._encode_many, _fields(boxes))
+        if rows is None:
+            return np.array([cobb_codec.encode(b).as_tuple() for b in boxes], dtype=float).reshape(-1, 9)
+        return rows
 
     def parameter_groups(self) -> dict[str, list[int]]:
         return {"xy": [0, 1], "wh": [2, 3], "r": [4], "scores": [5, 6, 7, 8]}

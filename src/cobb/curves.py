@@ -2,12 +2,14 @@
 
 A sweep rotates a box through a full turn (or scales one side through a ratio
 grid) and records every encoding component at each grid point, so jumps are
-visible as large neighbor steps.
+visible as large neighbor steps.  The codec encodes the whole grid in one
+array call, equal bit for bit to encoding each grid box on its own.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -19,32 +21,34 @@ from cobb.geometry import OrientedBox, rotate
 _RATIO_RANGE = (0.25, 4.0)  # aspect sweep: w_side scaled from 1/4 to 4
 
 
-def rotation_sweep(codec: BoxCodec, box: OrientedBox, grid_points: int = 1440) -> tuple[list[str], np.ndarray]:
-    """Components over grid rotations covering [0, 2*pi)."""
+def _check_grid(grid_points) -> None:
+    if not isinstance(grid_points, numbers.Integral):
+        raise InvalidArgumentError(f"grid_points must be an integer, got {grid_points!r}")
     if grid_points < 8:
         raise InvalidArgumentError("need at least 8 grid points")
+
+
+def _sweep(codec: BoxCodec, column, boxes: list[OrientedBox]) -> tuple[list[str], np.ndarray]:
+    """The header and the rows: the sweep column, then the components of
+    every grid box from one :meth:`BoxCodec.curve_components` call."""
     names = list(codec.curve_component_names or codec.component_names)
-    rows = np.empty((grid_points, 1 + len(names)))
-    for i in range(grid_points):
-        t = 2.0 * math.pi * i / grid_points
-        rows[i, 0] = t
-        rows[i, 1:] = codec.curve_components(rotate(box, t))
-    return ["sweep"] + names, rows
+    return ["sweep"] + names, np.column_stack([column, codec.curve_components(boxes)])
+
+
+def rotation_sweep(codec: BoxCodec, box: OrientedBox, grid_points: int = 1440) -> tuple[list[str], np.ndarray]:
+    """Components over grid rotations covering [0, 2*pi)."""
+    _check_grid(grid_points)
+    turns = [2.0 * math.pi * i / grid_points for i in range(grid_points)]
+    return _sweep(codec, turns, [rotate(box, t) for t in turns])
 
 
 def aspect_sweep(codec: BoxCodec, box: OrientedBox, grid_points: int = 513) -> tuple[list[str], np.ndarray]:
     """Components over a log-spaced side-ratio grid (w_side scaled by the ratio)."""
-    if grid_points < 8:
-        raise InvalidArgumentError("need at least 8 grid points")
+    _check_grid(grid_points)
     lo, hi = _RATIO_RANGE
-    names = list(codec.curve_component_names or codec.component_names)
     ratios = np.exp(np.linspace(math.log(lo), math.log(hi), grid_points))
-    rows = np.empty((grid_points, 1 + len(names)))
-    for i, r in enumerate(ratios):
-        b = OrientedBox(box.cx, box.cy, box.w_side * float(r), box.h_side, box.theta)
-        rows[i, 0] = r
-        rows[i, 1:] = codec.curve_components(b)
-    return ["sweep"] + names, rows
+    boxes = [OrientedBox(box.cx, box.cy, box.w_side * float(r), box.h_side, box.theta) for r in ratios]
+    return _sweep(codec, ratios, boxes)
 
 
 def emit_curves(codec: BoxCodec, sweep: str, box: OrientedBox, out_path, grid_points: int = 1440) -> int:

@@ -117,6 +117,20 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError, match="steps"):
             ProbeConfig(steps=steps)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("steps", ("1e-3",)), ("steps", (1e-3, "1e-4")), ("perturbation", "1e-4"), ("steps", 1e-3)],
+    )
+    def test_steps_and_perturbation_must_be_numbers(self, name, value):
+        # a string used to escape as a bare TypeError from the comparisons
+        with pytest.raises(InvalidArgumentError, match=name):
+            ProbeConfig(**{name: value})
+
+    def test_families_must_not_be_a_bare_string(self):
+        # the string used to split into letters: "unknown families: ['a', 'd', ...]"
+        with pytest.raises(InvalidArgumentError, match="families must be a sequence"):
+            ProbeConfig(families="random")
+
     def test_lists_become_tuples(self):
         cfg = ProbeConfig(steps=[1e-3, 1e-4], families=["random"])
         assert cfg.steps == (1e-3, 1e-4) and cfg.families == ("random",)

@@ -151,11 +151,16 @@ class TestCobbCodecAdapter:
         assert c.loss(enc, enc) == 0.0
 
     def test_curve_components_are_raw_representation(self):
-        from cobb.codec import encode as raw_encode
-
-        c = CobbCodec("sig")
-        box = OrientedBox(0, 0, 4, 2, 0.5)
-        assert list(c.curve_components(box)) == pytest.approx(list(raw_encode(box).as_tuple()))
+        boxes = [
+            OrientedBox(0, 0, 4, 2, 0.5),
+            OrientedBox(0, 0, 4, 2, 0.0),
+            OrientedBox(3.5, -2.0, 1, 1, QUARTER),
+            OrientedBox(1e4, 2e4, 300.0, 0.01, 1.2),
+        ]
+        for name in ("cobb", "cobb-ln"):
+            rows = get_codec(name).curve_components(boxes)
+            assert rows.shape == (len(boxes), 9)
+            assert [tuple(r) for r in rows] == [cobb_codec.encode(b).as_tuple() for b in boxes]
 
 
 # -- the array forms ----------------------------------------------------------

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from cobb.baselines import get_codec
+from cobb import codec as cobb_codec, geometry
+from cobb.baselines import CobbCodec, available_codecs, get_codec
 from cobb.curves import aspect_sweep, column_jumps, emit_curves, max_neighbor_step, rotation_sweep
-from cobb.geometry import OrientedBox
+from cobb.errors import DegenerateGeometryError, InvalidArgumentError
+from cobb.geometry import OrientedBox, rotate
+from test_baselines import near_tie, scalar_outcome
 
 BOX = OrientedBox(0, 0, 4, 2, 0)
 GRID = 1440  # quarter-degree steps
+DIAMOND = OrientedBox(0, 0, 3, 3, math.pi / 4)
 
 
 class TestRotationSweep:
@@ -77,7 +81,91 @@ class TestEmit:
         assert len(value.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 17
 
     def test_unknown_sweep(self, tmp_path):
-        from cobb.errors import InvalidArgumentError
-
         with pytest.raises(InvalidArgumentError):
             emit_curves(get_codec("cobb"), "shear", BOX, tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("sweep", [rotation_sweep, aspect_sweep])
+@pytest.mark.parametrize("grid_points", [7, 8.5, 16.0, "16", None])
+def test_grid_points_must_be_an_integer_of_at_least_8(sweep, grid_points):
+    # a float or a string used to escape as a bare TypeError
+    with pytest.raises(InvalidArgumentError, match="grid"):
+        sweep(get_codec("acute"), BOX, grid_points)
+
+
+# -- one array call per sweep, equal to the per-point loop ---------------------
+
+
+def per_point(codec, box):
+    """One grid box's components as the per-point sweeps computed them: the
+    scalar encoding, raw for the nine-parameter codecs."""
+    if isinstance(codec, CobbCodec):
+        return np.array(cobb_codec.encode(box).as_tuple(), dtype=float)
+    return codec.encode(box)
+
+
+def rotation_reference(codec, box, grid_points):
+    names = list(codec.curve_component_names or codec.component_names)
+    rows = np.empty((grid_points, 1 + len(names)))
+    for i in range(grid_points):
+        t = 2.0 * math.pi * i / grid_points
+        rows[i, 0] = t
+        rows[i, 1:] = per_point(codec, rotate(box, t))
+    return ["sweep"] + names, rows
+
+
+def aspect_reference(codec, box, grid_points):
+    names = list(codec.curve_component_names or codec.component_names)
+    ratios = np.exp(np.linspace(math.log(0.25), math.log(4.0), grid_points))
+    rows = np.empty((grid_points, 1 + len(names)))
+    for i, r in enumerate(ratios):
+        rows[i, 0] = r
+        rows[i, 1:] = per_point(codec, OrientedBox(box.cx, box.cy, box.w_side * float(r), box.h_side, box.theta))
+    return ["sweep"] + names, rows
+
+
+@pytest.mark.parametrize("name", available_codecs())
+@pytest.mark.parametrize(
+    "sweep, reference, box, grid_points",
+    [
+        (rotation_sweep, rotation_reference, BOX, GRID),  # theta 0 and the rs = 0 ties on the grid
+        (rotation_sweep, rotation_reference, DIAMOND, GRID),  # squares at pi/4: all four candidates tie
+        (aspect_sweep, aspect_reference, DIAMOND, 513),
+        (rotation_sweep, rotation_reference, OrientedBox(0, 0, 1e200, 1e-200, 0.3), 16),  # out of range
+    ],
+    ids=["rotation", "rotation-diamond", "aspect-diamond", "rotation-extreme"],
+)
+def test_sweep_equals_the_per_point_loop(name, sweep, reference, box, grid_points):
+    codec = get_codec(name)
+    want = scalar_outcome(lambda g: reference(codec, box, g), grid_points)
+    got = scalar_outcome(lambda g: sweep(codec, box, g), grid_points)
+    if isinstance(want[1], str):  # the first grid box the scalar encode rejects raises its error
+        assert got == want
+    else:
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+def test_extreme_sweep_raises_for_the_nine_parameter_codecs():
+    for name in ("cobb", "cobb-ln"):
+        with pytest.raises(DegenerateGeometryError, match="out of range"):
+            rotation_sweep(get_codec(name), OrientedBox(0, 0, 1e200, 1e-200, 0.3), 16)
+
+
+def test_rotation_sweep_asks_the_oracle_only_at_ties(monkeypatch):
+    """The 1440-point sweep encodes its grid in one array call: the scalar
+    oracle sees only the rows where a second candidate ties within 1e-9."""
+    boxes = [rotate(BOX, 2.0 * math.pi * i / GRID) for i in range(GRID)]
+    expected = [b for b in boxes if near_tie(b)]
+    assert 0 < len(expected) < 20
+
+    def refuse(*args):
+        raise AssertionError("per-box encode or batch clipping oracle called")
+
+    seen, classify = [], cobb_codec.classify
+    batches, encode_many = [], cobb_codec._encode_many
+    monkeypatch.setattr(cobb_codec, "classify", lambda box: seen.append(box) or classify(box))
+    monkeypatch.setattr(cobb_codec, "_encode_many", lambda p: batches.append(len(p)) or encode_many(p))
+    monkeypatch.setattr(cobb_codec, "encode", refuse)
+    monkeypatch.setattr(geometry, "quad_intersection_area_many", refuse)
+    rotation_sweep(get_codec("cobb"), BOX, GRID)
+    assert seen == expected and batches == [GRID]

@@ -22,6 +22,11 @@ GOOD = "0 0 4 0 4 2 0 2 plane 0"
 
 # sha256 of `cobb audit --codec all --seed 7 --samples 4` (JSON), x86-64 Linux
 AUDIT_SEED7_SAMPLES4_SHA256 = "5feb163e22f3160a7ebc75274ef5e9d4a720a6fdba58f31e37a507bf91d5c05c"
+# sha256 of `cobb curves --codec cobb --sweep <sweep> --box 0,0,4,2,0` (CSV, default grid), x86-64 Linux
+CURVES_SHA256 = {
+    "rotation": "39231792b46c7647411a7a8bcf39e7d5f0811c827e4a2f060a86b1ee49658e7b",
+    "aspect": "600f145af8df6a12eda9cecd72e04ab84e085648e6a5dca22f46558fd13931c2",
+}
 
 
 class TestParse:
@@ -175,6 +180,14 @@ class TestCli:
         out = tmp_path / "all.json"
         assert main(["audit", "--codec", "all", "--seed", "7", "--samples", "4", "--out", str(out)]) == 1
         assert hashlib.sha256(out.read_bytes()).hexdigest() == AUDIT_SEED7_SAMPLES4_SHA256
+
+    @pytest.mark.parametrize("sweep", sorted(CURVES_SHA256))
+    def test_curves_csv_is_pinned(self, tmp_path, sweep):
+        """The sweep CSVs stay byte-identical across commits, as the audit
+        report does; the same platform caveat applies."""
+        out = tmp_path / "curve.csv"
+        assert main(["curves", "--codec", "cobb", "--sweep", sweep, "--box", "0,0,4,2,0", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CURVES_SHA256[sweep]
 
     @pytest.mark.parametrize(
         "flag, value",
