@@ -201,16 +201,6 @@ def _twin_boxes(cfg: ProbeConfig) -> Mapping[tuple[str, float], tuple[tuple[Orie
     })
 
 
-def _encode_distinct(codec: BoxCodec, boxes: list[OrientedBox]) -> np.ndarray:
-    """Read-only ``(N, dim)`` rows of ``boxes``, from one ``encode_many``
-    call over the distinct boxes."""
-    index: dict[OrientedBox, int] = {}
-    at = [index.setdefault(box, len(index)) for box in boxes]
-    rows = codec.encode_many(list(index))[at]
-    rows.flags.writeable = False
-    return rows
-
-
 @functools.lru_cache(maxsize=1)
 def _family_rows(codec: BoxCodec, cfg: ProbeConfig) -> np.ndarray:
     """Encodings of the family boxes, in family order.
@@ -218,7 +208,9 @@ def _family_rows(codec: BoxCodec, cfg: ProbeConfig) -> np.ndarray:
     Like :func:`build_families`, the last ``(codec, cfg)``'s rows are kept,
     so the six metrics of a run encode each family box once.
     """
-    return _encode_distinct(codec, [box for fam in build_families(cfg).values() for box in fam])
+    rows = codec.encode_many([box for fam in build_families(cfg).values() for box in fam])
+    rows.flags.writeable = False
+    return rows
 
 
 @functools.lru_cache(maxsize=1)
@@ -230,7 +222,9 @@ def _twin_rows(codec: BoxCodec, cfg: ProbeConfig) -> Mapping[tuple[str, float], 
     """
     twins = _twin_boxes(cfg)
     columns = [column for cols in twins.values() for column in cols]
-    rows = iter(np.split(_encode_distinct(codec, [box for column in columns for box in column]), len(columns)))
+    rows = codec.encode_many([box for column in columns for box in column])
+    rows.flags.writeable = False
+    rows = iter(np.split(rows, len(columns)))
     return MappingProxyType({key: tuple(next(rows) for _ in cols) for key, cols in twins.items()})
 
 
@@ -431,7 +425,7 @@ def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:
 
     The metrics of a codec share one build of the families and their twins
     (:func:`build_families`, :func:`_twin_boxes`) and one encoding of each
-    distinct family box and twin (:func:`_family_rows`, :func:`_twin_rows`).
+    family box and twin (:func:`_family_rows`, :func:`_twin_rows`).
     """
     from cobb.geometry import HorizontalBox
     from cobb.targets import sensitivity_probe

@@ -96,10 +96,11 @@ class BoxCodec:
             total = total + column
         return total
 
-    def curve_components(self, boxes) -> np.ndarray:
+    def curve_components(self, fields: np.ndarray) -> np.ndarray:
         """``(N, len(names))`` components plotted by the sweep CSVs, one row
-        per box (defaults to :meth:`encode_many`)."""
-        return self.encode_many(boxes)
+        per row of ``(N, 5)`` constructed-box fields (defaults to
+        :meth:`encode_many` of the boxes)."""
+        return self.encode_many(OrientedBox(*row) for row in fields.tolist())
 
     curve_component_names: tuple[str, ...] | None = None
 
@@ -156,11 +157,10 @@ class CobbCodec(BoxCodec):
     def loss_many(self, a, b) -> np.ndarray:
         return targets._cobb_loss_many(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
-    def curve_components(self, boxes) -> np.ndarray:
-        boxes = list(boxes)
-        rows = _attempt(cobb_codec._encode_many, _fields(boxes))
+    def curve_components(self, fields: np.ndarray) -> np.ndarray:
+        rows = _attempt(cobb_codec._encode_many, fields)
         if rows is None:
-            return np.array([cobb_codec.encode(b).as_tuple() for b in boxes], dtype=float).reshape(-1, 9)
+            return np.array([cobb_codec.encode(OrientedBox(*r)).as_tuple() for r in fields.tolist()]).reshape(-1, 9)
         return rows
 
     def parameter_groups(self) -> dict[str, list[int]]:

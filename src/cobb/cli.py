@@ -135,10 +135,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
 
 def _parse_steps(text: str) -> tuple[float, ...]:
     try:
-        steps = tuple(float(t) for t in text.split(","))
+        return tuple(float(t) for t in text.split(","))
     except ValueError:
         raise CobbError(f"bad --steps value {text!r}") from None
-    return steps
 
 
 def _parse_box(text: str) -> OrientedBox:
@@ -166,11 +165,8 @@ def _codec_list(name: str) -> list[str]:
 
 def _cmd_audit(args) -> int:
     cfg = audit_mod.ProbeConfig(
-        steps=_parse_steps(args.steps),
-        samples=args.samples,
-        seed=args.seed,
-        perturbation=args.perturbation,
-        directions=args.directions,
+        steps=args.steps, samples=args.samples, seed=args.seed,
+        perturbation=args.perturbation, directions=args.directions,
     )
     codecs = [get_codec(n) for n in _codec_list(args.codec)]
     reports = audit_mod.run_audit(codecs, cfg)
@@ -186,7 +182,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    cfg = audit_mod.ProbeConfig(steps=_parse_steps(args.steps), samples=args.samples, seed=args.seed)
+    cfg = audit_mod.ProbeConfig(steps=args.steps, samples=args.samples, seed=args.seed)
     status = 0
     for name in _codec_list(args.codec):
         codec = get_codec(name)
@@ -234,7 +230,7 @@ def _cmd_convert(args) -> int:
 def _cmd_curves(args) -> int:
     codec = get_codec(args.codec)
     box = _parse_box(args.box)
-    n = curves_mod.emit_curves(codec, args.sweep, box, args.out, grid_points=args.grid_points)
+    n = curves_mod.emit_curves(codec, args.sweep, box, args.out, args.grid_points)
     print(f"wrote {n} rows to {args.out}")
     return 0
 
@@ -242,18 +238,19 @@ def _cmd_curves(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cobb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    probe = audit_mod.ProbeConfig()  # the defaults of the audit settings
 
     def common(p, samples_default):
         p.add_argument("--codec", default="all")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=probe.seed)
         p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--steps", default="1e-3,1e-4,1e-5")
+        p.add_argument("--steps", type=_parse_steps, default=probe.steps)
         p.add_argument("--config", default=None, help="key=value defaults file")
 
     p = sub.add_parser("audit", help="run the six continuity metrics")
-    common(p, 64)
-    p.add_argument("--perturbation", type=float, default=1e-4)
-    p.add_argument("--directions", type=int, default=16)
+    common(p, probe.samples)
+    p.add_argument("--perturbation", type=float, default=probe.perturbation)
+    p.add_argument("--directions", type=int, default=probe.directions)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_audit)

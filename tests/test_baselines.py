@@ -158,7 +158,7 @@ class TestCobbCodecAdapter:
             OrientedBox(1e4, 2e4, 300.0, 0.01, 1.2),
         ]
         for name in ("cobb", "cobb-ln"):
-            rows = get_codec(name).curve_components(boxes)
+            rows = get_codec(name).curve_components(np.array([fields(b) for b in boxes]))
             assert rows.shape == (len(boxes), 9)
             assert [tuple(r) for r in rows] == [cobb_codec.encode(b).as_tuple() for b in boxes]
 

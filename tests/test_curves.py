@@ -82,7 +82,7 @@ class TestEmit:
 
     def test_unknown_sweep(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
-            emit_curves(get_codec("cobb"), "shear", BOX, tmp_path / "x.csv")
+            emit_curves(get_codec("cobb"), "shear", BOX, tmp_path / "x.csv", GRID)
 
 
 @pytest.mark.parametrize("sweep", [rotation_sweep, aspect_sweep])
@@ -104,24 +104,25 @@ def per_point(codec, box):
     return codec.encode(box)
 
 
-def rotation_reference(codec, box, grid_points):
+def per_point_rows(codec, column, boxes):
+    """The sweep as a per-point loop over a grid of constructed boxes."""
     names = list(codec.curve_component_names or codec.component_names)
-    rows = np.empty((grid_points, 1 + len(names)))
-    for i in range(grid_points):
-        t = 2.0 * math.pi * i / grid_points
-        rows[i, 0] = t
-        rows[i, 1:] = per_point(codec, rotate(box, t))
+    rows = np.empty((len(boxes), 1 + len(names)))
+    for i, (value, box) in enumerate(zip(column, boxes)):
+        rows[i, 0] = value
+        rows[i, 1:] = per_point(codec, box)
     return ["sweep"] + names, rows
+
+
+def rotation_reference(codec, box, grid_points):
+    turns = [2.0 * math.pi * i / grid_points for i in range(grid_points)]
+    return per_point_rows(codec, turns, [rotate(box, t) for t in turns])
 
 
 def aspect_reference(codec, box, grid_points):
-    names = list(codec.curve_component_names or codec.component_names)
     ratios = np.exp(np.linspace(math.log(0.25), math.log(4.0), grid_points))
-    rows = np.empty((grid_points, 1 + len(names)))
-    for i, r in enumerate(ratios):
-        rows[i, 0] = r
-        rows[i, 1:] = per_point(codec, OrientedBox(box.cx, box.cy, box.w_side * float(r), box.h_side, box.theta))
-    return ["sweep"] + names, rows
+    boxes = [OrientedBox(box.cx, box.cy, box.w_side * float(r), box.h_side, box.theta) for r in ratios]
+    return per_point_rows(codec, ratios, boxes)
 
 
 @pytest.mark.parametrize("name", available_codecs())
@@ -132,14 +133,18 @@ def aspect_reference(codec, box, grid_points):
         (rotation_sweep, rotation_reference, DIAMOND, GRID),  # squares at pi/4: all four candidates tie
         (aspect_sweep, aspect_reference, DIAMOND, 513),
         (rotation_sweep, rotation_reference, OrientedBox(0, 0, 1e200, 1e-200, 0.3), 16),  # out of range
+        (rotation_sweep, rotation_reference, OrientedBox(15000.5, 9000.25, 40, 12, 1.3), GRID),  # pixel scale
+        # w_side * ratio overflows above ratio 1.8: the grid itself is rejected,
+        # as constructing the grid boxes was, before any box is encoded
+        (aspect_sweep, aspect_reference, OrientedBox(0, 0, 1e308, 1, 0.3), 16),
     ],
-    ids=["rotation", "rotation-diamond", "aspect-diamond", "rotation-extreme"],
+    ids=["rotation", "rotation-diamond", "aspect-diamond", "rotation-extreme", "rotation-pixel", "aspect-overflow"],
 )
 def test_sweep_equals_the_per_point_loop(name, sweep, reference, box, grid_points):
     codec = get_codec(name)
     want = scalar_outcome(lambda g: reference(codec, box, g), grid_points)
     got = scalar_outcome(lambda g: sweep(codec, box, g), grid_points)
-    if isinstance(want[1], str):  # the first grid box the scalar encode rejects raises its error
+    if isinstance(want[1], str):  # the first grid box the scalar path rejects raises its error
         assert got == want
     else:
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
@@ -152,20 +157,36 @@ def test_extreme_sweep_raises_for_the_nine_parameter_codecs():
 
 
 def test_rotation_sweep_asks_the_oracle_only_at_ties(monkeypatch):
-    """The 1440-point sweep encodes its grid in one array call: the scalar
-    oracle sees only the rows where a second candidate ties within 1e-9."""
+    """The 1440-point sweep encodes its grid fields in one array call: it
+    constructs an OrientedBox only for the rows where a second candidate
+    ties within 1e-9, and those go to the scalar oracle."""
     boxes = [rotate(BOX, 2.0 * math.pi * i / GRID) for i in range(GRID)]
     expected = [b for b in boxes if near_tie(b)]
     assert 0 < len(expected) < 20
+    codecs = [get_codec("cobb"), get_codec("cobb-ln")]
 
     def refuse(*args):
         raise AssertionError("per-box encode or batch clipping oracle called")
 
     seen, classify = [], cobb_codec.classify
+    built, post_init = [], OrientedBox.__post_init__
+
+    def counted_classify(box):
+        seen.append(box)
+        n = len(built)
+        try:
+            return classify(box)
+        finally:
+            del built[n:]  # the oracle's own boxes are not grid boxes
+
     batches, encode_many = [], cobb_codec._encode_many
-    monkeypatch.setattr(cobb_codec, "classify", lambda box: seen.append(box) or classify(box))
+    monkeypatch.setattr(OrientedBox, "__post_init__", lambda box: built.append(box) or post_init(box))
+    monkeypatch.setattr(cobb_codec, "classify", counted_classify)
     monkeypatch.setattr(cobb_codec, "_encode_many", lambda p: batches.append(len(p)) or encode_many(p))
     monkeypatch.setattr(cobb_codec, "encode", refuse)
     monkeypatch.setattr(geometry, "quad_intersection_area_many", refuse)
-    rotation_sweep(get_codec("cobb"), BOX, GRID)
-    assert seen == expected and batches == [GRID]
+    for codec in codecs:
+        del seen[:], built[:], batches[:]
+        rotation_sweep(codec, BOX, GRID)
+        assert seen == expected and batches == [GRID], codec.name
+        assert len(built) == len(seen) and all(a is b for a, b in zip(built, seen)), codec.name

@@ -211,12 +211,18 @@ class TestCli:
         assert main(["iou-check", "--samples", samples]) == 2
         assert capsys.readouterr().err.startswith("error: --samples must be >= 1")
 
-    def test_every_probe_setting_is_an_audit_flag(self):
+    def test_every_probe_setting_is_an_audit_flag(self, tmp_path):
         # a ProbeConfig field no flag sets is a setting no caller changes;
         # families stays for API callers that audit one family
-        dests = set(vars(build_parser().parse_args(["audit"])))
+        args = build_parser().parse_args(["audit"])
         fields = {f.name for f in dataclasses.fields(ProbeConfig)} - {"families"}
-        assert fields <= dests, sorted(fields - dests)
+        assert fields <= set(vars(args)), sorted(fields - set(vars(args)))
+        # each default is ProbeConfig's own
+        assert ProbeConfig(**{name: getattr(args, name) for name in fields}) == ProbeConfig()
+        # the sweeps' grid size has one default, the CLI's
+        out = tmp_path / "aspect.csv"
+        assert main(["curves", "--sweep", "aspect", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 1440
 
     def test_audit_csv_format(self, tmp_path):
         out = tmp_path / "rep.csv"
