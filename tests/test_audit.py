@@ -283,10 +283,10 @@ class TestRunAudit:
             with pytest.raises(ValueError):
                 array[0, 0] = 0.0
 
-    def test_encodes_in_three_batches(self):
+    def test_each_box_encoded_once(self):
         batches, encoded = [], Counter()
 
-        class Recording(AcuteAngleCodec):
+        class Counting(AcuteAngleCodec):
             def encode_many(self, boxes):
                 batches.append(list(boxes))
                 return super().encode_many(boxes)
@@ -294,6 +294,19 @@ class TestRunAudit:
             def encode(self, box):
                 encoded[box] += 1
                 return super().encode(box)
+
+        run_audit([Counting()], ProbeConfig(samples=4, seed=5))
+        # the six metrics share the three batches' encodings: every box is
+        # encoded once per place it holds in a batch, and never again
+        assert encoded and encoded == Counter(box for batch in batches for box in batch)
+
+    def test_encodes_in_three_batches_of_distinct_boxes(self):
+        batches = []
+
+        class Recording(AcuteAngleCodec):
+            def encode_many(self, boxes):
+                batches.append(list(boxes))
+                return super().encode_many(boxes)
 
         cfg = ProbeConfig(samples=4, seed=5)
         run_audit([Recording()], cfg)
@@ -304,8 +317,10 @@ class TestRunAudit:
         twins = [twin for columns in _twin_boxes(cfg).values() for column in columns for twin in column]
         assert [len(batch) for batch in batches] == [52, 468, 64]
         assert batches[0] == boxes and batches[1] == twins
-        # the six metrics share these encodings: no box is encoded again
-        assert encoded == Counter(box for batch in batches for box in batch)
+        # those straddles are the only repeats: the batches hold 49 and 441 distinct boxes
+        assert [len(set(batch)) for batch in batches] == [49, 441, 64]
+        assert list(dict.fromkeys(batches[0])) == list(dict.fromkeys(boxes))
+        assert list(dict.fromkeys(batches[1])) == list(dict.fromkeys(twins))
 
     @pytest.mark.parametrize("probe", [check_decoding_completeness, probe_decoding_robustness])
     def test_decoding_probes_build_no_twin(self, probe):
