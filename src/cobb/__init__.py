@@ -23,7 +23,6 @@ from cobb.geometry import (
     ConvexQuad,
     HorizontalBox,
     OrientedBox,
-    adjust_side,
     iou,
     min_area_rect,
     outer_hbb,
@@ -56,7 +55,6 @@ __all__ = [
     "TargetVector",
     "UndefinedIoUError",
     "UndefinedNormalizationError",
-    "adjust_side",
     "classify",
     "cobb_loss",
     "decode",

@@ -27,7 +27,8 @@ import numpy as np
 
 from cobb.baselines import BoxCodec
 from cobb.errors import InvalidArgumentError, UndefinedNormalizationError
-from cobb.geometry import OrientedBox, adjust_side, iou, iou_many, rotate, vertices_many
+from cobb.geometry import HorizontalBox, OrientedBox, _rowwise, iou, iou_many, oriented_many, vertices_many
+from cobb.targets import sensitivity_probe
 
 FAMILY_NAMES = ("near-horizontal", "near-square", "near-diagonal", "random")
 
@@ -110,14 +111,13 @@ class MetricReport:
         return {m.name: m.verdict for m in self.metrics}
 
 
-def normalize_box(box: OrientedBox) -> OrientedBox:
-    """Translate to the origin and scale to unit diagonal."""
-    s = 1.0 / box.diagonal
-    return OrientedBox(0.0, 0.0, box.w_side * s, box.h_side * s, box.theta)
-
-
-def _box_params(box: OrientedBox) -> list[float]:
-    return [box.cx, box.cy, box.w_side, box.h_side, box.theta]
+def _normalized(fields) -> np.ndarray:
+    """``(n, 5)`` box fields brought to constructed form, translated to the
+    origin and scaled to unit diagonal."""
+    p = oriented_many(fields)
+    s = 1.0 / _rowwise(math.hypot, p[:, 2], p[:, 3])
+    zeros = np.zeros(len(p))
+    return np.column_stack([zeros, zeros, p[:, 2] * s, p[:, 3] * s, p[:, 4]])
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -130,16 +130,17 @@ def _random_aspect(rng: np.random.Generator) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def build_families(cfg: ProbeConfig) -> Mapping[str, tuple[OrientedBox, ...]]:
-    """Seeded boundary families, all normalized to unit diagonal.
+def build_families(cfg: ProbeConfig) -> Mapping[str, np.ndarray]:
+    """Seeded boundary families as read-only ``(n, 5)`` box fields, all
+    normalized to unit diagonal.
 
     The last config's families are kept, so the six metrics of a run share
-    one read-only build.
+    one build.
     """
-    out: dict[str, tuple[OrientedBox, ...]] = {}
+    rows: list[tuple[float, ...]] = []
+    ends = []
     for fi, fam in enumerate(cfg.families):
         rng = _rng(cfg.seed, 101, fi)
-        boxes: list[OrientedBox] = []
         for _ in range(cfg.samples):
             a = _random_aspect(rng)
             if fam == "near-horizontal":
@@ -153,52 +154,49 @@ def build_families(cfg: ProbeConfig) -> Mapping[str, tuple[OrientedBox, ...]]:
                 theta = float(rng.uniform(0.0, math.pi))
             else:  # pragma: no cover - validated in ProbeConfig
                 raise InvalidArgumentError(fam)
-            boxes.append(normalize_box(OrientedBox(0.0, 0.0, a, 1.0, theta)))
+            rows.append((0.0, 0.0, a, 1.0, theta))
         # Deterministic straddles half a step before each relevant boundary.
         for delta in cfg.steps:
             if fam == "near-horizontal":
-                for a in (2.0, 4.0, 0.5, 0.25):
-                    boxes.append(normalize_box(OrientedBox(0.0, 0.0, a, 1.0, -0.5 * delta)))
+                rows += [(0.0, 0.0, a, 1.0, -0.5 * delta) for a in (2.0, 4.0, 0.5, 0.25)]
             elif fam == "near-square":
-                for theta in (math.pi / 6, math.pi / 3):
-                    boxes.append(normalize_box(OrientedBox(0.0, 0.0, 1.0 - 0.25 * delta, 1.0, theta)))
+                rows += [(0.0, 0.0, 1.0 - 0.25 * delta, 1.0, theta) for theta in (math.pi / 6, math.pi / 3)]
             elif fam == "near-diagonal":
                 # sliding ratio hits 0.5 at atan(h/w); the quarter-pi line is
                 # the acute-angle wrap
                 for a in (1.0, 2.0, 4.0):
-                    boxes.append(
-                        normalize_box(OrientedBox(0.0, 0.0, a, 1.0, math.atan2(1.0, a) - 0.5 * delta))
-                    )
-                    boxes.append(
-                        normalize_box(OrientedBox(0.0, 0.0, a, 1.0, 0.25 * math.pi - 0.5 * delta))
-                    )
-        out[fam] = tuple(boxes)
-    return MappingProxyType(out)
+                    rows.append((0.0, 0.0, a, 1.0, math.atan2(1.0, a) - 0.5 * delta))
+                    rows.append((0.0, 0.0, a, 1.0, 0.25 * math.pi - 0.5 * delta))
+        ends.append(len(rows))
+    fields = _normalized(rows)
+    fields.flags.writeable = False
+    return MappingProxyType(dict(zip(cfg.families, np.split(fields, ends[:-1]))))
 
 
-def _transformed(box: OrientedBox, transform: str, delta: float) -> list[OrientedBox]:
-    if transform == "rotation":
-        return [rotate(box, delta)]
-    if transform == "aspect":
-        return [normalize_box(b) for b in adjust_side(box, 1.0 + delta)]
-    raise InvalidArgumentError(f"unknown transform {transform!r}")
+def _members(cfg: ProbeConfig) -> tuple[list[str], np.ndarray]:
+    """The family of each family box and their fields, in family order."""
+    families = build_families(cfg)
+    return [fam for fam, rows in families.items() for _ in rows], np.concatenate(list(families.values()))
 
 
-@functools.lru_cache(maxsize=1)
-def _twin_boxes(cfg: ProbeConfig) -> Mapping[tuple[str, float], tuple[tuple[OrientedBox, ...], ...]]:
-    """Twin columns of the family boxes per ``(transform, delta)``.
+def _twins(fields: np.ndarray, transform: str, delta) -> list[np.ndarray]:
+    """Twin columns of ``(n, 5)`` constructed-box fields, for one ``delta``
+    or one per row.
 
-    A rotation gives each box one twin and an aspect change two (the w- and
-    h-scaled boxes); column ``k`` holds twin ``k`` of every family box, in
-    family order.  Like :func:`build_families`, the last config's columns
-    are kept, so a run builds each twin once.
+    A rotation by ``delta`` gives one column; an aspect change gives two,
+    the boxes with ``w_side`` and with ``h_side`` scaled by ``1 + delta``,
+    each normalized again.
     """
-    boxes = [box for fam in build_families(cfg).values() for box in fam]
-    return MappingProxyType({
-        (transform, delta): tuple(zip(*(_transformed(box, transform, delta) for box in boxes)))
-        for delta in cfg.steps
-        for transform in ("rotation", "aspect")
-    })
+    head, w, h, theta = fields[:, :2], fields[:, 2], fields[:, 3], fields[:, 4]
+    if transform == "rotation":
+        return [oriented_many(np.column_stack([head, w, h, theta + delta]))]
+    if transform == "aspect":
+        ratio = 1.0 + delta
+        return [
+            _normalized(np.column_stack([head, w * ratio, h, theta])),
+            _normalized(np.column_stack([head, w, h * ratio, theta])),
+        ]
+    raise InvalidArgumentError(f"unknown transform {transform!r}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -208,37 +206,41 @@ def _family_rows(codec: BoxCodec, cfg: ProbeConfig) -> np.ndarray:
     Like :func:`build_families`, the last ``(codec, cfg)``'s rows are kept,
     so the six metrics of a run encode each family box once.
     """
-    rows = codec.encode_many([box for fam in build_families(cfg).values() for box in fam])
+    rows = codec.encode_many(_members(cfg)[1])
     rows.flags.writeable = False
     return rows
 
 
 @functools.lru_cache(maxsize=1)
 def _twin_rows(codec: BoxCodec, cfg: ProbeConfig) -> Mapping[tuple[str, float], tuple[np.ndarray, ...]]:
-    """Encodings of the :func:`_twin_boxes` columns, with the same keys.
+    """Encodings of the :func:`_twins` columns of the family boxes per
+    ``(transform, delta)``; column ``k`` holds twin ``k`` of every family
+    box, in family order.
 
     Kept apart from :func:`_family_rows`, so a metric that reads no twin
-    encodes none.
+    builds and encodes none.
     """
-    twins = _twin_boxes(cfg)
-    columns = [column for cols in twins.values() for column in cols]
-    rows = codec.encode_many([box for column in columns for box in column])
+    fields = _members(cfg)[1]
+    twins = {
+        (transform, delta): _twins(fields, transform, delta)
+        for delta in cfg.steps
+        for transform in ("rotation", "aspect")
+    }
+    rows = codec.encode_many(np.concatenate([column for cols in twins.values() for column in cols]))
     rows.flags.writeable = False
-    rows = iter(np.split(rows, len(columns)))
+    rows = iter(np.split(rows, sum(map(len, twins.values()))))
     return MappingProxyType({key: tuple(next(rows) for _ in cols) for key, cols in twins.items()})
 
 
-def _transform_gap(codec: BoxCodec, kind: str, box: OrientedBox, transform: str, delta: float) -> float:
+def _transform_gap(codec: BoxCodec, kind: str, row: list[float], transform: str, delta: float) -> float:
     """Encoding (``kind`` "target") or loss ("loss") gap summed over the
-    transformed twins of one box: the scalar reference that
-    :func:`replay_witness` recomputes a witness with."""
-    enc = codec.encode(box)
+    :func:`_twins` of one row of box fields, encoded one box at a time: the
+    scalar reference that :func:`replay_witness` recomputes a witness with."""
+    enc = codec.encode(OrientedBox(*row))
     gap = 0.0
-    for other in _transformed(box, transform, delta):
-        if kind == "target":
-            gap += float(np.max(np.abs(enc - codec.encode(other))))
-        else:
-            gap += codec.loss(enc, codec.encode(other))
+    for column in _twins(np.array([row], dtype=float), transform, delta):
+        other = codec.encode(OrientedBox(*column[0].tolist()))
+        gap += float(np.max(np.abs(enc - other))) if kind == "target" else codec.loss(enc, other)
     return gap
 
 
@@ -250,7 +252,7 @@ def _probe_continuity(codec: BoxCodec, kind: str, transform: str, cfg: ProbeConf
     The witness is the first box with the largest gap, as a loop keeping
     strictly larger gaps picks it, and a NaN gap is never picked.
     """
-    members = [(fam, box) for fam, boxes in build_families(cfg).items() for box in boxes]
+    fams, fields = _members(cfg)
     enc = _family_rows(codec, cfg)
     twins = _twin_rows(codec, cfg)
     steps: list[StepGap] = []
@@ -261,10 +263,9 @@ def _probe_continuity(codec: BoxCodec, kind: str, transform: str, cfg: ProbeConf
         worst = StepGap(delta, -1.0)
         if not np.isnan(gaps).all():
             i = int(np.nanargmax(gaps))
-            fam, box = members[i]
             worst = StepGap(
                 delta, float(gaps[i]),
-                {"family": fam, "box": _box_params(box), "transform": transform, "delta": delta},
+                {"family": fams[i], "box": fields[i].tolist(), "transform": transform, "delta": delta},
             )
         steps.append(worst)
     return _verdict(f"{kind}-{transform}", steps, tol)
@@ -280,16 +281,16 @@ def probe_loss_continuity(codec: BoxCodec, transform: str, cfg: ProbeConfig) -> 
     return _probe_continuity(codec, "loss", transform, cfg, LOSS_TOL)
 
 
-def _worst_decoding_gap(codec: BoxCodec, boxes: list[OrientedBox], encodings: np.ndarray) -> tuple[int, float]:
+def _worst_decoding_gap(codec: BoxCodec, fields: np.ndarray, encodings: np.ndarray) -> tuple[int, float]:
     """Row and value of the worst 1 - IoU(box, decode(row)) over ``encodings``.
 
-    The rows come in equal runs per box of ``boxes``.  They are decoded in
+    The rows come in equal runs per row of box ``fields``.  They are decoded in
     one ``decode_many`` call and scored in one :func:`iou_many` call, both
     equal to the scalar path bit for bit, and the first worst row is the one
     a loop keeping strictly larger gaps would pick.
     """
-    runs = len(encodings) // len(boxes)
-    sources = np.repeat(vertices_many([_box_params(b) for b in boxes]), runs, axis=0)
+    runs = len(encodings) // len(fields)
+    sources = np.repeat(vertices_many(fields), runs, axis=0)
     decoded = vertices_many(codec.decode_many(encodings))
     gaps = 1.0 - iou_many(sources, decoded)
     i = int(np.argmax(gaps))
@@ -298,10 +299,9 @@ def _worst_decoding_gap(codec: BoxCodec, boxes: list[OrientedBox], encodings: np
 
 def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
     """Worst 1 - IoU(x, decode(encode(x))) over all families."""
-    members = [(fam, box) for fam, boxes in build_families(cfg).items() for box in boxes]
-    boxes = [box for _, box in members]
-    i, gap = _worst_decoding_gap(codec, boxes, _family_rows(codec, cfg))
-    worst = StepGap(0.0, gap, {"family": members[i][0], "box": _box_params(boxes[i])})
+    fams, fields = _members(cfg)
+    i, gap = _worst_decoding_gap(codec, fields, _family_rows(codec, cfg))
+    worst = StepGap(0.0, gap, {"family": fams[i], "box": fields[i].tolist()})
     verdict = "pass" if worst.gap <= COMPLETENESS_TOL else "fail"
     return MetricResult("decoding-completeness", [worst], verdict, worst.witness)
 
@@ -309,29 +309,29 @@ def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResu
 def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
     """Worst 1 - IoU(x, decode(encode(x) + d)) over random unit directions."""
     perturbation = cfg.perturbation
-    fams, boxes, deltas = [], [], []
-    for fi, (fam, fam_boxes) in enumerate(build_families(cfg).items()):
+    fams, fields = _members(cfg)
+    deltas = []
+    for fi, fam_fields in enumerate(build_families(cfg).values()):
         rng = _rng(cfg.seed, 202, fi)
-        for box in fam_boxes:
+        for _ in fam_fields:
             dirs = rng.standard_normal((cfg.directions, codec.dim))
             norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-            fams.append(fam)
-            boxes.append(box)
             deltas.append(perturbation * (dirs / np.where(norms == 0.0, 1.0, norms)))
     rows = _family_rows(codec, cfg)
     encodings = np.repeat(rows, cfg.directions, axis=0) + np.concatenate(deltas)
-    i, gap = _worst_decoding_gap(codec, boxes, encodings)
+    i, gap = _worst_decoding_gap(codec, fields, encodings)
     b, d = divmod(i, cfg.directions)
+    box = fields[b].tolist()
     worst = StepGap(
         perturbation, gap,
-        {"family": fams[b], "box": _box_params(boxes[b]), "perturbation": [float(v) for v in deltas[b][d]]},
+        {"family": fams[b], "box": box, "perturbation": [float(v) for v in deltas[b][d]]},
     )
     verdict = "pass" if worst.gap <= ROBUSTNESS_K * perturbation else "fail"
     notes = ""
     if verdict == "fail":
         # distinguish a vanishing (sub-linear but continuous) response from
         # true decoding ambiguity: shrink the worst perturbation and re-decode
-        shrunk = [1.0 - iou(boxes[b], codec.decode(rows[b] + deltas[b][d] / f)) for f in (10.0, 100.0)]
+        shrunk = [1.0 - iou(OrientedBox(*box), codec.decode(rows[b] + deltas[b][d] / f)) for f in (10.0, 100.0)]
         kind = "vanishing with the perturbation" if shrunk[1] < 0.3 * worst.gap else "persistent (decoding ambiguity)"
         notes = (
             f"worst-direction gap at /10: {shrunk[0]:.3g}, at /100: {shrunk[1]:.3g} -- {kind}"
@@ -349,9 +349,9 @@ def _verdict(name: str, steps: list[StepGap], tol: float) -> MetricResult:
 
 def replay_witness(codec: BoxCodec, metric: str, witness: dict) -> float:
     """Recompute the gap recorded in a witness; used to audit the audit."""
-    box = OrientedBox(*witness["box"])
     if metric.startswith(("target-", "loss-")):
-        return _transform_gap(codec, metric.partition("-")[0], box, witness["transform"], witness["delta"])
+        return _transform_gap(codec, metric.partition("-")[0], witness["box"], witness["transform"], witness["delta"])
+    box = OrientedBox(*witness["box"])
     if metric == "decoding-completeness":
         return 1.0 - iou(box, codec.decode(codec.encode(box)))
     if metric == "decoding-robustness":
@@ -388,25 +388,19 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
     if not groups:
         return {}
     rng = _rng(cfg.seed, 303)
-    boxes = []
-    for i in range(max(cfg.samples, 32)):
+    n = max(cfg.samples, 32)
+    shapes, centres = np.empty((n, 5)), np.empty((n, 2))
+    for i in range(n):
         a = _random_aspect(rng)
         # half the sample sits near the horizontal boundary so codecs with a
         # jump there pay for it, mirroring how hard a regressor finds them
         theta = float(rng.uniform(0.0, math.pi)) if i % 2 else float(rng.normal(0.0, 2e-3))
-        base = normalize_box(OrientedBox(0.0, 0.0, a, 1.0, theta))
-        boxes.append(
-            OrientedBox(
-                float(rng.uniform(-0.25, 0.25)),
-                float(rng.uniform(-0.25, 0.25)),
-                base.w_side,
-                base.h_side,
-                base.theta,
-            )
-        )
-    noise = rng.normal(0.0, 1e-3, size=len(boxes))
-    rows = codec.encode_many(boxes + [rotate(b, float(e)) for b, e in zip(boxes, noise)])
-    truths, preds = rows[: len(boxes)], rows[len(boxes) :]
+        shapes[i] = (0.0, 0.0, a, 1.0, theta)
+        centres[i] = (float(rng.uniform(-0.25, 0.25)), float(rng.uniform(-0.25, 0.25)))
+    fields = np.column_stack([centres, _normalized(shapes)[:, 2:]])
+    (turned,) = _twins(fields, "rotation", rng.normal(0.0, 1e-3, size=n))
+    rows = codec.encode_many(np.concatenate([fields, turned]))
+    truths, preds = rows[:n], rows[n:]
     out = {}
     for gname, idxs in groups.items():
         vals = []
@@ -423,13 +417,10 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
 def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:
     """All six metrics for every codec, plus NAE / ratio-sensitivity extras.
 
-    The metrics of a codec share one build of the families and their twins
-    (:func:`build_families`, :func:`_twin_boxes`) and one encoding of each
-    family box and twin (:func:`_family_rows`, :func:`_twin_rows`).
+    The metrics of a codec share one build of the families
+    (:func:`build_families`) and one encoding of each family box and twin
+    (:func:`_family_rows`, :func:`_twin_rows`).
     """
-    from cobb.geometry import HorizontalBox
-    from cobb.targets import sensitivity_probe
-
     reports = []
     for codec in codecs:
         rep = MetricReport(codec=codec.name, seed=cfg.seed)

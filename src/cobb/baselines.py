@@ -50,16 +50,21 @@ class BoxCodec:
     def decode(self, vec) -> OrientedBox:
         raise NotImplementedError
 
-    def encode_many(self, boxes) -> np.ndarray:
-        """``(N, dim)`` rows: :meth:`encode` of each box, bit for bit.
+    def encode_many(self, fields) -> np.ndarray:
+        """``(N, dim)`` rows: :meth:`encode` of ``OrientedBox(*row)`` for each
+        row of ``(N, 5)`` fields ``(cx, cy, w_side, h_side, theta)``, bit for
+        bit.
 
-        Runs the codec's array form where it has one; where that may meet a
-        box :meth:`encode` rejects, loops over :meth:`encode`, which raises
-        for the first such box.
+        The first row the constructor rejects raises its error.  Runs the
+        codec's array form where it has one; where that may meet a box
+        :meth:`encode` rejects, loops over :meth:`encode`, which raises for
+        the first such box.
         """
-        boxes = list(boxes)
-        rows = _attempt(self._encode_rows, boxes)
-        return np.array([self.encode(b) for b in boxes], dtype=float).reshape(-1, self.dim) if rows is None else rows
+        fields = oriented_many(fields)
+        rows = _attempt(self._encode_rows, fields)
+        if rows is None:
+            return np.array([self.encode(OrientedBox(*r)) for r in fields.tolist()], dtype=float).reshape(-1, self.dim)
+        return rows
 
     def decode_many(self, rows) -> np.ndarray:
         """``(N, 5)`` fields ``(cx, cy, w_side, h_side, theta)`` of :meth:`decode`
@@ -69,8 +74,9 @@ class BoxCodec:
         boxes = _attempt(self._decode_rows, rows)
         return _fields([self.decode(r) for r in rows]) if boxes is None else boxes
 
-    def _encode_rows(self, boxes: list[OrientedBox]) -> np.ndarray | None:
-        """Array form of :meth:`encode`, or None to loop."""
+    def _encode_rows(self, fields: np.ndarray) -> np.ndarray | None:
+        """Array form of :meth:`encode` on ``(N, 5)`` constructed-box fields,
+        or None to loop."""
         return None
 
     def _decode_rows(self, rows: np.ndarray) -> np.ndarray | None:
@@ -99,8 +105,8 @@ class BoxCodec:
     def curve_components(self, fields: np.ndarray) -> np.ndarray:
         """``(N, len(names))`` components plotted by the sweep CSVs, one row
         per row of ``(N, 5)`` constructed-box fields (defaults to
-        :meth:`encode_many` of the boxes)."""
-        return self.encode_many(OrientedBox(*row) for row in fields.tolist())
+        :meth:`encode_many`)."""
+        return self.encode_many(fields)
 
     curve_component_names: tuple[str, ...] | None = None
 
@@ -123,7 +129,7 @@ class CobbCodec(BoxCodec):
     component_names = ("tx", "ty", "tw", "th", "rt", "s0", "s1", "s2", "s3")
     curve_component_names = ("xc", "yc", "w", "h", "rs", "s0", "s1", "s2", "s3")
 
-    def __init__(self, variant: str = "sig"):
+    def __init__(self, variant: str):
         if variant not in ("sig", "ln"):
             raise InvalidArgumentError(f"unknown variant {variant!r}")
         self.variant = variant
@@ -143,8 +149,8 @@ class CobbCodec(BoxCodec):
         )
         return targets.decode_target(t, self.proposal)
 
-    def _encode_rows(self, boxes):
-        return targets._encode_targets_many(_fields(boxes), self.proposal, self.variant)
+    def _encode_rows(self, fields):
+        return targets._encode_targets_many(fields, self.proposal, self.variant)
 
     def _decode_rows(self, rows):
         return targets._decode_targets_many(rows, self.proposal, self.variant)

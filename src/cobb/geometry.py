@@ -280,16 +280,6 @@ def rotate_about(box: OrientedBox, px: float, py: float, dtheta: float) -> Orien
     )
 
 
-def adjust_side(box: OrientedBox, ratio: float) -> tuple[OrientedBox, OrientedBox]:
-    """Scale one side by ``ratio``: returns the w-scaled and h-scaled boxes."""
-    if not math.isfinite(ratio) or ratio <= 0:
-        raise InvalidArgumentError(f"ratio must be positive, got {ratio!r}")
-    return (
-        OrientedBox(box.cx, box.cy, box.w_side * ratio, box.h_side, box.theta),
-        OrientedBox(box.cx, box.cy, box.w_side, box.h_side * ratio, box.theta),
-    )
-
-
 def _as_quad(shape) -> ConvexQuad:
     if isinstance(shape, OrientedBox):
         return vertices_of(shape)

@@ -33,7 +33,7 @@ class Proposal:
     yp: float
     wp: float
     hp: float
-    theta_p: float = 0.0
+    theta_p: float
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.xp, self.yp, self.wp, self.hp, self.theta_p)):
@@ -90,7 +90,7 @@ def _rs_from_rt(rt: float, variant: str) -> float:
     raise InvalidArgumentError(f"unknown variant {variant!r}")
 
 
-def encode_target(gt: OrientedBox, proposal: Proposal, variant: str = "sig") -> TargetVector:
+def encode_target(gt: OrientedBox, proposal: Proposal, variant: str) -> TargetVector:
     """Regression target of a ground-truth box relative to a proposal."""
     lam = DEFAULT_LAMBDA.get(variant)
     if lam is None:

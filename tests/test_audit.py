@@ -1,12 +1,13 @@
 """Continuity audit: probe behavior, determinism, witnesses, NAE."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cobb import audit
+from cobb import audit, codec as cobb_codec
 from cobb.audit import (
     COMPLETENESS_TOL,
     LOSS_TOL,
@@ -16,18 +17,18 @@ from cobb.audit import (
     MetricResult,
     ProbeConfig,
     StepGap,
-    _box_params,
     _family_rows,
+    _members,
     _nae_summary,
+    _normalized,
     _rng,
     _transform_gap,
-    _twin_boxes,
     _twin_rows,
+    _twins,
     _verdict,
     build_families,
     check_decoding_completeness,
     nae,
-    normalize_box,
     probe_decoding_robustness,
     probe_loss_continuity,
     probe_target_continuity,
@@ -35,8 +36,9 @@ from cobb.audit import (
     run_audit,
 )
 from cobb.baselines import AcuteAngleCodec, BoxCodec, available_codecs, get_codec
-from cobb.errors import InvalidArgumentError, UndefinedNormalizationError
+from cobb.errors import CobbError, InvalidArgumentError, UndefinedNormalizationError
 from cobb.geometry import OrientedBox, iou, rotate, vertices_of
+from test_codec import as_fields
 
 CFG = ProbeConfig(samples=24, seed=9)
 
@@ -145,24 +147,31 @@ class TestFamilies:
         assert a is not b
         assert list(a) == list(b)
         for fam in a:
-            assert a[fam] == b[fam]
+            assert np.array_equal(a[fam], b[fam])
 
     def test_built_once_per_config(self):
         fams = build_families(CFG)
         assert build_families(ProbeConfig(samples=24, seed=9)) is fams
-        assert fams == build_families.__wrapped__(CFG)
+        fresh = build_families.__wrapped__(CFG)
+        assert list(fams) == list(fresh) and all(np.array_equal(fams[f], fresh[f]) for f in fams)
         with pytest.raises(TypeError):
             fams["random"] = ()
+        for rows in fams.values():
+            assert rows.shape[1] == 5 and len(rows) >= CFG.samples
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
 
     def test_normalized_unit_diagonal(self):
-        for boxes in build_families(CFG).values():
-            for box in boxes:
+        for rows in build_families(CFG).values():
+            for row in rows.tolist():
+                box = OrientedBox(*row)
+                assert [box.cx, box.cy, box.w_side, box.h_side, box.theta] == row  # constructed form
                 assert box.diagonal == pytest.approx(1.0, abs=1e-12)
                 assert (box.cx, box.cy) == (0.0, 0.0)
 
     def test_seed_changes_samples(self):
         other = build_families(ProbeConfig(samples=24, seed=10))
-        assert other["random"] != build_families(CFG)["random"]
+        assert not np.array_equal(other["random"], build_families(CFG)["random"])
 
 
 class TestProbes:
@@ -257,27 +266,28 @@ class TestRunAudit:
         assert rep.extras["nae"] == _nae_summary(codec, cfg)
 
     def test_each_twin_built_once(self, monkeypatch):
-        built = []
-        transformed = audit._transformed
+        # per codec: one _twins call per (transform, delta) on the family
+        # fields, shared by the four continuity probes
+        built, twins = [], audit._twins
 
-        def counting(box, transform, delta):
-            built.append((box, transform, delta))
-            return transformed(box, transform, delta)
+        def counting(fields, transform, delta):
+            built.append((fields.tobytes(), transform, delta))
+            return twins(fields, transform, delta)
 
-        monkeypatch.setattr(audit, "_transformed", counting)
-        _twin_boxes.cache_clear()
+        monkeypatch.setattr(audit, "_twins", counting)
+        _twin_rows.cache_clear()
         cfg = ProbeConfig(samples=4, seed=5)
         run_audit([get_codec("cobb"), get_codec("acute")], cfg)
-        boxes = [box for fam in build_families(cfg).values() for box in fam]
-        assert len(built) == len(boxes) * len(cfg.steps) * 2
-        assert set(built) == {(b, t, d) for b in boxes for d in cfg.steps for t in ("rotation", "aspect")}
+        family = _members(cfg)[1].tobytes()
+        per_codec = [(family, t, d) for d in cfg.steps for t in ("rotation", "aspect")]
+        assert [b for b in built if b[0] == family] == per_codec * 2
 
     def test_shared_encoding_is_read_only(self):
         codec = get_codec("cobb")
         rows = _family_rows(codec, CFG)
         assert _family_rows(codec, CFG) is rows
         twins = _twin_rows(codec, CFG)
-        assert set(twins) == set(_twin_boxes(CFG))
+        assert set(twins) == {(t, d) for d in CFG.steps for t in ("rotation", "aspect")}
         for array in [rows, *(column for columns in twins.values() for column in columns)]:
             assert array.shape == (len(rows), codec.dim)
             with pytest.raises(ValueError):
@@ -287,9 +297,9 @@ class TestRunAudit:
         batches, encoded = [], Counter()
 
         class Counting(AcuteAngleCodec):
-            def encode_many(self, boxes):
-                batches.append(list(boxes))
-                return super().encode_many(boxes)
+            def encode_many(self, fields):
+                batches.append(np.array(fields))
+                return super().encode_many(fields)
 
             def encode(self, box):
                 encoded[box] += 1
@@ -298,54 +308,91 @@ class TestRunAudit:
         run_audit([Counting()], ProbeConfig(samples=4, seed=5))
         # the six metrics share the three batches' encodings: every box is
         # encoded once per place it holds in a batch, and never again
-        assert encoded and encoded == Counter(box for batch in batches for box in batch)
+        assert encoded and encoded == Counter(OrientedBox(*row) for batch in batches for row in batch.tolist())
 
     def test_encodes_in_three_batches_of_distinct_boxes(self):
         batches = []
 
         class Recording(AcuteAngleCodec):
-            def encode_many(self, boxes):
-                batches.append(list(boxes))
-                return super().encode_many(boxes)
+            def encode_many(self, fields):
+                batches.append(np.array(fields))
+                return super().encode_many(fields)
 
         cfg = ProbeConfig(samples=4, seed=5)
         run_audit([Recording()], cfg)
         # family boxes, their twins, the NAE sample, each as given: the a = 1
         # near-diagonal straddles at atan2(1, 1) - delta/2 and pi/4 - delta/2
         # are one box, encoded once per place it holds
-        boxes = [box for fam in build_families(cfg).values() for box in fam]
-        twins = [twin for columns in _twin_boxes(cfg).values() for column in columns for twin in column]
+        boxes = _members(cfg)[1]
+        twins = [c for d in cfg.steps for t in ("rotation", "aspect") for c in _twins(boxes, t, d)]
         assert [len(batch) for batch in batches] == [52, 468, 64]
-        assert batches[0] == boxes and batches[1] == twins
+        assert np.array_equal(batches[0], boxes) and np.array_equal(batches[1], np.concatenate(twins))
         # those straddles are the only repeats: the batches hold 49 and 441 distinct boxes
-        assert [len(set(batch)) for batch in batches] == [49, 441, 64]
-        assert list(dict.fromkeys(batches[0])) == list(dict.fromkeys(boxes))
-        assert list(dict.fromkeys(batches[1])) == list(dict.fromkeys(twins))
+        assert [len(set(map(tuple, batch.tolist()))) for batch in batches] == [49, 441, 64]
+
+    def test_builds_no_box_per_family_twin_or_nae_row(self, monkeypatch):
+        """A cobb run passes field arrays from families to twins to NAE.  It
+        builds boxes only for the tie rows it hands to the scalar oracle,
+        inside the oracle, the scalar decode and ``sensitivity_probe``, and
+        for the robustness note's two re-decodes of the witness.  It used to
+        build 330: 56 family boxes, 140 twins, 128 NAE rows, 4 in the ratio
+        probes and 2 in the note."""
+        built, seen, post_init = [], [], OrientedBox.__post_init__
+
+        def exempt(fn, record=None):
+            def run(*args):
+                if record is not None:
+                    record.append(args[0])
+                n = len(built)
+                try:
+                    return fn(*args)
+                finally:
+                    del built[n:]  # the callee's own boxes
+
+            return run
+
+        codec = get_codec("cobb")
+        monkeypatch.setattr(OrientedBox, "__post_init__", lambda box: built.append(box) or post_init(box))
+        monkeypatch.setattr(cobb_codec, "classify", exempt(cobb_codec.classify, seen))
+        monkeypatch.setattr(audit, "sensitivity_probe", exempt(audit.sensitivity_probe))
+        monkeypatch.setattr(codec, "decode", exempt(codec.decode))
+        rep = run_audit([codec], ProbeConfig(samples=4, seed=5, steps=(1e-4,)))[0]
+        got = list(built)
+        robustness = rep.metrics[-1]
+        assert robustness.notes  # the diamond cusp fails the linear gate and is re-decoded
+        tie = [any(b is s for s in seen) for b in got]
+        assert sum(tie) == len(seen)
+        assert [b for b, t in zip(got, tie) if not t] == [OrientedBox(*robustness.witness["box"])] * 2
 
     @pytest.mark.parametrize("probe", [check_decoding_completeness, probe_decoding_robustness])
-    def test_decoding_probes_build_no_twin(self, probe):
+    def test_decoding_probes_build_no_twin(self, probe, monkeypatch):
         batches = []
 
         class Recording(AcuteAngleCodec):
-            def encode_many(self, boxes):
-                batches.append(len(boxes))
-                return super().encode_many(boxes)
+            def encode_many(self, fields):
+                batches.append(len(fields))
+                return super().encode_many(fields)
+
+        def refuse(*args):
+            raise AssertionError("twins built")
 
         cfg = ProbeConfig(samples=3, seed=123)
-        calls = [_twin_boxes.cache_info(), _twin_rows.cache_info()]
+        calls = _twin_rows.cache_info()
+        monkeypatch.setattr(audit, "_twins", refuse)
         probe(Recording(), cfg)
-        assert [_twin_boxes.cache_info(), _twin_rows.cache_info()] == calls
-        assert batches == [sum(len(fam) for fam in build_families(cfg).values())]
+        assert _twin_rows.cache_info() == calls
+        assert batches == [len(_members(cfg)[1])]
 
 
 def scalar_completeness(codec, cfg):
     """The completeness probe as a loop over the scalar oracle."""
     worst = StepGap(0.0, -1.0)
-    for fam, boxes in build_families(cfg).items():
-        for box in boxes:
+    for fam, rows in build_families(cfg).items():
+        for row in rows.tolist():
+            box = OrientedBox(*row)
             gap = 1.0 - iou(vertices_of(box), codec.decode(codec.encode(box)))
             if gap > worst.gap:
-                worst = StepGap(0.0, gap, {"family": fam, "box": _box_params(box)})
+                worst = StepGap(0.0, gap, {"family": fam, "box": row})
     verdict = "pass" if worst.gap <= COMPLETENESS_TOL else "fail"
     return MetricResult("decoding-completeness", [worst], verdict, worst.witness)
 
@@ -353,16 +400,17 @@ def scalar_completeness(codec, cfg):
 def scalar_robustness(codec, cfg):
     """The robustness probe's worst gap and witness as a loop over the scalar oracle."""
     worst = StepGap(cfg.perturbation, -1.0)
-    for fi, (fam, boxes) in enumerate(build_families(cfg).items()):
+    for fi, (fam, rows) in enumerate(build_families(cfg).items()):
         rng = _rng(cfg.seed, 202, fi)
-        for box in boxes:
+        for row in rows.tolist():
+            box = OrientedBox(*row)
             enc = codec.encode(box)
             dirs = rng.standard_normal((cfg.directions, codec.dim))
             norms = np.linalg.norm(dirs, axis=1, keepdims=True)
             for d in dirs / np.where(norms == 0.0, 1.0, norms):
                 gap = 1.0 - iou(vertices_of(box), codec.decode(enc + cfg.perturbation * d))
                 if gap > worst.gap:
-                    witness = {"family": fam, "box": _box_params(box), "perturbation": [float(v) for v in cfg.perturbation * d]}
+                    witness = {"family": fam, "box": row, "perturbation": [float(v) for v in cfg.perturbation * d]}
                     worst = StepGap(cfg.perturbation, gap, witness)
     verdict = "pass" if worst.gap <= ROBUSTNESS_K * cfg.perturbation else "fail"
     return worst, verdict
@@ -373,11 +421,11 @@ def scalar_continuity(codec, kind, transform, cfg):
     steps = []
     for delta in cfg.steps:
         worst = StepGap(delta, -1.0)
-        for fam, boxes in build_families(cfg).items():
-            for box in boxes:
-                gap = _transform_gap(codec, kind, box, transform, delta)
+        for fam, rows in build_families(cfg).items():
+            for row in rows.tolist():
+                gap = _transform_gap(codec, kind, row, transform, delta)
                 if gap > worst.gap:
-                    witness = {"family": fam, "box": _box_params(box), "transform": transform, "delta": delta}
+                    witness = {"family": fam, "box": row, "transform": transform, "delta": delta}
                     worst = StepGap(delta, gap, witness)
         steps.append(worst)
     return _verdict(f"{kind}-{transform}", steps, TARGET_GAP_TOL if kind == "target" else LOSS_TOL)
@@ -408,7 +456,8 @@ class Scripted(BoxCodec):
 @pytest.mark.parametrize("kind", ["target", "loss"])
 def test_continuity_witness_is_the_first_largest_gap_and_never_nan(kind):
     cfg = ProbeConfig(samples=4, seed=5)
-    boxes = [box for fam in build_families(cfg).values() for box in fam]
+    rows = _members(cfg)[1].tolist()
+    boxes = [OrientedBox(*row) for row in rows]
     probe = probe_target_continuity if kind == "target" else probe_loss_continuity
     # per step: box 0 a NaN gap, boxes 2 and 5 the same largest gap
     values = {}
@@ -419,7 +468,7 @@ def test_continuity_witness_is_the_first_largest_gap_and_never_nan(kind):
     res = probe(codec, "rotation", cfg)
     want_gap = 3.0 if kind == "target" else 2.5  # smooth-L1 above the knee
     assert [s.gap for s in res.steps] == [want_gap] * len(cfg.steps)
-    assert {tuple(s.witness["box"]) for s in res.steps} == {tuple(_box_params(boxes[2]))}
+    assert {tuple(s.witness["box"]) for s in res.steps} == {tuple(rows[2])}
     assert res == scalar_continuity(codec, kind, "rotation", cfg)
     # every gap NaN: no witness, as the loop leaves it
     res = probe(Scripted({rotate(b, d): math.nan for b in boxes for d in cfg.steps}), "rotation", cfg)
@@ -437,10 +486,62 @@ def test_batched_decoding_probes_equal_the_scalar_loop(name):
     assert (res.steps, res.verdict, res.witness) == ([worst], verdict, worst.witness)
 
 
+def normalize_box(box):
+    """The scalar reference of :func:`_normalized`: translate to the origin
+    and scale to unit diagonal."""
+    s = 1.0 / box.diagonal
+    return OrientedBox(0.0, 0.0, box.w_side * s, box.h_side * s, box.theta)
+
+
 def test_normalize_box():
-    b = normalize_box(OrientedBox(3, -4, 6, 8, 0.3))
-    assert (b.cx, b.cy) == (0.0, 0.0)
-    assert math.hypot(b.w_side, b.h_side) == pytest.approx(1.0)
+    (b,) = _normalized([[3, -4, 6, 8, 0.3]]).tolist()
+    assert b[:2] == [0.0, 0.0]
+    assert math.hypot(b[2], b[3]) == pytest.approx(1.0)
+    # un-normalized angles are constructed first, bit for bit
+    rows = [[3.0, -4.0, 6.0, 8.0, t] for t in (-0.3, 2.0, 4.0, 1e6 * math.pi, -7.5)]
+    assert np.array_equal(_normalized(rows), as_fields(normalize_box(OrientedBox(*row)) for row in rows))
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 0.5, -0.5, 0.0])
+def test_twins_equal_the_scalar_transforms(delta):
+    """Rotation twins are ``rotate`` of each box; aspect twins are the box
+    with ``w_side`` and with ``h_side`` scaled by ``1 + delta``, each
+    normalized; every row bit for bit.  Rows: family boxes and a square at
+    pi/4."""
+    square = _normalized([[0.0, 0.0, 3.0, 3.0, math.pi / 4]])
+    fields = np.concatenate([_members(ProbeConfig(samples=8, seed=3))[1], square])
+    boxes = [OrientedBox(*row) for row in fields.tolist()]
+    (turned,) = _twins(fields, "rotation", delta)
+    assert np.array_equal(turned, as_fields(rotate(b, delta) for b in boxes))
+    ratio = 1.0 + delta
+    wide, tall = _twins(fields, "aspect", delta)
+    assert np.array_equal(wide, as_fields(normalize_box(OrientedBox(b.cx, b.cy, b.w_side * ratio, b.h_side, b.theta)) for b in boxes))
+    assert np.array_equal(tall, as_fields(normalize_box(OrientedBox(b.cx, b.cy, b.w_side, b.h_side * ratio, b.theta)) for b in boxes))
+    assert wide[-1, 4] == tall[-1, 4] == math.pi / 4
+    if delta == 0.0:
+        assert np.allclose(wide, fields, rtol=0.0, atol=1e-15) and np.allclose(tall, fields, rtol=0.0, atol=1e-15)
+    # one delta per row, as the NAE summary's noise
+    deltas = np.linspace(-delta, delta, len(boxes))
+    (turned,) = _twins(fields, "rotation", deltas)
+    assert np.array_equal(turned, as_fields(rotate(b, float(d)) for b, d in zip(boxes, deltas)))
+
+
+@pytest.mark.parametrize(
+    "transform, delta, first_twin",
+    [
+        ("aspect", -1.0, [0.0, 0.0, 0.0, 1.0, 0.3]),  # a zero side
+        ("aspect", math.nan, [0.0, 0.0, math.nan, 1.0, 0.3]),
+        ("rotation", math.inf, [0.0, 0.0, 2.0, 1.0, math.inf]),
+    ],
+)
+def test_twins_raise_the_constructors_error(transform, delta, first_twin):
+    with pytest.raises(CobbError) as want:
+        OrientedBox(*first_twin)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        _twins(np.array([[0.0, 0.0, 2.0, 1.0, 0.3], [0.0, 0.0, 1.0, 1.0, 0.3]]), transform, delta)
+    with pytest.raises(InvalidArgumentError, match="unknown transform"):
+        _twins(np.array([[0.0, 0.0, 2.0, 1.0, 0.3]]), "shear", 1e-3)
+
 
 
 def test_diamond_cusp_shrinks_as_square_root():

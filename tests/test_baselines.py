@@ -17,7 +17,7 @@ from cobb.baselines import (
 )
 from cobb.errors import CobbError, InvalidArgumentError
 from cobb.geometry import OrientedBox, iou
-from test_codec import seeded_boxes
+from test_codec import as_fields, seeded_boxes
 
 QUARTER = math.pi / 4
 
@@ -158,7 +158,7 @@ class TestCobbCodecAdapter:
             OrientedBox(1e4, 2e4, 300.0, 0.01, 1.2),
         ]
         for name in ("cobb", "cobb-ln"):
-            rows = get_codec(name).curve_components(np.array([fields(b) for b in boxes]))
+            rows = get_codec(name).curve_components(as_fields(boxes))
             assert rows.shape == (len(boxes), 9)
             assert [tuple(r) for r in rows] == [cobb_codec.encode(b).as_tuple() for b in boxes]
 
@@ -189,10 +189,6 @@ def pixel_boxes(n, seed):
 BATCH_BOXES = pixel_boxes(2000, 41)
 
 
-def fields(box):
-    return [box.cx, box.cy, box.w_side, box.h_side, box.theta]
-
-
 def scalar_outcome(call, arg):
     """``call(arg)``, or the error it raises as ``(class, message)``."""
     try:
@@ -211,13 +207,19 @@ def assert_raises_like(outcome, call, arg):
 def test_array_forms_equal_the_scalar_ones_bit_for_bit(name):
     codec = get_codec(name)
     want = np.array([codec.encode(b) for b in BATCH_BOXES])
-    assert np.array_equal(codec.encode_many(BATCH_BOXES), want)
+    assert np.array_equal(codec.encode_many(as_fields(BATCH_BOXES)), want)
+    # fields not in constructed form: negative angles, theta >= pi/2 and
+    # >= pi, large multiples of pi; each row encodes as its constructed box
+    raw = as_fields(BATCH_BOXES[:350])
+    raw[:, 4] += np.resize([-math.pi, -0.25, 0.5 * math.pi, math.pi, 1.25 * math.pi, 1e6 * math.pi, -3e8 * math.pi], 350)
+    assert (raw[:, 4] < 0.0).any() and (raw[:, 4] >= math.pi).any()
+    assert np.array_equal(codec.encode_many(raw), np.array([codec.encode(OrientedBox(*r)) for r in raw.tolist()]))
     noise = np.random.Generator(np.random.PCG64(42)).normal(0.0, 1e-3, want.shape)
     rows = np.vstack([want, want + noise])
     outcomes = [scalar_outcome(codec.decode, r) for r in rows]
     ok = [i for i, o in enumerate(outcomes) if isinstance(o, OrientedBox)]
     assert len(ok) > len(want)
-    assert np.array_equal(codec.decode_many(rows[ok]), np.array([fields(outcomes[i]) for i in ok]))
+    assert np.array_equal(codec.decode_many(rows[ok]), as_fields(outcomes[i] for i in ok))
     # rows the scalar decode rejects, each between two good rows
     for i in [i for i, o in enumerate(outcomes) if not isinstance(o, OrientedBox)][:10]:
         assert_raises_like(outcomes[i], codec.decode_many, rows[[ok[0], i, ok[0]]])
@@ -272,7 +274,7 @@ def test_encode_many_asks_the_oracle_only_at_ties(name, monkeypatch):
     monkeypatch.setattr(geometry, "quad_intersection_area_many", refuse)
     for (boxes, count), want, expected in zip(cases, wants, tied):
         seen.clear()
-        assert np.array_equal(codec.encode_many(boxes), want)
+        assert np.array_equal(codec.encode_many(as_fields(boxes)), want)
         assert seen == expected
         assert count is None or len(seen) == count
 
@@ -309,24 +311,31 @@ def test_decode_many_raises_what_decode_raises_for_the_first_bad_row(name, row):
 @pytest.mark.parametrize(
     "box",
     [
-        OrientedBox(0.0, 0.0, 1.5e308, 1.5e308, 0.7),  # the outer HBB overflows
-        OrientedBox(0.0, 0.0, 1e-170, 1e-170, 0.5),  # products underflow to 0
-        OrientedBox(1.7e308, 0.0, 1e308, 1.0, 0.3),  # a corner overflows
+        [0.0, 0.0, 1.5e308, 1.5e308, 0.7],  # the outer HBB overflows
+        [0.0, 0.0, 1e-170, 1e-170, 0.5],  # products underflow to 0
+        [1.7e308, 0.0, 1e308, 1.0, 0.3],  # a corner overflows
+        [0.0, 0.0, 2.0, 1.0, math.nan],  # fields the constructor rejects
+        [0.0, 0.0, 2.0, 0.0, 0.3],
+        [0.0, 0.0, -2.0, 1.0, 0.3],
     ],
 )
 def test_encode_many_raises_what_encode_raises(name, box):
     codec = get_codec(name)
-    outcome = scalar_outcome(codec.encode, box)
+    outcome = scalar_outcome(lambda row: codec.encode(OrientedBox(*row)), box)
+    good = as_fields([GOOD])[0]
     if isinstance(outcome, np.ndarray):
-        assert np.array_equal(codec.encode_many([GOOD, box])[1], outcome, equal_nan=True)
-    else:
-        assert_raises_like(outcome, codec.encode_many, [GOOD, box, GOOD])
+        assert np.array_equal(codec.encode_many([good, box])[1], outcome, equal_nan=True)
+        return
+    rows = [good, box, good]
+    if not isinstance(scalar_outcome(lambda row: OrientedBox(*row), box), OrientedBox):
+        rows.insert(2, [0.0, 0.0, 1.0, math.inf, 0.3])  # the first rejected row raises
+    assert_raises_like(outcome, codec.encode_many, rows)
 
 
 @pytest.mark.parametrize("name", ["cobb", "cobb-ln", "acute", "long-edge", "csl"])
 def test_array_forms_do_not_fall_back_on_valid_input(name, monkeypatch):
     codec = get_codec(name)
-    rows = codec.encode_many(BATCH_BOXES[:300])
+    rows = codec.encode_many(as_fields(BATCH_BOXES[:300]))
 
     def refuse(self, arg):
         raise AssertionError("scalar path called")
@@ -334,14 +343,14 @@ def test_array_forms_do_not_fall_back_on_valid_input(name, monkeypatch):
     monkeypatch.setattr(type(codec), "decode", refuse)
     if name.startswith("cobb"):
         monkeypatch.setattr(type(codec), "encode", refuse)
-        assert np.array_equal(codec.encode_many(BATCH_BOXES[:300]), rows)
+        assert np.array_equal(codec.encode_many(as_fields(BATCH_BOXES[:300])), rows)
     assert codec.decode_many(rows).shape == (300, 5)
 
 
 @pytest.mark.parametrize("name", available_codecs())
 def test_array_forms_of_no_rows(name):
     codec = get_codec(name)
-    assert codec.encode_many([]).shape == (0, codec.dim)
+    assert codec.encode_many(np.empty((0, 5))).shape == (0, codec.dim)
     assert codec.decode_many(np.empty((0, codec.dim))).shape == (0, 5)
 
 
@@ -352,8 +361,9 @@ def test_loss_many_equals_the_scalar_loss(name):
     shape = (60, codec.dim)
     # real encodings of boxes and their slightly rotated twins
     boxes = BATCH_BOXES[:200]
-    real_a = codec.encode_many(boxes)
-    real_b = codec.encode_many([OrientedBox(b.cx, b.cy, b.w_side, b.h_side, b.theta + 1e-3) for b in boxes])
+    turned = as_fields(boxes)
+    turned[:, 4] += 1e-3
+    real_a, real_b = codec.encode_many(as_fields(boxes)), codec.encode_many(turned)
     # exact component differences below, at and above the smooth-L1 knee
     base = 0.5 * rng.integers(-8, 9, shape)
     knee = rng.choice([0.0, 0.25, -0.75, 1.0, -1.0, 1.5, -4.0], shape)

@@ -15,7 +15,6 @@ from cobb.geometry import (
     ConvexQuad,
     HorizontalBox,
     OrientedBox,
-    adjust_side,
     iou,
     iou_many,
     oriented_many,
@@ -139,27 +138,6 @@ class TestOuterHbb:
         h = outer_hbb(OrientedBox(0, 0, 4, 2, math.pi / 6))
         assert h.w == pytest.approx(2 * SQRT3 + 1, abs=1e-12)
         assert h.h == pytest.approx(2 + SQRT3, abs=1e-12)
-
-
-class TestAdjustSide:
-    def test_identity(self):
-        b = OrientedBox(0, 0, 4, 2, 0.3)
-        assert adjust_side(b, 1.0) == (b, b)
-
-    def test_scaling(self):
-        got = adjust_side(OrientedBox(0, 0, 4, 2, 0), 2.0)
-        assert got == (OrientedBox(0, 0, 8, 2, 0), OrientedBox(0, 0, 4, 4, 0))
-
-    def test_square_half(self):
-        got = adjust_side(OrientedBox(0, 0, 3, 3, math.pi / 4), 0.5)
-        assert got == (
-            OrientedBox(0, 0, 1.5, 3, math.pi / 4),
-            OrientedBox(0, 0, 3, 1.5, math.pi / 4),
-        )
-
-    def test_nonpositive_ratio(self):
-        with pytest.raises(InvalidArgumentError):
-            adjust_side(OrientedBox(0, 0, 1, 1, 0), 0.0)
 
 
 class TestIntersectionAndIoU:
