@@ -16,7 +16,16 @@ import numpy as np
 from cobb import codec as cobb_codec
 from cobb import targets
 from cobb.errors import CobbError, InvalidArgumentError
-from cobb.geometry import OrientedBox, min_area_rect, oriented_many, outer_hbb, vertices_of
+from cobb.geometry import (
+    OrientedBox,
+    _rowwise,
+    min_area_rect,
+    min_area_rect_many,
+    oriented_many,
+    outer_hbb,
+    vertices_many,
+    vertices_of,
+)
 from cobb.targets import Proposal, TargetVector, cobb_loss, smooth_l1
 
 _QUARTER_PI = 0.25 * math.pi
@@ -35,6 +44,11 @@ def _attempt(batch, *args):
             return batch(*args)
     except (CobbError, ArithmeticError):
         return None
+
+
+def _pick(wins, new, old):
+    """Row-wise point ``new`` where ``wins``, else ``old``."""
+    return np.where(wins, new[0], old[0]), np.where(wins, new[1], old[1])
 
 
 class BoxCodec:
@@ -190,11 +204,25 @@ class AcuteAngleCodec(BoxCodec):
     def decode(self, vec) -> OrientedBox:
         return OrientedBox(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(vec[4]))
 
+    def _encode_rows(self, fields):
+        cx, cy, w, h, t = fields.T
+        swap = t >= _QUARTER_PI
+        return np.stack([cx, cy, np.where(swap, h, w), np.where(swap, w, h), np.where(swap, t - _HALF_PI, t)], axis=1)
+
     def _decode_rows(self, rows):
         return oriented_many(rows)
 
     def parameter_groups(self) -> dict[str, list[int]]:
         return {"xy": [0, 1], "wh": [2, 3], "angle": [4]}
+
+
+def _long_edge_angles(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise :meth:`LongEdgeCodec._long_edge_angle` of ``(N, 5)``
+    constructed-box fields, as columns."""
+    _, _, w, h, theta = fields.T
+    wide = w >= h
+    t = np.where(wide, theta, theta + _HALF_PI)
+    return np.where(wide, w, h), np.where(wide, h, w), np.where(t >= _HALF_PI, t - math.pi, t)
 
 
 class LongEdgeCodec(BoxCodec):
@@ -224,6 +252,9 @@ class LongEdgeCodec(BoxCodec):
     def decode(self, vec) -> OrientedBox:
         return OrientedBox(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(vec[4]))
 
+    def _encode_rows(self, fields):
+        return np.stack([fields[:, 0], fields[:, 1], *_long_edge_angles(fields)], axis=1)
+
     def _decode_rows(self, rows):
         return oriented_many(rows)
 
@@ -247,8 +278,10 @@ class CslCodec(BoxCodec):
     bin_width = math.pi / bins
     bin_centers = -_HALF_PI + bin_width * np.arange(bins)
 
-    def window(self, theta_long: float) -> np.ndarray:
-        d = np.abs(self.bin_centers - theta_long)
+    def window(self, theta_long) -> np.ndarray:
+        """The label of one long-edge angle, or one label row per angle of an
+        ``(N,)`` array."""
+        d = np.abs(self.bin_centers - np.asarray(theta_long, dtype=float)[..., None])
         d = np.minimum(d, math.pi - d)  # circular distance, period pi
         sigma = self.window_sigma * self.bin_width
         return np.exp(-0.5 * (d / sigma) ** 2)
@@ -261,6 +294,10 @@ class CslCodec(BoxCodec):
         label = np.asarray(vec[4:], dtype=float)
         theta = self.bin_centers[int(np.argmax(label))]
         return OrientedBox(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(theta))
+
+    def _encode_rows(self, fields):
+        lng, shrt, t = _long_edge_angles(fields)
+        return np.column_stack([fields[:, 0], fields[:, 1], lng, shrt, self.window(t)])
 
     def _decode_rows(self, rows):
         return oriented_many(np.column_stack([rows[:, :4], self.bin_centers[np.argmax(rows[:, 4:], axis=1)]]))
@@ -316,6 +353,40 @@ class GlidingVertexCodec(BoxCodec):
             (x_lo, y_lo + al * h),
         ]
         return min_area_rect(pts)
+
+    def _encode_rows(self, fields):
+        cx, cy, w_side, h_side, theta = fields.T
+        c, s = np.abs(_rowwise(math.cos, theta)), np.abs(_rowwise(math.sin, theta))
+        w, h = w_side * c + h_side * s, w_side * s + h_side * c
+        if not (np.isfinite(w) & np.isfinite(h)).all() or (w == 0.0).any() or (h == 0.0).any():
+            return None  # outer_hbb raises, or a slide fraction divides by zero
+        f = vertices_many(fields)
+        corners = [(f[:, 2 * i], f[:, 2 * i + 1]) for i in range(4)]
+        # encode's min and max, corner by corner: a later corner wins only
+        # where its key, (y, -x) or (x, y), is strictly smaller (larger)
+        top = bottom = left = right = corners[0]
+        for p in corners[1:]:
+            px, py = p
+            top = _pick((py < top[1]) | (py == top[1]) & (px > top[0]), p, top)
+            bottom = _pick((py > bottom[1]) | (py == bottom[1]) & (px < bottom[0]), p, bottom)
+            left = _pick((px < left[0]) | (px == left[0]) & (py < left[1]), p, left)
+            right = _pick((px > right[0]) | (px == right[0]) & (py > right[1]), p, right)
+        x_lo, x_hi = cx - 0.5 * w, cx + 0.5 * w
+        y_lo, y_hi = cy - 0.5 * h, cy + 0.5 * h
+        a = [(x_hi - top[0]) / w, (y_hi - right[1]) / h, (bottom[0] - x_lo) / w, (left[1] - y_lo) / h]
+        a = [np.where(1.0 < m, 1.0, m) for m in (np.where(0.0 > v, 0.0, v) for v in a)]
+        return np.stack([cx, cy, w, h, *a], axis=1)
+
+    def _decode_rows(self, rows):
+        xc, yc, w, h, at, ar, ab, al = rows.T
+        if (w <= 0.0).any() or (h <= 0.0).any():
+            return None
+        x_lo, x_hi = xc - 0.5 * w, xc + 0.5 * w
+        y_lo, y_hi = yc - 0.5 * h, yc + 0.5 * h
+        return min_area_rect_many(
+            np.stack([x_hi - at * w, x_hi, x_lo + ab * w, x_lo], axis=1),
+            np.stack([y_lo, y_hi - ar * h, y_hi, y_lo + al * h], axis=1),
+        )
 
     def parameter_groups(self) -> dict[str, list[int]]:
         return {"xy": [0, 1], "wh": [2, 3], "alpha": [4, 5, 6, 7]}

@@ -399,3 +399,80 @@ def min_area_rect(points) -> OrientedBox:
         return OrientedBox(cx, cy, hi_u - lo_u, hi_v - lo_v, theta)
     except InvalidArgumentError:  # a field overflowed
         raise DegenerateGeometryError("rectangle fit is not finite") from None
+
+
+def _chain_many(x, y):
+    """``_convex_hull``'s ``build`` over the columns of ``(N, k)`` sorted
+    points, one stack per row: the stacks' coordinates and sizes."""
+    n, k = x.shape
+    rows = np.arange(n)
+    sx, sy = np.zeros((n, k)), np.zeros((n, k))
+    size = np.zeros(n, dtype=np.intp)
+    for j in range(k):
+        px, py = x[:, j], y[:, j]
+        for _ in range(j - 1):  # a stack of at most j points pops at most j - 1
+            a, b = np.maximum(size - 2, 0), np.maximum(size - 1, 0)
+            ax, ay, bx, by = sx[rows, a], sy[rows, a], sx[rows, b], sy[rows, b]
+            size = size - ((size >= 2) & ((bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0))
+        sx[rows, size], sy[rows, size] = px, py
+        size = size + 1
+    return sx, sy, size
+
+
+def min_area_rect_many(x, y) -> np.ndarray:
+    """Row-wise :func:`min_area_rect` fields ``(cx, cy, w_side, h_side, theta)``
+    of four points per row, given as ``(N, 4)`` coordinates, bit for bit.
+
+    A row whose hull is its four points, all distinct, takes the scalar
+    operations in the scalar order: the points sorted by ``(x, y)``, the
+    hull's chains with the same cross product and pop rule, the four hull
+    edges in hull order with ``hypot`` and ``atan2`` from :mod:`math`, and
+    strict comparisons for the running extremes and the best edge, so even
+    the sign of a zero matches.  Every other row (a repeated or collinear
+    point, a non-finite coordinate, a zero edge, a fit of non-positive area
+    or with a non-finite field) goes to :func:`min_area_rect`, which raises
+    for the first such row it rejects.
+    """
+    x0 = np.asarray(x, dtype=float).reshape(-1, 4)
+    y0 = np.asarray(y, dtype=float).reshape(-1, 4)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        order = np.lexsort((y0, x0), axis=1)
+        x, y = np.take_along_axis(x0, order, axis=1), np.take_along_axis(y0, order, axis=1)
+        ok = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+        ok &= ~((x[:, 1:] == x[:, :-1]) & (y[:, 1:] == y[:, :-1])).any(axis=1)
+        lower_x, lower_y, n_lower = _chain_many(x, y)
+        upper_x, upper_y, n_upper = _chain_many(x[:, ::-1], y[:, ::-1])
+        ok &= n_lower + n_upper == 6
+        # the hull is lower[:-1] + upper[:-1]
+        on_lower = np.arange(4) < (n_lower - 1)[:, None]
+        at = np.clip(np.where(on_lower, np.arange(4), np.arange(4) - (n_lower - 1)[:, None]), 0, 3)
+        hx = np.where(on_lower, np.take_along_axis(lower_x, at, axis=1), np.take_along_axis(upper_x, at, axis=1))
+        hy = np.where(on_lower, np.take_along_axis(lower_y, at, axis=1), np.take_along_axis(upper_y, at, axis=1))
+        best = None
+        for i in range(4):
+            ex, ey = hx[:, (i + 1) % 4] - hx[:, i], hy[:, (i + 1) % 4] - hy[:, i]
+            norm = _rowwise(math.hypot, ex, ey)
+            ok &= norm != 0.0
+            ux, uy = ex / norm, ey / norm
+            u = hx * ux[:, None] + hy * uy[:, None]
+            v = -hx * uy[:, None] + hy * ux[:, None]
+            lo_u, hi_u, lo_v, hi_v = u[:, 0], u[:, 0], v[:, 0], v[:, 0]
+            for m in range(1, 4):
+                lo_u = np.where(u[:, m] < lo_u, u[:, m], lo_u)
+                hi_u = np.where(u[:, m] > hi_u, u[:, m], hi_u)
+                lo_v = np.where(v[:, m] < lo_v, v[:, m], lo_v)
+                hi_v = np.where(v[:, m] > hi_v, v[:, m], hi_v)
+            edge = np.stack([(hi_u - lo_u) * (hi_v - lo_v), ux, uy, lo_u, hi_u, lo_v, hi_v])
+            best = edge if best is None else np.where(edge[0] < best[0], edge, best)
+        area, ux, uy, lo_u, hi_u, lo_v, hi_v = best
+        cu, cv = 0.5 * (lo_u + hi_u), 0.5 * (lo_v + hi_v)
+        fields = np.stack(
+            [cu * ux - cv * uy, cu * uy + cv * ux, hi_u - lo_u, hi_v - lo_v, _rowwise(math.atan2, -uy, ux)], axis=1
+        )
+        ok &= (area > 0.0) & np.isfinite(fields).all(axis=1)
+    out = np.empty_like(fields)
+    out[ok] = oriented_many(fields[ok])
+    for i in np.flatnonzero(~ok).tolist():
+        b = min_area_rect(list(zip(x0[i].tolist(), y0[i].tolist())))
+        out[i] = (b.cx, b.cy, b.w_side, b.h_side, b.theta)
+    return out

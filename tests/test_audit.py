@@ -293,7 +293,7 @@ class TestRunAudit:
             with pytest.raises(ValueError):
                 array[0, 0] = 0.0
 
-    def test_each_box_encoded_once(self):
+    def test_each_box_encoded_once(self, monkeypatch):
         batches, encoded = [], Counter()
 
         class Counting(AcuteAngleCodec):
@@ -301,14 +301,25 @@ class TestRunAudit:
                 batches.append(np.array(fields))
                 return super().encode_many(fields)
 
+            def _encode_rows(self, fields):
+                return None  # encode box by box, so each encoding is seen
+
             def encode(self, box):
                 encoded[box] += 1
                 return super().encode(box)
 
-        run_audit([Counting()], ProbeConfig(samples=4, seed=5))
+        cfg = ProbeConfig(samples=4, seed=5)
+        run_audit([Counting()], cfg)
         # the six metrics share the three batches' encodings: every box is
         # encoded once per place it holds in a batch, and never again
         assert encoded and encoded == Counter(OrientedBox(*row) for batch in batches for row in batch.tolist())
+
+        def refuse(self, box):
+            raise AssertionError("scalar encode called")
+
+        # the real codec encodes those batches on arrays, never box by box
+        monkeypatch.setattr(AcuteAngleCodec, "encode", refuse)
+        run_audit([AcuteAngleCodec()], cfg)
 
     def test_encodes_in_three_batches_of_distinct_boxes(self):
         batches = []

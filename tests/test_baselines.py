@@ -203,23 +203,44 @@ def assert_raises_like(outcome, call, arg):
     assert (type(got.value), str(got.value)) == outcome
 
 
+def assert_same_bits(got, want):
+    """Equal shapes and equal bytes: unlike ``np.array_equal``, tells -0.0
+    from 0.0, which the JSON report writes differently."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def boundary_fields():
+    """Box fields at the codecs' branch points: theta 0 and -0.0, pi/4 and
+    pi/2 each one ulp to either side, centres at +-0.0, squares and aspect
+    1e-6."""
+    angles = [0.0, -0.0]
+    for t in (QUARTER, 0.5 * math.pi):
+        angles += [math.nextafter(t, 0.0), t, math.nextafter(t, 2.0)]
+    centres = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.5e4, -2e4)]
+    sides = [(2.0, 2.0), (2.0, 1.0), (1.0, 2.0), (300.0, 3e-4), (3e-4, 300.0)]
+    return np.array([(cx, cy, w, h, t) for cx, cy in centres for w, h in sides for t in angles])
+
+
 @pytest.mark.parametrize("name", available_codecs())
 def test_array_forms_equal_the_scalar_ones_bit_for_bit(name):
     codec = get_codec(name)
     want = np.array([codec.encode(b) for b in BATCH_BOXES])
-    assert np.array_equal(codec.encode_many(as_fields(BATCH_BOXES)), want)
+    assert_same_bits(codec.encode_many(as_fields(BATCH_BOXES)), want)
     # fields not in constructed form: negative angles, theta >= pi/2 and
     # >= pi, large multiples of pi; each row encodes as its constructed box
     raw = as_fields(BATCH_BOXES[:350])
     raw[:, 4] += np.resize([-math.pi, -0.25, 0.5 * math.pi, math.pi, 1.25 * math.pi, 1e6 * math.pi, -3e8 * math.pi], 350)
     assert (raw[:, 4] < 0.0).any() and (raw[:, 4] >= math.pi).any()
-    assert np.array_equal(codec.encode_many(raw), np.array([codec.encode(OrientedBox(*r)) for r in raw.tolist()]))
+    edges = boundary_fields()
+    for fields in (raw, edges):
+        assert_same_bits(codec.encode_many(fields), [codec.encode(OrientedBox(*r)) for r in fields.tolist()])
     noise = np.random.Generator(np.random.PCG64(42)).normal(0.0, 1e-3, want.shape)
-    rows = np.vstack([want, want + noise])
+    rows = np.vstack([want, want + noise, [codec.encode(OrientedBox(*r)) for r in edges.tolist()]])
     outcomes = [scalar_outcome(codec.decode, r) for r in rows]
     ok = [i for i, o in enumerate(outcomes) if isinstance(o, OrientedBox)]
     assert len(ok) > len(want)
-    assert np.array_equal(codec.decode_many(rows[ok]), as_fields(outcomes[i] for i in ok))
+    assert_same_bits(codec.decode_many(rows[ok]), as_fields(outcomes[i] for i in ok))
     # rows the scalar decode rejects, each between two good rows
     for i in [i for i, o in enumerate(outcomes) if not isinstance(o, OrientedBox)][:10]:
         assert_raises_like(outcomes[i], codec.decode_many, rows[[ok[0], i, ok[0]]])
@@ -274,9 +295,36 @@ def test_encode_many_asks_the_oracle_only_at_ties(name, monkeypatch):
     monkeypatch.setattr(geometry, "quad_intersection_area_many", refuse)
     for (boxes, count), want, expected in zip(cases, wants, tied):
         seen.clear()
-        assert np.array_equal(codec.encode_many(as_fields(boxes)), want)
+        assert_same_bits(codec.encode_many(as_fields(boxes)), want)
         assert seen == expected
         assert count is None or len(seen) == count
+
+
+def test_gv_decode_rows_that_fall_back_equal_the_scalar_decode(monkeypatch):
+    """Rows whose four slide points are not four distinct hull points take
+    the scalar fit: each equals ``decode`` bit for bit, and a row ``decode``
+    rejects raises its error."""
+    codec = GlidingVertexCodec()
+    odd = [
+        [3.0, 4.0, 2.0, 1.0, 1.0, 0.3, 0.6, 0.0],  # top and left at the top-left corner
+        [3.0, 4.0, 2.0, 1.0, 0.0, 0.4, 1.0, 0.5],  # top, right and bottom on the right side
+        [3.0, 4.0, 2.0, 1.0, 0.0, 1.0, 0.0, 1.0],  # all four on a diagonal
+    ]
+    # boxes of aspect 1e-13 far out: some slide points round onto a line,
+    # some span a rectangle whose area rounds to 0
+    rng = np.random.Generator(np.random.PCG64(46))
+    centres, theta = rng.uniform(0.0, 2e4, (2, 300)), rng.uniform(0.0, math.pi, 300)
+    thin = codec.encode_many(np.stack([*centres, np.full(300, 100.0), np.full(300, 1e-11), theta], axis=1))
+    rows = np.vstack([codec.encode_many(as_fields(BATCH_BOXES[:20])), odd, thin])
+    outcomes = [scalar_outcome(codec.decode, r) for r in rows]
+    ok = [i for i, o in enumerate(outcomes) if isinstance(o, OrientedBox)]
+    bad = [i for i, o in enumerate(outcomes) if not isinstance(o, OrientedBox)]
+    scalar, calls = geometry.min_area_rect, []
+    monkeypatch.setattr(geometry, "min_area_rect", lambda pts: calls.append(pts) or scalar(pts))
+    assert_same_bits(codec.decode_many(rows[ok]), as_fields(outcomes[i] for i in ok))
+    assert len(calls) == 2 and bad[0] == 22 and len(bad) > 10  # the two odd rows decode, the diagonal raises
+    for i in bad:
+        assert_raises_like(outcomes[i], codec.decode_many, rows[[ok[0], i, ok[0]]])
 
 
 GOOD = OrientedBox(3.0, 4.0, 2.0, 1.0, 0.3)
@@ -332,19 +380,21 @@ def test_encode_many_raises_what_encode_raises(name, box):
     assert_raises_like(outcome, codec.encode_many, rows)
 
 
-@pytest.mark.parametrize("name", ["cobb", "cobb-ln", "acute", "long-edge", "csl"])
+@pytest.mark.parametrize("name", available_codecs())
 def test_array_forms_do_not_fall_back_on_valid_input(name, monkeypatch):
     codec = get_codec(name)
-    rows = codec.encode_many(as_fields(BATCH_BOXES[:300]))
+    fields = as_fields(BATCH_BOXES[:300])
+    rows = codec.encode_many(fields)
+    boxes = codec.decode_many(rows)
 
-    def refuse(self, arg):
+    def refuse(*args):
         raise AssertionError("scalar path called")
 
-    monkeypatch.setattr(type(codec), "decode", refuse)
-    if name.startswith("cobb"):
-        monkeypatch.setattr(type(codec), "encode", refuse)
-        assert np.array_equal(codec.encode_many(as_fields(BATCH_BOXES[:300])), rows)
-    assert codec.decode_many(rows).shape == (300, 5)
+    for method in ("encode", "decode"):
+        monkeypatch.setattr(type(codec), method, refuse)
+    monkeypatch.setattr(geometry, "min_area_rect", refuse)
+    assert_same_bits(codec.encode_many(fields), rows)
+    assert_same_bits(codec.decode_many(rows), boxes)
 
 
 @pytest.mark.parametrize("name", available_codecs())

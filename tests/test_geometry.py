@@ -19,6 +19,7 @@ from cobb.geometry import (
     iou_many,
     oriented_many,
     min_area_rect,
+    min_area_rect_many,
     outer_hbb,
     rotate,
     rotate_about,
@@ -389,3 +390,63 @@ def test_oriented_many_raises_what_the_constructor_raises(bad):
         OrientedBox(*bad)
     with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
         oriented_many([[0.0, 0.0, 1.0, 1.0, 0.0], bad, [0.0, 0.0, math.inf, 1.0, 0.0]])
+
+
+def fit_outcome(x, y):
+    """``min_area_rect`` of one row of points as fields, or its error as
+    ``(class, message)``."""
+    try:
+        return params(min_area_rect(list(zip(x, y))))
+    except (DegenerateGeometryError, InvalidArgumentError) as e:
+        return type(e), str(e)
+
+
+def convex_quads(n, seed):
+    """Seeded ``(N, 4)`` coordinates of four points in convex position: on an
+    ellipse with semi-axes up to 300 and aspect down to 1e-3, at angles one
+    per quarter turn, turned by a random angle and centred up to 2e4 from
+    the origin, in a random cyclic start and winding."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = np.exp(rng.uniform(0.0, math.log(300.0), (n, 1)))
+    b = a * 10.0 ** rng.uniform(-3.0, 0.0, (n, 1))
+    phi = 0.5 * math.pi * (np.arange(4) + rng.uniform(0.1, 0.9, (n, 4)))
+    u, v = a * np.cos(phi), b * np.sin(phi)
+    turn = rng.uniform(0.0, math.pi, (n, 1))
+    x = rng.uniform(-2e4, 2e4, (n, 1)) + u * np.cos(turn) - v * np.sin(turn)
+    y = rng.uniform(-2e4, 2e4, (n, 1)) + u * np.sin(turn) + v * np.cos(turn)
+    order = (np.arange(4) * rng.choice([1, -1], (n, 1)) + rng.integers(0, 4, (n, 1))) % 4
+    return np.take_along_axis(x, order, axis=1), np.take_along_axis(y, order, axis=1)
+
+
+def dota_quads(n, seed):
+    """DOTA-style annotation quads: the corners of seeded pixel-scale boxes
+    (centres up to 2e4, sides 2-300, aspect down to 1e-2, theta 0 in one row
+    of ten) rounded to whole pixels, half of the coordinates then moved by up
+    to a pixel, in a shuffled order.  Thin ones are often not convex."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    w = np.exp(rng.uniform(math.log(2.0), math.log(300.0), n))
+    h = w * 10.0 ** rng.uniform(-2.0, 0.0, n)
+    theta = np.where(np.arange(n) % 10 == 0, 0.0, rng.uniform(0.0, math.pi, n))
+    f = vertices_many(np.stack([rng.integers(0, 20000, n), rng.integers(0, 20000, n), w, h, theta], axis=1))
+    f = np.round(f) + rng.uniform(-1.0, 1.0, f.shape) * (rng.random(f.shape) < 0.5)
+    order = rng.permuted(np.tile(np.arange(4), (n, 1)), axis=1)
+    return np.take_along_axis(f[:, 0::2], order, axis=1), np.take_along_axis(f[:, 1::2], order, axis=1)
+
+
+@pytest.mark.parametrize("quads", [convex_quads(1500, 51), dota_quads(1500, 52)], ids=["convex", "dota"])
+def test_min_area_rect_many_matches_min_area_rect_bit_for_bit(quads, monkeypatch):
+    x, y = quads
+    want = [fit_outcome(*row) for row in zip(x.tolist(), y.tolist())]
+    fitted = [i for i, w in enumerate(want) if isinstance(w, list)]
+    scalar, calls = geometry.min_area_rect, []
+    monkeypatch.setattr(geometry, "min_area_rect", lambda pts: calls.append(pts) or scalar(pts))
+    got = min_area_rect_many(x[fitted], y[fitted])
+    assert got.shape == (len(fitted), 5)
+    assert got.tobytes() == np.array([want[i] for i in fitted]).tobytes()
+    # the scalar fit takes only the rows whose hull is not their four points
+    rows = [list(zip(x[i].tolist(), y[i].tolist())) for i in fitted]
+    assert calls == [pts for pts in rows if len(geometry._convex_hull(pts)) != 4]
+    # a row the scalar fit rejects raises its error, between two good rows
+    for i in [i for i, w in enumerate(want) if not isinstance(w, list)]:
+        with pytest.raises(want[i][0], match=re.escape(want[i][1])):
+            min_area_rect_many(x[[fitted[0], i, fitted[0]]], y[[fitted[0], i, fitted[0]]])
