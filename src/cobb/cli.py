@@ -12,6 +12,7 @@ flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -83,39 +84,26 @@ def _write_out(text: str, out_path) -> None:
 # Config file handling
 
 
-def _load_config(path) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+def _config_defaults(path, subcommands: dict, command: str) -> dict:
+    """The config file's values for ``command``, checked against every subcommand."""
+    raw = {}
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise CobbError(f"{path}: not valid UTF-8: {exc}") from None
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CobbError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.partition("=")[2]
-    if path is None:
-        return
-    raw = _load_config(path)
+    for line_no, text in enumerate(lines, start=1):
+        line = text.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CobbError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        raw[key.strip().replace("-", "_")] = value.strip()
     unknown = set(raw)
-    # subparsers parse into a fresh namespace, so defaults must land on them;
+    chosen = {}
     # each value goes through the type and choices of its own flag
-    for sub in parser._subparsers._group_actions[0].choices.values():
-        defaults = {}
+    for name, sub in subcommands.items():
         for action in sub._actions:
             key = action.dest
             if key not in raw or not action.option_strings or key in ("help", "config"):
@@ -123,14 +111,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
             unknown.discard(key)
             try:
                 value = action.type(raw[key]) if action.type else raw[key]
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, CobbError):
                 raise CobbError(f"bad config value {key}={raw[key]!r}") from None
             if action.choices is not None and value not in action.choices:
                 raise CobbError(f"bad config value {key}={value!r}; choose from {', '.join(action.choices)}")
-            defaults[key] = value
-        sub.set_defaults(**defaults)
+            if name == command:
+                chosen[key] = value
     if unknown:
         raise CobbError(f"unknown config key {min(unknown)!r}")
+    return chosen
 
 
 def _parse_steps(text: str) -> tuple[float, ...]:
@@ -217,7 +206,7 @@ def _cmd_convert(args) -> int:
 
     codec = get_codec(args.codec)
     handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("skipped: %(message)s"))
+    handler.setFormatter(logging.Formatter("%(message)s"))
     dota_mod.log.addHandler(handler)
     try:
         n = dota_mod.convert_annotations(args.input, codec, args.out)
@@ -235,7 +224,7 @@ def _cmd_curves(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(prog="cobb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     probe = audit_mod.ProbeConfig()  # the defaults of the audit settings
@@ -281,15 +270,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_curves)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+# built on the first main call, not at import, and never changed after
+_parsers = functools.cache(_build)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, subcommands = _parsers()
     try:
-        _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # config values as the subcommand's defaults: argparse fills in only what is unset
+            config = argparse.Namespace(**_config_defaults(args.config, subcommands, args.command))
+            args = subcommands[args.command].parse_args(argv[argv.index(args.command) + 1:], config)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except (CobbError, OSError) as exc:

@@ -1,5 +1,6 @@
 """Annotation ingestion and the command-line surface."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -13,6 +14,7 @@ import pytest
 
 import cobb
 from cobb.audit import ProbeConfig
+from cobb.baselines import available_codecs
 from cobb.cli import build_parser, main
 from cobb.dota import DotaRecord, is_metadata_line, parse_dota_line, read_dota_file, record_box
 from cobb.errors import DotaParseError
@@ -257,6 +259,10 @@ class TestCli:
         cfgfile.write_text("seed=abc\n")
         assert main(["iou-check", "--samples", "1", "--config", str(cfgfile)]) == 2
         assert "error: bad config value seed='abc'" in capsys.readouterr().err
+        # a flag type that raises the package's own error is reported the same way
+        cfgfile.write_text("steps=abc\n")
+        assert main(["roundtrip", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == "error: bad config value steps='abc'\n"
 
     def test_config_value_goes_through_the_flag_choices(self, tmp_path, capsys):
         cfgfile = tmp_path / "format.cfg"
@@ -266,6 +272,59 @@ class TestCli:
         assert main(args + ["--config", str(cfgfile)]) == 2
         assert "error: bad config value format='xml'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["iou-check", "--samples", "1"]) == 0
+        first = len(built)
+        assert main(["iou-check", "--samples", "1"]) == 0
+        assert len(built) == first
+
+    def test_config_does_not_reach_the_next_call(self, tmp_path, capsys):
+        cfgfile = tmp_path / "csl.cfg"
+        cfgfile.write_text("codec=csl\n")
+        args = ["roundtrip", "--samples", "2"]
+        main(args + ["--config", str(cfgfile)])
+        assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == ["csl"]
+        main(args)
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == list(available_codecs())
+
+    def test_config_given_with_equals_sign(self, tmp_path, capsys):
+        cfgfile = tmp_path / "acute.cfg"
+        cfgfile.write_text("codec=acute\nsamples=2\n")
+        assert main(["roundtrip", f"--config={cfgfile}"]) == 0
+        assert capsys.readouterr().out.startswith("acute:")
+
+    def test_config_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
+        cfgfile = tmp_path / "audit.cfg"
+        cfgfile.write_text("perturbation=1e-3\ncodec=acute\n")
+        assert main(["roundtrip", "--samples", "2", "--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().out.startswith("acute:")
+        # its value is still checked against the flag that defines it
+        cfgfile.write_text("format=xml\n")
+        assert main(["roundtrip", "--samples", "2", "--config", str(cfgfile)]) == 2
+        assert "error: bad config value format='xml'" in capsys.readouterr().err
+
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bom.cfg"
+        cfgfile.write_bytes(b"\xef\xbb\xbfcodec=acute\nsamples=2\n")
+        assert main(["roundtrip", "--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().out.startswith("acute:")
+
+    def test_usage_error_comes_before_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("nonsense=1\n")
+        assert main(["roundtrip", "--bogus", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --bogus" in err and "nonsense" not in err
 
     def test_convert_skips_degenerate_annotations(self, tmp_path, capsys):
         src = tmp_path / "ann.txt"
@@ -326,7 +385,7 @@ class TestCli:
         assert len(lines) == 3
         assert lines[1].startswith("plane,0,")
         err = capsys.readouterr().err
-        assert "skipped" in err
+        assert f"{src}: skipped line 3: expected 10 tokens, got 2" in err.splitlines()
 
     def test_convert_empty(self, tmp_path, capsys):
         src = tmp_path / "empty.txt"
