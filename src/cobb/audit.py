@@ -310,28 +310,25 @@ def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult
     """Worst 1 - IoU(x, decode(encode(x) + d)) over random unit directions."""
     perturbation = cfg.perturbation
     fams, fields = _members(cfg)
-    deltas = []
-    for fi, fam_fields in enumerate(build_families(cfg).values()):
-        rng = _rng(cfg.seed, 202, fi)
-        for _ in fam_fields:
-            dirs = rng.standard_normal((cfg.directions, codec.dim))
-            norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-            deltas.append(perturbation * (dirs / np.where(norms == 0.0, 1.0, norms)))
+    # one draw per family, its boxes' directions in order
+    dirs = np.concatenate([
+        _rng(cfg.seed, 202, fi).standard_normal((len(fam_fields) * cfg.directions, codec.dim))
+        for fi, fam_fields in enumerate(build_families(cfg).values())
+    ])
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    deltas = perturbation * (dirs / np.where(norms == 0.0, 1.0, norms))
     rows = _family_rows(codec, cfg)
-    encodings = np.repeat(rows, cfg.directions, axis=0) + np.concatenate(deltas)
+    encodings = np.repeat(rows, cfg.directions, axis=0) + deltas
     i, gap = _worst_decoding_gap(codec, fields, encodings)
-    b, d = divmod(i, cfg.directions)
+    b = i // cfg.directions
     box = fields[b].tolist()
-    worst = StepGap(
-        perturbation, gap,
-        {"family": fams[b], "box": box, "perturbation": [float(v) for v in deltas[b][d]]},
-    )
+    worst = StepGap(perturbation, gap, {"family": fams[b], "box": box, "perturbation": deltas[i].tolist()})
     verdict = "pass" if worst.gap <= ROBUSTNESS_K * perturbation else "fail"
     notes = ""
     if verdict == "fail":
         # distinguish a vanishing (sub-linear but continuous) response from
         # true decoding ambiguity: shrink the worst perturbation and re-decode
-        shrunk = [1.0 - iou(OrientedBox(*box), codec.decode(rows[b] + deltas[b][d] / f)) for f in (10.0, 100.0)]
+        shrunk = [1.0 - iou(OrientedBox(*box), codec.decode(rows[b] + deltas[i] / f)) for f in (10.0, 100.0)]
         kind = "vanishing with the perturbation" if shrunk[1] < 0.3 * worst.gap else "persistent (decoding ambiguity)"
         notes = (
             f"worst-direction gap at /10: {shrunk[0]:.3g}, at /100: {shrunk[1]:.3g} -- {kind}"

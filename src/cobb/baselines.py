@@ -32,18 +32,18 @@ _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
 
 
-def _fields(boxes) -> np.ndarray:
-    """``(N, 5)`` rows ``(cx, cy, w_side, h_side, theta)`` of the boxes."""
-    return np.array([(b.cx, b.cy, b.w_side, b.h_side, b.theta) for b in boxes], dtype=float).reshape(-1, 5)
-
-
-def _attempt(batch, *args):
-    """``batch(*args)``, or None where it raises a package or arithmetic error."""
+def _batch_or_rows(batch, scalar, rows: np.ndarray, dim: int) -> np.ndarray:
+    """``(N, dim)``: ``batch(rows)``, or, where that returns None or raises a
+    package or arithmetic error, ``scalar`` of each row (as a list) in
+    order, which raises for the first row it rejects."""
     try:
         with np.errstate(all="ignore"):
-            return batch(*args)
+            out = batch(rows)
     except (CobbError, ArithmeticError):
-        return None
+        out = None
+    if out is None:
+        out = np.array([scalar(r) for r in rows.tolist()], dtype=float).reshape(-1, dim)
+    return out
 
 
 def _pick(wins, new, old):
@@ -74,19 +74,17 @@ class BoxCodec:
         :meth:`encode` rejects, loops over :meth:`encode`, which raises for
         the first such box.
         """
-        fields = oriented_many(fields)
-        rows = _attempt(self._encode_rows, fields)
-        if rows is None:
-            return np.array([self.encode(OrientedBox(*r)) for r in fields.tolist()], dtype=float).reshape(-1, self.dim)
-        return rows
+        return _batch_or_rows(self._encode_rows, lambda r: self.encode(OrientedBox(*r)), oriented_many(fields), self.dim)
 
     def decode_many(self, rows) -> np.ndarray:
         """``(N, 5)`` fields ``(cx, cy, w_side, h_side, theta)`` of :meth:`decode`
         of each ``(N, dim)`` row, bit for bit; the first row :meth:`decode`
         rejects raises its error, as in :meth:`encode_many`."""
-        rows = np.asarray(rows, dtype=float).reshape(-1, self.dim)
-        boxes = _attempt(self._decode_rows, rows)
-        return _fields([self.decode(r) for r in rows]) if boxes is None else boxes
+        def fields(r):
+            b = self.decode(r)
+            return b.cx, b.cy, b.w_side, b.h_side, b.theta
+
+        return _batch_or_rows(self._decode_rows, fields, np.asarray(rows, dtype=float).reshape(-1, self.dim), 5)
 
     def _encode_rows(self, fields: np.ndarray) -> np.ndarray | None:
         """Array form of :meth:`encode` on ``(N, 5)`` constructed-box fields,
@@ -178,10 +176,7 @@ class CobbCodec(BoxCodec):
         return targets._cobb_loss_many(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
     def curve_components(self, fields: np.ndarray) -> np.ndarray:
-        rows = _attempt(cobb_codec._encode_many, fields)
-        if rows is None:
-            return np.array([cobb_codec.encode(OrientedBox(*r)).as_tuple() for r in fields.tolist()]).reshape(-1, 9)
-        return rows
+        return _batch_or_rows(cobb_codec._encode_many, lambda r: cobb_codec.encode(OrientedBox(*r)).as_tuple(), fields, 9)
 
     def parameter_groups(self) -> dict[str, list[int]]:
         return {"xy": [0, 1], "wh": [2, 3], "r": [4], "scores": [5, 6, 7, 8]}

@@ -257,7 +257,7 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
     p = sub.add_parser("convert", help="DOTA annotations to codec encodings")
     p.add_argument("input")
     p.add_argument("--codec", default="cobb")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", default=None, help="required, as a flag or in the config file")
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_convert)
 
@@ -266,7 +266,7 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
     p.add_argument("--sweep", choices=("rotation", "aspect"), default="rotation")
     p.add_argument("--box", default="0,0,4,2,0")
     p.add_argument("--grid-points", type=int, dest="grid_points", default=1440)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", default=None, help="required, as a flag or in the config file")
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_curves)
 
@@ -277,6 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     return _build()[0]
 
 
+# subcommands whose --out may come from the config file but must come from somewhere
+_NEEDS_OUT = ("convert", "curves")
+
 # built on the first main call, not at import, and never changed after
 _parsers = functools.cache(_build)
 
@@ -286,10 +289,13 @@ def main(argv=None) -> int:
     parser, subcommands = _parsers()
     try:
         args = parser.parse_args(argv)
+        command = args.command
         if args.config is not None:
             # config values as the subcommand's defaults: argparse fills in only what is unset
-            config = argparse.Namespace(**_config_defaults(args.config, subcommands, args.command))
-            args = subcommands[args.command].parse_args(argv[argv.index(args.command) + 1:], config)
+            config = argparse.Namespace(**_config_defaults(args.config, subcommands, command))
+            args = subcommands[command].parse_args(argv[argv.index(command) + 1:], config)
+        if command in _NEEDS_OUT and args.out is None:
+            subcommands[command].error("the following arguments are required: --out")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except (CobbError, OSError) as exc:

@@ -401,58 +401,42 @@ def min_area_rect(points) -> OrientedBox:
         raise DegenerateGeometryError("rectangle fit is not finite") from None
 
 
-def _chain_many(x, y):
-    """``_convex_hull``'s ``build`` over the columns of ``(N, k)`` sorted
-    points, one stack per row: the stacks' coordinates and sizes."""
-    n, k = x.shape
-    rows = np.arange(n)
-    sx, sy = np.zeros((n, k)), np.zeros((n, k))
-    size = np.zeros(n, dtype=np.intp)
-    for j in range(k):
-        px, py = x[:, j], y[:, j]
-        for _ in range(j - 1):  # a stack of at most j points pops at most j - 1
-            a, b = np.maximum(size - 2, 0), np.maximum(size - 1, 0)
-            ax, ay, bx, by = sx[rows, a], sy[rows, a], sx[rows, b], sy[rows, b]
-            size = size - ((size >= 2) & ((bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0))
-        sx[rows, size], sy[rows, size] = px, py
-        size = size + 1
-    return sx, sy, size
-
-
 def min_area_rect_many(x, y) -> np.ndarray:
     """Row-wise :func:`min_area_rect` fields ``(cx, cy, w_side, h_side, theta)``
     of four points per row, given as ``(N, 4)`` coordinates, bit for bit.
 
-    A row whose hull is its four points, all distinct, takes the scalar
-    operations in the scalar order: the points sorted by ``(x, y)``, the
-    hull's chains with the same cross product and pop rule, the four hull
-    edges in hull order with ``hypot`` and ``atan2`` from :mod:`math`, and
-    strict comparisons for the running extremes and the best edge, so even
-    the sign of a zero matches.  Every other row (a repeated or collinear
-    point, a non-finite coordinate, a zero edge, a fit of non-positive area
-    or with a non-finite field) goes to :func:`min_area_rect`, which raises
-    for the first such row it rejects.
+    A row whose points, in the order given, turn the same way at every
+    vertex by more than ``GEOM_EPS`` times its squared span (the test of
+    :class:`ConvexQuad`), with that square a normal float, is its own hull:
+    every cross product the scalar hull takes then has its exact sign, so
+    that hull is the row's cycle, wound with positive turns from its least
+    ``(x, y)`` point.  Such a row takes the scalar operations in the scalar
+    order: the four hull edges in hull order with ``hypot`` and ``atan2``
+    from :mod:`math`, and strict comparisons for the running extremes and
+    the best edge, so even the sign of a zero matches.  Every other row
+    (points out of cyclic order, a repeated or near-collinear point, a
+    non-finite coordinate, a fit of non-positive area or with a non-finite
+    field) goes to :func:`min_area_rect`, which raises for the first such
+    row it rejects.
     """
     x0 = np.asarray(x, dtype=float).reshape(-1, 4)
     y0 = np.asarray(y, dtype=float).reshape(-1, 4)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        order = np.lexsort((y0, x0), axis=1)
-        x, y = np.take_along_axis(x0, order, axis=1), np.take_along_axis(y0, order, axis=1)
-        ok = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
-        ok &= ~((x[:, 1:] == x[:, :-1]) & (y[:, 1:] == y[:, :-1])).any(axis=1)
-        lower_x, lower_y, n_lower = _chain_many(x, y)
-        upper_x, upper_y, n_upper = _chain_many(x[:, ::-1], y[:, ::-1])
-        ok &= n_lower + n_upper == 6
-        # the hull is lower[:-1] + upper[:-1]
-        on_lower = np.arange(4) < (n_lower - 1)[:, None]
-        at = np.clip(np.where(on_lower, np.arange(4), np.arange(4) - (n_lower - 1)[:, None]), 0, 3)
-        hx = np.where(on_lower, np.take_along_axis(lower_x, at, axis=1), np.take_along_axis(upper_x, at, axis=1))
-        hy = np.where(on_lower, np.take_along_axis(lower_y, at, axis=1), np.take_along_axis(upper_y, at, axis=1))
+        spans, turns = _spans_and_turns(*np.stack((x0, y0), axis=2).reshape(-1, 8).T)
+        square = np.maximum.reduce(spans) ** 2
+        tol = GEOM_EPS * square
+        left = np.minimum.reduce(turns) > tol
+        # a square that overflows makes tol infinite; one among the
+        # subnormals would leave the cross products' rounding near tol
+        ok = (left | (np.maximum.reduce(turns) < -tol)) & (square >= np.finfo(float).tiny)
+        # the cycle from its least (x, y) point, reversed where it turns right
+        step = np.where(left, 1, -1)[:, None]
+        at = (np.lexsort((y0, x0), axis=1)[:, :1] + step * np.arange(4)) % 4
+        hx, hy = np.take_along_axis(x0, at, axis=1), np.take_along_axis(y0, at, axis=1)
         best = None
         for i in range(4):
             ex, ey = hx[:, (i + 1) % 4] - hx[:, i], hy[:, (i + 1) % 4] - hy[:, i]
             norm = _rowwise(math.hypot, ex, ey)
-            ok &= norm != 0.0
             ux, uy = ex / norm, ey / norm
             u = hx * ux[:, None] + hy * uy[:, None]
             v = -hx * uy[:, None] + hy * ux[:, None]

@@ -98,14 +98,15 @@ def encode_target(gt: OrientedBox, proposal: Proposal, variant: str) -> TargetVe
     if proposal.theta_p != 0.0:
         gt = rotate_about(gt, proposal.xp, proposal.yp, -proposal.theta_p)
     vec = codec.encode(gt)
-    if vec.w <= 0.0 or vec.h <= 0.0:
-        raise DegenerateGeometryError("degenerate ground-truth HBB")
+    rw, rh = vec.w / proposal.wp, vec.h / proposal.hp
+    if not (0.0 < rw < math.inf and 0.0 < rh < math.inf):
+        raise DegenerateGeometryError(f"degenerate ground-truth HBB: extent ratios {rw!r}, {rh!r} to the proposal")
     ra = gt.area / (vec.w * vec.h)
     return TargetVector(
         tx=(vec.xc - proposal.xp) / proposal.wp,
         ty=(vec.yc - proposal.yp) / proposal.hp,
-        tw=math.log(vec.w / proposal.wp),
-        th=math.log(vec.h / proposal.hp),
+        tw=math.log(rw),
+        th=math.log(rh),
         rt=_rt_from_rs(vec.rs, ra, variant),
         st=tuple(s**lam for s in vec.scores),
         variant=variant,
@@ -125,16 +126,11 @@ def decode_target(t: TargetVector, proposal: Proposal) -> OrientedBox:
         if not math.isfinite(v):
             raise InvalidArgumentError(f"non-finite target component {v!r}")
     p = proposal
-    box = codec.decode(
-        codec.CobbVector(
-            t.tx * p.wp + p.xp,
-            t.ty * p.hp + p.yp,
-            p.wp * math.exp(t.tw),
-            p.hp * math.exp(t.th),
-            _rs_from_rt(t.rt, t.variant),
-            t.st,
-        )
-    )
+    try:
+        w, h = p.wp * math.exp(t.tw), p.hp * math.exp(t.th)
+    except OverflowError:
+        raise DegenerateGeometryError(f"extent targets {t.tw!r}, {t.th!r} overflow") from None
+    box = codec.decode(codec.CobbVector(t.tx * p.wp + p.xp, t.ty * p.hp + p.yp, w, h, _rs_from_rt(t.rt, t.variant), t.st))
     if p.theta_p != 0.0:
         box = rotate_about(box, p.xp, p.yp, p.theta_p)
     return box
@@ -149,8 +145,9 @@ def _encode_targets_many(boxes, proposal: Proposal, variant: str):
         return None
     xc, yc, w, h, rs = v[:, :5].T
     p, lam = proposal, DEFAULT_LAMBDA[variant]
-    if not ((w * h != 0.0) & (w / p.wp > 0.0) & (h / p.hp > 0.0)).all():  # division by zero, log of zero
-        return None
+    rw, rh = w / p.wp, h / p.hp
+    if not ((w * h != 0.0) & (0.0 < rw) & (rw < math.inf) & (0.0 < rh) & (rh < math.inf)).all():
+        return None  # division by zero, or an extent ratio encode_target rejects
     if variant == "sig":
         rt = 2.0 * rs
     else:
@@ -160,8 +157,8 @@ def _encode_targets_many(boxes, proposal: Proposal, variant: str):
     return np.column_stack([
         (xc - p.xp) / p.wp,
         (yc - p.yp) / p.hp,
-        _rowwise(math.log, w / p.wp),
-        _rowwise(math.log, h / p.hp),
+        _rowwise(math.log, rw),
+        _rowwise(math.log, rh),
         rt,
         _rowwise(lambda s: s**lam, v[:, 5:].ravel()).reshape(-1, 4),
     ])

@@ -18,6 +18,7 @@ from cobb.baselines import (
 from cobb.errors import CobbError, InvalidArgumentError
 from cobb.geometry import OrientedBox, iou
 from test_codec import as_fields, seeded_boxes
+from test_geometry import turns_one_way
 
 QUARTER = math.pi / 4
 
@@ -300,10 +301,19 @@ def test_encode_many_asks_the_oracle_only_at_ties(name, monkeypatch):
         assert count is None or len(seen) == count
 
 
+def slide_points(row):
+    """The four points :meth:`GlidingVertexCodec.decode` fits, top, right,
+    bottom, left."""
+    xc, yc, w, h, at, ar, ab, al = row.tolist()
+    x_lo, x_hi = xc - 0.5 * w, xc + 0.5 * w
+    y_lo, y_hi = yc - 0.5 * h, yc + 0.5 * h
+    return [(x_hi - at * w, y_lo), (x_hi, y_hi - ar * h), (x_lo + ab * w, y_hi), (x_lo, y_lo + al * h)]
+
+
 def test_gv_decode_rows_that_fall_back_equal_the_scalar_decode(monkeypatch):
-    """Rows whose four slide points are not four distinct hull points take
-    the scalar fit: each equals ``decode`` bit for bit, and a row ``decode``
-    rejects raises its error."""
+    """Rows whose four slide points do not turn one way at every vertex
+    take the scalar fit: each equals ``decode`` bit for bit, and a row
+    ``decode`` rejects raises its error."""
     codec = GlidingVertexCodec()
     odd = [
         [3.0, 4.0, 2.0, 1.0, 1.0, 0.3, 0.6, 0.0],  # top and left at the top-left corner
@@ -322,7 +332,8 @@ def test_gv_decode_rows_that_fall_back_equal_the_scalar_decode(monkeypatch):
     scalar, calls = geometry.min_area_rect, []
     monkeypatch.setattr(geometry, "min_area_rect", lambda pts: calls.append(pts) or scalar(pts))
     assert_same_bits(codec.decode_many(rows[ok]), as_fields(outcomes[i] for i in ok))
-    assert len(calls) == 2 and bad[0] == 22 and len(bad) > 10  # the two odd rows decode, the diagonal raises
+    assert calls == [slide_points(rows[i]) for i in ok if not turns_one_way(slide_points(rows[i]))]
+    assert len(calls) > 2 and bad[0] == 22 and len(bad) > 10  # the two odd rows decode, the diagonal raises
     for i in bad:
         assert_raises_like(outcomes[i], codec.decode_many, rows[[ok[0], i, ok[0]]])
 

@@ -326,6 +326,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --bogus" in err and "nonsense" not in err
 
+    @pytest.mark.parametrize("command", [["convert", "ann.txt"], ["curves", "--grid-points", "8"]])
+    def test_out_from_the_config_file(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ann.txt").write_text(f"{GOOD}\n")
+        (tmp_path / "out.cfg").write_text("out=enc.csv\n")
+        assert main(command + ["--config", "out.cfg"]) == 0
+        assert capsys.readouterr().out.startswith("wrote ") and (tmp_path / "enc.csv").exists()
+
+    @pytest.mark.parametrize("command", [["convert", "ann.txt"], ["curves", "--grid-points", "8"]])
+    def test_out_from_neither_source_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ann.txt").write_text(f"{GOOD}\n")
+        (tmp_path / "codec.cfg").write_text("codec=acute\n")
+        for config in ([], ["--config", "codec.cfg"]):
+            assert main(command + config) == 2
+            err = capsys.readouterr().err
+            assert err.endswith("error: the following arguments are required: --out\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.txt", "codec.cfg"]
+
     def test_convert_skips_degenerate_annotations(self, tmp_path, capsys):
         src = tmp_path / "ann.txt"
         src.write_text(

@@ -12,9 +12,11 @@ from cobb.codec import four_candidates
 from cobb import _kern, geometry
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError, UndefinedIoUError
 from cobb.geometry import (
+    GEOM_EPS,
     ConvexQuad,
     HorizontalBox,
     OrientedBox,
+    canonical_order,
     iou,
     iou_many,
     oriented_many,
@@ -418,22 +420,39 @@ def convex_quads(n, seed):
     return np.take_along_axis(x, order, axis=1), np.take_along_axis(y, order, axis=1)
 
 
-def dota_quads(n, seed):
+def dota_quads(n, seed, shuffle=True):
     """DOTA-style annotation quads: the corners of seeded pixel-scale boxes
     (centres up to 2e4, sides 2-300, aspect down to 1e-2, theta 0 in one row
     of ten) rounded to whole pixels, half of the coordinates then moved by up
-    to a pixel, in a shuffled order.  Thin ones are often not convex."""
+    to a pixel, in a shuffled order, or with ``shuffle=False`` in their cycle
+    put in :func:`canonical_order`, as annotation parsing puts them.  Thin
+    ones are often not convex."""
     rng = np.random.Generator(np.random.PCG64(seed))
     w = np.exp(rng.uniform(math.log(2.0), math.log(300.0), n))
     h = w * 10.0 ** rng.uniform(-2.0, 0.0, n)
     theta = np.where(np.arange(n) % 10 == 0, 0.0, rng.uniform(0.0, math.pi, n))
     f = vertices_many(np.stack([rng.integers(0, 20000, n), rng.integers(0, 20000, n), w, h, theta], axis=1))
     f = np.round(f) + rng.uniform(-1.0, 1.0, f.shape) * (rng.random(f.shape) < 0.5)
+    if not shuffle:
+        q = np.array([canonical_order(list(zip(r[0::2], r[1::2]))) for r in f.tolist()])
+        return q[:, :, 0], q[:, :, 1]
     order = rng.permuted(np.tile(np.arange(4), (n, 1)), axis=1)
     return np.take_along_axis(f[:, 0::2], order, axis=1), np.take_along_axis(f[:, 1::2], order, axis=1)
 
 
-@pytest.mark.parametrize("quads", [convex_quads(1500, 51), dota_quads(1500, 52)], ids=["convex", "dota"])
+def turns_one_way(pts):
+    """Whether four points, in the order given, turn the same way at every
+    vertex by more than ``GEOM_EPS`` times their squared span."""
+    spans, turns = geometry._spans_and_turns(*(v for p in pts for v in p))
+    tol = GEOM_EPS * (max(spans) * max(spans))
+    return min(turns) > tol or max(turns) < -tol
+
+
+@pytest.mark.parametrize(
+    "quads",
+    [convex_quads(1500, 51), dota_quads(1500, 52), dota_quads(1500, 52, shuffle=False)],
+    ids=["convex", "dota", "dota-cycles"],
+)
 def test_min_area_rect_many_matches_min_area_rect_bit_for_bit(quads, monkeypatch):
     x, y = quads
     want = [fit_outcome(*row) for row in zip(x.tolist(), y.tolist())]
@@ -443,10 +462,22 @@ def test_min_area_rect_many_matches_min_area_rect_bit_for_bit(quads, monkeypatch
     got = min_area_rect_many(x[fitted], y[fitted])
     assert got.shape == (len(fitted), 5)
     assert got.tobytes() == np.array([want[i] for i in fitted]).tobytes()
-    # the scalar fit takes only the rows whose hull is not their four points
+    # the scalar fit takes only the rows that do not turn one way at every vertex
     rows = [list(zip(x[i].tolist(), y[i].tolist())) for i in fitted]
-    assert calls == [pts for pts in rows if len(geometry._convex_hull(pts)) != 4]
+    assert calls == [pts for pts in rows if not turns_one_way(pts)]
     # a row the scalar fit rejects raises its error, between two good rows
     for i in [i for i, w in enumerate(want) if not isinstance(w, list)]:
         with pytest.raises(want[i][0], match=re.escape(want[i][1])):
             min_area_rect_many(x[[fitted[0], i, fitted[0]]], y[[fitted[0], i, fitted[0]]])
+
+
+@pytest.mark.parametrize("factor", [1e-162, 1e153, 1e154])
+def test_min_area_rect_many_matches_min_area_rect_near_the_float_range_ends(factor):
+    """Where a cross product of the scalar hull could overflow, or round
+    among subnormals, the row takes the scalar fit and still matches it."""
+    x, y = convex_quads(300, 53)
+    x, y = x * factor, y * factor
+    want = [fit_outcome(*row) for row in zip(x.tolist(), y.tolist())]
+    fitted = [i for i, w in enumerate(want) if isinstance(w, list)]
+    assert len(fitted) > 100
+    assert min_area_rect_many(x[fitted], y[fitted]).tobytes() == np.array([want[i] for i in fitted]).tobytes()

@@ -7,9 +7,11 @@ import pytest
 
 from cobb import codec
 from cobb.codec import four_candidates
-from cobb.errors import InvalidArgumentError
+from cobb.baselines import get_codec
+from cobb.errors import DegenerateGeometryError, InvalidArgumentError
 from cobb.geometry import HorizontalBox, OrientedBox, iou, min_area_rect, rotate_about
 from cobb.targets import (
+    DEFAULT_LAMBDA,
     Proposal,
     TargetVector,
     cobb_loss,
@@ -17,6 +19,7 @@ from cobb.targets import (
     encode_target,
     sensitivity_probe,
     smooth_l1,
+    _encode_targets_many,
     _rs_from_rt,
 )
 from test_codec import seeded_boxes
@@ -94,6 +97,18 @@ class TestEncodeTarget:
         assert t.rt == pytest.approx(0, abs=1e-9)
         assert t.st == pytest.approx((0, 1, 1, 0), abs=1e-4)
 
+    @pytest.mark.parametrize("variant", ["sig", "ln"])
+    @pytest.mark.parametrize("side, proposal_side", [(1e-150, 1e200), (1e150, 1e-200)])
+    def test_extent_ratio_out_of_float_range_is_typed(self, variant, side, proposal_side):
+        # the ratio underflows to 0 (log's domain error) or overflows to inf
+        gt = OrientedBox(0.0, 0.0, side, side, 0.3)
+        p = Proposal.horizontal(0.0, 0.0, proposal_side, proposal_side)
+        with pytest.raises(DegenerateGeometryError, match="extent ratios"):
+            encode_target(gt, p, variant)
+        # the array form, which runs with float errors ignored, leaves such rows to the scalar one
+        with np.errstate(all="ignore"):
+            assert _encode_targets_many(np.array([[0.0, 0.0, side, side, 0.3]]), p, variant) is None
+
 
 class TestProposal:
     def test_zero_angle_oriented_is_horizontal(self):
@@ -154,6 +169,19 @@ class TestDecodeTarget:
         t = TargetVector(0, 0, math.nan, 0, 0, (1, 1, 1, 1), "sig", 2.0)
         with pytest.raises(InvalidArgumentError):
             decode_target(t, Proposal.horizontal(0, 0, 1, 1))
+
+    @pytest.mark.parametrize("variant", ["sig", "ln"])
+    @pytest.mark.parametrize("tw, th", [(800.0, 0.0), (0.0, 710.0)])
+    def test_overflowing_extent_target_is_typed(self, variant, tw, th):
+        row = [0.0, 0.0, tw, th, 0.5, 1.0, 0.0, 0.0, 0.0]
+        t = TargetVector(*row[:5], tuple(row[5:]), variant, DEFAULT_LAMBDA[variant])
+        with pytest.raises(DegenerateGeometryError, match="overflow"):
+            decode_target(t, Proposal.horizontal(0, 0, 1, 1))
+        cobb = get_codec("cobb" if variant == "sig" else "cobb-ln")
+        with pytest.raises(DegenerateGeometryError, match="overflow"):
+            cobb.decode(row)
+        with pytest.raises(DegenerateGeometryError, match="overflow"):
+            cobb.decode_many([cobb.encode(OrientedBox(3.0, 4.0, 2.0, 1.0, 0.3)), row])
 
 
 class TestEquivariance:
