@@ -7,7 +7,27 @@ operations row by row, so each row is bit-identical to the scalar result.
 
 import numpy as np
 
+from cobb.errors import InvalidArgumentError
+
 IMPLEMENTATION = "python"
+
+
+def _rows(values, width: int) -> np.ndarray:
+    """``values`` as an ``(N, width)`` float array; a 1-D array of exactly
+    ``width`` values is one row.  An array whose last axis is not ``width``
+    raises :class:`InvalidArgumentError` rather than being reflowed."""
+    a = np.asarray(values, dtype=float)
+    if a.shape[-1:] != (width,):
+        raise InvalidArgumentError(f"need rows of {width} values, got an array of shape {a.shape}")
+    return a.reshape(-1, width)
+
+
+def _row_pairs(a, b, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rows` of ``a`` and of ``b``, which must have equal row counts."""
+    a, b = _rows(a, width), _rows(b, width)
+    if len(a) != len(b):
+        raise InvalidArgumentError(f"need equal row counts, got {len(a)} and {len(b)}")
+    return a, b
 
 
 def shoelace2(x0, y0, x1, y1, x2, y2, x3, y3):
@@ -77,8 +97,7 @@ def quad_intersection_area_many(a, b):
     in the scalar walk's order and compacted with a cumulative sum of the
     masks, and the width grows to the largest row count.
     """
-    a = np.asarray(a, dtype=float).reshape(-1, 8)
-    b = np.asarray(b, dtype=float).reshape(-1, 8)
+    a, b = _row_pairs(a, b, 8)
     rows = np.arange(len(a))
     area_b2 = shoelace2(*b.T)
     # a clockwise clip quad is walked in reverse; a zero-area one clips all

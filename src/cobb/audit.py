@@ -20,7 +20,7 @@ import functools
 import math
 import numbers
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -104,8 +104,8 @@ class MetricResult:
 class MetricReport:
     codec: str
     seed: int
-    metrics: list[MetricResult] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    metrics: list[MetricResult]
+    extras: dict
 
     def verdicts(self) -> dict[str, str]:
         return {m.name: m.verdict for m in self.metrics}
@@ -381,9 +381,6 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
     A proxy for how hard each parameter is to regress: continuous parameters
     move only slightly when the box wiggles, discontinuous ones jump.
     """
-    groups = codec.parameter_groups()
-    if not groups:
-        return {}
     rng = _rng(cfg.seed, 303)
     n = max(cfg.samples, 32)
     shapes, centres = np.empty((n, 5)), np.empty((n, 2))
@@ -399,7 +396,7 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
     rows = codec.encode_many(np.concatenate([fields, turned]))
     truths, preds = rows[:n], rows[n:]
     out = {}
-    for gname, idxs in groups.items():
+    for gname, idxs in codec.parameter_groups().items():
         vals = []
         for i in idxs:
             spread = float(np.max(truths[:, i]) - np.min(truths[:, i]))
@@ -420,19 +417,15 @@ def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:
     """
     reports = []
     for codec in codecs:
-        rep = MetricReport(codec=codec.name, seed=cfg.seed)
-        rep.metrics.append(probe_target_continuity(codec, "rotation", cfg))
-        rep.metrics.append(probe_target_continuity(codec, "aspect", cfg))
-        rep.metrics.append(probe_loss_continuity(codec, "rotation", cfg))
-        rep.metrics.append(probe_loss_continuity(codec, "aspect", cfg))
-        rep.metrics.append(check_decoding_completeness(codec, cfg))
-        rep.metrics.append(probe_decoding_robustness(codec, cfg))
-        rep.extras["nae"] = _nae_summary(codec, cfg)
+        probes = (probe_target_continuity, probe_loss_continuity)
+        metrics = [probe(codec, t, cfg) for probe in probes for t in ("rotation", "aspect")]
+        metrics += [check_decoding_completeness(codec, cfg), probe_decoding_robustness(codec, cfg)]
+        extras = {"nae": _nae_summary(codec, cfg)}
         if codec.name in ("cobb", "cobb-ln"):
             square = HorizontalBox(0.0, 0.0, 1.0, 1.0)
-            rep.extras["ratio_sensitivity"] = {
+            extras["ratio_sensitivity"] = {
                 "r_ln@1e-3": sensitivity_probe("r_ln", 1e-3, 1e-4, square),
                 "f_ln_ra@1e-3": sensitivity_probe("f_ln_of_ra", 1e-3, 1e-4, square),
             }
-        reports.append(rep)
+        reports.append(MetricReport(codec.name, cfg.seed, metrics, extras))
     return reports

@@ -9,17 +9,19 @@ codecs exclusively through this interface.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import astuple
 
 import numpy as np
 
 from cobb import codec as cobb_codec
 from cobb import targets
+from cobb._kern import _row_pairs, _rows
 from cobb.errors import CobbError, InvalidArgumentError
 from cobb.geometry import (
     OrientedBox,
     _rowwise,
-    min_area_rect,
     min_area_rect_many,
     oriented_many,
     outer_hbb,
@@ -62,7 +64,8 @@ class BoxCodec:
         raise NotImplementedError
 
     def decode(self, vec) -> OrientedBox:
-        raise NotImplementedError
+        """The box of one ``(dim,)`` row: one row of :meth:`decode_many`."""
+        return OrientedBox(*self.decode_many(vec)[0].tolist())
 
     def encode_many(self, fields) -> np.ndarray:
         """``(N, dim)`` rows: :meth:`encode` of ``OrientedBox(*row)`` for each
@@ -77,23 +80,20 @@ class BoxCodec:
         return _batch_or_rows(self._encode_rows, lambda r: self.encode(OrientedBox(*r)), oriented_many(fields), self.dim)
 
     def decode_many(self, rows) -> np.ndarray:
-        """``(N, 5)`` fields ``(cx, cy, w_side, h_side, theta)`` of :meth:`decode`
-        of each ``(N, dim)`` row, bit for bit; the first row :meth:`decode`
-        rejects raises its error, as in :meth:`encode_many`."""
-        def fields(r):
-            b = self.decode(r)
-            return b.cx, b.cy, b.w_side, b.h_side, b.theta
-
-        return _batch_or_rows(self._decode_rows, fields, np.asarray(rows, dtype=float).reshape(-1, self.dim), 5)
+        """``(N, 5)`` fields ``(cx, cy, w_side, h_side, theta)`` of the boxes
+        decoded from ``(N, dim)`` rows; the first row the codec rejects
+        raises its error."""
+        with np.errstate(all="ignore"):
+            return self._decode_rows(_rows(rows, self.dim))
 
     def _encode_rows(self, fields: np.ndarray) -> np.ndarray | None:
         """Array form of :meth:`encode` on ``(N, 5)`` constructed-box fields,
         or None to loop."""
         return None
 
-    def _decode_rows(self, rows: np.ndarray) -> np.ndarray | None:
-        """Array form of :meth:`decode` on ``(N, dim)`` rows, or None to loop."""
-        return None
+    def _decode_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The codec's one decoder: ``(N, 5)`` fields of ``(N, dim)`` rows; the first row it rejects raises."""
+        raise NotImplementedError
 
     def loss(self, a, b) -> float:
         """Default loss: elementwise smooth-L1 summed over components."""
@@ -108,7 +108,8 @@ class BoxCodec:
         scalar ``sum`` adds them; ``np.sum`` adds in pairs and can differ in
         the last bit.
         """
-        terms = targets._smooth_l1_many(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+        a, b = _row_pairs(a, b, self.dim)
+        terms = targets._smooth_l1_many(a - b)
         total = np.zeros(len(terms))
         for column in terms.T:
             total = total + column
@@ -121,10 +122,6 @@ class BoxCodec:
         return self.encode_many(fields)
 
     curve_component_names: tuple[str, ...] | None = None
-
-    def parameter_groups(self) -> dict[str, list[int]]:
-        """Component groups for the estimation-difficulty (NAE) summary."""
-        return {}
 
 
 class CobbCodec(BoxCodec):
@@ -165,7 +162,9 @@ class CobbCodec(BoxCodec):
         return targets._encode_targets_many(fields, self.proposal, self.variant)
 
     def _decode_rows(self, rows):
-        return targets._decode_targets_many(rows, self.proposal, self.variant)
+        # the scalar decode stays as the batch's fallback for rows it may reject
+        batch = functools.partial(targets._decode_targets_many, proposal=self.proposal, variant=self.variant)
+        return _batch_or_rows(batch, lambda r: astuple(self.decode(r)), rows, 5)
 
     def loss(self, a, b) -> float:
         ta = TargetVector(a[0], a[1], a[2], a[3], a[4], tuple(a[5:9]), self.variant, self.lam)
@@ -173,7 +172,7 @@ class CobbCodec(BoxCodec):
         return cobb_loss(ta, tb)
 
     def loss_many(self, a, b) -> np.ndarray:
-        return targets._cobb_loss_many(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        return targets._cobb_loss_many(*_row_pairs(a, b, self.dim))
 
     def curve_components(self, fields: np.ndarray) -> np.ndarray:
         return _batch_or_rows(cobb_codec._encode_many, lambda r: cobb_codec.encode(OrientedBox(*r)).as_tuple(), fields, 9)
@@ -196,8 +195,7 @@ class AcuteAngleCodec(BoxCodec):
             w, h = h, w
         return np.array([box.cx, box.cy, w, h, t], dtype=float)
 
-    def decode(self, vec) -> OrientedBox:
-        return OrientedBox(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(vec[4]))
+    decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
 
     def _encode_rows(self, fields):
         cx, cy, w, h, t = fields.T
@@ -244,8 +242,7 @@ class LongEdgeCodec(BoxCodec):
         lng, shrt, t = self._long_edge_angle(box)
         return np.array([box.cx, box.cy, lng, shrt, t], dtype=float)
 
-    def decode(self, vec) -> OrientedBox:
-        return OrientedBox(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(vec[4]))
+    decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
 
     def _encode_rows(self, fields):
         return np.stack([fields[:, 0], fields[:, 1], *_long_edge_angles(fields)], axis=1)
@@ -285,10 +282,7 @@ class CslCodec(BoxCodec):
         lng, shrt, t = LongEdgeCodec._long_edge_angle(box)
         return np.concatenate([[box.cx, box.cy, lng, shrt], self.window(t)])
 
-    def decode(self, vec) -> OrientedBox:
-        label = np.asarray(vec[4:], dtype=float)
-        theta = self.bin_centers[int(np.argmax(label))]
-        return OrientedBox(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(theta))
+    decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
 
     def _encode_rows(self, fields):
         lng, shrt, t = _long_edge_angles(fields)
@@ -335,19 +329,7 @@ class GlidingVertexCodec(BoxCodec):
         a = tuple(min(max(v, 0.0), 1.0) for v in a)
         return np.array([hbb.xc, hbb.yc, hbb.w, hbb.h, *a], dtype=float)
 
-    def decode(self, vec) -> OrientedBox:
-        xc, yc, w, h, at, ar, ab, al = (float(v) for v in vec[:8])
-        if w <= 0.0 or h <= 0.0:
-            raise InvalidArgumentError("decoded HBB extents must be positive")
-        x_lo, x_hi = xc - 0.5 * w, xc + 0.5 * w
-        y_lo, y_hi = yc - 0.5 * h, yc + 0.5 * h
-        pts = [
-            (x_hi - at * w, y_lo),
-            (x_hi, y_hi - ar * h),
-            (x_lo + ab * w, y_hi),
-            (x_lo, y_lo + al * h),
-        ]
-        return min_area_rect(pts)
+    decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
 
     def _encode_rows(self, fields):
         cx, cy, w_side, h_side, theta = fields.T
@@ -374,14 +356,16 @@ class GlidingVertexCodec(BoxCodec):
 
     def _decode_rows(self, rows):
         xc, yc, w, h, at, ar, ab, al = rows.T
-        if (w <= 0.0).any() or (h <= 0.0).any():
-            return None
         x_lo, x_hi = xc - 0.5 * w, xc + 0.5 * w
         y_lo, y_hi = yc - 0.5 * h, yc + 0.5 * h
-        return min_area_rect_many(
-            np.stack([x_hi - at * w, x_hi, x_lo + ab * w, x_lo], axis=1),
-            np.stack([y_lo, y_hi - ar * h, y_hi, y_lo + al * h], axis=1),
-        )
+        x = np.stack([x_hi - at * w, x_hi, x_lo + ab * w, x_lo], axis=1)
+        y = np.stack([y_lo, y_hi - ar * h, y_hi, y_lo + al * h], axis=1)
+        bad = (w <= 0.0) | (h <= 0.0)
+        if bad.any():
+            first = int(np.argmax(bad))
+            min_area_rect_many(x[:first], y[:first])  # an earlier row's fit error comes first
+            raise InvalidArgumentError("decoded HBB extents must be positive")
+        return min_area_rect_many(x, y)
 
     def parameter_groups(self) -> dict[str, list[int]]:
         return {"xy": [0, 1], "wh": [2, 3], "alpha": [4, 5, 6, 7]}

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from cobb._kern import quad_area, quad_intersection_area, quad_intersection_area_many, shoelace2
+from cobb._kern import _row_pairs, _rows, quad_area, quad_intersection_area, quad_intersection_area_many, shoelace2
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError, UndefinedIoUError
 
 # Absolute tolerance for geometric predicates on unit-scale inputs; callers
@@ -203,7 +204,7 @@ def vertices_many(params) -> np.ndarray:
     non-finite field, and corners that fail :class:`ConvexQuad`'s checks,
     raise the error the scalar path raises for the first such row.
     """
-    p = np.asarray(params, dtype=float).reshape(-1, 5)
+    p = _rows(params, 5)
     bad = ~np.isfinite(p).all(axis=1)
     if bad.any():
         _require_finite("OrientedBox field", *p[np.argmax(bad)].tolist())
@@ -238,7 +239,7 @@ def oriented_many(params) -> np.ndarray:
     constructed box's ``(cx, cy, w_side, h_side, theta)``; the first row the
     constructor rejects raises its error.
     """
-    p = np.asarray(params, dtype=float).reshape(-1, 5)
+    p = _rows(params, 5)
     cx, cy, w, h, theta = p.T
     bad = ~np.isfinite(p).all(axis=1) | ~((w > 0) & (h > 0))
     if bad.any():
@@ -312,10 +313,7 @@ def iou_many(a, b) -> np.ndarray:
     The same float operations as the scalar oracle, so each row equals it
     bit for bit; raises :class:`UndefinedIoUError` where it would.
     """
-    a = np.asarray(a, dtype=float).reshape(-1, 8)
-    b = np.asarray(b, dtype=float).reshape(-1, 8)
-    if a.shape != b.shape:
-        raise InvalidArgumentError(f"need equal row counts, got {len(a)} and {len(b)}")
+    a, b = _row_pairs(a, b, 8)
     area_a, area_b = 0.5 * np.abs(shoelace2(*a.T)), 0.5 * np.abs(shoelace2(*b.T))
     if ((area_a == 0.0) & (area_b == 0.0)).any():
         raise UndefinedIoUError("IoU of two zero-area shapes is undefined")
@@ -334,17 +332,23 @@ def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]
     pts = sorted(set(points))
     if len(pts) < 3:
         return pts
+    # turn tests on the points scaled by a power of two near 1/max|coordinate|: exact in
+    # the normal range, and no cross product overflows to a NaN the test would keep
+    k = math.ldexp(1.0, -math.frexp(max(map(abs, chain.from_iterable(pts))))[1])
 
     def build(seq):
-        out = []
-        for x, y in seq:
+        out, kept = [], []
+        for p in seq:
+            x, y = p[0] * k, p[1] * k
             while len(out) >= 2 and (
                 (out[-1][0] - out[-2][0]) * (y - out[-2][1])
                 - (out[-1][1] - out[-2][1]) * (x - out[-2][0])
             ) <= 0:
                 out.pop()
+                kept.pop()
             out.append((x, y))
-        return out
+            kept.append(p)
+        return kept
 
     lower = build(pts)
     upper = build(reversed(pts))
@@ -419,8 +423,7 @@ def min_area_rect_many(x, y) -> np.ndarray:
     field) goes to :func:`min_area_rect`, which raises for the first such
     row it rejects.
     """
-    x0 = np.asarray(x, dtype=float).reshape(-1, 4)
-    y0 = np.asarray(y, dtype=float).reshape(-1, 4)
+    x0, y0 = _row_pairs(x, y, 4)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         spans, turns = _spans_and_turns(*np.stack((x0, y0), axis=2).reshape(-1, 8).T)
         square = np.maximum.reduce(spans) ** 2

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cobb import codec as cobb_codec, geometry
+from cobb import _kern, codec as cobb_codec, geometry
 from cobb.baselines import (
     AcuteAngleCodec,
     CobbCodec,
@@ -16,7 +16,7 @@ from cobb.baselines import (
     get_codec,
 )
 from cobb.errors import CobbError, InvalidArgumentError
-from cobb.geometry import OrientedBox, iou
+from cobb.geometry import OrientedBox, iou, vertices_of
 from test_codec import as_fields, seeded_boxes
 from test_geometry import turns_one_way
 
@@ -190,6 +190,43 @@ def pixel_boxes(n, seed):
 BATCH_BOXES = pixel_boxes(2000, 41)
 
 
+# -- the scalar decoders, the reference the array decoders are checked against
+
+
+def box_decode(vec):
+    """``acute`` and ``long-edge``: the row is the box's fields."""
+    return OrientedBox(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(vec[4]))
+
+
+def csl_decode(vec):
+    """``csl``: the long-edge fields, with the angle at the label's argmax
+    bin centre."""
+    theta = CslCodec.bin_centers[int(np.argmax(np.asarray(vec[4:], dtype=float)))]
+    return OrientedBox(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(theta))
+
+
+def slide_points(row):
+    """The four points a ``gv`` row slides onto its HBB sides: top, right,
+    bottom, left."""
+    xc, yc, w, h, at, ar, ab, al = (float(v) for v in row[:8])
+    x_lo, x_hi = xc - 0.5 * w, xc + 0.5 * w
+    y_lo, y_hi = yc - 0.5 * h, yc + 0.5 * h
+    return [(x_hi - at * w, y_lo), (x_hi, y_hi - ar * h), (x_lo + ab * w, y_hi), (x_lo, y_lo + al * h)]
+
+
+def gv_decode(vec):
+    """``gv``: the minimum-area rectangle around the four slide points."""
+    if float(vec[2]) <= 0.0 or float(vec[3]) <= 0.0:
+        raise InvalidArgumentError("decoded HBB extents must be positive")
+    return geometry.min_area_rect(slide_points(vec))
+
+
+def reference_decode(codec):
+    """The scalar decoder of ``codec``; the nine-parameter codecs keep theirs
+    in the package."""
+    return {"acute": box_decode, "long-edge": box_decode, "csl": csl_decode, "gv": gv_decode}.get(codec.name, codec.decode)
+
+
 def scalar_outcome(call, arg):
     """``call(arg)``, or the error it raises as ``(class, message)``."""
     try:
@@ -238,10 +275,11 @@ def test_array_forms_equal_the_scalar_ones_bit_for_bit(name):
         assert_same_bits(codec.encode_many(fields), [codec.encode(OrientedBox(*r)) for r in fields.tolist()])
     noise = np.random.Generator(np.random.PCG64(42)).normal(0.0, 1e-3, want.shape)
     rows = np.vstack([want, want + noise, [codec.encode(OrientedBox(*r)) for r in edges.tolist()]])
-    outcomes = [scalar_outcome(codec.decode, r) for r in rows]
+    outcomes = [scalar_outcome(reference_decode(codec), r) for r in rows]
     ok = [i for i, o in enumerate(outcomes) if isinstance(o, OrientedBox)]
     assert len(ok) > len(want)
     assert_same_bits(codec.decode_many(rows[ok]), as_fields(outcomes[i] for i in ok))
+    assert_same_bits(as_fields(codec.decode(rows[i]) for i in ok[::97]), as_fields(outcomes[i] for i in ok[::97]))
     # rows the scalar decode rejects, each between two good rows
     for i in [i for i, o in enumerate(outcomes) if not isinstance(o, OrientedBox)][:10]:
         assert_raises_like(outcomes[i], codec.decode_many, rows[[ok[0], i, ok[0]]])
@@ -301,19 +339,10 @@ def test_encode_many_asks_the_oracle_only_at_ties(name, monkeypatch):
         assert count is None or len(seen) == count
 
 
-def slide_points(row):
-    """The four points :meth:`GlidingVertexCodec.decode` fits, top, right,
-    bottom, left."""
-    xc, yc, w, h, at, ar, ab, al = row.tolist()
-    x_lo, x_hi = xc - 0.5 * w, xc + 0.5 * w
-    y_lo, y_hi = yc - 0.5 * h, yc + 0.5 * h
-    return [(x_hi - at * w, y_lo), (x_hi, y_hi - ar * h), (x_lo + ab * w, y_hi), (x_lo, y_lo + al * h)]
-
-
 def test_gv_decode_rows_that_fall_back_equal_the_scalar_decode(monkeypatch):
     """Rows whose four slide points do not turn one way at every vertex
-    take the scalar fit: each equals ``decode`` bit for bit, and a row
-    ``decode`` rejects raises its error."""
+    take the scalar fit: each equals the scalar decode bit for bit, and a
+    row it rejects raises its error."""
     codec = GlidingVertexCodec()
     odd = [
         [3.0, 4.0, 2.0, 1.0, 1.0, 0.3, 0.6, 0.0],  # top and left at the top-left corner
@@ -326,7 +355,7 @@ def test_gv_decode_rows_that_fall_back_equal_the_scalar_decode(monkeypatch):
     centres, theta = rng.uniform(0.0, 2e4, (2, 300)), rng.uniform(0.0, math.pi, 300)
     thin = codec.encode_many(np.stack([*centres, np.full(300, 100.0), np.full(300, 1e-11), theta], axis=1))
     rows = np.vstack([codec.encode_many(as_fields(BATCH_BOXES[:20])), odd, thin])
-    outcomes = [scalar_outcome(codec.decode, r) for r in rows]
+    outcomes = [scalar_outcome(gv_decode, r) for r in rows]
     ok = [i for i, o in enumerate(outcomes) if isinstance(o, OrientedBox)]
     bad = [i for i, o in enumerate(outcomes) if not isinstance(o, OrientedBox)]
     scalar, calls = geometry.min_area_rect, []
@@ -340,6 +369,8 @@ def test_gv_decode_rows_that_fall_back_equal_the_scalar_decode(monkeypatch):
 
 GOOD = OrientedBox(3.0, 4.0, 2.0, 1.0, 0.3)
 NAN_TARGET = [0.0, 0.0, 0.0, 0.0, 0.5, math.nan, 0.0, 0.0, 1.0]
+GV_NAN_CENTRE = [math.nan, 0.0, 2.0, 1.0, 0.1, 0.2, 0.3, 0.4]
+GV_ZERO_EXTENT = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -354,16 +385,22 @@ NAN_TARGET = [0.0, 0.0, 0.0, 0.0, 0.5, math.nan, 0.0, 0.0, 1.0]
         ("acute", [0.0, 0.0, math.nan, 1.0, 0.2]),
         ("long-edge", [0.0, 0.0, 1.0, -1.0, 0.2]),
         ("csl", [0.0, 0.0, math.inf, 1.0] + [0.0] * 90),
-        ("gv", [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
+        ("gv", GV_ZERO_EXTENT),
+        # a fit error and an extent error, in either order: the first row's wins
+        ("gv", [GV_NAN_CENTRE, GV_ZERO_EXTENT]),  # coordinate must be finite, got nan
+        ("gv", [GV_ZERO_EXTENT, GV_NAN_CENTRE]),  # decoded HBB extents must be positive
     ],
 )
 def test_decode_many_raises_what_decode_raises_for_the_first_bad_row(name, row):
+    """``row``, or each of two rows in order, between good rows and before a
+    later rejected row."""
     codec = get_codec(name)
     good = codec.encode(GOOD)
-    outcome = scalar_outcome(codec.decode, row)
+    bad = np.atleast_2d(np.asarray(row, dtype=float))
+    outcome = scalar_outcome(reference_decode(codec), bad[0])
     assert not isinstance(outcome, OrientedBox)
     later = NAN_TARGET if name.startswith("cobb") else [0.0] * codec.dim
-    assert_raises_like(outcome, codec.decode_many, [good, row, later, good])
+    assert_raises_like(outcome, codec.decode_many, [good, *bad, later, good])
 
 
 @pytest.mark.parametrize("name", available_codecs())
@@ -413,6 +450,47 @@ def test_array_forms_of_no_rows(name):
     codec = get_codec(name)
     assert codec.encode_many(np.empty((0, 5))).shape == (0, codec.dim)
     assert codec.decode_many(np.empty((0, codec.dim))).shape == (0, 5)
+
+
+SQUARE = [0.0, 2.0, 2.0, 0.0]  # x of a square; rolled by one, its y
+WIDTH_CASES = {
+    "oriented_many": (geometry.oriented_many, as_fields([GOOD])[0]),
+    "vertices_many": (geometry.vertices_many, as_fields([GOOD])[0]),
+    "iou_many": (lambda a: geometry.iou_many(a, a), vertices_of(GOOD).flat),
+    "quad_intersection_area_many": (lambda a: _kern.quad_intersection_area_many(a, a), vertices_of(GOOD).flat),
+    "min_area_rect_many": (lambda a: geometry.min_area_rect_many(a, np.roll(a, 1, axis=-1)), SQUARE),
+    "acute.encode_many": (AcuteAngleCodec().encode_many, as_fields([GOOD])[0]),
+    "cobb.encode_many": (CobbCodec("sig").encode_many, as_fields([GOOD])[0]),
+    "acute.decode_many": (AcuteAngleCodec().decode_many, AcuteAngleCodec().encode(GOOD)),
+    "gv.decode_many": (GlidingVertexCodec().decode_many, GlidingVertexCodec().encode(GOOD)),
+    "acute.decode": (lambda a: as_fields([AcuteAngleCodec().decode(a)]), AcuteAngleCodec().encode(GOOD)),
+    "acute.loss_many": (lambda a: AcuteAngleCodec().loss_many(a, a), AcuteAngleCodec().encode(GOOD)),
+    "cobb.loss_many": (lambda a: CobbCodec("sig").loss_many(a, a), CobbCodec("sig").encode(GOOD)),
+}
+
+
+@pytest.mark.parametrize("name", WIDTH_CASES)
+def test_array_inputs_of_the_wrong_width_raise(name):
+    """A 1-D array of exactly one row's width is one row; an array whose last
+    axis is not the row width raises, where reshaping would reflow it into
+    other rows."""
+    call, row = WIDTH_CASES[name]
+    row = np.asarray(row, dtype=float)
+    one = call(row)
+    assert len(one) == 1
+    assert_same_bits(one, call(row[None]))
+    for wrong in (np.tile(row, (3, 2)), np.tile(row, 2), row[:-1], np.tile(row, (2, 1)).T):
+        with pytest.raises(InvalidArgumentError, match=f"need rows of {len(row)} values"):
+            call(wrong)
+
+
+def test_paired_array_inputs_need_equal_row_counts():
+    codec = AcuteAngleCodec()
+    rows = codec.encode_many(as_fields(BATCH_BOXES[:3]))
+    with pytest.raises(InvalidArgumentError, match="need equal row counts, got 3 and 1"):
+        codec.loss_many(rows, rows[:1])
+    with pytest.raises(InvalidArgumentError, match="need equal row counts, got 3 and 2"):
+        geometry.min_area_rect_many(np.tile(SQUARE, (3, 1)), np.tile(np.roll(SQUARE, 1), (2, 1)))
 
 
 @pytest.mark.parametrize("name", available_codecs())

@@ -481,3 +481,15 @@ def test_min_area_rect_many_matches_min_area_rect_near_the_float_range_ends(fact
     fitted = [i for i, w in enumerate(want) if isinstance(w, list)]
     assert len(fitted) > 100
     assert min_area_rect_many(x[fitted], y[fitted]).tobytes() == np.array([want[i] for i in fitted]).tobytes()
+
+
+def test_min_area_rect_hull_survives_overflowing_cross_products():
+    """At 1e153 the raw cross products of this quad overflow to NaN, which the
+    turn test reads as a point to keep: the hull would hold a point twice and
+    skip an edge, and the fit (area 1.0e308) would not be the minimum."""
+    x, y = convex_quads(2000, 7)
+    pts = list(zip((x[413] * 1e153).tolist(), (y[413] * 1e153).tolist()))
+    hull = geometry._convex_hull(pts)
+    assert sorted(hull) == sorted(pts)
+    fit = min_area_rect(pts)
+    assert fit.w_side * fit.h_side == pytest.approx(8.2196e307, rel=1e-4)
