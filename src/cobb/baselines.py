@@ -65,7 +65,10 @@ class BoxCodec:
 
     def decode(self, vec) -> OrientedBox:
         """The box of one ``(dim,)`` row: one row of :meth:`decode_many`."""
-        return OrientedBox(*self.decode_many(vec)[0].tolist())
+        rows = _rows(vec, self.dim)
+        if len(rows) != 1:
+            raise InvalidArgumentError(f"decode takes one row, got {len(rows)}")
+        return OrientedBox(*self.decode_many(rows)[0].tolist())
 
     def encode_many(self, fields) -> np.ndarray:
         """``(N, dim)`` rows: :meth:`encode` of ``OrientedBox(*row)`` for each

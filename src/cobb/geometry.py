@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -332,23 +331,21 @@ def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]
     pts = sorted(set(points))
     if len(pts) < 3:
         return pts
-    # turn tests on the points scaled by a power of two near 1/max|coordinate|: exact in
-    # the normal range, and no cross product overflows to a NaN the test would keep
-    k = math.ldexp(1.0, -math.frexp(max(map(abs, chain.from_iterable(pts))))[1])
 
     def build(seq):
-        out, kept = [], []
+        out = []
         for p in seq:
-            x, y = p[0] * k, p[1] * k
-            while len(out) >= 2 and (
-                (out[-1][0] - out[-2][0]) * (y - out[-2][1])
-                - (out[-1][1] - out[-2][1]) * (x - out[-2][0])
-            ) <= 0:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                c = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
+                if c != c:  # an overflow: retest on the points scaled by 2**-e, e the exponent of max|coordinate|
+                    k = math.ldexp(1.0, -math.frexp(max(max(abs(x), abs(y)) for x, y in pts))[1])
+                    c = (bx * k - ax * k) * (p[1] * k - ay * k) - (by * k - ay * k) * (p[0] * k - ax * k)
+                if c > 0:
+                    break
                 out.pop()
-                kept.pop()
-            out.append((x, y))
-            kept.append(p)
-        return kept
+            out.append(p)
+        return out
 
     lower = build(pts)
     upper = build(reversed(pts))

@@ -386,6 +386,7 @@ GV_ZERO_EXTENT = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
         ("long-edge", [0.0, 0.0, 1.0, -1.0, 0.2]),
         ("csl", [0.0, 0.0, math.inf, 1.0] + [0.0] * 90),
         ("gv", GV_ZERO_EXTENT),
+        ("gv", [0.0, 0.0, 1e-310, 1e-310, 0.5, 0.5, 0.5, 0.5]),  # subnormal extents: collinear
         # a fit error and an extent error, in either order: the first row's wins
         ("gv", [GV_NAN_CENTRE, GV_ZERO_EXTENT]),  # coordinate must be finite, got nan
         ("gv", [GV_ZERO_EXTENT, GV_NAN_CENTRE]),  # decoded HBB extents must be positive
@@ -482,6 +483,15 @@ def test_array_inputs_of_the_wrong_width_raise(name):
     for wrong in (np.tile(row, (3, 2)), np.tile(row, 2), row[:-1], np.tile(row, (2, 1)).T):
         with pytest.raises(InvalidArgumentError, match=f"need rows of {len(row)} values"):
             call(wrong)
+
+
+def test_decode_takes_exactly_one_row():
+    codec = AcuteAngleCodec()
+    rows = codec.encode_many(as_fields(BATCH_BOXES[:2]))
+    assert codec.decode(rows[:1]) == codec.decode(rows[0])
+    for wrong in (rows, rows[:0]):
+        with pytest.raises(InvalidArgumentError, match=f"decode takes one row, got {len(wrong)}"):
+            codec.decode(wrong)
 
 
 def test_paired_array_inputs_need_equal_row_counts():

@@ -352,6 +352,7 @@ class TestCli:
             "5 5 5 5 5 5 5 5 ship 1\n"
             "1 1 2 2 3 3 4 4 ship 0\n"
             "0 0 5e153 0 5e153 2e153 0 2e153 ship 0\n"  # too large for the candidate IoUs
+            "0 0 1e-310 0 1e-310 1e-310 0 1e-310 plane 0\n"  # cross products underflow to 0
             "5 5 9 5 9 7 5 7 harbor 2\n"
         )
         out = tmp_path / "enc.csv"
@@ -362,6 +363,7 @@ class TestCli:
         assert "skipped line 2: points are collinear" in err
         assert "skipped line 3: points are collinear" in err
         assert "skipped line 4: HBB extents 5e+153 x 2e+153 out of range" in err
+        assert "skipped line 5: points are collinear" in err
 
     def test_convert_skips_an_overflowing_fit(self, tmp_path, capsys):
         src = tmp_path / "ann.txt"

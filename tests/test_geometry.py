@@ -493,3 +493,11 @@ def test_min_area_rect_hull_survives_overflowing_cross_products():
     assert sorted(hull) == sorted(pts)
     fit = min_area_rect(pts)
     assert fit.w_side * fit.h_side == pytest.approx(8.2196e307, rel=1e-4)
+
+
+def test_min_area_rect_keeps_its_answers_away_from_overflow():
+    """The hull rescales only a turn test that overflowed: subnormal points
+    still read as collinear, and a fit mixing 1e300 with 1e-300 still fits."""
+    with pytest.raises(DegenerateGeometryError, match="points are collinear"):
+        min_area_rect([(0.0, 0.0), (1e-310, 0.0), (1e-310, 1e-310), (0.0, 1e-310)])
+    assert min_area_rect([(0.0, 0.0), (0.0, 1e-300), (1e300, 0.0)]) == OrientedBox(5e299, 5e-301, 1e300, 1e-300, -0.0)
