@@ -3,6 +3,7 @@
 Quads are flat 8-sequences ``(x0, y0, x1, y1, x2, y2, x3, y3)``; the
 ``_many`` form takes ``(N, 8)`` arrays of them and repeats the scalar float
 operations row by row, so each row is bit-identical to the scalar result.
+It works slot-major: the polygons being clipped are ``(slots, N)`` arrays.
 """
 
 import numpy as np
@@ -91,46 +92,48 @@ def quad_intersection_area(a, b):
 def quad_intersection_area_many(a, b):
     """Row-wise :func:`quad_intersection_area` of two ``(N, 8)`` arrays.
 
-    A masked Sutherland-Hodgman: row ``r``'s polygon fills the first
-    ``n[r]`` slots of the coordinate arrays.  Per clip edge, each vertex's
-    side value is computed once; every kept vertex and crossing is emitted
-    in the scalar walk's order and compacted with a cumulative sum of the
-    masks, and the width grows to the largest row count.
+    A masked Sutherland-Hodgman with row ``r`` in column ``r`` of ``(slots,
+    N)`` x and y arrays: its ``n[r]`` vertices, then vertex 0 again in slot
+    ``n[r]``, so a vertex's successor is the next slot.  Per clip edge, the
+    kept vertices and crossings are compacted in the scalar walk's order by
+    one running count down the slots and one flat scatter; the area is
+    summed slot by slot from 0.0, as the scalar loop sums it.
     """
     a, b = _row_pairs(a, b, 8)
-    rows = np.arange(len(a))
-    area_b2 = shoelace2(*b.T)
-    # a clockwise clip quad is walked in reverse; a zero-area one clips all
-    cw = (area_b2 < 0.0)[:, None]
-    cx = np.where(cw, b[:, 6::-2], b[:, 0::2])
-    cy = np.where(cw, b[:, 7::-2], b[:, 1::2])
-    x, y = a[:, 0::2], a[:, 1::2]
-    n = np.where(area_b2 == 0.0, 0, 4)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    cols = np.arange(len(a))
+    with np.errstate(all="ignore"):
+        area_b2 = shoelace2(*b.T)
+        # a clockwise clip quad is walked in reverse; a zero-area one clips all
+        cw = area_b2 < 0.0
+        cx = np.where(cw, b.T[6::-2], b.T[0::2])
+        cy = np.where(cw, b.T[7::-2], b.T[1::2])
+        ex, ey = cx[[1, 2, 3, 0]] - cx, cy[[1, 2, 3, 0]] - cy
+        dead = (ex == 0.0) & (ey == 0.0)  # a zero-length edge clips nothing
+        x, y = a.T[[0, 2, 4, 6, 0]], a.T[[1, 3, 5, 7, 1]]
+        n = np.where(area_b2 == 0.0, 0, 4)
         for k in range(4):
-            ax, ay = cx[:, k, None], cy[:, k, None]
-            ex, ey = cx[:, (k + 1) % 4, None] - ax, cy[:, (k + 1) % 4, None] - ay
-            live = (ex != 0.0) | (ey != 0.0)  # a zero-length edge clips nothing
-            slot = np.arange(x.shape[1])
-            valid = slot < n[:, None]
-            nxt = np.where(slot + 1 < n[:, None], slot + 1, 0)
-            d = ex * (y - ay) - ey * (x - ax)
-            dn, xn, yn = (np.take_along_axis(v, nxt, axis=1) for v in (d, x, y))
-            keep = valid & ((d >= 0.0) | ~live)
-            cross = valid & live & (((d > 0.0) & (dn < 0.0)) | ((d < 0.0) & (dn > 0.0)))
-            t = d / (d - dn)
-            # slot 2j holds vertex j, slot 2j + 1 its crossing
-            mask = np.stack((keep, cross), axis=2).reshape(len(a), 2 * len(slot))
-            px = np.stack((x, x + t * (xn - x)), axis=2).reshape(mask.shape)
-            py = np.stack((y, y + t * (yn - y)), axis=2).reshape(mask.shape)
-            n = mask.sum(axis=1)
-            r, c = np.nonzero(mask)
-            dest = (np.cumsum(mask, axis=1) - 1)[r, c]
-            x = np.zeros((len(a), n.max(initial=0)))
-            y = np.zeros_like(x)
-            x[r, dest], y[r, dest] = px[r, c], py[r, c]
-    s = np.zeros(len(a))
-    for j in range(x.shape[1]):
-        jn = np.where(j + 1 < n, j + 1, 0)
-        s = np.where(j < n, s + (x[:, j] * y[rows, jn] - x[rows, jn] * y[:, j]), s)
+            if len(x) == 1:
+                break  # every polygon is empty: no slot left to count down
+            d = ex[k] * (y - cy[k]) - ey[k] * (x - cx[k])
+            p, q = d[:-1], d[1:]
+            valid = np.arange(len(p))[:, None] < n
+            t = p / (p - q)
+            # entry 2j is vertex j, entry 2j + 1 the crossing on its edge
+            cross = ((p > 0.0) & (q < 0.0)) | ((p < 0.0) & (q > 0.0))
+            keep = (np.stack(((p >= 0.0) | dead[k], cross), axis=1) & valid[:, None]).reshape(2 * len(p), -1)
+            px = np.stack((x[:-1], x[:-1] + t * (x[1:] - x[:-1])), axis=1).reshape(-1)
+            py = np.stack((y[:-1], y[:-1] + t * (y[1:] - y[:-1])), axis=1).reshape(-1)
+            count = np.add.accumulate(keep, axis=0, dtype=np.intp)
+            n = count[-1]
+            w = n.max(initial=0)
+            # kept entries go to their compacted slot, the others to slot w + 1, cut off after
+            dest = (np.where(keep, count - 1, w + 1) * len(cols) + cols).reshape(-1)
+            x, y = np.empty((w + 2, len(cols))), np.empty((w + 2, len(cols)))
+            x.reshape(-1)[dest], y.reshape(-1)[dest] = px, py
+            x[n, cols], y[n, cols] = x[0], y[0]
+            x, y = x[:-1], y[:-1]
+        terms = np.where(np.arange(len(x) - 1)[:, None] < n, x[:-1] * y[1:] - x[1:] * y[:-1], 0.0)
+        s = np.zeros(len(a))
+        for term in terms:
+            s = s + term
     return np.where(n < 3, 0.0, 0.5 * np.abs(s))

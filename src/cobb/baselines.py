@@ -65,10 +65,14 @@ class BoxCodec:
 
     def decode(self, vec) -> OrientedBox:
         """The box of one ``(dim,)`` row: one row of :meth:`decode_many`."""
+        return OrientedBox(*self.decode_many(self._one_row(vec))[0].tolist())
+
+    def _one_row(self, vec) -> np.ndarray:
+        """``(dim,)`` or ``(1, dim)`` ``vec`` as one row; any other shape raises."""
         rows = _rows(vec, self.dim)
         if len(rows) != 1:
             raise InvalidArgumentError(f"decode takes one row, got {len(rows)}")
-        return OrientedBox(*self.decode_many(rows)[0].tolist())
+        return rows
 
     def encode_many(self, fields) -> np.ndarray:
         """``(N, dim)`` rows: :meth:`encode` of ``OrientedBox(*row)`` for each
@@ -154,12 +158,9 @@ class CobbCodec(BoxCodec):
         return np.array(t.as_tuple(), dtype=float)
 
     def decode(self, vec) -> OrientedBox:
-        t = TargetVector(
-            float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]), float(vec[4]),
-            (float(vec[5]), float(vec[6]), float(vec[7]), float(vec[8])),
-            self.variant, self.lam,
-        )
-        return targets.decode_target(t, self.proposal)
+        """The box of one ``(9,)`` row, as :meth:`BoxCodec.decode` takes it."""
+        (row,) = self._one_row(vec).tolist()
+        return targets.decode_target(TargetVector(*row[:5], tuple(row[5:]), self.variant, self.lam), self.proposal)
 
     def _encode_rows(self, fields):
         return targets._encode_targets_many(fields, self.proposal, self.variant)

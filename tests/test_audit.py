@@ -38,6 +38,7 @@ from cobb.audit import (
 from cobb.baselines import AcuteAngleCodec, BoxCodec, available_codecs, get_codec
 from cobb.errors import CobbError, InvalidArgumentError, UndefinedNormalizationError
 from cobb.geometry import OrientedBox, iou, rotate, vertices_of
+from test_baselines import assert_same_bits
 from test_codec import as_fields
 
 CFG = ProbeConfig(samples=24, seed=9)
@@ -495,6 +496,36 @@ def test_batched_decoding_probes_equal_the_scalar_loop(name):
     res = probe_decoding_robustness(codec, cfg)
     worst, verdict = scalar_robustness(codec, cfg)
     assert (res.steps, res.verdict, res.witness) == ([worst], verdict, worst.witness)
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_every_decoding_gap_is_the_scalar_oracle(name, monkeypatch):
+    """Every row the decoding probes score, not only the worst one a
+    witness replays, is the scalar ``1 - iou(box, codec.decode(row))``, bit
+    for bit."""
+    cfg = ProbeConfig(samples=1, seed=7)
+    codec = get_codec(name)
+    runs, scores = [], []
+    worst_gap, iou_many = audit._worst_decoding_gap, audit.iou_many
+
+    def recorded_worst_gap(codec, fields, encodings):
+        runs.append((fields, encodings))
+        return worst_gap(codec, fields, encodings)
+
+    def recorded_iou_many(a, b):
+        scores.append(iou_many(a, b))
+        return scores[-1]
+
+    monkeypatch.setattr(audit, "_worst_decoding_gap", recorded_worst_gap)
+    monkeypatch.setattr(audit, "iou_many", recorded_iou_many)
+    check_decoding_completeness(codec, cfg)
+    probe_decoding_robustness(codec, cfg)
+    assert len(runs) == len(scores) == 2
+    for (fields, encodings), batch in zip(runs, scores):
+        per_box = len(encodings) // len(fields)
+        boxes = [OrientedBox(*row) for row in fields.tolist()]
+        want = [1.0 - iou(boxes[i // per_box], codec.decode(row)) for i, row in enumerate(encodings)]
+        assert_same_bits(1.0 - batch, want)
 
 
 def normalize_box(box):

@@ -465,6 +465,7 @@ WIDTH_CASES = {
     "acute.decode_many": (AcuteAngleCodec().decode_many, AcuteAngleCodec().encode(GOOD)),
     "gv.decode_many": (GlidingVertexCodec().decode_many, GlidingVertexCodec().encode(GOOD)),
     "acute.decode": (lambda a: as_fields([AcuteAngleCodec().decode(a)]), AcuteAngleCodec().encode(GOOD)),
+    "cobb.decode": (lambda a: as_fields([CobbCodec("sig").decode(a)]), CobbCodec("sig").encode(GOOD)),
     "acute.loss_many": (lambda a: AcuteAngleCodec().loss_many(a, a), AcuteAngleCodec().encode(GOOD)),
     "cobb.loss_many": (lambda a: CobbCodec("sig").loss_many(a, a), CobbCodec("sig").encode(GOOD)),
 }
@@ -492,6 +493,20 @@ def test_decode_takes_exactly_one_row():
     for wrong in (rows, rows[:0]):
         with pytest.raises(InvalidArgumentError, match=f"decode takes one row, got {len(wrong)}"):
             codec.decode(wrong)
+
+
+def test_cobb_decode_takes_one_row_of_nine_values():
+    """The nine-parameter codecs' own scalar decoder takes a row as
+    :meth:`BoxCodec.decode` does, where it read the first nine values of
+    anything indexable."""
+    codec = CobbCodec("sig")
+    row = codec.encode(GOOD)
+    assert codec.decode(row[None]) == codec.decode(row) == codec.decode(row.tolist())
+    for wrong in (np.arange(1, 12) * 0.1, np.arange(1, 9) * 0.1):
+        with pytest.raises(InvalidArgumentError, match=f"need rows of 9 values, got an array of shape \\({len(wrong)},\\)"):
+            codec.decode(wrong)
+    with pytest.raises(InvalidArgumentError, match="decode takes one row, got 2"):
+        codec.decode(np.tile(row, (2, 1)))
 
 
 def test_paired_array_inputs_need_equal_row_counts():

@@ -4,11 +4,12 @@ import math
 import random
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cobb import _kern
 from cobb.codec import four_candidates
 from cobb.geometry import HorizontalBox
+from test_baselines import assert_same_bits
 
 
 def rect(cx, cy, w, h, t):
@@ -17,6 +18,10 @@ def rect(cx, cy, w, h, t):
     for dx, dy in ((-w / 2, -h / 2), (w / 2, -h / 2), (w / 2, h / 2), (-w / 2, h / 2)):
         out += [cx + dx * c + dy * s, cy - dx * s + dy * c]
     return tuple(out)
+
+
+def reversed_winding(q):
+    return tuple(v for i in range(3, -1, -1) for v in q[2 * i:2 * i + 2])
 
 
 UNIT = rect(0, 0, 1, 1, 0)
@@ -51,8 +56,7 @@ def test_vertex_order_invariance():
     for k in range(4):
         rolled = a[2 * k:] + a[:2 * k]
         assert abs(_kern.quad_intersection_area(rolled, b) - base) < 1e-12
-    reversed_a = tuple(v for i in range(3, -1, -1) for v in a[2 * i:2 * i + 2])
-    assert abs(_kern.quad_intersection_area(reversed_a, b) - base) < 1e-12
+    assert abs(_kern.quad_intersection_area(reversed_winding(a), b) - base) < 1e-12
 
 
 boxes = st.tuples(
@@ -116,7 +120,7 @@ def random_quad(rng, offset, reverse):
     w = rng.uniform(0.1, 5.0)
     h = w * (rng.uniform(1e-6, 1e-3) if rng.random() < 0.3 else rng.uniform(0.1, 1.0))
     q = rect(offset + rng.uniform(-2, 2), offset + rng.uniform(-2, 2), w, h, rng.uniform(0, math.pi))
-    return tuple(v for i in range(3, -1, -1) for v in q[2 * i:2 * i + 2]) if reverse else q
+    return reversed_winding(q) if reverse else q
 
 
 def test_matches_the_reference_loop_exactly():
@@ -127,6 +131,15 @@ def test_matches_the_reference_loop_exactly():
                 for _ in range(500):
                     a, b = random_quad(rng, offset, reverse_a), random_quad(rng, offset, reverse_b)
                     assert _kern.quad_intersection_area(a, b) == reference_intersection_area(a, b)
+
+
+def assert_batch_is_the_scalar_kernel(pairs):
+    """Each row of the batch kernel has the scalar kernel's bit pattern (so
+    NaN equals NaN); returns the scalar areas."""
+    a, b = np.array(pairs, dtype=float).transpose(1, 0, 2)
+    want = [_kern.quad_intersection_area(x, y) for x, y in pairs]
+    assert_same_bits(_kern.quad_intersection_area_many(a, b), want)
+    return want
 
 
 def test_batch_matches_the_scalar_kernel_exactly():
@@ -151,11 +164,64 @@ def test_batch_matches_the_scalar_kernel_exactly():
     # a zero-length clip edge: a triangle with a repeated vertex
     tri = (0.0, 0.0, 2.0, 0.0, 2.0, 0.0, 0.0, 2.0)
     pairs += [(UNIT, tri), (rect(0.5, 0.5, 1, 1, 0.7), tri), (tri, UNIT), (tri, tri)]
-    a, b = np.array(pairs).transpose(1, 0, 2)
-    got = _kern.quad_intersection_area_many(a, b).tolist()
-    want = [_kern.quad_intersection_area(x, y) for x, y in pairs]
-    assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+    want = assert_batch_is_the_scalar_kernel(pairs)
     assert 0.0 < sum(v > 0.0 for v in want) < len(want)
+    # an inf, -inf, nan or 1e308 in each coordinate of either side
+    base = (rect(0.3, -0.2, 2.0, 1.0, 0.4), rect(0.4, 0.1, 1.0, 1.5, 1.0))
+    special = []
+    for v in (math.inf, -math.inf, math.nan, 1e308):
+        for side in range(2):
+            for i in range(8):
+                pair = [list(q) for q in base]
+                pair[side][i] = v
+                special.append(pair)
+    assert_batch_is_the_scalar_kernel(special)
+    # every polygon empties before the last clip edge: disjoint pairs in
+    # both windings and zero-area clip quads
+    far = rect(50, 50, 1, 1, 0)
+    line = (0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+    empty = [(UNIT, far), (UNIT, reversed_winding(far)), (far, UNIT), (UNIT, line), (far, tri), (UNIT, (0.0,) * 8)]
+    want = assert_batch_is_the_scalar_kernel(empty)
+    assert want == [0.0] * len(empty)
+    # clipped polygons of 0 and 3 to 8 vertices, in one batch and one row at a time
+    mixed = [(UNIT, rect(*box)) for box in (
+        (0.75, 1.0, 1, 1, 0.3), (0, 0.75, 1, 1, math.pi / 4), (0, 0.25, 0.5, 1, 0.3), (0, 0.25, 2, 1, 0.6),
+        (0, 0, 0.5, 1, 0.3), (0, 0.25, 1, 1, math.pi / 4), (0, 0, 1, 1, 0.3),
+    )]
+    assert_batch_is_the_scalar_kernel(mixed)
+    for pair in mixed + empty + special[::5] + pairs[::97]:
+        assert_batch_is_the_scalar_kernel([pair])
+
+
+QUARTER_PI = math.pi / 4
+BOUNDARY_ANGLES = (
+    0.0, math.nextafter(0.0, 1.0), math.nextafter(0.0, -1.0),
+    QUARTER_PI, math.nextafter(QUARTER_PI, 0.0), math.nextafter(QUARTER_PI, 1.0),
+)
+
+
+@st.composite
+def boundary_pairs(draw):
+    """Two overlapping-or-near rectangles around one offset (out to 1e6): theta
+    at 0 or pi/4 give or take an ulp half of the time, squares and aspects
+    down to 1e-6, either winding."""
+    offset = draw(st.sampled_from((0.0, 2e4, 1e6)))
+
+    def quad():
+        w = draw(st.floats(0.1, 5.0))
+        aspect = draw(st.sampled_from((1.0, 1e-6)) | st.floats(1e-6, 1.0))
+        theta = draw(st.sampled_from(BOUNDARY_ANGLES) | st.floats(0.0, math.pi))
+        cx, cy = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+        q = rect(offset + cx, offset + cy, w, w * aspect, theta)
+        return reversed_winding(q) if draw(st.booleans()) else q
+
+    return quad(), quad()
+
+
+@settings(max_examples=25)
+@given(st.lists(boundary_pairs(), min_size=1, max_size=12))
+def test_batch_rows_are_the_scalar_kernel_near_the_boundaries(pairs):
+    assert_batch_is_the_scalar_kernel(pairs)
 
 
 def test_batch_of_no_rows():
