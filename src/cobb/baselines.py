@@ -9,7 +9,6 @@ codecs exclusively through this interface.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import astuple
 
@@ -18,10 +17,11 @@ import numpy as np
 from cobb import codec as cobb_codec
 from cobb import targets
 from cobb._kern import _row_pairs, _rows
-from cobb.errors import CobbError, InvalidArgumentError
+from cobb.errors import InvalidArgumentError
 from cobb.geometry import (
     OrientedBox,
     _rowwise,
+    _scalar_rows,
     min_area_rect_many,
     oriented_many,
     outer_hbb,
@@ -32,20 +32,6 @@ from cobb.targets import Proposal, TargetVector, cobb_loss, smooth_l1
 
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
-
-
-def _batch_or_rows(batch, scalar, rows: np.ndarray, dim: int) -> np.ndarray:
-    """``(N, dim)``: ``batch(rows)``, or, where that returns None or raises a
-    package or arithmetic error, ``scalar`` of each row (as a list) in
-    order, which raises for the first row it rejects."""
-    try:
-        with np.errstate(all="ignore"):
-            out = batch(rows)
-    except (CobbError, ArithmeticError):
-        out = None
-    if out is None:
-        out = np.array([scalar(r) for r in rows.tolist()], dtype=float).reshape(-1, dim)
-    return out
 
 
 def _pick(wins, new, old):
@@ -79,12 +65,11 @@ class BoxCodec:
         row of ``(N, 5)`` fields ``(cx, cy, w_side, h_side, theta)``, bit for
         bit.
 
-        The first row the constructor rejects raises its error.  Runs the
-        codec's array form where it has one; where that may meet a box
-        :meth:`encode` rejects, loops over :meth:`encode`, which raises for
-        the first such box.
+        The first row the constructor rejects raises its error, and then the
+        first row :meth:`encode` rejects.
         """
-        return _batch_or_rows(self._encode_rows, lambda r: self.encode(OrientedBox(*r)), oriented_many(fields), self.dim)
+        with np.errstate(all="ignore"):
+            return self._encode_rows(oriented_many(fields))
 
     def decode_many(self, rows) -> np.ndarray:
         """``(N, 5)`` fields ``(cx, cy, w_side, h_side, theta)`` of the boxes
@@ -93,10 +78,10 @@ class BoxCodec:
         with np.errstate(all="ignore"):
             return self._decode_rows(_rows(rows, self.dim))
 
-    def _encode_rows(self, fields: np.ndarray) -> np.ndarray | None:
-        """Array form of :meth:`encode` on ``(N, 5)`` constructed-box fields,
-        or None to loop."""
-        return None
+    def _encode_rows(self, fields: np.ndarray) -> np.ndarray:
+        """Array form of :meth:`encode` on ``(N, 5)`` constructed-box fields;
+        by default :meth:`encode` of each row in turn."""
+        return np.array([self.encode(OrientedBox(*r)) for r in fields.tolist()], dtype=float).reshape(-1, self.dim)
 
     def _decode_rows(self, rows: np.ndarray) -> np.ndarray:
         """The codec's one decoder: ``(N, 5)`` fields of ``(N, dim)`` rows; the first row it rejects raises."""
@@ -163,12 +148,12 @@ class CobbCodec(BoxCodec):
         return targets.decode_target(TargetVector(*row[:5], tuple(row[5:]), self.variant, self.lam), self.proposal)
 
     def _encode_rows(self, fields):
-        return targets._encode_targets_many(fields, self.proposal, self.variant)
+        out, bad = targets._encode_targets_many(fields, self.proposal, self.variant)
+        return _scalar_rows(out, bad, lambda r: self.encode(OrientedBox(*r)), fields)
 
     def _decode_rows(self, rows):
-        # the scalar decode stays as the batch's fallback for rows it may reject
-        batch = functools.partial(targets._decode_targets_many, proposal=self.proposal, variant=self.variant)
-        return _batch_or_rows(batch, lambda r: astuple(self.decode(r)), rows, 5)
+        out, bad = targets._decode_targets_many(rows, self.proposal, self.variant)
+        return _scalar_rows(out, bad, lambda r: astuple(self.decode(r)), rows)
 
     def loss(self, a, b) -> float:
         ta = TargetVector(a[0], a[1], a[2], a[3], a[4], tuple(a[5:9]), self.variant, self.lam)
@@ -179,7 +164,10 @@ class CobbCodec(BoxCodec):
         return targets._cobb_loss_many(*_row_pairs(a, b, self.dim))
 
     def curve_components(self, fields: np.ndarray) -> np.ndarray:
-        return _batch_or_rows(cobb_codec._encode_many, lambda r: cobb_codec.encode(OrientedBox(*r)).as_tuple(), fields, 9)
+        with np.errstate(all="ignore"):
+            fields = oriented_many(fields)
+            out, bad = cobb_codec._encode_many(fields)
+        return _scalar_rows(out, bad, lambda r: cobb_codec.encode(OrientedBox(*r)).as_tuple(), fields)
 
     def parameter_groups(self) -> dict[str, list[int]]:
         return {"xy": [0, 1], "wh": [2, 3], "r": [4], "scores": [5, 6, 7, 8]}
@@ -339,9 +327,11 @@ class GlidingVertexCodec(BoxCodec):
         cx, cy, w_side, h_side, theta = fields.T
         c, s = np.abs(_rowwise(math.cos, theta)), np.abs(_rowwise(math.sin, theta))
         w, h = w_side * c + h_side * s, w_side * s + h_side * c
-        if not (np.isfinite(w) & np.isfinite(h)).all() or (w == 0.0).any() or (h == 0.0).any():
-            return None  # outer_hbb raises, or a slide fraction divides by zero
-        f = vertices_many(fields)
+        # encode raises at the first row where outer_hbb raises or a slide fraction divides by zero: that
+        # row and the later ones go to encode, and reach vertices_many as unit boxes, so that only an
+        # earlier row's corner error comes first
+        bad = np.logical_or.accumulate(~(np.isfinite(w) & np.isfinite(h)) | (w == 0.0) | (h == 0.0))
+        f = vertices_many(np.where(bad[:, None], 1.0, fields))
         corners = [(f[:, 2 * i], f[:, 2 * i + 1]) for i in range(4)]
         # encode's min and max, corner by corner: a later corner wins only
         # where its key, (y, -x) or (x, y), is strictly smaller (larger)
@@ -356,7 +346,7 @@ class GlidingVertexCodec(BoxCodec):
         y_lo, y_hi = cy - 0.5 * h, cy + 0.5 * h
         a = [(x_hi - top[0]) / w, (y_hi - right[1]) / h, (bottom[0] - x_lo) / w, (left[1] - y_lo) / h]
         a = [np.where(1.0 < m, 1.0, m) for m in (np.where(0.0 > v, 0.0, v) for v in a)]
-        return np.stack([cx, cy, w, h, *a], axis=1)
+        return _scalar_rows(np.stack([cx, cy, w, h, *a], axis=1), bad, lambda r: self.encode(OrientedBox(*r)), fields)
 
     def _decode_rows(self, rows):
         xc, yc, w, h, at, ar, ab, al = rows.T

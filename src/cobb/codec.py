@@ -23,6 +23,7 @@ from cobb.geometry import (
     HorizontalBox,
     OrientedBox,
     _rowwise,
+    _scalar_rows,
     iou,
     oriented_many,
     outer_hbb,
@@ -291,9 +292,9 @@ def rs_from_ra(ra: float, w: float, h: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Array forms of encode and decode.  Each repeats the scalar float operations
-# in the same order, so every row equals the scalar result bit for bit.  They
-# return None when a row might be one the scalar path rejects; callers then
-# run the scalar path, which raises its own error for the first such row.
+# in the same order, so every row equals the scalar result bit for bit, and
+# masks the rows it cannot vouch for (without raising on them); the caller
+# sends just those through the scalar path with ``geometry._scalar_rows``.
 
 # entries of iou_matrix rows, as indices into (1, m01, m02, m03, m12)
 _MATRIX_ENTRIES = np.array([[0, 1, 2, 3], [1, 0, 4, 2], [2, 4, 0, 1], [3, 2, 1, 0]])
@@ -336,9 +337,7 @@ def _classify_many(p, c, s, m):
     _, _, w_side, h_side, _ = p.T
     index = (w_side * c - h_side * s > 0.0) + 2 * (h_side * c - w_side * s < 0.0)
     ties = (np.take_along_axis(m, _MATRIX_ENTRIES[index], axis=1) >= 1.0 - _TIE_MARGIN).sum(axis=1) >= 2
-    for i in np.flatnonzero(ties):
-        index[i] = classify(OrientedBox(*p[i].tolist()))
-    return index
+    return _scalar_rows(index, ties, lambda r: classify(OrientedBox(*r)), p)
 
 
 def _closed_forms_many(w, h, rs):
@@ -374,18 +373,16 @@ def _closed_forms_many(w, h, rs):
 
 
 def _encode_many(p):
-    """Row-wise :func:`encode` of ``(N, 5)`` constructed-box fields: the
-    ``(N, 9)`` rows ``(xc, yc, w, h, rs, s0, s1, s2, s3)``, or None."""
+    """Row-wise :func:`encode` of ``(N, 5)`` constructed-box fields: ``(N, 9)``
+    rows ``(xc, yc, w, h, rs, s0, s1, s2, s3)``, and the mask."""
     cx, cy, w_side, h_side, theta = p.T
     c, s = _rowwise(math.cos, theta), _rowwise(math.sin, theta)
     # outer_hbb
     w = w_side * np.abs(c) + h_side * np.abs(s)
     h = w_side * np.abs(s) + h_side * np.abs(c)
-    if not (np.isfinite(w) & np.isfinite(h) & (w > 0.0) & (h > 0.0)).all():
-        return None
+    # outer_hbb, sliding_ratio or iou_matrix rejects the extents
     ww, hh = w * w, h * h
-    if not ((_SQUARE_MIN <= ww) & (ww <= _SQUARE_MAX) & (_SQUARE_MIN <= hh) & (hh <= _SQUARE_MAX)).all():
-        return None  # iou_matrix rejects the extents
+    bad = ~((_SQUARE_MIN <= ww) & (ww <= _SQUARE_MAX) & (_SQUARE_MIN <= hh) & (hh <= _SQUARE_MAX))
     # sliding_ratio
     tall = w < h
     a, b = np.where(tall, w_side * c, w_side * s), np.where(tall, h_side * s, h_side * c)
@@ -395,20 +392,18 @@ def _encode_many(p):
     m01, m02, m03, m12 = _closed_forms_many(np.where(wide, w, h), np.where(wide, h, w), rs)
     m01, m02 = np.where(wide, m01, m02), np.where(wide, m02, m01)
     m = np.stack([np.ones_like(w), m01, m02, m03, m12], axis=1)
-    if not np.isfinite(m).all():  # where iou_matrix raises
-        return None
-    m = np.where(m < 0.0, 0.0, np.where(m > 1.0, 1.0, m))
+    bad |= ~np.isfinite(m).all(axis=1)  # where iou_matrix raises
+    m = np.where((m < 0.0) | bad[:, None], 0.0, np.where(m > 1.0, 1.0, m))  # a masked row has no tie to classify
     index = _classify_many(p, c, s, m)
     scores = np.take_along_axis(m, _MATRIX_ENTRIES[index], axis=1)
-    return np.column_stack([cx, cy, w, h, rs, scores])
+    return np.column_stack([cx, cy, w, h, rs, scores]), bad
 
 
 def _decode_many(xc, yc, w, h, rs, scores):
     """Row-wise ``decode(CobbVector(xc, yc, w, h, rs, scores))`` as
-    ``(N, 5)`` constructed-box fields, or None."""
-    fields = np.column_stack([xc, yc, w, h, rs, scores])
-    if not (np.isfinite(fields).all() and (w > 0.0).all() and (h > 0.0).all()):
-        return None
+    ``(N, 5)`` constructed-box fields, and the mask."""
+    bad = ~(np.isfinite(np.column_stack([xc, yc, w, h, rs, scores])).all(axis=1) & (w > 0.0) & (h > 0.0))
+    w, h = np.where(bad, 1.0, w), np.where(bad, 1.0, h)  # so that no square below overflows
     rs = _clamp_many(rs, 0.0, 0.5)
     # select_candidate
     best = scores == scores.max(axis=1, keepdims=True)
@@ -423,6 +418,7 @@ def _decode_many(xc, yc, w, h, rs, scores):
     la, lb = _rowwise(math.hypot, ax, ay), _rowwise(math.hypot, bx, by)
     swap = la < lb
     ax, ay, la, lb = np.where(swap, bx, ax), np.where(swap, by, ay), np.where(swap, lb, la), np.where(swap, la, lb)
-    if (lb == 0.0).any():
-        return None
-    return oriented_many(np.stack([xc, yc, la, lb, _rowwise(math.atan2, -ay, ax)], axis=1))
+    fields = np.stack([xc, yc, la, lb, _rowwise(math.atan2, -ay, ax)], axis=1)
+    # a zero-area candidate, or a side that overflows; masked rows stand in as unit boxes
+    bad |= ~(lb > 0.0) | ~np.isfinite(fields).all(axis=1)
+    return oriented_many(np.where(bad[:, None], 1.0, fields)), bad

@@ -11,7 +11,7 @@ All values are immutable; every function here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -194,6 +194,15 @@ def _rowwise(fn, *cols) -> np.ndarray:
     return np.fromiter(map(fn, *(np.asarray(c, dtype=float).tolist() for c in cols)), float, len(cols[0]))
 
 
+def _scalar_rows(out, bad, scalar, *rows) -> np.ndarray:
+    """``out`` with each row where ``bad`` (the rows an array form cannot
+    vouch for) replaced, in row order, by ``scalar`` of that row of each of
+    ``rows`` as a list, which raises for the first such row it rejects."""
+    for i in np.flatnonzero(bad).tolist():
+        out[i] = scalar(*(r[i].tolist() for r in rows))
+    return out
+
+
 def vertices_many(params) -> np.ndarray:
     """Row-wise ``vertices_of(box).flat`` of an ``(N, 5)`` array of box fields.
 
@@ -310,17 +319,18 @@ def iou_many(a, b) -> np.ndarray:
     """Row-wise :func:`iou` of two ``(N, 8)`` arrays of ``ConvexQuad.flat`` rows.
 
     The same float operations as the scalar oracle, so each row equals it
-    bit for bit; raises :class:`UndefinedIoUError` where it would.
+    bit for bit.  Rows with a non-finite area, two zero areas or an empty
+    union go to :func:`iou`, which raises for the first it rejects.
     """
     a, b = _row_pairs(a, b, 8)
-    area_a, area_b = 0.5 * np.abs(shoelace2(*a.T)), 0.5 * np.abs(shoelace2(*b.T))
-    if ((area_a == 0.0) & (area_b == 0.0)).any():
-        raise UndefinedIoUError("IoU of two zero-area shapes is undefined")
-    inter = quad_intersection_area_many(a, b)
-    union = area_a + area_b - inter
-    if (union <= 0.0).any():
-        raise UndefinedIoUError("empty union")
-    return np.clip(inter / union, 0.0, 1.0)
+    with np.errstate(all="ignore"):
+        area_a, area_b = 0.5 * np.abs(shoelace2(*a.T)), 0.5 * np.abs(shoelace2(*b.T))
+        inter = quad_intersection_area_many(a, b)
+        union = area_a + area_b - inter
+        out = np.clip(inter / union, 0.0, 1.0)
+    # a non-finite coordinate makes its quad's area non-finite
+    bad = ~(np.isfinite(area_a) & np.isfinite(area_b)) | (area_a == 0.0) & (area_b == 0.0) | (union <= 0.0)
+    return _scalar_rows(out, bad, lambda p, q: iou(ConvexQuad(tuple(p)), ConvexQuad(tuple(q))), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +464,6 @@ def min_area_rect_many(x, y) -> np.ndarray:
             [cu * ux - cv * uy, cu * uy + cv * ux, hi_u - lo_u, hi_v - lo_v, _rowwise(math.atan2, -uy, ux)], axis=1
         )
         ok &= (area > 0.0) & np.isfinite(fields).all(axis=1)
-    out = np.empty_like(fields)
-    out[ok] = oriented_many(fields[ok])
-    for i in np.flatnonzero(~ok).tolist():
-        b = min_area_rect(list(zip(x0[i].tolist(), y0[i].tolist())))
-        out[i] = (b.cx, b.cy, b.w_side, b.h_side, b.theta)
-    return out
+    # every other row stands in as a unit box, which the constructor accepts, until the scalar fit replaces it
+    out = oriented_many(np.where(ok[:, None], fields, 1.0))
+    return _scalar_rows(out, ~ok, lambda xs, ys: astuple(min_area_rect(list(zip(xs, ys)))), x0, y0)

@@ -22,7 +22,7 @@ from cobb.geometry import HorizontalBox, OrientedBox, _rowwise, iou, rotate_abou
 
 DEFAULT_LAMBDA = {"sig": 2.0, "ln": 1.0}
 
-_LOG2 = math.log(2.0)
+_EXP_MAX = math.log(np.finfo(float).max)  # math.exp is finite up to here
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,15 @@ def decode_target(t: TargetVector, proposal: Proposal) -> OrientedBox:
 
 def _encode_targets_many(boxes, proposal: Proposal, variant: str):
     """Row-wise ``encode_target(box, proposal, variant).as_tuple()`` of
-    ``(N, 5)`` constructed-box fields against a horizontal proposal, or None
-    (see the array forms in :mod:`cobb.codec`)."""
-    v = None if proposal.theta_p != 0.0 else codec._encode_many(boxes)
-    if v is None:
-        return None
+    ``(N, 5)`` constructed-box fields, and the mask (see the array forms in
+    :mod:`cobb.codec`); an oriented proposal masks every row."""
+    v, bad = codec._encode_many(boxes)
     xc, yc, w, h, rs = v[:, :5].T
     p, lam = proposal, DEFAULT_LAMBDA[variant]
     rw, rh = w / p.wp, h / p.hp
-    if not ((w * h != 0.0) & (0.0 < rw) & (rw < math.inf) & (0.0 < rh) & (rh < math.inf)).all():
-        return None  # division by zero, or an extent ratio encode_target rejects
+    # division by zero, or an extent ratio encode_target rejects
+    bad |= (p.theta_p != 0.0) | ~((w * h != 0.0) & (0.0 < rw) & (rw < math.inf) & (0.0 < rh) & (rh < math.inf))
+    rw, rh = np.where(bad, 1.0, rw), np.where(bad, 1.0, rh)  # math.log raises outside its domain
     if variant == "sig":
         rt = 2.0 * rs
     else:
@@ -161,16 +160,17 @@ def _encode_targets_many(boxes, proposal: Proposal, variant: str):
         _rowwise(math.log, rh),
         rt,
         _rowwise(lambda s: s**lam, v[:, 5:].ravel()).reshape(-1, 4),
-    ])
+    ]), bad
 
 
 def _decode_targets_many(rows, proposal: Proposal, variant: str):
     """Row-wise ``decode_target(TargetVector(*row), proposal)`` of ``(N, 9)``
-    target rows against a horizontal proposal, as ``(N, 5)`` constructed-box
-    fields, or None."""
-    if proposal.theta_p != 0.0 or not np.isfinite(rows).all():
-        return None
+    target rows as ``(N, 5)`` constructed-box fields, and the mask; an
+    oriented proposal masks every row."""
     tx, ty, tw, th, rt = rows[:, :5].T
+    # a non-finite component, or an extent target that math.exp overflows on
+    bad = (proposal.theta_p != 0.0) | ~(np.isfinite(rows).all(axis=1) & (tw <= _EXP_MAX) & (th <= _EXP_MAX))
+    tw, th = np.where(bad, 0.0, tw), np.where(bad, 0.0, th)  # so that math.exp raises on no masked row
     if variant == "sig":
         rs = 0.5 * codec._clamp_many(rt, 0.0, 1.0)
     else:
@@ -178,9 +178,10 @@ def _decode_targets_many(rows, proposal: Proposal, variant: str):
         e = _rowwise(lambda x: 2.0 ** x, rt - 1.0)
         rs = np.where(rt <= 0.0, np.where(0.5 < e, 0.5, e), 1.0 - e)
     p = proposal
-    return codec._decode_many(
+    out, rejected = codec._decode_many(
         tx * p.wp + p.xp, ty * p.hp + p.yp, p.wp * _rowwise(math.exp, tw), p.hp * _rowwise(math.exp, th), rs, rows[:, 5:]
     )
+    return out, bad | rejected
 
 
 def smooth_l1(diff: float) -> float:

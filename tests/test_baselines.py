@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cobb import _kern, codec as cobb_codec, geometry
+from cobb import _kern, codec as cobb_codec, geometry, targets
 from cobb.baselines import (
     AcuteAngleCodec,
     CobbCodec,
@@ -369,6 +369,12 @@ def test_gv_decode_rows_that_fall_back_equal_the_scalar_decode(monkeypatch):
 
 GOOD = OrientedBox(3.0, 4.0, 2.0, 1.0, 0.3)
 NAN_TARGET = [0.0, 0.0, 0.0, 0.0, 0.5, math.nan, 0.0, 0.0, 1.0]
+EXP_OVERFLOW = [0.0, 0.0, 800.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0]
+ZERO_EXTENT = [0.0, 0.0, -800.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0]
+ZERO_AREA = {  # rs = 0 and score row [1, 0, 0, 0]: the diagonal candidate 0
+    "cobb": [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    "cobb-ln": [0.0, 0.0, 0.0, 0.0, -2000.0, 1.0, 0.0, 0.0, 0.0],
+}
 GV_NAN_CENTRE = [math.nan, 0.0, 2.0, 1.0, 0.1, 0.2, 0.3, 0.4]
 GV_ZERO_EXTENT = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
@@ -379,8 +385,8 @@ GV_ZERO_EXTENT = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
         ("cobb", NAN_TARGET),  # a non-finite target component
         ("cobb-ln", [0.0, 0.0, 0.0, 0.0, math.inf, 1.0, 0.0, 0.0, 0.0]),
         ("cobb", [0.0, 0.0, -800.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0]),  # a zero-extent decoded HBB
-        ("cobb", [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),  # rs = 0 and a zero-area candidate
-        ("cobb", [0.0, 0.0, 800.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0]),  # exp overflows
+        ("cobb", ZERO_AREA["cobb"]),  # rs = 0 and a zero-area candidate
+        ("cobb", EXP_OVERFLOW),  # exp overflows
         ("acute", [0.0, 0.0, 0.0, 1.0, 0.2]),  # non-positive or non-finite sides
         ("acute", [0.0, 0.0, math.nan, 1.0, 0.2]),
         ("long-edge", [0.0, 0.0, 1.0, -1.0, 0.2]),
@@ -390,6 +396,13 @@ GV_ZERO_EXTENT = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
         # a fit error and an extent error, in either order: the first row's wins
         ("gv", [GV_NAN_CENTRE, GV_ZERO_EXTENT]),  # coordinate must be finite, got nan
         ("gv", [GV_ZERO_EXTENT, GV_NAN_CENTRE]),  # decoded HBB extents must be positive
+        # two rows of different kinds, in either order
+        *[
+            (name, pair)
+            for name in ("cobb", "cobb-ln")
+            for a, b in ((EXP_OVERFLOW, ZERO_EXTENT), (ZERO_AREA[name], NAN_TARGET))
+            for pair in ([a, b], [b, a])
+        ],
     ],
 )
 def test_decode_many_raises_what_decode_raises_for_the_first_bad_row(name, row):
@@ -404,29 +417,70 @@ def test_decode_many_raises_what_decode_raises_for_the_first_bad_row(name, row):
     assert_raises_like(outcome, codec.decode_many, [good, *bad, later, good])
 
 
+HBB_OVERFLOW = [0.0, 0.0, 1.5e308, 1.5e308, 0.7]  # the outer HBB overflows
+UNDERFLOW = [0.0, 0.0, 1e-170, 1e-170, 0.5]  # products underflow to 0
+CORNER_OVERFLOW = [1.7e308, 0.0, 1e308, 1.0, 0.3]  # a corner overflows
+NAN_ANGLE = [0.0, 0.0, 2.0, 1.0, math.nan]  # fields the constructor rejects
+ZERO_SIDE = [0.0, 0.0, 2.0, 0.0, 0.3]
+
+
 @pytest.mark.parametrize("name", available_codecs())
 @pytest.mark.parametrize(
     "box",
     [
-        [0.0, 0.0, 1.5e308, 1.5e308, 0.7],  # the outer HBB overflows
-        [0.0, 0.0, 1e-170, 1e-170, 0.5],  # products underflow to 0
-        [1.7e308, 0.0, 1e308, 1.0, 0.3],  # a corner overflows
-        [0.0, 0.0, 2.0, 1.0, math.nan],  # fields the constructor rejects
-        [0.0, 0.0, 2.0, 0.0, 0.3],
+        HBB_OVERFLOW,
+        UNDERFLOW,
+        CORNER_OVERFLOW,
+        NAN_ANGLE,
+        ZERO_SIDE,
         [0.0, 0.0, -2.0, 1.0, 0.3],
+        # two rows of different kinds, in either order
+        *[
+            pair
+            for a, b in ((HBB_OVERFLOW, CORNER_OVERFLOW), (UNDERFLOW, HBB_OVERFLOW), (NAN_ANGLE, ZERO_SIDE))
+            for pair in ([a, b], [b, a])
+        ],
     ],
 )
 def test_encode_many_raises_what_encode_raises(name, box):
+    """``box``, or each of two boxes in order, after a good row."""
     codec = get_codec(name)
-    outcome = scalar_outcome(lambda row: codec.encode(OrientedBox(*row)), box)
+    boxes = np.atleast_2d(np.asarray(box, dtype=float)).tolist()
+    outcome = scalar_outcome(lambda rows: np.array([codec.encode(OrientedBox(*row)) for row in rows]), boxes)
     good = as_fields([GOOD])[0]
     if isinstance(outcome, np.ndarray):
-        assert np.array_equal(codec.encode_many([good, box])[1], outcome, equal_nan=True)
+        assert np.array_equal(codec.encode_many([good, *boxes])[1:], outcome, equal_nan=True)
         return
-    rows = [good, box, good]
-    if not isinstance(scalar_outcome(lambda row: OrientedBox(*row), box), OrientedBox):
-        rows.insert(2, [0.0, 0.0, 1.0, math.inf, 0.3])  # the first rejected row raises
+    rows = [good, *boxes, good]
+    if not any(isinstance(scalar_outcome(lambda row: OrientedBox(*row), b), OrientedBox) for b in boxes):
+        rows.insert(-1, [0.0, 0.0, 1.0, math.inf, 0.3])  # the first rejected row raises
     assert_raises_like(outcome, codec.encode_many, rows)
+
+
+ONE_REJECTED = {
+    # array method: (owner and name of the scalar method it falls back on, the rejected row)
+    "cobb.encode_many": ((CobbCodec, "encode"), UNDERFLOW),
+    "gv.encode_many": ((GlidingVertexCodec, "encode"), HBB_OVERFLOW),
+    "cobb.decode_many": ((targets, "decode_target"), EXP_OVERFLOW),
+    "cobb.curve_components": ((cobb_codec, "encode"), UNDERFLOW),
+}
+
+
+@pytest.mark.parametrize("case", ONE_REJECTED)
+def test_only_the_rejected_row_reaches_the_scalar_method(case, monkeypatch):
+    """Of 300 valid pixel-scale rows and one rejected row, only the rejected
+    one goes through the scalar method, which raises its error."""
+    (owner, attr), bad = ONE_REJECTED[case]
+    name, method = case.split(".")
+    codec = get_codec(name)
+    good = as_fields(BATCH_BOXES[:300])
+    if method == "decode_many":
+        good = codec.encode_many(good)
+    want = scalar_outcome(codec.decode if method == "decode_many" else lambda row: codec.encode(OrientedBox(*row)), bad)
+    scalar, calls = getattr(owner, attr), []
+    monkeypatch.setattr(owner, attr, lambda *args: calls.append(args) or scalar(*args))
+    assert_raises_like(want, getattr(codec, method), np.vstack([good, bad]))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", available_codecs())

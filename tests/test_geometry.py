@@ -348,6 +348,23 @@ def test_iou_many_raises_where_iou_does():
         iou_many(a, b[1:])
 
 
+def test_iou_many_raises_what_iou_raises_for_the_first_rejected_row():
+    """A non-finite row raises the scalar error rather than scoring NaN, in
+    row order with the zero-area rows, and shoelace products that overflow
+    score as the scalar oracle scores them; no numpy warning escapes (the
+    test configuration makes one an error)."""
+    square = (0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
+    inf = (0.0, 0.0, math.inf, 0.0, 1.0, 1.0, 0.0, 1.0)
+    line = (0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(InvalidArgumentError, match="coordinate must be finite, got inf"):
+        iou_many([square, square, line], [square, inf, line])
+    with pytest.raises(UndefinedIoUError, match="zero-area"):
+        iou_many([square, line, square], [square, line, inf])
+    far = tuple(v * 1e200 for v in square)
+    want = [iou(ConvexQuad(far), ConvexQuad(square)), iou(ConvexQuad(far), ConvexQuad(far))]
+    assert np.array_equal(iou_many([far, far], [square, far]), want, equal_nan=True)
+
+
 @pytest.mark.parametrize(
     "row",
     [

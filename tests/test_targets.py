@@ -105,9 +105,10 @@ class TestEncodeTarget:
         p = Proposal.horizontal(0.0, 0.0, proposal_side, proposal_side)
         with pytest.raises(DegenerateGeometryError, match="extent ratios"):
             encode_target(gt, p, variant)
-        # the array form, which runs with float errors ignored, leaves such rows to the scalar one
+        # the array form, which runs with float errors ignored, masks such rows for the scalar one
         with np.errstate(all="ignore"):
-            assert _encode_targets_many(np.array([[0.0, 0.0, side, side, 0.3]]), p, variant) is None
+            _, bad = _encode_targets_many(np.array([[0.0, 0.0, side, side, 0.3]]), p, variant)
+        assert bad.tolist() == [True]
 
 
 class TestProposal:
