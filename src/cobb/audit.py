@@ -281,26 +281,39 @@ def probe_loss_continuity(codec: BoxCodec, transform: str, cfg: ProbeConfig) -> 
     return _probe_continuity(codec, "loss", transform, cfg, LOSS_TOL)
 
 
-def _worst_decoding_gap(codec: BoxCodec, fields: np.ndarray, encodings: np.ndarray) -> tuple[int, float]:
-    """Row and value of the worst 1 - IoU(box, decode(row)) over ``encodings``.
+@functools.lru_cache(maxsize=1)
+def _decoding_gaps(codec: BoxCodec, cfg: ProbeConfig) -> tuple[tuple[int, float], tuple[int, float, tuple]]:
+    """Worst 1 - IoU(box, decode(row)) of the family rows (completeness) and
+    of the perturbed rows (robustness) as ``(i, gap)`` and ``(i, gap,
+    perturbation)``, ``i`` the first worst row of its block.
 
-    The rows come in equal runs per row of box ``fields``.  They are decoded in
-    one ``decode_many`` call and scored in one :func:`iou_many` call, both
-    equal to the scalar path bit for bit, and the first worst row is the one
-    a loop keeping strictly larger gaps would pick.
+    Both blocks take one ``decode_many`` and one :func:`iou_many` call, equal
+    to the scalar path bit for bit.  Like :func:`_family_rows`, the last
+    ``(codec, cfg)``'s result is kept, so the two metrics share one batch.
     """
-    runs = len(encodings) // len(fields)
-    sources = np.repeat(vertices_many(fields), runs, axis=0)
+    fields, rows = _members(cfg)[1], _family_rows(codec, cfg)
+    n, d = len(rows), cfg.directions
+    # one draw per family, its boxes' directions in order
+    dirs = np.concatenate([
+        _rng(cfg.seed, 202, fi).standard_normal((len(fam_fields) * d, codec.dim))
+        for fi, fam_fields in enumerate(build_families(cfg).values())
+    ])
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    deltas = cfg.perturbation * (dirs / np.where(norms == 0.0, 1.0, norms))
+    encodings = np.empty((n * (1 + d), codec.dim))
+    encodings[:n] = rows
+    np.add(np.repeat(rows, d, axis=0), deltas, out=encodings[n:])
+    sources = vertices_many(fields)
     decoded = vertices_many(codec.decode_many(encodings))
-    gaps = 1.0 - iou_many(sources, decoded)
-    i = int(np.argmax(gaps))
-    return i, float(gaps[i])
+    gaps = 1.0 - iou_many(np.concatenate([sources, np.repeat(sources, d, axis=0)]), decoded)
+    i, j = int(np.argmax(gaps[:n])), int(np.argmax(gaps[n:]))
+    return (i, float(gaps[i])), (j, float(gaps[n + j]), tuple(deltas[j].tolist()))
 
 
 def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
     """Worst 1 - IoU(x, decode(encode(x))) over all families."""
     fams, fields = _members(cfg)
-    i, gap = _worst_decoding_gap(codec, fields, _family_rows(codec, cfg))
+    i, gap = _decoding_gaps(codec, cfg)[0]
     worst = StepGap(0.0, gap, {"family": fams[i], "box": fields[i].tolist()})
     verdict = "pass" if worst.gap <= COMPLETENESS_TOL else "fail"
     return MetricResult("decoding-completeness", [worst], verdict, worst.witness)
@@ -310,25 +323,17 @@ def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult
     """Worst 1 - IoU(x, decode(encode(x) + d)) over random unit directions."""
     perturbation = cfg.perturbation
     fams, fields = _members(cfg)
-    # one draw per family, its boxes' directions in order
-    dirs = np.concatenate([
-        _rng(cfg.seed, 202, fi).standard_normal((len(fam_fields) * cfg.directions, codec.dim))
-        for fi, fam_fields in enumerate(build_families(cfg).values())
-    ])
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    deltas = perturbation * (dirs / np.where(norms == 0.0, 1.0, norms))
-    rows = _family_rows(codec, cfg)
-    encodings = np.repeat(rows, cfg.directions, axis=0) + deltas
-    i, gap = _worst_decoding_gap(codec, fields, encodings)
+    i, gap, delta = _decoding_gaps(codec, cfg)[1]
     b = i // cfg.directions
     box = fields[b].tolist()
-    worst = StepGap(perturbation, gap, {"family": fams[b], "box": box, "perturbation": deltas[i].tolist()})
+    worst = StepGap(perturbation, gap, {"family": fams[b], "box": box, "perturbation": list(delta)})
     verdict = "pass" if worst.gap <= ROBUSTNESS_K * perturbation else "fail"
     notes = ""
     if verdict == "fail":
         # distinguish a vanishing (sub-linear but continuous) response from
         # true decoding ambiguity: shrink the worst perturbation and re-decode
-        shrunk = [1.0 - iou(OrientedBox(*box), codec.decode(rows[b] + deltas[i] / f)) for f in (10.0, 100.0)]
+        row, delta = _family_rows(codec, cfg)[b], np.asarray(delta)
+        shrunk = [1.0 - iou(OrientedBox(*box), codec.decode(row + delta / f)) for f in (10.0, 100.0)]
         kind = "vanishing with the perturbation" if shrunk[1] < 0.3 * worst.gap else "persistent (decoding ambiguity)"
         notes = (
             f"worst-direction gap at /10: {shrunk[0]:.3g}, at /100: {shrunk[1]:.3g} -- {kind}"
@@ -395,17 +400,14 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
     (turned,) = _twins(fields, "rotation", rng.normal(0.0, 1e-3, size=n))
     rows = codec.encode_many(np.concatenate([fields, turned]))
     truths, preds = rows[:n], rows[n:]
-    out = {}
-    for gname, idxs in codec.parameter_groups().items():
-        vals = []
-        for i in idxs:
-            spread = float(np.max(truths[:, i]) - np.min(truths[:, i]))
-            if spread == 0.0:
-                continue
-            vals.append(nae(preds[:, i], truths[:, i]))
-        if vals:
-            out[gname] = float(np.mean(vals))
-    return out
+    # nae per column: np.mean of a contiguous row, as nae takes it (an axis mean can differ in the last bit)
+    spreads = (truths.max(axis=0) - truths.min(axis=0)).tolist()
+    groups = {g: [i for i in idxs if spreads[i] != 0.0] for g, idxs in codec.parameter_groups().items()}
+    if not np.isfinite(rows[:, sum(groups.values(), [])]).all():
+        raise InvalidArgumentError("predictions and truths must be finite")
+    errors = np.ascontiguousarray(((preds - truths) ** 2).T)
+    means = {g: [float(np.mean(errors[i]) / spreads[i] ** 2) for i in idxs] for g, idxs in groups.items() if idxs}
+    return {g: float(np.mean(v)) for g, v in means.items()}
 
 
 def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:

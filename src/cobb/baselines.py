@@ -65,11 +65,17 @@ class BoxCodec:
         row of ``(N, 5)`` fields ``(cx, cy, w_side, h_side, theta)``, bit for
         bit.
 
-        The first row the constructor rejects raises its error, and then the
-        first row :meth:`encode` rejects.
+        The first row that the constructor or :meth:`encode` rejects raises
+        its error, as encoding the rows one by one would.
         """
+        p = _rows(fields, 5)
+        ok = np.isfinite(p).all(axis=1) & (p[:, 2] > 0) & (p[:, 3] > 0)  # the rows the constructor accepts
+        k = len(p) if ok.all() else int(np.argmin(ok))
         with np.errstate(all="ignore"):
-            return self._encode_rows(oriented_many(fields))
+            out = self._encode_rows(oriented_many(p[:k]))
+        if k < len(p):
+            OrientedBox(*p[k].tolist())  # raises the constructor's error
+        return out
 
     def decode_many(self, rows) -> np.ndarray:
         """``(N, 5)`` fields ``(cx, cy, w_side, h_side, theta)`` of the boxes

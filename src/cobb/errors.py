@@ -14,7 +14,7 @@ class DegenerateGeometryError(CobbError, ValueError):
 
 
 class UndefinedIoUError(CobbError, ArithmeticError):
-    """IoU requested for two zero-area shapes."""
+    """IoU requested for two zero-area shapes, or for a shape whose area overflows."""
 
 
 class UndefinedNormalizationError(CobbError, ArithmeticError):

@@ -305,6 +305,8 @@ def iou(a, b) -> float:
     """
     fa, fb = _as_quad(a).flat, _as_quad(b).flat
     area_a, area_b = quad_area(fa), quad_area(fb)
+    if not (math.isfinite(area_a) and math.isfinite(area_b)):
+        raise UndefinedIoUError("IoU of a shape whose area overflows float64 is undefined")
     if area_a == 0.0 and area_b == 0.0:
         raise UndefinedIoUError("IoU of two zero-area shapes is undefined")
     inter = quad_intersection_area(fa, fb)

@@ -76,6 +76,77 @@ class TestNae:
             nae(predictions, truths)
 
 
+def recorded(monkeypatch, owner, name):
+    """A list that gets ``(args, result)`` of each call of ``owner.name``
+    from here on."""
+    calls, method = [], getattr(owner, name)
+
+    def call(*args):
+        calls.append((args, method(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, call)
+    return calls
+
+
+def per_column_nae(codec, rows):
+    """The per-column :func:`nae` loop that :func:`_nae_summary` replaced,
+    on its ``encode_many`` rows (truths, then their rotated twins)."""
+    truths, preds = np.split(rows, 2)
+    out = {}
+    for gname, idxs in codec.parameter_groups().items():
+        vals = []
+        for i in idxs:
+            spread = float(np.max(truths[:, i]) - np.min(truths[:, i]))
+            if spread == 0.0:
+                continue
+            vals.append(nae(preds[:, i], truths[:, i]))
+        if vals:
+            out[gname] = float(np.mean(vals))
+    return out
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_nae_summary_is_the_per_column_nae_loop(name, monkeypatch):
+    """Bit for bit and in key order, at samples 1, 4 and 64 over several
+    seeds (a mean over an axis of the 2-D array differs in the last bit)."""
+    codec = get_codec(name)
+    encoded = recorded(monkeypatch, codec, "encode_many")
+    for samples in (1, 4, 64):
+        for seed in (0, 4, 9, 31):
+            got = _nae_summary(codec, ProbeConfig(samples=samples, seed=seed))
+            want = per_column_nae(codec, encoded[-1][1])
+            assert list(got) == list(want)
+            assert_same_bits(list(got.values()), list(want.values()))
+
+
+@pytest.mark.parametrize("bad", ["varying", "constant"])
+def test_nae_summary_checks_finiteness_where_the_loop_did(bad, monkeypatch):
+    """A NaN in a column with a spread raises, as ``nae`` raised for it; a
+    NaN prediction in a column whose truths are constant is skipped with
+    the column, as the loop skipped it."""
+    codec = AcuteAngleCodec()
+    encode_many = codec.encode_many
+
+    def spoiled(fields):
+        rows = encode_many(fields)
+        n = len(rows) // 2
+        rows[:n, 2] = 0.5  # constant truths in column 2
+        rows[n, 2 if bad == "constant" else 0] = math.nan
+        return rows
+
+    monkeypatch.setattr(codec, "encode_many", spoiled)
+    encoded = recorded(monkeypatch, codec, "encode_many")
+    cfg = ProbeConfig(samples=4, seed=2)
+    if bad == "varying":
+        for summary in (lambda: _nae_summary(codec, cfg), lambda: per_column_nae(codec, encoded[-1][1])):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                summary()
+    else:
+        got = _nae_summary(codec, cfg)
+        assert set(got) == {"xy", "wh", "angle"} and got == per_column_nae(codec, encoded[-1][1])
+
+
 class TestConfig:
     def test_steps_must_decrease(self):
         with pytest.raises(InvalidArgumentError):
@@ -501,30 +572,41 @@ def test_batched_decoding_probes_equal_the_scalar_loop(name):
 def test_every_decoding_gap_is_the_scalar_oracle(name, monkeypatch):
     """Every row the decoding probes score, not only the worst one a
     witness replays, is the scalar ``1 - iou(box, codec.decode(row))``, bit
-    for bit."""
+    for bit.  The one batch holds the family rows, then each box's
+    perturbed rows."""
     cfg = ProbeConfig(samples=1, seed=7)
     codec = get_codec(name)
-    runs, scores = [], []
-    worst_gap, iou_many = audit._worst_decoding_gap, audit.iou_many
-
-    def recorded_worst_gap(codec, fields, encodings):
-        runs.append((fields, encodings))
-        return worst_gap(codec, fields, encodings)
-
-    def recorded_iou_many(a, b):
-        scores.append(iou_many(a, b))
-        return scores[-1]
-
-    monkeypatch.setattr(audit, "_worst_decoding_gap", recorded_worst_gap)
-    monkeypatch.setattr(audit, "iou_many", recorded_iou_many)
+    decodes = recorded(monkeypatch, codec, "decode_many")
+    scores = recorded(monkeypatch, audit, "iou_many")
     check_decoding_completeness(codec, cfg)
     probe_decoding_robustness(codec, cfg)
-    assert len(runs) == len(scores) == 2
-    for (fields, encodings), batch in zip(runs, scores):
-        per_box = len(encodings) // len(fields)
-        boxes = [OrientedBox(*row) for row in fields.tolist()]
-        want = [1.0 - iou(boxes[i // per_box], codec.decode(row)) for i, row in enumerate(encodings)]
-        assert_same_bits(1.0 - batch, want)
+    ((_, batch),) = scores
+    encodings = np.asarray(decodes[0][0][0])  # any later decode is the robustness note's
+    fields = _members(cfg)[1]
+    n, d = len(fields), cfg.directions
+    assert len(encodings) == len(batch) == n * (1 + d)
+    assert np.array_equal(encodings[:n], _family_rows(codec, cfg))
+    boxes = [OrientedBox(*row) for row in fields.tolist()]
+    owners = [*range(n), *(i // d for i in range(n * d))]
+    want = [1.0 - iou(boxes[b], codec.decode(row)) for b, row in zip(owners, encodings)]
+    assert_same_bits(1.0 - batch, want)
+
+
+def test_run_audit_decodes_and_scores_each_codec_in_one_batch(monkeypatch):
+    """Completeness and robustness share one ``decode_many`` and one
+    ``iou_many`` call per codec, over the family rows and the perturbed
+    rows.  The only other decodes are the robustness note's two one-row
+    ``decode`` calls, which reach ``decode_many`` for a baseline codec."""
+    cfg = ProbeConfig(samples=2, seed=23, directions=3)
+    codecs = [get_codec(name) for name in available_codecs()]
+    decodes = [recorded(monkeypatch, codec, "decode_many") for codec in codecs]
+    scores = recorded(monkeypatch, audit, "iou_many")
+    reports = run_audit(codecs, cfg)
+    rows = len(_members(cfg)[1]) * (1 + cfg.directions)
+    assert [len(out) for _, out in scores] == [rows] * len(codecs)
+    for codec, report, calls in zip(codecs, reports, decodes):
+        noted = report.metrics[-1].notes != "" and type(codec).decode is BoxCodec.decode
+        assert [len(out) for _, out in calls] == [rows] + [1] * (2 if noted else 0), codec.name
 
 
 def normalize_box(box):

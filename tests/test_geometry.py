@@ -350,9 +350,9 @@ def test_iou_many_raises_where_iou_does():
 
 def test_iou_many_raises_what_iou_raises_for_the_first_rejected_row():
     """A non-finite row raises the scalar error rather than scoring NaN, in
-    row order with the zero-area rows, and shoelace products that overflow
-    score as the scalar oracle scores them; no numpy warning escapes (the
-    test configuration makes one an error)."""
+    row order with the zero-area rows, and so does a quad whose shoelace
+    area overflows; no numpy warning escapes (the test configuration makes
+    one an error)."""
     square = (0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
     inf = (0.0, 0.0, math.inf, 0.0, 1.0, 1.0, 0.0, 1.0)
     line = (0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
@@ -361,8 +361,22 @@ def test_iou_many_raises_what_iou_raises_for_the_first_rejected_row():
     with pytest.raises(UndefinedIoUError, match="zero-area"):
         iou_many([square, line, square], [square, line, inf])
     far = tuple(v * 1e200 for v in square)
-    want = [iou(ConvexQuad(far), ConvexQuad(square)), iou(ConvexQuad(far), ConvexQuad(far))]
-    assert np.array_equal(iou_many([far, far], [square, far]), want, equal_nan=True)
+    with pytest.raises(UndefinedIoUError, match="overflows"):
+        iou_many([square, far, far], [square, square, far])
+
+
+def test_iou_of_an_overflowing_area_raises():
+    """A quad whose area overflows has no float IoU: ``iou`` and
+    ``iou_many`` raise a typed error for it rather than return NaN (for the
+    quad against itself, where both areas and the union are infinite) or 0."""
+    big = ConvexQuad((0.0, 0.0, 1e200, 0.0, 1e200, 1e200, 0.0, 1e200))
+    square = ConvexQuad((0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0))
+    for a, b in ((big, big), (big, square), (square, big)):
+        with pytest.raises(UndefinedIoUError, match="overflows"):
+            iou(a, b)
+        with pytest.raises(UndefinedIoUError, match="overflows"):
+            iou_many([square.flat, a.flat], [square.flat, b.flat])
+    assert iou_many([square.flat], [square.flat]).tolist() == [iou(square, square)] == [1.0]
 
 
 @pytest.mark.parametrize(
