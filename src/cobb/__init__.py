@@ -17,7 +17,6 @@ from cobb.errors import (
     DotaParseError,
     InvalidArgumentError,
     UndefinedIoUError,
-    UndefinedNormalizationError,
 )
 from cobb.geometry import (
     ConvexQuad,
@@ -54,7 +53,6 @@ __all__ = [
     "Proposal",
     "TargetVector",
     "UndefinedIoUError",
-    "UndefinedNormalizationError",
     "classify",
     "cobb_loss",
     "decode",

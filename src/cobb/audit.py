@@ -16,7 +16,6 @@ step size.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections.abc import Iterable, Mapping
@@ -26,7 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from cobb.baselines import BoxCodec
-from cobb.errors import InvalidArgumentError, UndefinedNormalizationError
+from cobb.errors import InvalidArgumentError
 from cobb.geometry import HorizontalBox, OrientedBox, _rowwise, iou, iou_many, oriented_many, vertices_many
 from cobb.targets import sensitivity_probe
 
@@ -34,6 +33,7 @@ FAMILY_NAMES = ("near-horizontal", "near-square", "near-diagonal", "random")
 
 _BOUNDARY_OFFSET = 1e-3  # half-width of the boundary families
 _ASPECT_RANGE = (0.2, 5.0)
+_TRANSFORMS = ("rotation", "aspect")
 
 # Verdict thresholds at the finest step.
 TARGET_GAP_TOL = 1e-3
@@ -52,7 +52,7 @@ class ProbeConfig:
     directions: int = 16
 
     def __post_init__(self):
-        # tuples keep a config built from lists hashable
+        # tuples keep a frozen config built from lists immutable
         for name in ("steps", "families"):
             value = getattr(self, name)
             if isinstance(value, str) or not isinstance(value, Iterable):
@@ -129,14 +129,9 @@ def _random_aspect(rng: np.random.Generator) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-@functools.lru_cache(maxsize=1)
 def build_families(cfg: ProbeConfig) -> Mapping[str, np.ndarray]:
     """Seeded boundary families as read-only ``(n, 5)`` box fields, all
-    normalized to unit diagonal.
-
-    The last config's families are kept, so the six metrics of a run share
-    one build.
-    """
+    normalized to unit diagonal."""
     rows: list[tuple[float, ...]] = []
     ends = []
     for fi, fam in enumerate(cfg.families):
@@ -173,10 +168,18 @@ def build_families(cfg: ProbeConfig) -> Mapping[str, np.ndarray]:
     return MappingProxyType(dict(zip(cfg.families, np.split(fields, ends[:-1]))))
 
 
-def _members(cfg: ProbeConfig) -> tuple[list[str], np.ndarray]:
-    """The family of each family box and their fields, in family order."""
-    families = build_families(cfg)
-    return [fam for fam, rows in families.items() for _ in rows], np.concatenate(list(families.values()))
+def _members(families: Mapping[str, np.ndarray]) -> tuple[list[str], np.ndarray]:
+    """The family of each family box and their read-only fields, in family order."""
+    fields = np.concatenate(list(families.values()))
+    fields.flags.writeable = False
+    return [fam for fam, rows in families.items() for _ in rows], fields
+
+
+def _encoded(codec: BoxCodec, fields: np.ndarray) -> np.ndarray:
+    """``codec.encode_many(fields)``, read-only, as the metrics of a run share it."""
+    rows = codec.encode_many(fields)
+    rows.flags.writeable = False
+    return rows
 
 
 def _twins(fields: np.ndarray, transform: str, delta) -> list[np.ndarray]:
@@ -199,37 +202,16 @@ def _twins(fields: np.ndarray, transform: str, delta) -> list[np.ndarray]:
     raise InvalidArgumentError(f"unknown transform {transform!r}")
 
 
-@functools.lru_cache(maxsize=1)
-def _family_rows(codec: BoxCodec, cfg: ProbeConfig) -> np.ndarray:
-    """Encodings of the family boxes, in family order.
-
-    Like :func:`build_families`, the last ``(codec, cfg)``'s rows are kept,
-    so the six metrics of a run encode each family box once.
-    """
-    rows = codec.encode_many(_members(cfg)[1])
-    rows.flags.writeable = False
-    return rows
-
-
-@functools.lru_cache(maxsize=1)
-def _twin_rows(codec: BoxCodec, cfg: ProbeConfig) -> Mapping[tuple[str, float], tuple[np.ndarray, ...]]:
-    """Encodings of the :func:`_twins` columns of the family boxes per
-    ``(transform, delta)``; column ``k`` holds twin ``k`` of every family
-    box, in family order.
-
-    Kept apart from :func:`_family_rows`, so a metric that reads no twin
-    builds and encodes none.
-    """
-    fields = _members(cfg)[1]
-    twins = {
-        (transform, delta): _twins(fields, transform, delta)
-        for delta in cfg.steps
-        for transform in ("rotation", "aspect")
-    }
-    rows = codec.encode_many(np.concatenate([column for cols in twins.values() for column in cols]))
-    rows.flags.writeable = False
+def _twin_rows(
+    codec: BoxCodec, fields: np.ndarray, steps: tuple[float, ...], transforms: tuple[str, ...]
+) -> dict[tuple[str, float], tuple[np.ndarray, ...]]:
+    """Encodings of the :func:`_twins` columns of ``fields`` per ``(transform,
+    delta)``, in one ``encode_many`` call; column ``k`` holds twin ``k`` of
+    every row."""
+    twins = {(transform, delta): _twins(fields, transform, delta) for delta in steps for transform in transforms}
+    rows = _encoded(codec, np.concatenate([column for cols in twins.values() for column in cols]))
     rows = iter(np.split(rows, sum(map(len, twins.values()))))
-    return MappingProxyType({key: tuple(next(rows) for _ in cols) for key, cols in twins.items()})
+    return {key: tuple(next(rows) for _ in cols) for key, cols in twins.items()}
 
 
 def _transform_gap(codec: BoxCodec, kind: str, row: list[float], transform: str, delta: float) -> float:
@@ -244,19 +226,18 @@ def _transform_gap(codec: BoxCodec, kind: str, row: list[float], transform: str,
     return gap
 
 
-def _probe_continuity(codec: BoxCodec, kind: str, transform: str, cfg: ProbeConfig, tol: float) -> MetricResult:
+def _continuity(codec: BoxCodec, kind: str, transform: str, deltas, fams, fields, enc, twins) -> MetricResult:
     """Each step's gaps as one array, equal to :func:`_transform_gap` per box.
 
-    Per twin column, the gap is the row-wise max |enc - twin| ("target") or
-    ``loss_many`` ("loss"); the columns are added from 0.0, left to right.
-    The witness is the first box with the largest gap, as a loop keeping
-    strictly larger gaps picks it, and a NaN gap is never picked.
+    ``enc`` holds the encodings of the family ``fields`` and ``twins`` those
+    of their twins (:func:`_twin_rows`).  Per twin column, the gap is the
+    row-wise max |enc - twin| ("target") or ``loss_many`` ("loss"); the
+    columns are added from 0.0, left to right.  The witness is the first box
+    with the largest gap, as a loop keeping strictly larger gaps picks it,
+    and a NaN gap is never picked.
     """
-    fams, fields = _members(cfg)
-    enc = _family_rows(codec, cfg)
-    twins = _twin_rows(codec, cfg)
     steps: list[StepGap] = []
-    for delta in cfg.steps:
+    for delta in deltas:
         gaps = 0.0
         for other in twins[transform, delta]:
             gaps = gaps + (np.max(np.abs(enc - other), axis=1) if kind == "target" else codec.loss_many(enc, other))
@@ -268,35 +249,42 @@ def _probe_continuity(codec: BoxCodec, kind: str, transform: str, cfg: ProbeConf
                 {"family": fams[i], "box": fields[i].tolist(), "transform": transform, "delta": delta},
             )
         steps.append(worst)
-    return _verdict(f"{kind}-{transform}", steps, tol)
+    return _verdict(f"{kind}-{transform}", steps, TARGET_GAP_TOL if kind == "target" else LOSS_TOL)
+
+
+def _probe_continuity(codec: BoxCodec, kind: str, transform: str, cfg: ProbeConfig) -> MetricResult:
+    fams, fields = _members(build_families(cfg))
+    enc = _encoded(codec, fields)
+    twins = _twin_rows(codec, fields, cfg.steps, (transform,))
+    return _continuity(codec, kind, transform, cfg.steps, fams, fields, enc, twins)
 
 
 def probe_target_continuity(codec: BoxCodec, transform: str, cfg: ProbeConfig) -> MetricResult:
     """Worst encoding gap per step; aspect sums the gap over both members."""
-    return _probe_continuity(codec, "target", transform, cfg, TARGET_GAP_TOL)
+    return _probe_continuity(codec, "target", transform, cfg)
 
 
 def probe_loss_continuity(codec: BoxCodec, transform: str, cfg: ProbeConfig) -> MetricResult:
     """Worst loss between the encodings of a box and its perturbed twin."""
-    return _probe_continuity(codec, "loss", transform, cfg, LOSS_TOL)
+    return _probe_continuity(codec, "loss", transform, cfg)
 
 
-@functools.lru_cache(maxsize=1)
-def _decoding_gaps(codec: BoxCodec, cfg: ProbeConfig) -> tuple[tuple[int, float], tuple[int, float, tuple]]:
+def _decoding_gaps(
+    codec: BoxCodec, cfg: ProbeConfig, families: Mapping[str, np.ndarray], fields, rows, directions: int
+) -> tuple[tuple[int, float], tuple[int, float, tuple] | None]:
     """Worst 1 - IoU(box, decode(row)) of the family rows (completeness) and
-    of the perturbed rows (robustness) as ``(i, gap)`` and ``(i, gap,
-    perturbation)``, ``i`` the first worst row of its block.
+    of ``directions`` perturbed rows per box (robustness) as ``(i, gap)`` and
+    ``(i, gap, perturbation)``, ``i`` the first worst row of its block; with
+    no perturbed rows, the second is None.
 
     Both blocks take one ``decode_many`` and one :func:`iou_many` call, equal
-    to the scalar path bit for bit.  Like :func:`_family_rows`, the last
-    ``(codec, cfg)``'s result is kept, so the two metrics share one batch.
+    to the scalar path bit for bit.
     """
-    fields, rows = _members(cfg)[1], _family_rows(codec, cfg)
-    n, d = len(rows), cfg.directions
+    n, d = len(rows), directions
     # one draw per family, its boxes' directions in order
     dirs = np.concatenate([
         _rng(cfg.seed, 202, fi).standard_normal((len(fam_fields) * d, codec.dim))
-        for fi, fam_fields in enumerate(build_families(cfg).values())
+        for fi, fam_fields in enumerate(families.values())
     ])
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     deltas = cfg.perturbation * (dirs / np.where(norms == 0.0, 1.0, norms))
@@ -306,39 +294,58 @@ def _decoding_gaps(codec: BoxCodec, cfg: ProbeConfig) -> tuple[tuple[int, float]
     sources = vertices_many(fields)
     decoded = vertices_many(codec.decode_many(encodings))
     gaps = 1.0 - iou_many(np.concatenate([sources, np.repeat(sources, d, axis=0)]), decoded)
-    i, j = int(np.argmax(gaps[:n])), int(np.argmax(gaps[n:]))
+    i = int(np.argmax(gaps[:n]))
+    if not d:
+        return (i, float(gaps[i])), None
+    j = int(np.argmax(gaps[n:]))
     return (i, float(gaps[i])), (j, float(gaps[n + j]), tuple(deltas[j].tolist()))
 
 
+def _completeness(fams, fields, worst: tuple[int, float]) -> MetricResult:
+    i, gap = worst
+    step = StepGap(0.0, gap, {"family": fams[i], "box": fields[i].tolist()})
+    verdict = "pass" if step.gap <= COMPLETENESS_TOL else "fail"
+    return MetricResult("decoding-completeness", [step], verdict, step.witness)
+
+
 def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
-    """Worst 1 - IoU(x, decode(encode(x))) over all families."""
-    fams, fields = _members(cfg)
-    i, gap = _decoding_gaps(codec, cfg)[0]
-    worst = StepGap(0.0, gap, {"family": fams[i], "box": fields[i].tolist()})
-    verdict = "pass" if worst.gap <= COMPLETENESS_TOL else "fail"
-    return MetricResult("decoding-completeness", [worst], verdict, worst.witness)
+    """Worst 1 - IoU(x, decode(encode(x))) over all families; decodes the
+    family rows only."""
+    families = build_families(cfg)
+    fams, fields = _members(families)
+    worst, _ = _decoding_gaps(codec, cfg, families, fields, _encoded(codec, fields), 0)
+    return _completeness(fams, fields, worst)
 
 
-def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
-    """Worst 1 - IoU(x, decode(encode(x) + d)) over random unit directions."""
+def _robustness(codec: BoxCodec, cfg: ProbeConfig, fams, fields, rows, worst: tuple[int, float, tuple]) -> MetricResult:
+    """The metric of the worst perturbed row of :func:`_decoding_gaps`; a
+    failing one re-decodes its family row (of ``rows``) for the note."""
     perturbation = cfg.perturbation
-    fams, fields = _members(cfg)
-    i, gap, delta = _decoding_gaps(codec, cfg)[1]
+    i, gap, delta = worst
     b = i // cfg.directions
     box = fields[b].tolist()
-    worst = StepGap(perturbation, gap, {"family": fams[b], "box": box, "perturbation": list(delta)})
-    verdict = "pass" if worst.gap <= ROBUSTNESS_K * perturbation else "fail"
+    step = StepGap(perturbation, gap, {"family": fams[b], "box": box, "perturbation": list(delta)})
+    verdict = "pass" if step.gap <= ROBUSTNESS_K * perturbation else "fail"
     notes = ""
     if verdict == "fail":
         # distinguish a vanishing (sub-linear but continuous) response from
         # true decoding ambiguity: shrink the worst perturbation and re-decode
-        row, delta = _family_rows(codec, cfg)[b], np.asarray(delta)
+        row, delta = rows[b], np.asarray(delta)
         shrunk = [1.0 - iou(OrientedBox(*box), codec.decode(row + delta / f)) for f in (10.0, 100.0)]
-        kind = "vanishing with the perturbation" if shrunk[1] < 0.3 * worst.gap else "persistent (decoding ambiguity)"
+        kind = "vanishing with the perturbation" if shrunk[1] < 0.3 * step.gap else "persistent (decoding ambiguity)"
         notes = (
             f"worst-direction gap at /10: {shrunk[0]:.3g}, at /100: {shrunk[1]:.3g} -- {kind}"
         )
-    return MetricResult("decoding-robustness", [worst], verdict, worst.witness, notes)
+    return MetricResult("decoding-robustness", [step], verdict, step.witness, notes)
+
+
+def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
+    """Worst 1 - IoU(x, decode(encode(x) + d)) over random unit directions."""
+    families = build_families(cfg)
+    fams, fields = _members(families)
+    rows = _encoded(codec, fields)
+    _, worst = _decoding_gaps(codec, cfg, families, fields, rows, cfg.directions)
+    return _robustness(codec, cfg, fams, fields, rows, worst)
 
 
 def _verdict(name: str, steps: list[StepGap], tol: float) -> MetricResult:
@@ -366,20 +373,6 @@ def replay_witness(codec: BoxCodec, metric: str, witness: dict) -> float:
 # Estimation-difficulty and ratio-sensitivity summaries
 
 
-def nae(predictions, truths) -> float:
-    """Mean squared error normalized by the squared ground-truth range."""
-    p = np.asarray(predictions, dtype=float)
-    t = np.asarray(truths, dtype=float)
-    if p.shape != t.shape or p.size == 0:
-        raise InvalidArgumentError("predictions and truths must be equal-length, non-empty")
-    if not (np.isfinite(p).all() and np.isfinite(t).all()):
-        raise InvalidArgumentError("predictions and truths must be finite")
-    spread = float(np.max(t) - np.min(t))
-    if spread == 0.0:
-        raise UndefinedNormalizationError("constant ground truth has no range")
-    return float(np.mean((p - t) ** 2) / spread**2)
-
-
 def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
     """Per parameter group: NAE of encodings under small random rotations.
 
@@ -400,7 +393,7 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
     (turned,) = _twins(fields, "rotation", rng.normal(0.0, 1e-3, size=n))
     rows = codec.encode_many(np.concatenate([fields, turned]))
     truths, preds = rows[:n], rows[n:]
-    # nae per column: np.mean of a contiguous row, as nae takes it (an axis mean can differ in the last bit)
+    # NAE per column: np.mean of a contiguous row (an axis mean can differ in the last bit)
     spreads = (truths.max(axis=0) - truths.min(axis=0)).tolist()
     groups = {g: [i for i in idxs if spreads[i] != 0.0] for g, idxs in codec.parameter_groups().items()}
     if not np.isfinite(rows[:, sum(groups.values(), [])]).all():
@@ -413,15 +406,23 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
 def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:
     """All six metrics for every codec, plus NAE / ratio-sensitivity extras.
 
-    The metrics of a codec share one build of the families
-    (:func:`build_families`) and one encoding of each family box and twin
-    (:func:`_family_rows`, :func:`_twin_rows`).
+    The families are built once.  Per codec, the six metrics share one
+    encoding of the family boxes, one of their twins and one decode-and-score
+    batch of the family rows and the perturbed rows.
     """
+    families = build_families(cfg)
+    fams, fields = _members(families)
     reports = []
     for codec in codecs:
-        probes = (probe_target_continuity, probe_loss_continuity)
-        metrics = [probe(codec, t, cfg) for probe in probes for t in ("rotation", "aspect")]
-        metrics += [check_decoding_completeness(codec, cfg), probe_decoding_robustness(codec, cfg)]
+        rows = _encoded(codec, fields)
+        twins = _twin_rows(codec, fields, cfg.steps, _TRANSFORMS)
+        metrics = [
+            _continuity(codec, kind, t, cfg.steps, fams, fields, rows, twins)
+            for kind in ("target", "loss")
+            for t in _TRANSFORMS
+        ]
+        complete, robust = _decoding_gaps(codec, cfg, families, fields, rows, cfg.directions)
+        metrics += [_completeness(fams, fields, complete), _robustness(codec, cfg, fams, fields, rows, robust)]
         extras = {"nae": _nae_summary(codec, cfg)}
         if codec.name in ("cobb", "cobb-ln"):
             square = HorizontalBox(0.0, 0.0, 1.0, 1.0)

@@ -67,14 +67,3 @@ def emit_curves(codec: BoxCodec, sweep: str, box: OrientedBox, out_path, grid_po
         for row in rows:
             fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
     return rows.shape[0]
-
-
-def column_jumps(values, threshold: float) -> list[int]:
-    """Indices i where |values[i+1] - values[i]| exceeds the threshold."""
-    v = np.asarray(values, dtype=float)
-    return [int(i) for i in np.nonzero(np.abs(np.diff(v)) > threshold)[0]]
-
-
-def max_neighbor_step(values) -> float:
-    v = np.asarray(values, dtype=float)
-    return float(np.max(np.abs(np.diff(v)))) if v.size > 1 else 0.0

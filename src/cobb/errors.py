@@ -17,10 +17,6 @@ class UndefinedIoUError(CobbError, ArithmeticError):
     """IoU requested for two zero-area shapes, or for a shape whose area overflows."""
 
 
-class UndefinedNormalizationError(CobbError, ArithmeticError):
-    """A normalization denominator is zero (e.g. constant ground truth)."""
-
-
 class DotaParseError(CobbError, ValueError):
     """A DOTA annotation line could not be parsed."""
 

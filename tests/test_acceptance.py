@@ -27,9 +27,9 @@ from cobb.audit import (
 )
 from cobb.baselines import get_codec
 from cobb.cli import main as cli_main
-from cobb.curves import column_jumps, max_neighbor_step
 from cobb.geometry import HorizontalBox, OrientedBox, iou, outer_hbb
 from cobb.targets import Proposal, decode_target, encode_target, sensitivity_probe
+from test_curves import column_jumps, max_neighbor_step
 
 SEED = 20250810
 AUDIT_CFG = ProbeConfig(samples=64, seed=7)

@@ -17,18 +17,15 @@ from cobb.audit import (
     MetricResult,
     ProbeConfig,
     StepGap,
-    _family_rows,
     _members,
     _nae_summary,
     _normalized,
     _rng,
     _transform_gap,
-    _twin_rows,
     _twins,
     _verdict,
     build_families,
     check_decoding_completeness,
-    nae,
     probe_decoding_robustness,
     probe_loss_continuity,
     probe_target_continuity,
@@ -36,12 +33,31 @@ from cobb.audit import (
     run_audit,
 )
 from cobb.baselines import AcuteAngleCodec, BoxCodec, available_codecs, get_codec
-from cobb.errors import CobbError, InvalidArgumentError, UndefinedNormalizationError
+from cobb.errors import CobbError, InvalidArgumentError
 from cobb.geometry import OrientedBox, iou, rotate, vertices_of
 from test_baselines import assert_same_bits
 from test_codec import as_fields
 
 CFG = ProbeConfig(samples=24, seed=9)
+
+
+def family_fields(cfg):
+    """The fields of every family box, in family order."""
+    return _members(build_families(cfg))[1]
+
+
+def nae(predictions, truths) -> float:
+    """Mean squared error normalized by the squared ground-truth range: the
+    scalar NAE that each column of the audit's NAE summary is checked
+    against (:func:`per_column_nae` skips a column of constant truths)."""
+    p = np.asarray(predictions, dtype=float)
+    t = np.asarray(truths, dtype=float)
+    if p.shape != t.shape or p.size == 0:
+        raise InvalidArgumentError("predictions and truths must be equal-length, non-empty")
+    if not (np.isfinite(p).all() and np.isfinite(t).all()):
+        raise InvalidArgumentError("predictions and truths must be finite")
+    spread = float(np.max(t) - np.min(t))
+    return float(np.mean((p - t) ** 2) / spread**2)
 
 
 class TestNae:
@@ -57,10 +73,6 @@ class TestNae:
         p, t = rng.normal(size=50), rng.normal(size=50)
         expected = np.mean((p - t) ** 2) / (t.max() - t.min()) ** 2
         assert nae(p, t) == pytest.approx(float(expected), rel=1e-12)
-
-    def test_constant_truths(self):
-        with pytest.raises(UndefinedNormalizationError):
-            nae([1, 2], [3, 3])
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidArgumentError):
@@ -213,18 +225,19 @@ class TestConfig:
 
 class TestFamilies:
     def test_deterministic(self):
-        # two separate builds: the cached function would return one object
-        a = build_families.__wrapped__(CFG)
-        b = build_families.__wrapped__(CFG)
+        a = build_families(CFG)
+        b = build_families(CFG)
         assert a is not b
         assert list(a) == list(b)
         for fam in a:
             assert np.array_equal(a[fam], b[fam])
 
-    def test_built_once_per_config(self):
-        fams = build_families(CFG)
-        assert build_families(ProbeConfig(samples=24, seed=9)) is fams
-        fresh = build_families.__wrapped__(CFG)
+    def test_built_once_per_config(self, monkeypatch):
+        # one build per run_audit call, whatever the number of codecs
+        builds = recorded(monkeypatch, audit, "build_families")
+        run_audit([get_codec("cobb"), get_codec("acute")], CFG)
+        ((_, fams),) = builds
+        fresh = build_families(CFG)
         assert list(fams) == list(fresh) and all(np.array_equal(fams[f], fresh[f]) for f in fams)
         with pytest.raises(TypeError):
             fams["random"] = ()
@@ -347,21 +360,29 @@ class TestRunAudit:
             return twins(fields, transform, delta)
 
         monkeypatch.setattr(audit, "_twins", counting)
-        _twin_rows.cache_clear()
         cfg = ProbeConfig(samples=4, seed=5)
         run_audit([get_codec("cobb"), get_codec("acute")], cfg)
-        family = _members(cfg)[1].tobytes()
+        family = family_fields(cfg).tobytes()
         per_codec = [(family, t, d) for d in cfg.steps for t in ("rotation", "aspect")]
         assert [b for b in built if b[0] == family] == per_codec * 2
 
-    def test_shared_encoding_is_read_only(self):
+    def test_shared_encoding_is_read_only(self, monkeypatch):
+        # the six metrics of a codec read one array of family fields, one
+        # encoding of them and one of their twins, none of which they can change
         codec = get_codec("cobb")
-        rows = _family_rows(codec, CFG)
-        assert _family_rows(codec, CFG) is rows
-        twins = _twin_rows(codec, CFG)
+        continuity = recorded(monkeypatch, audit, "_continuity")
+        decoding = recorded(monkeypatch, audit, "_decoding_gaps")
+        robustness = recorded(monkeypatch, audit, "_robustness")
+        run_audit([codec], CFG)
+        (((_, _, _, fields, rows, _), _),), ((robust, _),) = decoding, robustness
+        twins = continuity[0][0][7]
+        assert len(continuity) == 4
+        assert all(args[5] is fields and args[6] is rows and args[7] is twins for args, _ in continuity)
+        assert robust[3] is fields and robust[4] is rows
         assert set(twins) == {(t, d) for d in CFG.steps for t in ("rotation", "aspect")}
-        for array in [rows, *(column for columns in twins.values() for column in columns)]:
-            assert array.shape == (len(rows), codec.dim)
+        assert fields.shape == (len(rows), 5)
+        for array in [fields, rows, *(column for columns in twins.values() for column in columns)]:
+            assert array.shape[0] == len(rows)
             with pytest.raises(ValueError):
                 array[0, 0] = 0.0
 
@@ -405,7 +426,7 @@ class TestRunAudit:
         # family boxes, their twins, the NAE sample, each as given: the a = 1
         # near-diagonal straddles at atan2(1, 1) - delta/2 and pi/4 - delta/2
         # are one box, encoded once per place it holds
-        boxes = _members(cfg)[1]
+        boxes = family_fields(cfg)
         twins = [c for d in cfg.steps for t in ("rotation", "aspect") for c in _twins(boxes, t, d)]
         assert [len(batch) for batch in batches] == [52, 468, 64]
         assert np.array_equal(batches[0], boxes) and np.array_equal(batches[1], np.concatenate(twins))
@@ -459,11 +480,35 @@ class TestRunAudit:
             raise AssertionError("twins built")
 
         cfg = ProbeConfig(samples=3, seed=123)
-        calls = _twin_rows.cache_info()
         monkeypatch.setattr(audit, "_twins", refuse)
+        monkeypatch.setattr(audit, "_twin_rows", refuse)
         probe(Recording(), cfg)
-        assert _twin_rows.cache_info() == calls
-        assert batches == [len(_members(cfg)[1])]
+        assert batches == [len(family_fields(cfg))]
+
+    def test_runs_share_no_state(self, monkeypatch):
+        """Each run encodes its own rows: a codec audited again, after
+        another codec or right after itself, gets the same batches and the
+        same report."""
+        from cobb.cli import reports_to_json
+
+        batches = []
+
+        class Recording(AcuteAngleCodec):
+            def encode_many(self, fields):
+                batches.append(len(fields))
+                return super().encode_many(fields)
+
+        a, b = Recording(), get_codec("cobb")
+        cfg = ProbeConfig(samples=4, seed=5)
+        runs = []
+        for codec in (a, b, a, a):
+            del batches[:]
+            runs.append((reports_to_json(run_audit([codec], cfg)), list(batches)))
+        assert runs[0] == runs[2] == runs[3] and runs[0][1] == [52, 468, 64]
+        assert runs[1][1] == []
+
+    def test_module_keeps_no_cache(self):
+        assert [name for name, value in vars(audit).items() if hasattr(value, "cache_info")] == []
 
 
 def scalar_completeness(codec, cfg):
@@ -538,7 +583,7 @@ class Scripted(BoxCodec):
 @pytest.mark.parametrize("kind", ["target", "loss"])
 def test_continuity_witness_is_the_first_largest_gap_and_never_nan(kind):
     cfg = ProbeConfig(samples=4, seed=5)
-    rows = _members(cfg)[1].tolist()
+    rows = family_fields(cfg).tolist()
     boxes = [OrientedBox(*row) for row in rows]
     probe = probe_target_continuity if kind == "target" else probe_loss_continuity
     # per step: box 0 a NaN gap, boxes 2 and 5 the same largest gap
@@ -572,20 +617,19 @@ def test_batched_decoding_probes_equal_the_scalar_loop(name):
 def test_every_decoding_gap_is_the_scalar_oracle(name, monkeypatch):
     """Every row the decoding probes score, not only the worst one a
     witness replays, is the scalar ``1 - iou(box, codec.decode(row))``, bit
-    for bit.  The one batch holds the family rows, then each box's
-    perturbed rows."""
+    for bit.  The robustness probe's one batch holds the family rows, then
+    each box's perturbed rows."""
     cfg = ProbeConfig(samples=1, seed=7)
     codec = get_codec(name)
     decodes = recorded(monkeypatch, codec, "decode_many")
     scores = recorded(monkeypatch, audit, "iou_many")
-    check_decoding_completeness(codec, cfg)
     probe_decoding_robustness(codec, cfg)
     ((_, batch),) = scores
     encodings = np.asarray(decodes[0][0][0])  # any later decode is the robustness note's
-    fields = _members(cfg)[1]
+    fields = family_fields(cfg)
     n, d = len(fields), cfg.directions
     assert len(encodings) == len(batch) == n * (1 + d)
-    assert np.array_equal(encodings[:n], _family_rows(codec, cfg))
+    assert np.array_equal(encodings[:n], codec.encode_many(fields))
     boxes = [OrientedBox(*row) for row in fields.tolist()]
     owners = [*range(n), *(i // d for i in range(n * d))]
     want = [1.0 - iou(boxes[b], codec.decode(row)) for b, row in zip(owners, encodings)]
@@ -602,11 +646,27 @@ def test_run_audit_decodes_and_scores_each_codec_in_one_batch(monkeypatch):
     decodes = [recorded(monkeypatch, codec, "decode_many") for codec in codecs]
     scores = recorded(monkeypatch, audit, "iou_many")
     reports = run_audit(codecs, cfg)
-    rows = len(_members(cfg)[1]) * (1 + cfg.directions)
+    rows = len(family_fields(cfg)) * (1 + cfg.directions)
     assert [len(out) for _, out in scores] == [rows] * len(codecs)
     for codec, report, calls in zip(codecs, reports, decodes):
         noted = report.metrics[-1].notes != "" and type(codec).decode is BoxCodec.decode
         assert [len(out) for _, out in calls] == [rows] + [1] * (2 if noted else 0), codec.name
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_completeness_alone_decodes_and_scores_the_family_rows_only(name, monkeypatch):
+    """One ``decode_many`` and one ``iou_many`` call, each on exactly the
+    family rows: no perturbed row is drawn, decoded or scored."""
+    cfg = ProbeConfig(samples=3, seed=23)
+    codec = get_codec(name)
+    decodes = recorded(monkeypatch, codec, "decode_many")
+    scores = recorded(monkeypatch, audit, "iou_many")
+    check_decoding_completeness(codec, cfg)
+    fields = family_fields(cfg)
+    ((args, _),) = decodes
+    assert np.array_equal(args[0], codec.encode_many(fields))
+    ((args, _),) = scores
+    assert len(args[0]) == len(args[1]) == len(fields)
 
 
 def normalize_box(box):
@@ -632,7 +692,7 @@ def test_twins_equal_the_scalar_transforms(delta):
     normalized; every row bit for bit.  Rows: family boxes and a square at
     pi/4."""
     square = _normalized([[0.0, 0.0, 3.0, 3.0, math.pi / 4]])
-    fields = np.concatenate([_members(ProbeConfig(samples=8, seed=3))[1], square])
+    fields = np.concatenate([family_fields(ProbeConfig(samples=8, seed=3)), square])
     boxes = [OrientedBox(*row) for row in fields.tolist()]
     (turned,) = _twins(fields, "rotation", delta)
     assert np.array_equal(turned, as_fields(rotate(b, delta) for b in boxes))

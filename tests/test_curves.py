@@ -7,7 +7,7 @@ import pytest
 
 from cobb import codec as cobb_codec, geometry
 from cobb.baselines import CobbCodec, available_codecs, get_codec
-from cobb.curves import aspect_sweep, column_jumps, emit_curves, max_neighbor_step, rotation_sweep
+from cobb.curves import aspect_sweep, emit_curves, rotation_sweep
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError
 from cobb.geometry import OrientedBox, rotate
 from test_baselines import near_tie, scalar_outcome
@@ -15,6 +15,18 @@ from test_baselines import near_tie, scalar_outcome
 BOX = OrientedBox(0, 0, 4, 2, 0)
 GRID = 1440  # quarter-degree steps
 DIAMOND = OrientedBox(0, 0, 3, 3, math.pi / 4)
+
+
+def column_jumps(values, threshold: float) -> list[int]:
+    """Indices i where |values[i+1] - values[i]| exceeds the threshold."""
+    v = np.asarray(values, dtype=float)
+    return [int(i) for i in np.nonzero(np.abs(np.diff(v)) > threshold)[0]]
+
+
+def max_neighbor_step(values) -> float:
+    """The largest |values[i+1] - values[i]|, 0.0 for fewer than two values."""
+    v = np.asarray(values, dtype=float)
+    return float(np.max(np.abs(np.diff(v)))) if v.size > 1 else 0.0
 
 
 class TestRotationSweep:

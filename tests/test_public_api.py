@@ -23,7 +23,6 @@ EXPORTS = [
     "Proposal",
     "TargetVector",
     "UndefinedIoUError",
-    "UndefinedNormalizationError",
     "classify",
     "cobb_loss",
     "decode",
