@@ -76,6 +76,8 @@ class ProbeConfig:
         unknown = set(self.families) - set(FAMILY_NAMES)
         if unknown:
             raise InvalidArgumentError(f"unknown families: {sorted(unknown)}")
+        if len(set(self.families)) < len(self.families):
+            raise InvalidArgumentError(f"families must not repeat, got {self.families!r}")
         if not isinstance(self.perturbation, numbers.Real):
             raise InvalidArgumentError(f"perturbation must be a number, got {self.perturbation!r}")
         if not 0 < self.perturbation < math.inf:
@@ -96,7 +98,7 @@ class MetricResult:
     name: str
     steps: list[StepGap]
     verdict: str  # "pass" | "fail"
-    witness: dict | None = None
+    witness: dict | None
     notes: str = ""
 
 

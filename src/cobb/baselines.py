@@ -25,18 +25,11 @@ from cobb.geometry import (
     min_area_rect_many,
     oriented_many,
     outer_hbb,
-    vertices_many,
-    vertices_of,
 )
 from cobb.targets import Proposal, TargetVector, cobb_loss, smooth_l1
 
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
-
-
-def _pick(wins, new, old):
-    """Row-wise point ``new`` where ``wins``, else ``old``."""
-    return np.where(wins, new[0], old[0]), np.where(wins, new[1], old[1])
 
 
 class BoxCodec:
@@ -300,9 +293,13 @@ class GlidingVertexCodec(BoxCodec):
     position along that side measured from the side's counterclockwise-first
     corner (y-down frame): top from the top-right corner leftward, right from
     the bottom-right corner upward, bottom from the bottom-left rightward,
-    left from the top-left downward.  An axis-aligned box encodes to zeros.
-    Decoding rebuilds the (possibly irregular) quad and refines it with the
-    minimum-area enclosing rectangle.
+    left from the top-left downward.  For theta in [0, pi/2) and outer
+    extents ``W``, ``H`` that is ``a_top = a_bottom = h_side * sin(theta) / W``
+    and ``a_right = a_left = w_side * sin(theta) / H``, in [0, 1] in floats
+    and zero for an axis-aligned box: the encoder builds no corner, and bottom
+    repeats top and left repeats right for every rectangle.  Decoding rebuilds
+    the (possibly irregular) quad and refines it with the minimum-area
+    enclosing rectangle.
     """
 
     name = "gv"
@@ -311,21 +308,9 @@ class GlidingVertexCodec(BoxCodec):
 
     def encode(self, box: OrientedBox) -> np.ndarray:
         hbb = outer_hbb(box)
-        f = vertices_of(box).flat
-        corners = list(zip(f[0::2], f[1::2]))
-        top = min(corners, key=lambda p: (p[1], -p[0]))
-        bottom = max(corners, key=lambda p: (p[1], -p[0]))
-        right, left = max(corners), min(corners)
-        x_lo, x_hi = hbb.xc - 0.5 * hbb.w, hbb.xc + 0.5 * hbb.w
-        y_lo, y_hi = hbb.yc - 0.5 * hbb.h, hbb.yc + 0.5 * hbb.h
-        a = (
-            (x_hi - top[0]) / hbb.w,
-            (y_hi - right[1]) / hbb.h,
-            (bottom[0] - x_lo) / hbb.w,
-            (left[1] - y_lo) / hbb.h,
-        )
-        a = tuple(min(max(v, 0.0), 1.0) for v in a)
-        return np.array([hbb.xc, hbb.yc, hbb.w, hbb.h, *a], dtype=float)
+        s = abs(math.sin(box.theta))
+        a_tb, a_rl = box.h_side * s / hbb.w, box.w_side * s / hbb.h
+        return np.array([hbb.xc, hbb.yc, hbb.w, hbb.h, a_tb, a_rl, a_tb, a_rl], dtype=float)
 
     decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
 
@@ -333,26 +318,10 @@ class GlidingVertexCodec(BoxCodec):
         cx, cy, w_side, h_side, theta = fields.T
         c, s = np.abs(_rowwise(math.cos, theta)), np.abs(_rowwise(math.sin, theta))
         w, h = w_side * c + h_side * s, w_side * s + h_side * c
-        # encode raises at the first row where outer_hbb raises or a slide fraction divides by zero: that
-        # row and the later ones go to encode, and reach vertices_many as unit boxes, so that only an
-        # earlier row's corner error comes first
-        bad = np.logical_or.accumulate(~(np.isfinite(w) & np.isfinite(h)) | (w == 0.0) | (h == 0.0))
-        f = vertices_many(np.where(bad[:, None], 1.0, fields))
-        corners = [(f[:, 2 * i], f[:, 2 * i + 1]) for i in range(4)]
-        # encode's min and max, corner by corner: a later corner wins only
-        # where its key, (y, -x) or (x, y), is strictly smaller (larger)
-        top = bottom = left = right = corners[0]
-        for p in corners[1:]:
-            px, py = p
-            top = _pick((py < top[1]) | (py == top[1]) & (px > top[0]), p, top)
-            bottom = _pick((py > bottom[1]) | (py == bottom[1]) & (px < bottom[0]), p, bottom)
-            left = _pick((px < left[0]) | (px == left[0]) & (py < left[1]), p, left)
-            right = _pick((px > right[0]) | (px == right[0]) & (py > right[1]), p, right)
-        x_lo, x_hi = cx - 0.5 * w, cx + 0.5 * w
-        y_lo, y_hi = cy - 0.5 * h, cy + 0.5 * h
-        a = [(x_hi - top[0]) / w, (y_hi - right[1]) / h, (bottom[0] - x_lo) / w, (left[1] - y_lo) / h]
-        a = [np.where(1.0 < m, 1.0, m) for m in (np.where(0.0 > v, 0.0, v) for v in a)]
-        return _scalar_rows(np.stack([cx, cy, w, h, *a], axis=1), bad, lambda r: self.encode(OrientedBox(*r)), fields)
+        a_tb, a_rl = h_side * s / w, w_side * s / h
+        out = np.stack([cx, cy, w, h, a_tb, a_rl, a_tb, a_rl], axis=1)
+        # outer_hbb raises where an extent overflows: encode raises it for the first such row
+        return _scalar_rows(out, ~(np.isfinite(w) & np.isfinite(h)), lambda r: self.encode(OrientedBox(*r)), fields)
 
     def _decode_rows(self, rows):
         xc, yc, w, h, at, ar, ab, al = rows.T

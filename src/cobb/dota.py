@@ -24,7 +24,7 @@ class DotaRecord:
     quad: tuple[tuple[float, float], ...]  # four (x, y) pairs in canonical order
     category: str
     difficulty: int
-    line_no: int | None
+    line_no: int
 
 
 def is_metadata_line(line: str) -> bool:
@@ -32,7 +32,7 @@ def is_metadata_line(line: str) -> bool:
     return any(stripped.startswith(p) for p in _METADATA_PREFIXES)
 
 
-def parse_dota_line(line: str, line_no: int | None = None) -> DotaRecord:
+def parse_dota_line(line: str, line_no: int) -> DotaRecord:
     """Parse one annotation line; malformed input raises :class:`DotaParseError`.
 
     Bytes that are not UTF-8, which :func:`read_dota_file` passes on as lone

@@ -20,8 +20,6 @@ class UndefinedIoUError(CobbError, ArithmeticError):
 class DotaParseError(CobbError, ValueError):
     """A DOTA annotation line could not be parsed."""
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int):
         self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line_no}: {message}")

@@ -212,6 +212,12 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError, match=name):
             ProbeConfig(**{name: value})
 
+    def test_families_must_not_repeat(self):
+        # a repeat used to build both draws and keep only the last, so the
+        # audit ran on another sample than the single family
+        with pytest.raises(InvalidArgumentError, match="families must not repeat"):
+            ProbeConfig(families=("random", "near-square", "random"))
+
     def test_families_must_not_be_a_bare_string(self):
         # the string used to split into letters: "unknown families: ['a', 'd', ...]"
         with pytest.raises(InvalidArgumentError, match="families must be a sequence"):

@@ -138,6 +138,56 @@ class TestGlidingVertex:
             enc = c.encode(box)
             assert np.all(enc[4:] >= 0.0) and np.all(enc[4:] <= 1.0)
 
+    def test_encoding_is_translation_invariant(self):
+        """Moving a box moves only the centre columns: far out, every other
+        column equals the origin encoding bit for bit, also for thin boxes
+        within 1e-10 of an axis, where two corners tie after rounding."""
+        c = GlidingVertexCodec()
+        origin = np.vstack([thin_fields(600, seed=47), [0.0, 0.0, 0.25, 0.002, -1e-10]])
+        want = c.encode_many(origin)
+        for offset in (2e4, 2e4 + 0.5, 1e6):
+            moved = origin + [offset, offset, 0.0, 0.0, 0.0]
+            got = c.encode_many(moved)
+            assert_same_bits(got[:, :2], moved[:, :2])
+            assert_same_bits(got[:, 2:], want[:, 2:])
+        # corner picks used to give this box a_right = a_left = 0.0, a row
+        # whose slide points are collinear
+        box = OrientedBox(20000.5, 20000.5, 0.25, 0.002, -1e-10)
+        enc = c.encode(box)
+        assert enc[5] == enc[7] == pytest.approx(0.9999999875, rel=1e-12)
+        assert iou(box, c.decode(enc)) > 1 - 1e-6
+
+    def test_extents_stay_positive_at_the_smallest_sides(self):
+        """The outer extents are at least the shorter side times about
+        cos(pi/4), so at the smallest subnormal side neither rounds to 0 and
+        each slide fraction is a ratio in [0, 1]."""
+        c = GlidingVertexCodec()
+        angles = [*np.linspace(0.0, 0.5 * math.pi, 48, endpoint=False), 1e-300, math.nextafter(0.5 * math.pi, 0.0)]
+        sides = [(5e-324, 5e-324), (5e-324, 1.0), (1.0, 5e-324)]
+        fields = np.array([(0.0, 0.0, w, h, t) for w, h in sides for t in angles])
+        enc = c.encode_many(fields)
+        assert (enc[:, 2:4] > 0.0).all() and (enc[:, 4:] >= 0.0).all() and (enc[:, 4:] <= 1.0).all()
+        assert_same_bits(enc, [c.encode(OrientedBox(*r)) for r in fields.tolist()])
+
+    def test_a_box_whose_corners_overflow_encodes(self):
+        """No corner is built, so only an overflowing extent stops the
+        encoder; the row's slide points overflow, so decoding it raises."""
+        c = GlidingVertexCodec()
+        enc = c.encode(OrientedBox(*CORNER_OVERFLOW))
+        assert np.isfinite(enc).all()
+        with pytest.raises(InvalidArgumentError, match="coordinate must be finite"):
+            c.decode(enc)
+
+
+def thin_fields(n, seed):
+    """``(n, 5)`` fields of boxes at the origin: long side 1 to 10, aspect
+    1e-6 to 1, every other angle within 1e-10 of 0 or pi/2."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    long = rng.uniform(1.0, 10.0, n)
+    near_axis = rng.choice([0.0, 0.5 * math.pi], n) + rng.uniform(-1e-10, 1e-10, n)
+    theta = np.where(np.arange(n) % 2 == 0, near_axis, rng.uniform(0.0, math.pi, n))
+    return np.column_stack([np.zeros((n, 2)), long, long * 10.0 ** rng.uniform(-6.0, 0.0, n), theta])
+
 
 class TestCobbCodecAdapter:
     def test_roundtrip_both_variants(self):
@@ -349,11 +399,11 @@ def test_gv_decode_rows_that_fall_back_equal_the_scalar_decode(monkeypatch):
         [3.0, 4.0, 2.0, 1.0, 0.0, 0.4, 1.0, 0.5],  # top, right and bottom on the right side
         [3.0, 4.0, 2.0, 1.0, 0.0, 1.0, 0.0, 1.0],  # all four on a diagonal
     ]
-    # boxes of aspect 1e-13 far out: some slide points round onto a line,
-    # some span a rectangle whose area rounds to 0
+    # boxes of aspect 1e-14 far out: some slide points round onto a line
+    # (at aspect 1e-13 every row decodes)
     rng = np.random.Generator(np.random.PCG64(46))
     centres, theta = rng.uniform(0.0, 2e4, (2, 300)), rng.uniform(0.0, math.pi, 300)
-    thin = codec.encode_many(np.stack([*centres, np.full(300, 100.0), np.full(300, 1e-11), theta], axis=1))
+    thin = codec.encode_many(np.stack([*centres, np.full(300, 100.0), np.full(300, 1e-12), theta], axis=1))
     rows = np.vstack([codec.encode_many(as_fields(BATCH_BOXES[:20])), odd, thin])
     outcomes = [scalar_outcome(gv_decode, r) for r in rows]
     ok = [i for i, o in enumerate(outcomes) if isinstance(o, OrientedBox)]

@@ -23,7 +23,7 @@ from cobb.geometry import OrientedBox, iou, vertices_of
 GOOD = "0 0 4 0 4 2 0 2 plane 0"
 
 # sha256 of `cobb audit --codec all --seed 7 --samples 4` (JSON), x86-64 Linux
-AUDIT_SEED7_SAMPLES4_SHA256 = "5feb163e22f3160a7ebc75274ef5e9d4a720a6fdba58f31e37a507bf91d5c05c"
+AUDIT_SEED7_SAMPLES4_SHA256 = "66e00f9b27afa3e4696b8fbf33fe400be830d228a83dc48c2355a5583e6173a3"
 # sha256 of `cobb curves --codec cobb --sweep <sweep> --box 0,0,4,2,0` (CSV, default grid), x86-64 Linux
 CURVES_SHA256 = {
     "rotation": "39231792b46c7647411a7a8bcf39e7d5f0811c827e4a2f060a86b1ee49658e7b",
@@ -33,8 +33,8 @@ CURVES_SHA256 = {
 
 class TestParse:
     def test_simple_line(self):
-        rec = parse_dota_line(GOOD)
-        assert rec.category == "plane" and rec.difficulty == 0
+        rec = parse_dota_line(GOOD, 1)
+        assert rec.category == "plane" and rec.difficulty == 0 and rec.line_no == 1
         assert rec.quad == ((0, 0), (0, 2), (4, 2), (4, 0))  # canonical order
 
     def test_token_count(self):
@@ -43,11 +43,11 @@ class TestParse:
 
     def test_bad_number(self):
         with pytest.raises(DotaParseError, match="non-numeric"):
-            parse_dota_line("0 0 x 0 4 2 0 2 plane 0")
+            parse_dota_line("0 0 x 0 4 2 0 2 plane 0", 1)
 
     def test_bad_difficulty(self):
         with pytest.raises(DotaParseError, match="difficulty"):
-            parse_dota_line("0 0 4 0 4 2 0 2 plane easy")
+            parse_dota_line("0 0 4 0 4 2 0 2 plane easy", 1)
 
     def test_metadata_detection(self):
         assert is_metadata_line("imagesource:GoogleEarth")
@@ -57,7 +57,7 @@ class TestParse:
     def test_rotated_square_fit(self):
         box = OrientedBox(10, 5, 3, 3, 0.6)
         coords = " ".join(f"{v:.9f}" for v in vertices_of(box).flat)
-        rec = parse_dota_line(coords + " storage-tank 1")
+        rec = parse_dota_line(coords + " storage-tank 1", 1)
         assert iou(record_box(rec), box) >= 1 - 1e-6
 
 
