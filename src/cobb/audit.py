@@ -33,7 +33,17 @@ FAMILY_NAMES = ("near-horizontal", "near-square", "near-diagonal", "random")
 
 _BOUNDARY_OFFSET = 1e-3  # half-width of the boundary families
 _ASPECT_RANGE = (0.2, 5.0)
+_LOG_ASPECT_RANGE = tuple(np.log(_ASPECT_RANGE).tolist())
 _TRANSFORMS = ("rotation", "aspect")
+# per family, the bounds of each sample's uniform draws in stream order: the log
+# aspect, then those commented
+_OFFSET = (-_BOUNDARY_OFFSET, _BOUNDARY_OFFSET)
+_DRAWS = {
+    "near-horizontal": (_LOG_ASPECT_RANGE, _OFFSET),  # theta
+    "near-square": (_LOG_ASPECT_RANGE, _OFFSET, (0.0, math.pi)),  # aspect - 1 (the log aspect unused), theta
+    "near-diagonal": (_LOG_ASPECT_RANGE, _OFFSET),  # theta - atan2(1, a)
+    "random": (_LOG_ASPECT_RANGE, (0.0, math.pi)),  # theta
+}
 
 # Verdict thresholds at the finest step.
 TARGET_GAP_TOL = 1e-3
@@ -127,8 +137,7 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _random_aspect(rng: np.random.Generator) -> float:
-    lo, hi = _ASPECT_RANGE
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    return float(np.exp(rng.uniform(*_LOG_ASPECT_RANGE)))
 
 
 def build_families(cfg: ProbeConfig) -> Mapping[str, np.ndarray]:
@@ -137,21 +146,15 @@ def build_families(cfg: ProbeConfig) -> Mapping[str, np.ndarray]:
     rows: list[tuple[float, ...]] = []
     ends = []
     for fi, fam in enumerate(cfg.families):
-        rng = _rng(cfg.seed, 101, fi)
-        for _ in range(cfg.samples):
-            a = _random_aspect(rng)
-            if fam == "near-horizontal":
-                theta = float(rng.uniform(-_BOUNDARY_OFFSET, _BOUNDARY_OFFSET))
-            elif fam == "near-square":
-                a = 1.0 + float(rng.uniform(-_BOUNDARY_OFFSET, _BOUNDARY_OFFSET))
-                theta = float(rng.uniform(0.0, math.pi))
-            elif fam == "near-diagonal":
-                theta = math.atan2(1.0, a) + float(rng.uniform(-_BOUNDARY_OFFSET, _BOUNDARY_OFFSET))
-            elif fam == "random":
-                theta = float(rng.uniform(0.0, math.pi))
-            else:  # pragma: no cover - validated in ProbeConfig
-                raise InvalidArgumentError(fam)
-            rows.append((0.0, 0.0, a, 1.0, theta))
+        # every sample's uniforms in one draw: the stream of one draw per value
+        lows, highs = zip(*_DRAWS[fam])
+        u = _rng(cfg.seed, 101, fi).uniform(lows, highs, size=(cfg.samples, len(lows)))
+        a, theta = np.exp(u[:, 0]), u[:, -1]
+        if fam == "near-square":
+            a = 1.0 + u[:, 1]
+        elif fam == "near-diagonal":
+            theta = _rowwise(math.atan2, np.ones(cfg.samples), a) + theta
+        rows += [(0.0, 0.0, w, 1.0, t) for w, t in zip(a.tolist(), theta.tolist())]
         # Deterministic straddles half a step before each relevant boundary.
         for delta in cfg.steps:
             if fam == "near-horizontal":
@@ -177,13 +180,6 @@ def _members(families: Mapping[str, np.ndarray]) -> tuple[list[str], np.ndarray]
     return [fam for fam, rows in families.items() for _ in rows], fields
 
 
-def _encoded(codec: BoxCodec, fields: np.ndarray) -> np.ndarray:
-    """``codec.encode_many(fields)``, read-only, as the metrics of a run share it."""
-    rows = codec.encode_many(fields)
-    rows.flags.writeable = False
-    return rows
-
-
 def _twins(fields: np.ndarray, transform: str, delta) -> list[np.ndarray]:
     """Twin columns of ``(n, 5)`` constructed-box fields, for one ``delta``
     or one per row.
@@ -204,16 +200,17 @@ def _twins(fields: np.ndarray, transform: str, delta) -> list[np.ndarray]:
     raise InvalidArgumentError(f"unknown transform {transform!r}")
 
 
-def _twin_rows(
-    codec: BoxCodec, fields: np.ndarray, steps: tuple[float, ...], transforms: tuple[str, ...]
-) -> dict[tuple[str, float], tuple[np.ndarray, ...]]:
-    """Encodings of the :func:`_twins` columns of ``fields`` per ``(transform,
-    delta)``, in one ``encode_many`` call; column ``k`` holds twin ``k`` of
-    every row."""
-    twins = {(transform, delta): _twins(fields, transform, delta) for delta in steps for transform in transforms}
-    rows = _encoded(codec, np.concatenate([column for cols in twins.values() for column in cols]))
-    rows = iter(np.split(rows, sum(map(len, twins.values()))))
-    return {key: tuple(next(rows) for _ in cols) for key, cols in twins.items()}
+def _encoded(codec: BoxCodec, fields: np.ndarray, twins: dict, *rest: np.ndarray) -> tuple:
+    """One ``codec.encode_many`` call over ``fields``, each column of
+    ``twins`` (per ``(transform, delta)``, as :func:`_twins` gives them) and
+    each of ``rest``, stacked in that order, as read-only views that the
+    metrics of a run share: those of ``fields``, of ``twins`` per key, and
+    of each of ``rest``."""
+    blocks = [fields, *(column for columns in twins.values() for column in columns), *rest]
+    rows = codec.encode_many(np.concatenate(blocks))
+    rows.flags.writeable = False
+    views = iter(np.split(rows, np.cumsum([len(b) for b in blocks[:-1]])))
+    return next(views), {key: tuple(next(views) for _ in columns) for key, columns in twins.items()}, *views
 
 
 def _transform_gap(codec: BoxCodec, kind: str, row: list[float], transform: str, delta: float) -> float:
@@ -232,7 +229,7 @@ def _continuity(codec: BoxCodec, kind: str, transform: str, deltas, fams, fields
     """Each step's gaps as one array, equal to :func:`_transform_gap` per box.
 
     ``enc`` holds the encodings of the family ``fields`` and ``twins`` those
-    of their twins (:func:`_twin_rows`).  Per twin column, the gap is the
+    of their twins (:func:`_encoded`).  Per twin column, the gap is the
     row-wise max |enc - twin| ("target") or ``loss_many`` ("loss"); the
     columns are added from 0.0, left to right.  The witness is the first box
     with the largest gap, as a loop keeping strictly larger gaps picks it,
@@ -256,8 +253,7 @@ def _continuity(codec: BoxCodec, kind: str, transform: str, deltas, fams, fields
 
 def _probe_continuity(codec: BoxCodec, kind: str, transform: str, cfg: ProbeConfig) -> MetricResult:
     fams, fields = _members(build_families(cfg))
-    enc = _encoded(codec, fields)
-    twins = _twin_rows(codec, fields, cfg.steps, (transform,))
+    enc, twins = _encoded(codec, fields, {(transform, delta): _twins(fields, transform, delta) for delta in cfg.steps})
     return _continuity(codec, kind, transform, cfg.steps, fams, fields, enc, twins)
 
 
@@ -293,8 +289,8 @@ def _decoding_gaps(
     encodings = np.empty((n * (1 + d), codec.dim))
     encodings[:n] = rows
     np.add(np.repeat(rows, d, axis=0), deltas, out=encodings[n:])
-    sources = vertices_many(fields)
-    decoded = vertices_many(codec.decode_many(encodings))
+    quads = vertices_many(np.concatenate([fields, codec.decode_many(encodings)]))
+    sources, decoded = quads[:n], quads[n:]
     gaps = 1.0 - iou_many(np.concatenate([sources, np.repeat(sources, d, axis=0)]), decoded)
     i = int(np.argmax(gaps[:n]))
     if not d:
@@ -315,7 +311,8 @@ def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResu
     family rows only."""
     families = build_families(cfg)
     fams, fields = _members(families)
-    worst, _ = _decoding_gaps(codec, cfg, families, fields, _encoded(codec, fields), 0)
+    rows, _ = _encoded(codec, fields, {})
+    worst, _ = _decoding_gaps(codec, cfg, families, fields, rows, 0)
     return _completeness(fams, fields, worst)
 
 
@@ -345,7 +342,7 @@ def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult
     """Worst 1 - IoU(x, decode(encode(x) + d)) over random unit directions."""
     families = build_families(cfg)
     fams, fields = _members(families)
-    rows = _encoded(codec, fields)
+    rows, _ = _encoded(codec, fields, {})
     _, worst = _decoding_gaps(codec, cfg, families, fields, rows, cfg.directions)
     return _robustness(codec, cfg, fams, fields, rows, worst)
 
@@ -375,12 +372,9 @@ def replay_witness(codec: BoxCodec, metric: str, witness: dict) -> float:
 # Estimation-difficulty and ratio-sensitivity summaries
 
 
-def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
-    """Per parameter group: NAE of encodings under small random rotations.
-
-    A proxy for how hard each parameter is to regress: continuous parameters
-    move only slightly when the box wiggles, discontinuous ones jump.
-    """
+def _nae_sample(cfg: ProbeConfig) -> np.ndarray:
+    """The NAE summary's seeded boxes, then their twins under small random
+    rotations, as ``(2n, 5)`` box fields."""
     rng = _rng(cfg.seed, 303)
     n = max(cfg.samples, 32)
     shapes, centres = np.empty((n, 5)), np.empty((n, 2))
@@ -393,39 +387,51 @@ def _nae_summary(codec: BoxCodec, cfg: ProbeConfig) -> dict[str, float]:
         centres[i] = (float(rng.uniform(-0.25, 0.25)), float(rng.uniform(-0.25, 0.25)))
     fields = np.column_stack([centres, _normalized(shapes)[:, 2:]])
     (turned,) = _twins(fields, "rotation", rng.normal(0.0, 1e-3, size=n))
-    rows = codec.encode_many(np.concatenate([fields, turned]))
-    truths, preds = rows[:n], rows[n:]
-    # NAE per column: np.mean of a contiguous row (an axis mean can differ in the last bit)
+    return np.concatenate([fields, turned])
+
+
+def _nae_summary(codec: BoxCodec, rows: np.ndarray) -> dict[str, float]:
+    """Per parameter group: NAE of encodings under small random rotations,
+    from the encodings ``rows`` of :func:`_nae_sample`.
+
+    A proxy for how hard each parameter is to regress: continuous parameters
+    move only slightly when the box wiggles, discontinuous ones jump.
+    """
+    truths, preds = np.split(rows, 2)
     spreads = (truths.max(axis=0) - truths.min(axis=0)).tolist()
     groups = {g: [i for i in idxs if spreads[i] != 0.0] for g, idxs in codec.parameter_groups().items()}
     if not np.isfinite(rows[:, sum(groups.values(), [])]).all():
         raise InvalidArgumentError("predictions and truths must be finite")
-    errors = np.ascontiguousarray(((preds - truths) ** 2).T)
-    means = {g: [float(np.mean(errors[i]) / spreads[i] ** 2) for i in idxs] for g, idxs in groups.items() if idxs}
+    # each column's mean squared error along a contiguous row, as np.mean of
+    # the column takes it (a mean along axis 0 can differ in the last bit)
+    mse = np.ascontiguousarray(((preds - truths) ** 2).T).mean(axis=1).tolist()
+    means = {g: [mse[i] / spreads[i] ** 2 for i in idxs] for g, idxs in groups.items() if idxs}
     return {g: float(np.mean(v)) for g, v in means.items()}
 
 
 def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:
     """All six metrics for every codec, plus NAE / ratio-sensitivity extras.
 
-    The families are built once.  Per codec, the six metrics share one
-    encoding of the family boxes, one of their twins and one decode-and-score
-    batch of the family rows and the perturbed rows.
+    The families, their twins and the NAE sample are built once.  Each codec
+    encodes them in one ``encode_many`` call, which its six metrics and the
+    NAE extra share, and decodes and scores the family rows and the
+    perturbed rows in one batch.
     """
     families = build_families(cfg)
     fams, fields = _members(families)
+    twins = {(t, delta): _twins(fields, t, delta) for delta in cfg.steps for t in _TRANSFORMS}
+    sample = _nae_sample(cfg)
     reports = []
     for codec in codecs:
-        rows = _encoded(codec, fields)
-        twins = _twin_rows(codec, fields, cfg.steps, _TRANSFORMS)
+        rows, twin_rows, nae_rows = _encoded(codec, fields, twins, sample)
         metrics = [
-            _continuity(codec, kind, t, cfg.steps, fams, fields, rows, twins)
+            _continuity(codec, kind, t, cfg.steps, fams, fields, rows, twin_rows)
             for kind in ("target", "loss")
             for t in _TRANSFORMS
         ]
         complete, robust = _decoding_gaps(codec, cfg, families, fields, rows, cfg.directions)
         metrics += [_completeness(fams, fields, complete), _robustness(codec, cfg, fams, fields, rows, robust)]
-        extras = {"nae": _nae_summary(codec, cfg)}
+        extras = {"nae": _nae_summary(codec, nae_rows)}
         if codec.name in ("cobb", "cobb-ln"):
             square = HorizontalBox(0.0, 0.0, 1.0, 1.0)
             extras["ratio_sensitivity"] = {

@@ -10,6 +10,7 @@ import pytest
 from cobb import audit, codec as cobb_codec
 from cobb.audit import (
     COMPLETENESS_TOL,
+    FAMILY_NAMES,
     LOSS_TOL,
     ROBUSTNESS_K,
     TARGET_GAP_TOL,
@@ -18,6 +19,7 @@ from cobb.audit import (
     ProbeConfig,
     StepGap,
     _members,
+    _nae_sample,
     _nae_summary,
     _normalized,
     _rng,
@@ -103,7 +105,8 @@ def recorded(monkeypatch, owner, name):
 
 def per_column_nae(codec, rows):
     """The per-column :func:`nae` loop that :func:`_nae_summary` replaced,
-    on its ``encode_many`` rows (truths, then their rotated twins)."""
+    on the encodings of :func:`_nae_sample` (truths, then their rotated
+    twins)."""
     truths, preds = np.split(rows, 2)
     out = {}
     for gname, idxs in codec.parameter_groups().items():
@@ -119,44 +122,35 @@ def per_column_nae(codec, rows):
 
 
 @pytest.mark.parametrize("name", available_codecs())
-def test_nae_summary_is_the_per_column_nae_loop(name, monkeypatch):
+def test_nae_summary_is_the_per_column_nae_loop(name):
     """Bit for bit and in key order, at samples 1, 4 and 64 over several
-    seeds (a mean over an axis of the 2-D array differs in the last bit)."""
+    seeds (a mean along axis 0 of the 2-D array differs in the last bit)."""
     codec = get_codec(name)
-    encoded = recorded(monkeypatch, codec, "encode_many")
     for samples in (1, 4, 64):
         for seed in (0, 4, 9, 31):
-            got = _nae_summary(codec, ProbeConfig(samples=samples, seed=seed))
-            want = per_column_nae(codec, encoded[-1][1])
+            rows = codec.encode_many(_nae_sample(ProbeConfig(samples=samples, seed=seed)))
+            got, want = _nae_summary(codec, rows), per_column_nae(codec, rows)
             assert list(got) == list(want)
             assert_same_bits(list(got.values()), list(want.values()))
 
 
 @pytest.mark.parametrize("bad", ["varying", "constant"])
-def test_nae_summary_checks_finiteness_where_the_loop_did(bad, monkeypatch):
+def test_nae_summary_checks_finiteness_where_the_loop_did(bad):
     """A NaN in a column with a spread raises, as ``nae`` raised for it; a
     NaN prediction in a column whose truths are constant is skipped with
     the column, as the loop skipped it."""
     codec = AcuteAngleCodec()
-    encode_many = codec.encode_many
-
-    def spoiled(fields):
-        rows = encode_many(fields)
-        n = len(rows) // 2
-        rows[:n, 2] = 0.5  # constant truths in column 2
-        rows[n, 2 if bad == "constant" else 0] = math.nan
-        return rows
-
-    monkeypatch.setattr(codec, "encode_many", spoiled)
-    encoded = recorded(monkeypatch, codec, "encode_many")
-    cfg = ProbeConfig(samples=4, seed=2)
+    rows = codec.encode_many(_nae_sample(ProbeConfig(samples=4, seed=2)))
+    n = len(rows) // 2
+    rows[:n, 2] = 0.5  # constant truths in column 2
+    rows[n, 2 if bad == "constant" else 0] = math.nan
     if bad == "varying":
-        for summary in (lambda: _nae_summary(codec, cfg), lambda: per_column_nae(codec, encoded[-1][1])):
+        for summary in (_nae_summary, per_column_nae):
             with pytest.raises(InvalidArgumentError, match="finite"):
-                summary()
+                summary(codec, rows)
     else:
-        got = _nae_summary(codec, cfg)
-        assert set(got) == {"xy", "wh", "angle"} and got == per_column_nae(codec, encoded[-1][1])
+        got = _nae_summary(codec, rows)
+        assert set(got) == {"xy", "wh", "angle"} and got == per_column_nae(codec, rows)
 
 
 class TestConfig:
@@ -229,7 +223,51 @@ class TestConfig:
         assert hash(cfg) == hash(ProbeConfig(steps=(1e-3, 1e-4), families=("random",)))
 
 
+def scalar_families(cfg):
+    """The loop that :func:`build_families` replaced: one ``rng.uniform``
+    call per drawn value and one box per row."""
+    rows, ends = [], []
+    for fi, fam in enumerate(cfg.families):
+        rng = _rng(cfg.seed, 101, fi)
+        for _ in range(cfg.samples):
+            a = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+            if fam == "near-horizontal":
+                theta = float(rng.uniform(-1e-3, 1e-3))
+            elif fam == "near-square":
+                a = 1.0 + float(rng.uniform(-1e-3, 1e-3))
+                theta = float(rng.uniform(0.0, math.pi))
+            elif fam == "near-diagonal":
+                theta = math.atan2(1.0, a) + float(rng.uniform(-1e-3, 1e-3))
+            else:
+                theta = float(rng.uniform(0.0, math.pi))
+            rows.append((0.0, 0.0, a, 1.0, theta))
+        for delta in cfg.steps:
+            if fam == "near-horizontal":
+                rows += [(0.0, 0.0, a, 1.0, -0.5 * delta) for a in (2.0, 4.0, 0.5, 0.25)]
+            elif fam == "near-square":
+                rows += [(0.0, 0.0, 1.0 - 0.25 * delta, 1.0, theta) for theta in (math.pi / 6, math.pi / 3)]
+            elif fam == "near-diagonal":
+                for a in (1.0, 2.0, 4.0):
+                    rows.append((0.0, 0.0, a, 1.0, math.atan2(1.0, a) - 0.5 * delta))
+                    rows.append((0.0, 0.0, a, 1.0, 0.25 * math.pi - 0.5 * delta))
+        ends.append(len(rows))
+    boxes = [normalize_box(OrientedBox(*row)) for row in rows]
+    return dict(zip(cfg.families, np.split(as_fields(boxes), ends[:-1])))
+
+
 class TestFamilies:
+    @pytest.mark.parametrize("samples", [1, 4, 64])
+    def test_array_draws_equal_the_scalar_loop(self, samples):
+        # bit for bit, for a subset of the families and other orders too
+        for seed in (0, 5, 9, 31):
+            for families in (FAMILY_NAMES, FAMILY_NAMES[::-1], ("random", "near-diagonal"), ("near-square",)):
+                for steps in ((1e-3, 1e-4, 1e-5), (1e-4,)):
+                    cfg = ProbeConfig(samples=samples, seed=seed, families=families, steps=steps)
+                    got, want = build_families(cfg), scalar_families(cfg)
+                    assert list(got) == list(want)
+                    for fam in got:
+                        assert_same_bits(got[fam], want[fam])
+
     def test_deterministic(self):
         a = build_families(CFG)
         b = build_families(CFG)
@@ -354,11 +392,13 @@ class TestRunAudit:
             check_decoding_completeness(codec, cfg),
             probe_decoding_robustness(codec, cfg),
         ]
-        assert rep.extras["nae"] == _nae_summary(codec, cfg)
+        # the NAE rows of the shared batch equal the NAE sample encoded on its own
+        assert rep.extras["nae"] == _nae_summary(codec, codec.encode_many(_nae_sample(cfg)))
 
     def test_each_twin_built_once(self, monkeypatch):
-        # per codec: one _twins call per (transform, delta) on the family
-        # fields, shared by the four continuity probes
+        # per run, whatever the number of codecs: one _twins call per
+        # (transform, delta) on the family fields, shared by the continuity
+        # probes of every codec, then one NAE sample and its rotated twins
         built, twins = [], audit._twins
 
         def counting(fields, transform, delta):
@@ -366,29 +406,41 @@ class TestRunAudit:
             return twins(fields, transform, delta)
 
         monkeypatch.setattr(audit, "_twins", counting)
+        samples = recorded(monkeypatch, audit, "_nae_sample")
         cfg = ProbeConfig(samples=4, seed=5)
         run_audit([get_codec("cobb"), get_codec("acute")], cfg)
         family = family_fields(cfg).tobytes()
-        per_codec = [(family, t, d) for d in cfg.steps for t in ("rotation", "aspect")]
-        assert [b for b in built if b[0] == family] == per_codec * 2
+        per_run = [(family, t, d) for d in cfg.steps for t in ("rotation", "aspect")]
+        ((_, sample),) = samples
+        assert built[:-1] == per_run
+        assert built[-1][:2] == (np.split(sample, 2)[0].tobytes(), "rotation")
 
     def test_shared_encoding_is_read_only(self, monkeypatch):
-        # the six metrics of a codec read one array of family fields, one
-        # encoding of them and one of their twins, none of which they can change
+        # the six metrics and the NAE extra of a codec read one array of
+        # family fields and views of one encode_many batch (the family rows,
+        # each twin column, the NAE rows), none of which they can change
         codec = get_codec("cobb")
+        batches = recorded(monkeypatch, codec, "encode_many")
         continuity = recorded(monkeypatch, audit, "_continuity")
         decoding = recorded(monkeypatch, audit, "_decoding_gaps")
         robustness = recorded(monkeypatch, audit, "_robustness")
+        summaries = recorded(monkeypatch, audit, "_nae_summary")
         run_audit([codec], CFG)
         (((_, _, _, fields, rows, _), _),), ((robust, _),) = decoding, robustness
+        ((_, batch),), (((_, nae_rows), _),) = batches, summaries
         twins = continuity[0][0][7]
         assert len(continuity) == 4
         assert all(args[5] is fields and args[6] is rows and args[7] is twins for args, _ in continuity)
         assert robust[3] is fields and robust[4] is rows
         assert set(twins) == {(t, d) for d in CFG.steps for t in ("rotation", "aspect")}
         assert fields.shape == (len(rows), 5)
-        for array in [fields, rows, *(column for columns in twins.values() for column in columns)]:
-            assert array.shape[0] == len(rows)
+        columns = [column for columns in twins.values() for column in columns]
+        assert all(column.shape[0] == len(rows) for column in columns)
+        assert nae_rows.shape[0] == 2 * max(CFG.samples, 32)
+        views = [rows, *columns, nae_rows]
+        assert all(view.base is batch for view in views)
+        assert_same_bits(np.concatenate(views), batch)
+        for array in [fields, batch, *views]:
             with pytest.raises(ValueError):
                 array[0, 0] = 0.0
 
@@ -408,7 +460,7 @@ class TestRunAudit:
 
         cfg = ProbeConfig(samples=4, seed=5)
         run_audit([Counting()], cfg)
-        # the six metrics share the three batches' encodings: every box is
+        # the six metrics share the batch's encodings: every box is
         # encoded once per place it holds in a batch, and never again
         assert encoded and encoded == Counter(OrientedBox(*row) for batch in batches for row in batch.tolist())
 
@@ -419,7 +471,7 @@ class TestRunAudit:
         monkeypatch.setattr(AcuteAngleCodec, "encode", refuse)
         run_audit([AcuteAngleCodec()], cfg)
 
-    def test_encodes_in_three_batches_of_distinct_boxes(self):
+    def test_encodes_in_one_batch_of_distinct_boxes(self):
         batches = []
 
         class Recording(AcuteAngleCodec):
@@ -429,15 +481,17 @@ class TestRunAudit:
 
         cfg = ProbeConfig(samples=4, seed=5)
         run_audit([Recording()], cfg)
-        # family boxes, their twins, the NAE sample, each as given: the a = 1
-        # near-diagonal straddles at atan2(1, 1) - delta/2 and pi/4 - delta/2
-        # are one box, encoded once per place it holds
+        # family boxes, their twins, the NAE sample, in that order, each as
+        # given: the a = 1 near-diagonal straddles at atan2(1, 1) - delta/2
+        # and pi/4 - delta/2 are one box, encoded once per place it holds
         boxes = family_fields(cfg)
         twins = [c for d in cfg.steps for t in ("rotation", "aspect") for c in _twins(boxes, t, d)]
-        assert [len(batch) for batch in batches] == [52, 468, 64]
-        assert np.array_equal(batches[0], boxes) and np.array_equal(batches[1], np.concatenate(twins))
-        # those straddles are the only repeats: the batches hold 49 and 441 distinct boxes
-        assert [len(set(map(tuple, batch.tolist()))) for batch in batches] == [49, 441, 64]
+        blocks = [boxes, np.concatenate(twins), _nae_sample(cfg)]
+        assert [len(batch) for batch in batches] == [584]
+        assert [len(block) for block in blocks] == [52, 468, 64]
+        assert_same_bits(batches[0], np.concatenate(blocks))
+        # those straddles are the only repeats: the blocks hold 49, 441 and 64 distinct boxes
+        assert [len(set(map(tuple, block.tolist()))) for block in blocks] == [49, 441, 64]
 
     def test_builds_no_box_per_family_twin_or_nae_row(self, monkeypatch):
         """A cobb run passes field arrays from families to twins to NAE.  It
@@ -487,7 +541,6 @@ class TestRunAudit:
 
         cfg = ProbeConfig(samples=3, seed=123)
         monkeypatch.setattr(audit, "_twins", refuse)
-        monkeypatch.setattr(audit, "_twin_rows", refuse)
         probe(Recording(), cfg)
         assert batches == [len(family_fields(cfg))]
 
@@ -510,7 +563,7 @@ class TestRunAudit:
         for codec in (a, b, a, a):
             del batches[:]
             runs.append((reports_to_json(run_audit([codec], cfg)), list(batches)))
-        assert runs[0] == runs[2] == runs[3] and runs[0][1] == [52, 468, 64]
+        assert runs[0] == runs[2] == runs[3] and runs[0][1] == [584]
         assert runs[1][1] == []
 
     def test_module_keeps_no_cache(self):
@@ -640,6 +693,32 @@ def test_every_decoding_gap_is_the_scalar_oracle(name, monkeypatch):
     owners = [*range(n), *(i // d for i in range(n * d))]
     want = [1.0 - iou(boxes[b], codec.decode(row)) for b, row in zip(owners, encodings)]
     assert_same_bits(1.0 - batch, want)
+
+
+def test_run_audit_encodes_each_codec_in_one_batch(monkeypatch):
+    """Every codec of a run encodes the family boxes, their twins and the
+    NAE sample in one ``encode_many`` call, over the same rows."""
+    cfg = ProbeConfig(samples=2, seed=23, directions=3)
+    codecs = [get_codec(name) for name in available_codecs()]
+    encodes = [recorded(monkeypatch, codec, "encode_many") for codec in codecs]
+    run_audit(codecs, cfg)
+    rows = len(family_fields(cfg)) * (1 + 3 * len(cfg.steps)) + 2 * 32
+    assert [[len(out) for _, out in calls] for calls in encodes] == [[rows]] * len(codecs)
+    ((args, _),) = encodes[0]
+    assert all(np.array_equal(calls[0][0][0], args[0]) for calls in encodes)
+
+
+@pytest.mark.parametrize("samples", [4, 64])
+def test_a_run_of_all_codecs_is_their_single_codec_runs(samples):
+    """The inputs that every codec of a run shares leave each report as a
+    run of that codec alone gives it, byte for byte, in either order."""
+    from cobb.cli import reports_to_json
+
+    cfg = ProbeConfig(samples=samples, seed=7)
+    names = available_codecs()
+    alone = [run_audit([get_codec(name)], cfg)[0] for name in names]
+    assert reports_to_json(run_audit([get_codec(name) for name in names], cfg)) == reports_to_json(alone)
+    assert reports_to_json(run_audit([get_codec(name) for name in names[::-1]], cfg)) == reports_to_json(alone[::-1])
 
 
 def test_run_audit_decodes_and_scores_each_codec_in_one_batch(monkeypatch):
