@@ -64,6 +64,6 @@ def emit_curves(codec: BoxCodec, sweep: str, box: OrientedBox, out_path, grid_po
         raise InvalidArgumentError(f"unknown sweep {sweep!r}")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+        row_fmt = ",".join([FLOAT_FMT] * len(header)) + "\n"
+        fh.writelines(row_fmt % tuple(row) for row in rows.tolist())
     return rows.shape[0]

@@ -10,9 +10,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from cobb.codec import FLOAT_FMT
 from cobb.errors import DegenerateGeometryError, DotaParseError
-from cobb.geometry import OrientedBox, canonical_order, min_area_rect
+from cobb.geometry import OrientedBox, _min_area_rect_fields, canonical_order, min_area_rect
 
 log = logging.getLogger(__name__)
 
@@ -89,20 +91,26 @@ def read_dota_file(path) -> tuple[list[DotaRecord], list[str]]:
 def convert_annotations(input_path, codec, output_path) -> int:
     """Fit each annotation with a box, encode it, write one CSV row per record.
 
-    Returns the number of rows written; unparseable lines, degenerate
-    (collinear) quads and boxes outside the range the codec encodes are
-    skipped, with their reasons in the module logger.
+    All records are fitted in one array call; the records it cannot vouch
+    for go through :func:`record_box` one by one.  Each box is encoded on
+    its own.  Returns the number of rows written; unparseable lines,
+    degenerate (collinear) quads, fits or outer boxes that overflow, and
+    boxes outside the range the codec encodes are skipped, with their
+    reasons in the module logger, in line order.
     """
     records, _ = read_dota_file(input_path)
+    xy = np.array([rec.quad for rec in records], dtype=float).reshape(-1, 4, 2)
+    fields, masked = _min_area_rect_fields(xy[..., 0], xy[..., 1])
+    row_fmt = "%s,%d," + ",".join([FLOAT_FMT] * len(codec.component_names)) + "\n"
     n = 0
     with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("category,difficulty," + ",".join(codec.component_names) + "\n")
-        for rec in records:
+        for rec, row, bad in zip(records, fields.tolist(), masked.tolist()):
             try:
-                enc = codec.encode(record_box(rec))
+                enc = codec.encode(record_box(rec) if bad else OrientedBox(*row))
             except DegenerateGeometryError as exc:
                 log.warning("%s: skipped line %s: %s", input_path, rec.line_no, exc)
                 continue
-            fh.write(f"{rec.category},{rec.difficulty}," + ",".join(FLOAT_FMT % v for v in enc) + "\n")
+            fh.write(row_fmt % (rec.category, rec.difficulty, *enc.tolist()))
             n += 1
     return n

@@ -262,10 +262,13 @@ def oriented_many(params) -> np.ndarray:
 
 
 def outer_hbb(box: OrientedBox) -> HorizontalBox:
-    """Smallest axis-aligned box containing the rectangle."""
+    """Smallest axis-aligned box containing the rectangle; an extent that
+    overflows raises :class:`DegenerateGeometryError`."""
     c, s = abs(math.cos(box.theta)), abs(math.sin(box.theta))
     w = box.w_side * c + box.h_side * s
     h = box.w_side * s + box.h_side * c
+    if not (math.isfinite(w) and math.isfinite(h)):
+        raise DegenerateGeometryError("outer HBB extent is not finite")
     return HorizontalBox(box.cx, box.cy, w, h)
 
 
@@ -433,6 +436,13 @@ def min_area_rect_many(x, y) -> np.ndarray:
     row it rejects.
     """
     x0, y0 = _row_pairs(x, y, 4)
+    out, bad = _min_area_rect_fields(x0, y0)
+    return _scalar_rows(out, bad, lambda xs, ys: astuple(min_area_rect(list(zip(xs, ys)))), x0, y0)
+
+
+def _min_area_rect_fields(x0, y0):
+    """:func:`min_area_rect_many` of ``(N, 4)`` coordinate arrays, without
+    the scalar fit: the fields, and the mask of the rows it sends there."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         spans, turns = _spans_and_turns(*np.stack((x0, y0), axis=2).reshape(-1, 8).T)
         square = np.maximum.reduce(spans) ** 2
@@ -466,6 +476,5 @@ def min_area_rect_many(x, y) -> np.ndarray:
             [cu * ux - cv * uy, cu * uy + cv * ux, hi_u - lo_u, hi_v - lo_v, _rowwise(math.atan2, -uy, ux)], axis=1
         )
         ok &= (area > 0.0) & np.isfinite(fields).all(axis=1)
-    # every other row stands in as a unit box, which the constructor accepts, until the scalar fit replaces it
-    out = oriented_many(np.where(ok[:, None], fields, 1.0))
-    return _scalar_rows(out, ~ok, lambda xs, ys: astuple(min_area_rect(list(zip(xs, ys)))), x0, y0)
+    # every other row stands in as a unit box, which the constructor accepts
+    return oriented_many(np.where(ok[:, None], fields, 1.0)), ~ok

@@ -10,14 +10,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cobb
+from cobb import dota, geometry
 from cobb.audit import ProbeConfig
-from cobb.baselines import available_codecs
+from cobb.baselines import available_codecs, get_codec
+from cobb.codec import FLOAT_FMT
 from cobb.cli import build_parser, main
-from cobb.dota import DotaRecord, is_metadata_line, parse_dota_line, read_dota_file, record_box
-from cobb.errors import DotaParseError
+from cobb.dota import DotaRecord, convert_annotations, is_metadata_line, parse_dota_line, read_dota_file, record_box
+from cobb.errors import DegenerateGeometryError, DotaParseError
 from cobb.geometry import OrientedBox, iou, vertices_of
 
 GOOD = "0 0 4 0 4 2 0 2 plane 0"
@@ -107,6 +110,70 @@ class TestConvertAnnotations:
         f = tmp_path / "ann.txt"
         f.write_text("")
         assert convert_annotations(f, get_codec("cobb"), tmp_path / "o.csv") == 0
+
+
+def pixel_lines(n, seed):
+    """DOTA lines of ``n`` seeded pixel-scale rectangles, corners with one decimal."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(n):
+        cx, cy, w, h, theta = (float(v) for v in rng.uniform((0, 0, 4, 4, 0), (2000, 2000, 300, 300, math.pi)))
+        coords = " ".join(f"{v:.1f}" for v in vertices_of(OrientedBox(cx, cy, w, h, theta)).flat)
+        lines.append(f"{coords} {('plane', 'ship', 'harbor')[int(rng.integers(3))]} {int(rng.integers(2))}".encode())
+    return lines
+
+
+REJECTED_LINES = [
+    b"1 1 2 2 3 3 4 4 ship 0",  # collinear points
+    b"5 5 5 5 5 5 5 5 ship 1",  # one repeated point
+    b"1.7e308 1.7e308 -1.7e308 1.7e308 -1.7e308 -1.7e308 1.7e308 -1.7e308 ship 0",  # the fit overflows
+    b"0 0 5e153 0 5e153 2e153 0 2e153 ship 0",  # too large for the candidate IoUs
+    b"0 0 1e-310 0 1e-310 1e-310 0 1e-310 plane 0",  # subnormal coordinates
+    b"0 -1.0e308 1.0e308 0 0 1.0e308 -1.0e308 0 ship 0",  # the outer HBB overflows
+    b"5 5 9 5 9 7 5 7 harb\xf0r 2",  # not UTF-8
+]
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_convert_equals_a_per_record_loop(name, tmp_path, capsys):
+    """The batch fit writes the bytes and logs the skips, in line order, of
+    fitting and encoding each record on its own."""
+    lines = pixel_lines(40, 3)
+    for k, bad in enumerate(REJECTED_LINES):
+        lines.insert(5 * k + 2, bad)
+    src, out = tmp_path / "ann.txt", tmp_path / "enc.csv"
+    src.write_bytes(b"\n".join(lines) + b"\n")
+    codec = get_codec(name)
+    records, skipped = read_dota_file(src)
+    want_err = [f"{src}: skipped {reason}" for reason in skipped]
+    want_csv = "category,difficulty," + ",".join(codec.component_names) + "\n"
+    for rec in records:
+        try:
+            enc = codec.encode(record_box(rec))
+        except DegenerateGeometryError as exc:
+            want_err.append(f"{src}: skipped line {rec.line_no}: {exc}")
+            continue
+        want_csv += f"{rec.category},{rec.difficulty}," + ",".join(FLOAT_FMT % v for v in enc) + "\n"
+    capsys.readouterr()
+    assert main(["convert", str(src), "--codec", name, "--out", str(out)]) == 0
+    assert out.read_bytes() == want_csv.encode()
+    assert capsys.readouterr().err.splitlines() == want_err
+    assert len(want_err) >= 5  # five of the rejected lines are rejected by every codec
+
+
+def test_convert_fits_only_the_rejected_records_one_by_one(tmp_path, monkeypatch):
+    """Of 300 valid records and 2 rejected ones, only the rejected two reach
+    the scalar rectangle fit."""
+    lines = pixel_lines(300, 5)
+    lines[100:100] = REJECTED_LINES[:1]
+    lines[200:200] = REJECTED_LINES[1:2]
+    src = tmp_path / "ann.txt"
+    src.write_bytes(b"\n".join(lines) + b"\n")
+    scalar, calls = geometry.min_area_rect, []
+    for owner in (geometry, dota):
+        monkeypatch.setattr(owner, "min_area_rect", lambda pts: calls.append(pts) or scalar(pts))
+    assert convert_annotations(src, get_codec("acute"), tmp_path / "enc.csv") == 300
+    assert len(calls) == 2
 
 
 from hypothesis import given, strategies as st
@@ -375,6 +442,21 @@ class TestCli:
         assert main(["convert", str(src), "--out", str(out)]) == 0
         assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["plane"]
         assert "skipped line 1: rectangle fit is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", available_codecs())
+    def test_convert_skips_an_overflowing_outer_hbb(self, tmp_path, capsys, name):
+        # a square of side 1.41e308 at 45 degrees: its fit is finite, its outer HBB is not
+        src = tmp_path / "ann.txt"
+        src.write_text(f"0 -1.0e308 1.0e308 0 0 1.0e308 -1.0e308 0 ship 0\n{GOOD}\n")
+        out = tmp_path / "enc.csv"
+        assert main(["convert", str(src), "--codec", name, "--out", str(out)]) == 0
+        written = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        err = capsys.readouterr().err
+        if name in ("cobb", "cobb-ln", "gv"):  # the codecs that encode the outer HBB
+            assert written == ["plane"]
+            assert f"{src}: skipped line 1: outer HBB extent is not finite" in err.splitlines()
+        else:
+            assert written == ["ship", "plane"] and "skipped" not in err
 
     def test_convert_skips_a_line_that_is_not_utf8(self, tmp_path, capsys):
         src = tmp_path / "ann.txt"

@@ -142,6 +142,13 @@ class TestOuterHbb:
         assert h.w == pytest.approx(2 * SQRT3 + 1, abs=1e-12)
         assert h.h == pytest.approx(2 + SQRT3, abs=1e-12)
 
+    def test_extent_that_overflows(self):
+        # the fit of the DOTA line `0 -1e308 1e308 0 0 1e308 -1e308 0`: finite sides, extents 2e308
+        box = min_area_rect([(0.0, -1e308), (1e308, 0.0), (0.0, 1e308), (-1e308, 0.0)])
+        assert outer_hbb(OrientedBox(0, 0, 1e308, 1e308, math.pi / 4 - 0.1)).w < math.inf
+        with pytest.raises(DegenerateGeometryError, match="outer HBB extent is not finite"):
+            outer_hbb(box)
+
 
 class TestIntersectionAndIoU:
     def test_identical(self):
