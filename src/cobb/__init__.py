@@ -3,10 +3,8 @@
 from cobb._kern import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from cobb.codec import (
     CobbVector,
-    classify,
     decode,
     encode,
-    four_candidates,
     iou_matrix,
     rs_from_ra,
     sliding_ratio,
@@ -25,7 +23,6 @@ from cobb.geometry import (
     iou,
     min_area_rect,
     outer_hbb,
-    rotate,
     rotate_about,
     vertices_of,
 )
@@ -53,18 +50,15 @@ __all__ = [
     "Proposal",
     "TargetVector",
     "UndefinedIoUError",
-    "classify",
     "cobb_loss",
     "decode",
     "decode_target",
     "encode",
     "encode_target",
-    "four_candidates",
     "iou",
     "iou_matrix",
     "min_area_rect",
     "outer_hbb",
-    "rotate",
     "rotate_about",
     "rs_from_ra",
     "sensitivity_probe",

@@ -100,7 +100,7 @@ class ProbeConfig:
 class StepGap:
     delta: float
     gap: float
-    witness: dict | None = None
+    witness: dict | None
 
 
 @dataclass
@@ -108,8 +108,12 @@ class MetricResult:
     name: str
     steps: list[StepGap]
     verdict: str  # "pass" | "fail"
-    witness: dict | None
-    notes: str = ""
+    notes: str
+
+    @property
+    def witness(self) -> dict | None:
+        """The witness of the first step with the largest gap."""
+        return max(self.steps, key=lambda s: s.gap).witness
 
 
 @dataclass
@@ -240,7 +244,7 @@ def _continuity(codec: BoxCodec, kind: str, transform: str, deltas, fams, fields
         gaps = 0.0
         for other in twins[transform, delta]:
             gaps = gaps + (np.max(np.abs(enc - other), axis=1) if kind == "target" else codec.loss_many(enc, other))
-        worst = StepGap(delta, -1.0)
+        worst = StepGap(delta, -1.0, None)
         if not np.isnan(gaps).all():
             i = int(np.nanargmax(gaps))
             worst = StepGap(
@@ -302,8 +306,7 @@ def _decoding_gaps(
 def _completeness(fams, fields, worst: tuple[int, float]) -> MetricResult:
     i, gap = worst
     step = StepGap(0.0, gap, {"family": fams[i], "box": fields[i].tolist()})
-    verdict = "pass" if step.gap <= COMPLETENESS_TOL else "fail"
-    return MetricResult("decoding-completeness", [step], verdict, step.witness)
+    return _verdict("decoding-completeness", [step], COMPLETENESS_TOL)
 
 
 def check_decoding_completeness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
@@ -324,18 +327,15 @@ def _robustness(codec: BoxCodec, cfg: ProbeConfig, fams, fields, rows, worst: tu
     b = i // cfg.directions
     box = fields[b].tolist()
     step = StepGap(perturbation, gap, {"family": fams[b], "box": box, "perturbation": list(delta)})
-    verdict = "pass" if step.gap <= ROBUSTNESS_K * perturbation else "fail"
-    notes = ""
-    if verdict == "fail":
+    result = _verdict("decoding-robustness", [step], ROBUSTNESS_K * perturbation)
+    if result.verdict == "fail":
         # distinguish a vanishing (sub-linear but continuous) response from
         # true decoding ambiguity: shrink the worst perturbation and re-decode
         row, delta = rows[b], np.asarray(delta)
         shrunk = [1.0 - iou(OrientedBox(*box), codec.decode(row + delta / f)) for f in (10.0, 100.0)]
-        kind = "vanishing with the perturbation" if shrunk[1] < 0.3 * step.gap else "persistent (decoding ambiguity)"
-        notes = (
-            f"worst-direction gap at /10: {shrunk[0]:.3g}, at /100: {shrunk[1]:.3g} -- {kind}"
-        )
-    return MetricResult("decoding-robustness", [step], verdict, step.witness, notes)
+        kind = "vanishing with the perturbation" if shrunk[1] < 0.3 * gap else "persistent (decoding ambiguity)"
+        result.notes = f"worst-direction gap at /10: {shrunk[0]:.3g}, at /100: {shrunk[1]:.3g} -- {kind}"
+    return result
 
 
 def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult:
@@ -350,9 +350,8 @@ def probe_decoding_robustness(codec: BoxCodec, cfg: ProbeConfig) -> MetricResult
 def _verdict(name: str, steps: list[StepGap], tol: float) -> MetricResult:
     monotone = all(a.gap >= b.gap - 1e-12 for a, b in zip(steps, steps[1:]))
     ok = monotone and steps[-1].gap <= tol
-    worst = max(steps, key=lambda s: s.gap)
     notes = "" if monotone else "gaps not monotone across steps"
-    return MetricResult(name, steps, "pass" if ok else "fail", worst.witness, notes)
+    return MetricResult(name, steps, "pass" if ok else "fail", notes)
 
 
 def replay_witness(codec: BoxCodec, metric: str, witness: dict) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from cobb.codec import FLOAT_FMT
 from cobb.errors import DegenerateGeometryError, DotaParseError
-from cobb.geometry import OrientedBox, _min_area_rect_fields, canonical_order, min_area_rect
+from cobb.geometry import OrientedBox, _min_area_rect_fields, min_area_rect
 
 log = logging.getLogger(__name__)
 
@@ -23,7 +23,7 @@ _METADATA_PREFIXES = ("imagesource", "gsd")
 
 @dataclass(frozen=True)
 class DotaRecord:
-    quad: tuple[tuple[float, float], ...]  # four (x, y) pairs in canonical order
+    quad: tuple[tuple[float, float], ...]  # four (x, y) pairs in file order
     category: str
     difficulty: int
     line_no: int
@@ -63,8 +63,7 @@ def parse_dota_line(line: str, line_no: int) -> DotaRecord:
         difficulty = int(tokens[9])
     except ValueError:
         raise DotaParseError(f"non-integer difficulty {tokens[9]!r}", line_no) from None
-    pts = tuple(zip(coords[0::2], coords[1::2]))
-    return DotaRecord(canonical_order(pts), category, difficulty, line_no)
+    return DotaRecord(tuple(zip(coords[0::2], coords[1::2])), category, difficulty, line_no)
 
 
 def record_box(record: DotaRecord) -> OrientedBox:

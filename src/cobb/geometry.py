@@ -93,8 +93,8 @@ class ConvexQuad:
     """Convex quadrilateral as the flat tuple ``(x0, y0, x1, y1, x2, y2, x3, y3)``.
 
     Vertices run counterclockwise in the y-down frame and start at the
-    lexicographically smallest (y, then x) vertex; :meth:`from_points` puts
-    any four points in that order, the constructor takes the tuple as given.
+    lexicographically smallest (y, then x) vertex; :meth:`from_points` winds
+    any four points' cycle that way, the constructor takes the tuple as given.
     Zero-area (collinear) quads are representable; non-finite coordinates
     and genuinely non-convex input are rejected.
     """
@@ -114,7 +114,15 @@ class ConvexQuad:
         pts = [(p[0], p[1]) for p in points]
         if len(pts) != 4:
             raise InvalidArgumentError(f"quad needs 4 vertices, got {len(pts)}")
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = canonical_order(pts)
+        # CCW in y-down frame <=> negative shoelace sum in raw coordinates.
+        s = 0.0
+        for i in range(4):
+            (ax, ay), (bx, by) = pts[i], pts[(i + 1) % 4]
+            s += ax * by - bx * ay
+        if s > 0:
+            pts = pts[::-1]
+        start = min(range(4), key=lambda i: (pts[i][1], pts[i][0]))
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts[start:] + pts[:start]
         return ConvexQuad((x0, y0, x1, y1, x2, y2, x3, y3))
 
     @property
@@ -145,23 +153,6 @@ def _validate_convex(f) -> None:
     tol = GEOM_EPS * scale * scale
     if max(turns) > tol and min(turns) < -tol:
         raise InvalidArgumentError("vertices do not form a convex quadrilateral")
-
-
-def canonical_order(pts):
-    """Keep the cycle; wind counterclockwise and start at the min-(y, x) vertex.
-
-    Takes four ``(x, y)`` pairs and returns the same sequence type it is
-    given.  Convexity is not required, so annotation quads use it too.
-    """
-    # CCW in y-down frame <=> negative shoelace sum in raw coordinates.
-    s = 0.0
-    for i in range(4):
-        (ax, ay), (bx, by) = pts[i], pts[(i + 1) % 4]
-        s += ax * by - bx * ay
-    if s > 0:
-        pts = pts[::-1]
-    start = min(range(4), key=lambda i: (pts[i][1], pts[i][0]))
-    return pts[start:] + pts[:start]
 
 
 def vertices_of(box: OrientedBox) -> ConvexQuad:

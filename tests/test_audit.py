@@ -572,7 +572,7 @@ class TestRunAudit:
 
 def scalar_completeness(codec, cfg):
     """The completeness probe as a loop over the scalar oracle."""
-    worst = StepGap(0.0, -1.0)
+    worst = StepGap(0.0, -1.0, None)
     for fam, rows in build_families(cfg).items():
         for row in rows.tolist():
             box = OrientedBox(*row)
@@ -580,12 +580,12 @@ def scalar_completeness(codec, cfg):
             if gap > worst.gap:
                 worst = StepGap(0.0, gap, {"family": fam, "box": row})
     verdict = "pass" if worst.gap <= COMPLETENESS_TOL else "fail"
-    return MetricResult("decoding-completeness", [worst], verdict, worst.witness)
+    return MetricResult("decoding-completeness", [worst], verdict, "")
 
 
 def scalar_robustness(codec, cfg):
     """The robustness probe's worst gap and witness as a loop over the scalar oracle."""
-    worst = StepGap(cfg.perturbation, -1.0)
+    worst = StepGap(cfg.perturbation, -1.0, None)
     for fi, (fam, rows) in enumerate(build_families(cfg).items()):
         rng = _rng(cfg.seed, 202, fi)
         for row in rows.tolist():
@@ -606,7 +606,7 @@ def scalar_continuity(codec, kind, transform, cfg):
     """A continuity probe as the loop over :func:`_transform_gap` per box."""
     steps = []
     for delta in cfg.steps:
-        worst = StepGap(delta, -1.0)
+        worst = StepGap(delta, -1.0, None)
         for fam, rows in build_families(cfg).items():
             for row in rows.tolist():
                 gap = _transform_gap(codec, kind, row, transform, delta)
@@ -849,11 +849,44 @@ def test_pass_requires_monotone_gaps():
     """A single lucky small gap at the finest step cannot pass on its own."""
     from cobb.audit import StepGap, _verdict
 
-    lucky = [StepGap(1e-3, 1e-5), StepGap(1e-4, 5e-2), StepGap(1e-5, 1e-9)]
+    lucky = [StepGap(1e-3, 1e-5, None), StepGap(1e-4, 5e-2, None), StepGap(1e-5, 1e-9, None)]
     res = _verdict("target-rotation", lucky, tol=1e-3)
     assert res.verdict == "fail" and "monotone" in res.notes
-    shrinking = [StepGap(1e-3, 1e-2), StepGap(1e-4, 1e-3), StepGap(1e-5, 1e-4)]
+    shrinking = [StepGap(1e-3, 1e-2, None), StepGap(1e-4, 1e-3, None), StepGap(1e-5, 1e-4, None)]
     assert _verdict("target-rotation", shrinking, tol=1e-3).verdict == "pass"
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_every_witness_is_its_worst_steps(seed):
+    """In a run of all six codecs, each metric's witness is that of its first
+    step with the largest gap, and replaying it gives that gap."""
+    codecs = [get_codec(name) for name in available_codecs()]
+    for codec, report in zip(codecs, run_audit(codecs, ProbeConfig(samples=4, seed=seed))):
+        for m in report.metrics:
+            gaps = [s.gap for s in m.steps]
+            worst = m.steps[gaps.index(max(gaps))]
+            assert m.witness is worst.witness is not None
+            assert replay_witness(codec, m.name, m.witness) == worst.gap
+
+
+def test_a_tie_between_steps_takes_the_first_witness():
+    steps = [StepGap(1e-3, 0.5, {"at": 0}), StepGap(1e-4, 1.0, {"at": 1}), StepGap(1e-5, 1.0, {"at": 2})]
+    assert MetricResult("target-rotation", steps, "fail", "").witness == {"at": 1}
+
+
+def test_a_nan_completeness_gap_fails(monkeypatch):
+    """A NaN gap is no pass, and its row is the witness."""
+    scores = audit.iou_many
+
+    def nan_at_2(a, b):
+        out = scores(a, b)
+        out[2] = math.nan
+        return out
+
+    monkeypatch.setattr(audit, "iou_many", nan_at_2)
+    res = check_decoding_completeness(get_codec("cobb"), CFG)
+    assert math.isnan(res.steps[0].gap) and res.verdict == "fail"
+    assert res.witness["box"] == family_fields(CFG)[2].tolist()
 
 
 @pytest.mark.parametrize("jumpy", ["acute", "gv"])

@@ -38,7 +38,7 @@ class TestParse:
     def test_simple_line(self):
         rec = parse_dota_line(GOOD, 1)
         assert rec.category == "plane" and rec.difficulty == 0 and rec.line_no == 1
-        assert rec.quad == ((0, 0), (0, 2), (4, 2), (4, 0))  # canonical order
+        assert rec.quad == ((0, 0), (4, 0), (4, 2), (0, 2))  # file order
 
     def test_token_count(self):
         with pytest.raises(DotaParseError, match="line 7.*10 tokens"):
@@ -112,13 +112,17 @@ class TestConvertAnnotations:
         assert convert_annotations(f, get_codec("cobb"), tmp_path / "o.csv") == 0
 
 
-def pixel_lines(n, seed):
-    """DOTA lines of ``n`` seeded pixel-scale rectangles, corners with one decimal."""
+def pixel_lines(n, seed, jitter=0.0):
+    """DOTA lines of ``n`` seeded pixel-scale rectangles, corners with one
+    decimal, each coordinate moved by up to ``jitter`` times the shorter side."""
     rng = np.random.default_rng(seed)
     lines = []
     for _ in range(n):
         cx, cy, w, h, theta = (float(v) for v in rng.uniform((0, 0, 4, 4, 0), (2000, 2000, 300, 300, math.pi)))
-        coords = " ".join(f"{v:.1f}" for v in vertices_of(OrientedBox(cx, cy, w, h, theta)).flat)
+        flat = vertices_of(OrientedBox(cx, cy, w, h, theta)).flat
+        if jitter:
+            flat = [v + jitter * min(w, h) * rng.uniform(-1.0, 1.0) for v in flat]
+        coords = " ".join(f"{v:.1f}" for v in flat)
         lines.append(f"{coords} {('plane', 'ship', 'harbor')[int(rng.integers(3))]} {int(rng.integers(2))}".encode())
     return lines
 
@@ -159,6 +163,33 @@ def test_convert_equals_a_per_record_loop(name, tmp_path, capsys):
     assert out.read_bytes() == want_csv.encode()
     assert capsys.readouterr().err.splitlines() == want_err
     assert len(want_err) >= 5  # five of the rejected lines are rejected by every codec
+
+
+def presentation(line, start, winding):
+    """The DOTA line with its four points from point ``start``, in the
+    file's winding (``winding`` 1) or the reverse (-1)."""
+    toks = line.split(b" ")
+    order = [(start + winding * k) % 4 for k in range(4)]
+    return b" ".join([t for j in order for t in toks[2 * j : 2 * j + 2]] + toks[8:])
+
+
+@pytest.mark.parametrize("name", available_codecs())
+@pytest.mark.parametrize("kind", ["jittered", "rejected"])
+def test_convert_does_not_depend_on_point_order(name, kind, tmp_path, capsys):
+    """Writing every record's points from each of the four starts, in either
+    winding, gives the same CSV bytes and skip lines."""
+    lines = pixel_lines(60, 7, jitter=0.02) if kind == "jittered" else REJECTED_LINES
+    outputs = []
+    for start in range(4):
+        for winding in (1, -1):
+            src, out = tmp_path / f"ann{start}{winding}.txt", tmp_path / "enc.csv"
+            src.write_bytes(b"\n".join(presentation(line, start, winding) for line in lines) + b"\n")
+            capsys.readouterr()
+            assert main(["convert", str(src), "--codec", name, "--out", str(out)]) == 0
+            err = capsys.readouterr().err.replace(str(src), "ann.txt")
+            outputs.append((out.read_bytes(), err.splitlines()))
+    assert outputs == [outputs[0]] * 8
+    assert presentation(lines[0], 0, 1) == lines[0]
 
 
 def test_convert_fits_only_the_rejected_records_one_by_one(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from cobb.geometry import (
     ConvexQuad,
     HorizontalBox,
     OrientedBox,
-    canonical_order,
     iou,
     iou_many,
     oriented_many,
@@ -124,6 +123,24 @@ class TestVertices:
             q = vertices_of(b)
             assert q == ConvexQuad.from_points(raw_corners(b))
             assert recentred_shoelace(q) < 0.0
+
+
+class TestFromPoints:
+    def test_every_cyclic_presentation_gives_one_quad(self):
+        cycle = [(1.0, 0.0), (5.0, 1.0), (4.0, 4.0), (0.0, 3.0)]
+        for pts in (cycle, cycle[::-1]):
+            for k in range(4):
+                assert ConvexQuad.from_points(pts[k:] + pts[:k]).flat == (1.0, 0.0, 0.0, 3.0, 4.0, 4.0, 5.0, 1.0)
+
+    def test_collinear_points_keep_their_winding(self):
+        # the shoelace sum is 0, so neither winding is reversed
+        line = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+        assert ConvexQuad.from_points(line[2:] + line[:2]).flat == (0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0)
+        assert ConvexQuad.from_points(line[::-1]).flat == (0.0, 0.0, 3.0, 3.0, 2.0, 2.0, 1.0, 1.0)
+
+    def test_a_tie_in_y_is_broken_by_x(self):
+        q = ConvexQuad.from_points([(4.0, 0.0), (0.0, 0.0), (0.0, 2.0), (4.0, 2.0)])
+        assert q.flat == (0.0, 0.0, 0.0, 2.0, 4.0, 2.0, 4.0, 0.0)
 
 
 class TestOuterHbb:
@@ -463,18 +480,18 @@ def dota_quads(n, seed, shuffle=True):
     (centres up to 2e4, sides 2-300, aspect down to 1e-2, theta 0 in one row
     of ten) rounded to whole pixels, half of the coordinates then moved by up
     to a pixel, in a shuffled order, or with ``shuffle=False`` in their cycle
-    put in :func:`canonical_order`, as annotation parsing puts them.  Thin
-    ones are often not convex."""
+    from a seeded start and winding, as DOTA files give them.  Thin ones are
+    often not convex."""
     rng = np.random.Generator(np.random.PCG64(seed))
     w = np.exp(rng.uniform(math.log(2.0), math.log(300.0), n))
     h = w * 10.0 ** rng.uniform(-2.0, 0.0, n)
     theta = np.where(np.arange(n) % 10 == 0, 0.0, rng.uniform(0.0, math.pi, n))
     f = vertices_many(np.stack([rng.integers(0, 20000, n), rng.integers(0, 20000, n), w, h, theta], axis=1))
     f = np.round(f) + rng.uniform(-1.0, 1.0, f.shape) * (rng.random(f.shape) < 0.5)
-    if not shuffle:
-        q = np.array([canonical_order(list(zip(r[0::2], r[1::2]))) for r in f.tolist()])
-        return q[:, :, 0], q[:, :, 1]
-    order = rng.permuted(np.tile(np.arange(4), (n, 1)), axis=1)
+    if shuffle:
+        order = rng.permuted(np.tile(np.arange(4), (n, 1)), axis=1)
+    else:
+        order = (np.arange(4) * rng.choice([1, -1], (n, 1)) + rng.integers(0, 4, (n, 1))) % 4
     return np.take_along_axis(f[:, 0::2], order, axis=1), np.take_along_axis(f[:, 1::2], order, axis=1)
 
 

@@ -23,18 +23,15 @@ EXPORTS = [
     "Proposal",
     "TargetVector",
     "UndefinedIoUError",
-    "classify",
     "cobb_loss",
     "decode",
     "decode_target",
     "encode",
     "encode_target",
-    "four_candidates",
     "iou",
     "iou_matrix",
     "min_area_rect",
     "outer_hbb",
-    "rotate",
     "rotate_about",
     "rs_from_ra",
     "sensitivity_probe",
@@ -46,14 +43,12 @@ EXPORTS = [
 # ``module.Class.field``.  A change that adds or removes one updates this list
 # and the count in ROADMAP and README.
 SETTABLE_VALUES = [
-    "cobb.audit.MetricResult.notes",
     "cobb.audit.ProbeConfig.directions",
     "cobb.audit.ProbeConfig.families",
     "cobb.audit.ProbeConfig.perturbation",
     "cobb.audit.ProbeConfig.samples",
     "cobb.audit.ProbeConfig.seed",
     "cobb.audit.ProbeConfig.steps",
-    "cobb.audit.StepGap.witness",
 ]
 
 
@@ -105,10 +100,10 @@ def settable_values():
 
 
 def test_settable_values_are_the_listed_ones():
-    assert settable_values() == SETTABLE_VALUES  # 8
+    assert settable_values() == SETTABLE_VALUES  # 6
 
 
 def test_exports_are_the_listed_ones():
-    assert sorted(cobb.__all__) == EXPORTS  # 29
+    assert sorted(cobb.__all__) == EXPORTS  # 26
     assert len(set(cobb.__all__)) == len(cobb.__all__)
     assert all(hasattr(cobb, name) for name in cobb.__all__)
