@@ -41,16 +41,6 @@ def quad_area(q):
     return 0.5 * abs(shoelace2(*q))
 
 
-def _signed_area2(pts):
-    n = len(pts)
-    s = 0.0
-    for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
-        s += x1 * y2 - x2 * y1
-    return s
-
-
 def quad_intersection_area(a, b):
     """Area of the intersection of two convex quads (flat 8-sequences).
 
@@ -60,33 +50,48 @@ def quad_intersection_area(a, b):
     area_b2 = shoelace2(*b)
     if area_b2 == 0.0:
         return 0.0
-    poly = [(a[0], a[1]), (a[2], a[3]), (a[4], a[5]), (a[6], a[7])]
-    clip = [(b[0], b[1]), (b[2], b[3]), (b[4], b[5]), (b[6], b[7])]
+    # the clip quad's corners, reversed where the shoelace sum is negative, and its first corner again
     if area_b2 < 0.0:
-        clip.reverse()
-    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
-        if not poly:
-            return 0.0
-        ex, ey = bx - ax, by - ay
+        cx, cy = (b[6], b[4], b[2], b[0], b[6]), (b[7], b[5], b[3], b[1], b[7])
+    else:
+        cx, cy = (b[0], b[2], b[4], b[6], b[0]), (b[1], b[3], b[5], b[7], b[1])
+    # the clipped polygon's x and y, its first vertex repeated at the end
+    xs, ys = [a[0], a[2], a[4], a[6], a[0]], [a[1], a[3], a[5], a[7], a[1]]
+    for k in range(4):
+        ax, ay = cx[k], cy[k]
+        ex, ey = cx[k + 1] - ax, cy[k + 1] - ay
         if ex == 0.0 and ey == 0.0:
             continue
-        # walk the edges p -> q from poly[0]; each vertex's side of the
-        # clip line is computed once and carried to the next edge
-        out = []
-        px, py = poly[0]
+        # walk the edges p -> q; each vertex's side of the clip line is
+        # computed once and carried to the next edge
+        ox, oy = [], []
+        walk = zip(xs, ys)
+        px, py = next(walk)
         dp = ex * (py - ay) - ey * (px - ax)
-        for qx, qy in poly[1:] + poly[:1]:
+        for qx, qy in walk:
             dq = ex * (qy - ay) - ey * (qx - ax)
             if dp >= 0.0:
-                out.append((px, py))
+                ox.append(px)
+                oy.append(py)
             if (dp > 0.0 and dq < 0.0) or (dp < 0.0 and dq > 0.0):
                 t = dp / (dp - dq)
-                out.append((px + t * (qx - px), py + t * (qy - py)))
+                ox.append(px + t * (qx - px))
+                oy.append(py + t * (qy - py))
             px, py, dp = qx, qy, dq
-        poly = out
-    if len(poly) < 3:
+        if not ox:
+            return 0.0
+        ox.append(ox[0])
+        oy.append(oy[0])
+        xs, ys = ox, oy
+    if len(xs) < 4:  # fewer than 3 vertices
         return 0.0
-    return 0.5 * abs(_signed_area2(poly))
+    walk = zip(xs, ys)
+    px, py = next(walk)
+    s = 0.0
+    for qx, qy in walk:
+        s += px * qy - qx * py
+        px, py = qx, qy
+    return 0.5 * abs(s)
 
 
 def quad_intersection_area_many(a, b):

@@ -273,10 +273,6 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
-
-
 # subcommands whose --out may come from the config file but must come from somewhere
 _NEEDS_OUT = ("convert", "curves")
 

@@ -74,7 +74,11 @@ def sliding_ratio(box: OrientedBox) -> float:
     subtraction, so it keeps its precision however far the box sits from
     the origin.
     """
-    hbb = outer_hbb(box)
+    return _sliding_ratio(box, outer_hbb(box))
+
+
+def _sliding_ratio(box: OrientedBox, hbb: HorizontalBox) -> float:
+    """:func:`sliding_ratio` of ``box``, whose outer HBB is ``hbb``."""
     if hbb.w <= 0.0 or hbb.h <= 0.0:
         raise DegenerateGeometryError("zero-extent outer HBB")
     c, s = math.cos(box.theta), math.sin(box.theta)
@@ -91,7 +95,11 @@ def slide_gaps(w: float, h: float, rs: float) -> tuple[float, float]:
     Computed without cancellation, so a needle candidate's short side keeps
     its relative precision as rs goes to 0.
     """
-    rs = _clamp_rs(rs)
+    return _slide_gaps(w, h, _clamp_rs(rs))
+
+
+def _slide_gaps(w: float, h: float, rs: float) -> tuple[float, float]:
+    """:func:`slide_gaps` for ``rs`` already clamped into [0, 0.5]."""
     if w >= h:
         k = 4.0 * (h / w) ** 2 * rs * (1.0 - rs)
         return 0.5 * w * k / (1.0 + math.sqrt(max(0.0, 1.0 - k))), rs * h
@@ -110,17 +118,18 @@ def four_candidates(hbb: HorizontalBox, rs: float) -> tuple[ConvexQuad, ...]:
     """
     if hbb.w <= 0.0 or hbb.h <= 0.0:
         raise InvalidArgumentError("HBB extents must be positive")
-    rs = _clamp_rs(rs)
     xc, yc, w, h = hbb.xc, hbb.yc, hbb.w, hbb.h
-    gx, gy = slide_gaps(w, h, rs)
+    gx, gy = _slide_gaps(w, h, _clamp_rs(rs))
     xs, ys = 0.5 * w - gx, 0.5 * h - gy
+    xl, xr = xc - xs, xc + xs  # x of the top and bottom vertices
+    yu, yd = yc - ys, yc + ys  # y of the left and right vertices
     top, bot = yc - 0.5 * h, yc + 0.5 * h
     lef, rig = xc - 0.5 * w, xc + 0.5 * w
     return (
-        ConvexQuad.from_points([(xc - xs, top), (rig, yc + ys), (xc + xs, bot), (lef, yc - ys)]),
-        ConvexQuad.from_points([(xc + xs, top), (rig, yc + ys), (xc - xs, bot), (lef, yc - ys)]),
-        ConvexQuad.from_points([(xc - xs, top), (rig, yc - ys), (xc + xs, bot), (lef, yc + ys)]),
-        ConvexQuad.from_points([(xc + xs, top), (rig, yc - ys), (xc - xs, bot), (lef, yc + ys)]),
+        ConvexQuad.from_points(((xl, top), (rig, yd), (xr, bot), (lef, yu))),
+        ConvexQuad.from_points(((xr, top), (rig, yd), (xl, bot), (lef, yu))),
+        ConvexQuad.from_points(((xl, top), (rig, yu), (xr, bot), (lef, yd))),
+        ConvexQuad.from_points(((xr, top), (rig, yu), (xl, bot), (lef, yd))),
     )
 
 
@@ -132,7 +141,7 @@ def classify(box: OrientedBox) -> int:
     but the clipping arithmetic loses precision far from the origin.
     """
     hbb = outer_hbb(box)
-    cands = four_candidates(HorizontalBox(0.0, 0.0, hbb.w, hbb.h), sliding_ratio(box))
+    cands = four_candidates(HorizontalBox(0.0, 0.0, hbb.w, hbb.h), _sliding_ratio(box, hbb))
     q = vertices_of(OrientedBox(0.0, 0.0, box.w_side, box.h_side, box.theta))
     best, best_iou = 0, -1.0
     for i, quad in enumerate(cands):
@@ -208,7 +217,7 @@ def iou_matrix(w: float, h: float, rs: float):
 def encode(box: OrientedBox) -> CobbVector:
     """Encode a box: outer HBB, sliding ratio, and its candidate's score row."""
     hbb = outer_hbb(box)
-    rs = sliding_ratio(box)
+    rs = _sliding_ratio(box, hbb)
     row = iou_matrix(hbb.w, hbb.h, rs)[classify(box)]
     return CobbVector(hbb.xc, hbb.yc, hbb.w, hbb.h, rs, tuple(row))
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cobb.codec import FLOAT_FMT
-from cobb.errors import DegenerateGeometryError, DotaParseError
-from cobb.geometry import OrientedBox, _min_area_rect_fields, min_area_rect
+from cobb.errors import DegenerateGeometryError, DotaParseError, InvalidArgumentError
+from cobb.geometry import ConvexQuad, OrientedBox, _min_area_rect_fields, min_area_rect
 
 log = logging.getLogger(__name__)
 
@@ -71,6 +71,16 @@ def record_box(record: DotaRecord) -> OrientedBox:
     return min_area_rect(record.quad)
 
 
+def _convex_cycle(record: DotaRecord) -> bool:
+    """Whether the points, in file order, pass :class:`ConvexQuad`'s
+    convexity test (a bow-tie or a reflex vertex fails it)."""
+    try:
+        ConvexQuad(sum(record.quad, ()))
+    except InvalidArgumentError:
+        return False
+    return True
+
+
 def read_dota_file(path) -> tuple[list[DotaRecord], list[str]]:
     """All parseable records of a file plus skip reasons for the rest."""
     records: list[DotaRecord] = []
@@ -95,7 +105,9 @@ def convert_annotations(input_path, codec, output_path) -> int:
     its own.  Returns the number of rows written; unparseable lines,
     degenerate (collinear) quads, fits or outer boxes that overflow, and
     boxes outside the range the codec encodes are skipped, with their
-    reasons in the module logger, in line order.
+    reasons in the module logger, in line order.  A written record whose
+    points, in file order, are not a convex cycle is logged too: its row
+    is the fit of their hull.
     """
     records, _ = read_dota_file(input_path)
     xy = np.array([rec.quad for rec in records], dtype=float).reshape(-1, 4, 2)
@@ -110,6 +122,8 @@ def convert_annotations(input_path, codec, output_path) -> int:
             except DegenerateGeometryError as exc:
                 log.warning("%s: skipped line %s: %s", input_path, rec.line_no, exc)
                 continue
+            if bad and not _convex_cycle(rec):
+                log.warning("%s: line %s: points are not a convex cycle; fitted their hull", input_path, rec.line_no)
             fh.write(row_fmt % (rec.category, rec.difficulty, *enc.tolist()))
             n += 1
     return n

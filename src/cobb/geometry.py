@@ -111,19 +111,25 @@ class ConvexQuad:
 
     @staticmethod
     def from_points(points) -> "ConvexQuad":
-        pts = [(p[0], p[1]) for p in points]
+        pts = tuple(points)
         if len(pts) != 4:
             raise InvalidArgumentError(f"quad needs 4 vertices, got {len(pts)}")
+        p0, p1, p2, p3 = pts
+        x0, y0, x1, y1, x2, y2, x3, y3 = p0[0], p0[1], p1[0], p1[1], p2[0], p2[1], p3[0], p3[1]
         # CCW in y-down frame <=> negative shoelace sum in raw coordinates.
-        s = 0.0
-        for i in range(4):
-            (ax, ay), (bx, by) = pts[i], pts[(i + 1) % 4]
-            s += ax * by - bx * ay
-        if s > 0:
-            pts = pts[::-1]
-        start = min(range(4), key=lambda i: (pts[i][1], pts[i][0]))
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts[start:] + pts[:start]
-        return ConvexQuad((x0, y0, x1, y1, x2, y2, x3, y3))
+        if x0 * y1 - x1 * y0 + (x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3) > 0:
+            x0, y0, x1, y1, x2, y2, x3, y3 = x3, y3, x2, y2, x1, y1, x0, y0
+        # start at the first min-(y, x) vertex; y values compare as in a
+        # tuple key, where one NaN object equals itself
+        start, ky, kx = 0, y0, x0
+        if y1 < ky or ((y1 is ky or y1 == ky) and x1 < kx):
+            start, ky, kx = 2, y1, x1
+        if y2 < ky or ((y2 is ky or y2 == ky) and x2 < kx):
+            start, ky, kx = 4, y2, x2
+        if y3 < ky or ((y3 is ky or y3 == ky) and x3 < kx):
+            start = 6
+        f = (x0, y0, x1, y1, x2, y2, x3, y3)
+        return ConvexQuad(f[start:] + f[:start])
 
     @property
     def area(self) -> float:

@@ -1,0 +1,113 @@
+"""Reference forms of the scalar encode path, kept to test the fast forms
+against bit for bit.
+
+- :func:`from_points`: the winding and start found with a shoelace loop
+  over a list of point tuples and a ``min`` over tuple keys.
+- :func:`quad_intersection_area`: the clipping walk on a list of
+  ``(x, y)`` tuples, with a copy of the polygon per clip edge and a
+  ``% n`` area sum.
+- :func:`four_candidates`, :func:`classify` and :func:`encode`: each step
+  takes the outer HBB and the sliding ratio anew (four ``outer_hbb`` calls
+  per ``encode``), and ``rs`` is clamped twice per candidate set.  The
+  candidates are built by the reference :func:`from_points`; the oracle
+  ``iou`` clips with ``geometry.quad_intersection_area``, which a test
+  patches to the reference walk.
+"""
+
+from cobb import codec, geometry
+from cobb._kern import shoelace2
+from cobb.errors import InvalidArgumentError
+from cobb.geometry import ConvexQuad, HorizontalBox, OrientedBox
+
+
+def from_points(points) -> ConvexQuad:
+    pts = [(p[0], p[1]) for p in points]
+    if len(pts) != 4:
+        raise InvalidArgumentError(f"quad needs 4 vertices, got {len(pts)}")
+    # CCW in y-down frame <=> negative shoelace sum in raw coordinates.
+    s = 0.0
+    for i in range(4):
+        (ax, ay), (bx, by) = pts[i], pts[(i + 1) % 4]
+        s += ax * by - bx * ay
+    if s > 0:
+        pts = pts[::-1]
+    start = min(range(4), key=lambda i: (pts[i][1], pts[i][0]))
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts[start:] + pts[:start]
+    return ConvexQuad((x0, y0, x1, y1, x2, y2, x3, y3))
+
+
+def signed_area2(pts):
+    n = len(pts)
+    s = 0.0
+    for i in range(n):
+        x1, y1 = pts[i]
+        x2, y2 = pts[(i + 1) % n]
+        s += x1 * y2 - x2 * y1
+    return s
+
+
+def quad_intersection_area(a, b):
+    area_b2 = shoelace2(*b)
+    if area_b2 == 0.0:
+        return 0.0
+    poly = [(a[0], a[1]), (a[2], a[3]), (a[4], a[5]), (a[6], a[7])]
+    clip = [(b[0], b[1]), (b[2], b[3]), (b[4], b[5]), (b[6], b[7])]
+    if area_b2 < 0.0:
+        clip.reverse()
+    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
+        if not poly:
+            return 0.0
+        ex, ey = bx - ax, by - ay
+        if ex == 0.0 and ey == 0.0:
+            continue
+        out = []
+        px, py = poly[0]
+        dp = ex * (py - ay) - ey * (px - ax)
+        for qx, qy in poly[1:] + poly[:1]:
+            dq = ex * (qy - ay) - ey * (qx - ax)
+            if dp >= 0.0:
+                out.append((px, py))
+            if (dp > 0.0 and dq < 0.0) or (dp < 0.0 and dq > 0.0):
+                t = dp / (dp - dq)
+                out.append((px + t * (qx - px), py + t * (qy - py)))
+            px, py, dp = qx, qy, dq
+        poly = out
+    if len(poly) < 3:
+        return 0.0
+    return 0.5 * abs(signed_area2(poly))
+
+
+def four_candidates(hbb: HorizontalBox, rs: float) -> tuple[ConvexQuad, ...]:
+    if hbb.w <= 0.0 or hbb.h <= 0.0:
+        raise InvalidArgumentError("HBB extents must be positive")
+    rs = codec._clamp_rs(rs)
+    xc, yc, w, h = hbb.xc, hbb.yc, hbb.w, hbb.h
+    gx, gy = codec.slide_gaps(w, h, rs)
+    xs, ys = 0.5 * w - gx, 0.5 * h - gy
+    top, bot = yc - 0.5 * h, yc + 0.5 * h
+    lef, rig = xc - 0.5 * w, xc + 0.5 * w
+    return (
+        from_points([(xc - xs, top), (rig, yc + ys), (xc + xs, bot), (lef, yc - ys)]),
+        from_points([(xc + xs, top), (rig, yc + ys), (xc - xs, bot), (lef, yc - ys)]),
+        from_points([(xc - xs, top), (rig, yc - ys), (xc + xs, bot), (lef, yc + ys)]),
+        from_points([(xc + xs, top), (rig, yc - ys), (xc - xs, bot), (lef, yc + ys)]),
+    )
+
+
+def classify(box: OrientedBox) -> int:
+    hbb = geometry.outer_hbb(box)
+    cands = four_candidates(HorizontalBox(0.0, 0.0, hbb.w, hbb.h), codec.sliding_ratio(box))
+    q = geometry.vertices_of(OrientedBox(0.0, 0.0, box.w_side, box.h_side, box.theta))
+    best, best_iou = 0, -1.0
+    for i, quad in enumerate(cands):
+        v = geometry.iou(q, quad) if quad.area > 0.0 else 0.0
+        if v > best_iou:
+            best, best_iou = i, v
+    return best
+
+
+def encode(box: OrientedBox) -> codec.CobbVector:
+    hbb = geometry.outer_hbb(box)
+    rs = codec.sliding_ratio(box)
+    row = codec.iou_matrix(hbb.w, hbb.h, rs)[classify(box)]
+    return codec.CobbVector(hbb.xc, hbb.yc, hbb.w, hbb.h, rs, tuple(row))

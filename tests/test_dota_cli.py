@@ -18,10 +18,10 @@ from cobb import dota, geometry
 from cobb.audit import ProbeConfig
 from cobb.baselines import available_codecs, get_codec
 from cobb.codec import FLOAT_FMT
-from cobb.cli import build_parser, main
+from cobb.cli import _build, main
 from cobb.dota import DotaRecord, convert_annotations, is_metadata_line, parse_dota_line, read_dota_file, record_box
 from cobb.errors import DegenerateGeometryError, DotaParseError
-from cobb.geometry import OrientedBox, iou, vertices_of
+from cobb.geometry import OrientedBox, iou, min_area_rect, vertices_of
 
 GOOD = "0 0 4 0 4 2 0 2 plane 0"
 
@@ -314,7 +314,7 @@ class TestCli:
     def test_every_probe_setting_is_an_audit_flag(self, tmp_path):
         # a ProbeConfig field no flag sets is a setting no caller changes;
         # families stays for API callers that audit one family
-        args = build_parser().parse_args(["audit"])
+        args = _build()[0].parse_args(["audit"])
         fields = {f.name for f in dataclasses.fields(ProbeConfig)} - {"families"}
         assert fields <= set(vars(args)), sorted(fields - set(vars(args)))
         # each default is ProbeConfig's own
@@ -488,6 +488,23 @@ class TestCli:
             assert f"{src}: skipped line 1: outer HBB extent is not finite" in err.splitlines()
         else:
             assert written == ["ship", "plane"] and "skipped" not in err
+
+    def test_convert_logs_points_that_are_not_a_convex_cycle(self, tmp_path, capsys):
+        # a bow-tie, the same square as a proper cycle, and a reflex vertex
+        # whose hull is a triangle: every row is written, the two crossed
+        # or dented cycles are named
+        src, out = tmp_path / "ann.txt", tmp_path / "enc.csv"
+        src.write_text("0 0 4 0 0 4 4 4 ship 0\n0 0 4 0 4 4 0 4 ship 0\n0 0 4 0 1 1 0 4 plane 1\n")
+        assert main(["convert", str(src), "--codec", "cobb", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3 and rows[0] == rows[1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"{src}: line 1: points are not a convex cycle; fitted their hull",
+            f"{src}: line 3: points are not a convex cycle; fitted their hull",
+        ]
+        # the rows are the fits of the hulls
+        hull = get_codec("cobb").encode(min_area_rect([(0, 0), (4, 0), (0, 4)]))
+        assert rows[2] == "plane,1," + ",".join(FLOAT_FMT % v for v in hull)
 
     def test_convert_skips_a_line_that_is_not_utf8(self, tmp_path, capsys):
         src = tmp_path / "ann.txt"

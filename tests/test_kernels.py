@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cobb import _kern
 from cobb.codec import four_candidates
 from cobb.geometry import HorizontalBox
+from reference_scalar import signed_area2
 from test_baselines import assert_same_bits
 
 
@@ -112,7 +113,7 @@ def reference_intersection_area(a, b):
         poly = out
     if len(poly) < 3:
         return 0.0
-    return 0.5 * abs(_kern._signed_area2(poly))
+    return 0.5 * abs(signed_area2(poly))
 
 
 def random_quad(rng, offset, reverse):
