@@ -123,9 +123,6 @@ class MetricReport:
     metrics: list[MetricResult]
     extras: dict
 
-    def verdicts(self) -> dict[str, str]:
-        return {m.name: m.verdict for m in self.metrics}
-
 
 def _normalized(fields) -> np.ndarray:
     """``(n, 5)`` box fields brought to constructed form, translated to the

@@ -20,13 +20,15 @@ from cobb._kern import _row_pairs, _rows
 from cobb.errors import InvalidArgumentError
 from cobb.geometry import (
     OrientedBox,
+    _Arrays,
+    _Floats,
     _rowwise,
     _scalar_rows,
     min_area_rect_many,
     oriented_many,
     outer_hbb,
 )
-from cobb.targets import Proposal, TargetVector, cobb_loss, smooth_l1
+from cobb.targets import Proposal, TargetVector
 
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -46,11 +48,11 @@ class BoxCodec:
         """The box of one ``(dim,)`` row: one row of :meth:`decode_many`."""
         return OrientedBox(*self.decode_many(self._one_row(vec))[0].tolist())
 
-    def _one_row(self, vec) -> np.ndarray:
+    def _one_row(self, vec, method: str = "decode") -> np.ndarray:
         """``(dim,)`` or ``(1, dim)`` ``vec`` as one row; any other shape raises."""
         rows = _rows(vec, self.dim)
         if len(rows) != 1:
-            raise InvalidArgumentError(f"decode takes one row, got {len(rows)}")
+            raise InvalidArgumentError(f"{method} takes one row, got {len(rows)}")
         return rows
 
     def encode_many(self, fields) -> np.ndarray:
@@ -87,15 +89,14 @@ class BoxCodec:
         raise NotImplementedError
 
     def loss(self, a, b) -> float:
-        """Default loss: elementwise smooth-L1 summed over components."""
-        return float(sum(smooth_l1(x - y) for x, y in zip(a, b)))
+        """The loss of two ``(dim,)`` rows: one row of :meth:`loss_many`."""
+        return float(self.loss_many(self._one_row(a, "loss"), self._one_row(b, "loss"))[0])
 
     def loss_many(self, a, b) -> np.ndarray:
-        """``(N,)``: :meth:`loss` of each pair of rows of two ``(N, dim)``
-        arrays, bit for bit.  A codec that overrides :meth:`loss` overrides
-        this too.
+        """``(N,)``: the loss of each pair of rows of two ``(N, dim)``
+        arrays; by default smooth-L1 summed over the components.
 
-        The components are added column by column, left to right, as the
+        The components are added column by column, left to right, as a
         scalar ``sum`` adds them; ``np.sum`` adds in pairs and can differ in
         the last bit.
         """
@@ -154,11 +155,6 @@ class CobbCodec(BoxCodec):
         out, bad = targets._decode_targets_many(rows, self.proposal, self.variant)
         return _scalar_rows(out, bad, lambda r: astuple(self.decode(r)), rows)
 
-    def loss(self, a, b) -> float:
-        ta = TargetVector(a[0], a[1], a[2], a[3], a[4], tuple(a[5:9]), self.variant, self.lam)
-        tb = TargetVector(b[0], b[1], b[2], b[3], b[4], tuple(b[5:9]), self.variant, self.lam)
-        return cobb_loss(ta, tb)
-
     def loss_many(self, a, b) -> np.ndarray:
         return targets._cobb_loss_many(*_row_pairs(a, b, self.dim))
 
@@ -172,6 +168,12 @@ class CobbCodec(BoxCodec):
         return {"xy": [0, 1], "wh": [2, 3], "r": [4], "scores": [5, 6, 7, 8]}
 
 
+def _acute(w, h, t, xp=_Floats):
+    """Sides and angle in [-pi/4, pi/4) of a box with sides ``w``, ``h`` at
+    angle ``t`` in [0, pi/2): from pi/4 on, a quarter turn back."""
+    return xp.where(t >= _QUARTER_PI, (h, w, t - _HALF_PI), (w, h, t))
+
+
 class AcuteAngleCodec(BoxCodec):
     """(cx, cy, w, h, theta) with theta wrapped into [-pi/4, pi/4)."""
 
@@ -180,18 +182,13 @@ class AcuteAngleCodec(BoxCodec):
     component_names = ("cx", "cy", "w", "h", "theta")
 
     def encode(self, box: OrientedBox) -> np.ndarray:
-        w, h, t = box.w_side, box.h_side, box.theta  # t in [0, pi/2)
-        if t >= _QUARTER_PI:
-            t -= _HALF_PI
-            w, h = h, w
-        return np.array([box.cx, box.cy, w, h, t], dtype=float)
+        return np.array([box.cx, box.cy, *_acute(box.w_side, box.h_side, box.theta)], dtype=float)
 
     decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
 
     def _encode_rows(self, fields):
         cx, cy, w, h, t = fields.T
-        swap = t >= _QUARTER_PI
-        return np.stack([cx, cy, np.where(swap, h, w), np.where(swap, w, h), np.where(swap, t - _HALF_PI, t)], axis=1)
+        return np.column_stack([cx, cy, *_acute(w, h, t, _Arrays)])
 
     def _decode_rows(self, rows):
         return oriented_many(rows)
@@ -200,13 +197,11 @@ class AcuteAngleCodec(BoxCodec):
         return {"xy": [0, 1], "wh": [2, 3], "angle": [4]}
 
 
-def _long_edge_angles(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise :meth:`LongEdgeCodec._long_edge_angle` of ``(N, 5)``
-    constructed-box fields, as columns."""
-    _, _, w, h, theta = fields.T
-    wide = w >= h
-    t = np.where(wide, theta, theta + _HALF_PI)
-    return np.where(wide, w, h), np.where(wide, h, w), np.where(t >= _HALF_PI, t - math.pi, t)
+def _long_edge_angle(w, h, theta, xp=_Floats):
+    """Long side, short side and long-side angle in [-pi/2, pi/2) of a box
+    with sides ``w``, ``h`` at angle ``theta`` in [0, pi/2)."""
+    lng, shrt, t = xp.where(w >= h, (w, h, theta), (h, w, theta + _HALF_PI))
+    return lng, shrt, xp.where(t >= _HALF_PI, t - math.pi, t)
 
 
 class LongEdgeCodec(BoxCodec):
@@ -219,24 +214,14 @@ class LongEdgeCodec(BoxCodec):
     dim = 5
     component_names = ("cx", "cy", "long", "short", "theta")
 
-    @staticmethod
-    def _long_edge_angle(box: OrientedBox) -> tuple[float, float, float]:
-        if box.w_side >= box.h_side:
-            lng, shrt, t = box.w_side, box.h_side, box.theta
-        else:
-            lng, shrt, t = box.h_side, box.w_side, box.theta + _HALF_PI
-        if t >= _HALF_PI:
-            t -= math.pi
-        return lng, shrt, t
-
     def encode(self, box: OrientedBox) -> np.ndarray:
-        lng, shrt, t = self._long_edge_angle(box)
-        return np.array([box.cx, box.cy, lng, shrt, t], dtype=float)
+        return np.array([box.cx, box.cy, *_long_edge_angle(box.w_side, box.h_side, box.theta)], dtype=float)
 
     decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
 
     def _encode_rows(self, fields):
-        return np.stack([fields[:, 0], fields[:, 1], *_long_edge_angles(fields)], axis=1)
+        cx, cy, w, h, theta = fields.T
+        return np.column_stack([cx, cy, *_long_edge_angle(w, h, theta, _Arrays)])
 
     def _decode_rows(self, rows):
         return oriented_many(rows)
@@ -270,14 +255,15 @@ class CslCodec(BoxCodec):
         return np.exp(-0.5 * (d / sigma) ** 2)
 
     def encode(self, box: OrientedBox) -> np.ndarray:
-        lng, shrt, t = LongEdgeCodec._long_edge_angle(box)
+        lng, shrt, t = _long_edge_angle(box.w_side, box.h_side, box.theta)
         return np.concatenate([[box.cx, box.cy, lng, shrt], self.window(t)])
 
     decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
 
     def _encode_rows(self, fields):
-        lng, shrt, t = _long_edge_angles(fields)
-        return np.column_stack([fields[:, 0], fields[:, 1], lng, shrt, self.window(t)])
+        cx, cy, w, h, theta = fields.T
+        lng, shrt, t = _long_edge_angle(w, h, theta, _Arrays)
+        return np.column_stack([cx, cy, lng, shrt, self.window(t)])
 
     def _decode_rows(self, rows):
         return oriented_many(np.column_stack([rows[:, :4], self.bin_centers[np.argmax(rows[:, 4:], axis=1)]]))

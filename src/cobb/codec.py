@@ -22,6 +22,8 @@ from cobb.geometry import (
     ConvexQuad,
     HorizontalBox,
     OrientedBox,
+    _Arrays,
+    _Floats,
     _rowwise,
     _scalar_rows,
     iou,
@@ -61,7 +63,7 @@ class CobbVector:
 def _clamp_rs(rs: float, tol: float = _RS_CLAMP_TOL) -> float:
     if not math.isfinite(rs) or rs < -tol or rs > 0.5 + tol:
         raise InvalidArgumentError(f"sliding ratio outside [0, 0.5]: {rs!r}")
-    return min(max(rs, 0.0), 0.5)
+    return _Floats.clamp(rs, 0.0, 0.5)
 
 
 def sliding_ratio(box: OrientedBox) -> float:
@@ -81,12 +83,14 @@ def _sliding_ratio(box: OrientedBox, hbb: HorizontalBox) -> float:
     """:func:`sliding_ratio` of ``box``, whose outer HBB is ``hbb``."""
     if hbb.w <= 0.0 or hbb.h <= 0.0:
         raise DegenerateGeometryError("zero-extent outer HBB")
-    c, s = math.cos(box.theta), math.sin(box.theta)
-    if hbb.w < hbb.h:
-        rs = min(box.w_side * c, box.h_side * s) / hbb.w
-    else:
-        rs = min(box.w_side * s, box.h_side * c) / hbb.h
-    return min(max(rs, 0.0), 0.5)
+    return _ratio(box.w_side, box.h_side, math.cos(box.theta), math.sin(box.theta), hbb.w, hbb.h)
+
+
+def _ratio(w_side, h_side, c, s, w, h, xp=_Floats):
+    """The sliding ratio of sides ``w_side``, ``h_side`` at an angle of
+    cosine ``c`` and sine ``s``, whose outer HBB is ``w`` x ``h``."""
+    a, b, extent = xp.where(w < h, (w_side * c, h_side * s, w), (w_side * s, h_side * c, h))
+    return xp.clamp(xp.where(b < a, b, a) / extent, 0.0, 0.5)
 
 
 def slide_gaps(w: float, h: float, rs: float) -> tuple[float, float]:
@@ -98,13 +102,13 @@ def slide_gaps(w: float, h: float, rs: float) -> tuple[float, float]:
     return _slide_gaps(w, h, _clamp_rs(rs))
 
 
-def _slide_gaps(w: float, h: float, rs: float) -> tuple[float, float]:
+def _slide_gaps(w, h, rs, xp=_Floats):
     """:func:`slide_gaps` for ``rs`` already clamped into [0, 0.5]."""
-    if w >= h:
-        k = 4.0 * (h / w) ** 2 * rs * (1.0 - rs)
-        return 0.5 * w * k / (1.0 + math.sqrt(max(0.0, 1.0 - k))), rs * h
-    k = 4.0 * (w / h) ** 2 * rs * (1.0 - rs)
-    return rs * w, 0.5 * h * k / (1.0 + math.sqrt(max(0.0, 1.0 - k)))
+    wide = w >= h
+    big, small = xp.where(wide, (w, h), (h, w))
+    k = 4.0 * xp.pow(small / big, 2.0) * rs * (1.0 - rs)
+    g = 0.5 * big * k / (1.0 + xp.sqrt(xp.where(1.0 - k > 0.0, 1.0 - k, 0.0)))
+    return xp.where(wide, (g, rs * h), (rs * w, g))
 
 
 def four_candidates(hbb: HorizontalBox, rs: float) -> tuple[ConvexQuad, ...]:
@@ -151,14 +155,15 @@ def classify(box: OrientedBox) -> int:
     return best
 
 
-def _closed_forms(w: float, h: float, rs: float) -> tuple[float, float, float, float]:
+def _closed_forms(w, h, rs, xp=_Floats):
     """Pairwise candidate IoUs (0-1, 0-2, 0-3, 1-2) assuming w >= h."""
-    rsx = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * (h * h) / (w * w) * rs * (1.0 - rs))))
+    d = 1.0 - 4.0 * (h * h) / (w * w) * rs * (1.0 - rs)
+    rsx = 0.5 * (1.0 - xp.sqrt(xp.where(d > 0.0, d, 0.0)))
     rsy = rs
-    l1 = math.hypot(rsx * w, rsy * h)
-    l2 = math.hypot((1.0 - rsx) * w, (1.0 - rsy) * h)
-    l3 = math.hypot(rsx * w, (1.0 - rsy) * h)
-    l4 = math.hypot((1.0 - rsx) * w, rsy * h)
+    l1 = xp.hypot(rsx * w, rsy * h)
+    l2 = xp.hypot((1.0 - rsx) * w, (1.0 - rsy) * h)
+    l3 = xp.hypot(rsx * w, (1.0 - rsy) * h)
+    l4 = xp.hypot((1.0 - rsx) * w, rsy * h)
 
     i01 = (1.0 - ((1.0 - 2.0 * rsx) * rsx * w * w) / ((1.0 - rsy) * h * h)) * l1 * l2
     iou01 = i01 / (l1 * l2 + l3 * l4 - i01)
@@ -166,18 +171,17 @@ def _closed_forms(w: float, h: float, rs: float) -> tuple[float, float, float, f
     i02 = (1.0 - ((1.0 - 2.0 * rsy) * rsy * h * h) / ((1.0 - rsx) * w * w)) * l1 * l2
     iou02 = i02 / (l1 * l2 + l3 * l4 - i02)
 
-    i03 = (rsx + rsy - 2.0 * rsx * rsy) ** 2 / ((1.0 - rsx) * (1.0 - rsy)) * w * h / 2.0
-    iou03 = i03 / (2.0 * l1 * l2 - i03) if i03 != 0.0 else 0.0
+    # a zero numerator goes over 1 (both branches of a float where run):
+    # the IoU is then 0, and i12 is 2*h1*h2
+    i03 = xp.pow(rsx + rsy - 2.0 * rsx * rsy, 2.0) / ((1.0 - rsx) * (1.0 - rsy)) * w * h / 2.0
+    iou03 = i03 / xp.where(i03 != 0.0, 2.0 * l1 * l2 - i03, 1.0)
 
     h1 = 0.5 * w - (0.5 - rsy) / (1.0 - rsy) * rsx * w
     h2 = 0.5 * h - (0.5 - rsx) / (1.0 - rsx) * rsy * h
     tana = ((0.5 - rsx) / (1.0 - rsx) * l4) / (l3 / (2.0 * (1.0 - rsy)))
     tanb = ((0.5 - rsy) / (1.0 - rsy) * l3) / (l4 / (2.0 * (1.0 - rsx)))
-    if tana * tanb != 0.0:
-        i12 = 2.0 * tana * tanb / (tana + tanb) * (h1 * h1 + h2 * h2) + 2.0 * h1 * h2
-        iou12 = i12 / (2.0 * l3 * l4 - i12)
-    else:
-        iou12 = 2.0 * h1 * h2 / (2.0 * l3 * l4 - 2.0 * h1 * h2)
+    i12 = 2.0 * tana * tanb / xp.where(tana * tanb != 0.0, tana + tanb, 1.0) * (h1 * h1 + h2 * h2) + 2.0 * h1 * h2
+    iou12 = i12 / (2.0 * l3 * l4 - i12)
     return iou01, iou02, iou03, iou12
 
 
@@ -247,22 +251,30 @@ def candidate_box(hbb: HorizontalBox, rs: float, i: int) -> OrientedBox:
     """
     if hbb.w <= 0.0 or hbb.h <= 0.0 or i not in range(4):
         raise InvalidArgumentError(f"need positive HBB extents and index 0..3, got {hbb}, {i!r}")
-    gx, gy = slide_gaps(hbb.w, hbb.h, rs)
-    fx, fy = hbb.w - gx, hbb.h - gy  # hw + x_s, hh + y_s
-    # edges top -> right and right -> bottom (the bottom vertex is -top); the
-    # top vertex is at +x_s in candidates 1 and 3, the right one at +y_s in 0, 1
-    ax, bx = (gx, -fx) if i in (1, 3) else (fx, -gx)
-    ay, by = (fy, gy) if i in (0, 1) else (gy, fy)
-    la, lb = math.hypot(ax, ay), math.hypot(bx, by)
-    if la < lb:
-        ax, ay, la, lb = bx, by, lb, la
+    la, lb, theta = _candidate_sides(hbb.w, hbb.h, _clamp_rs(rs), i)
     if lb == 0.0:
         raise DegenerateGeometryError(f"candidate {i} of {hbb}, rs={rs!r} has zero area")
-    return OrientedBox(hbb.xc, hbb.yc, la, lb, math.atan2(-ay, ax))
+    return OrientedBox(hbb.xc, hbb.yc, la, lb, theta)
+
+
+def _candidate_sides(w, h, rs, i, xp=_Floats):
+    """Longer side, shorter side and angle of candidate ``i`` of a ``w`` x
+    ``h`` HBB, for ``rs`` already clamped into [0, 0.5]."""
+    gx, gy = _slide_gaps(w, h, rs, xp)
+    fx, fy = w - gx, h - gy  # hw + x_s, hh + y_s
+    # edges top -> right and right -> bottom (the bottom vertex is -top); the
+    # top vertex is at +x_s in candidates 1 and 3, the right one at +y_s in 0, 1
+    ax, bx = xp.where((i == 1) | (i == 3), (gx, -fx), (fx, -gx))
+    ay, by = xp.where(i <= 1, (fy, gy), (gy, fy))
+    la, lb = xp.hypot(ax, ay), xp.hypot(bx, by)
+    ax, ay, la, lb = xp.where(la < lb, (bx, by, lb, la), (ax, ay, la, lb))
+    return la, lb, xp.atan2(-ay, ax)
 
 
 def decode(v: CobbVector) -> OrientedBox:
     """Decode nine parameters to the highest-scoring candidate box."""
+    if len(v.scores) != 4:
+        raise InvalidArgumentError(f"need four scores, got {len(v.scores)}")
     for s in v.scores:
         if not math.isfinite(s):
             raise InvalidArgumentError(f"non-finite score {s!r}")
@@ -300,29 +312,16 @@ def rs_from_ra(ra: float, w: float, h: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Array forms of encode and decode.  Each repeats the scalar float operations
-# in the same order, so every row equals the scalar result bit for bit, and
-# masks the rows it cannot vouch for (without raising on them); the caller
-# sends just those through the scalar path with ``geometry._scalar_rows``.
+# Array forms of encode and decode.  They call the formulas above with
+# ``xp=_Arrays``, so every row equals the scalar result bit for bit, and mask
+# the rows they cannot vouch for (without raising on them); the caller sends
+# just those through the scalar path with ``geometry._scalar_rows``.
+# ``_classify_many`` reads the candidate from a sign rule rather than the
+# clipping oracle that :func:`classify` runs.
 
 # entries of iou_matrix rows, as indices into (1, m01, m02, m03, m12)
 _MATRIX_ENTRIES = np.array([[0, 1, 2, 3], [1, 0, 4, 2], [2, 4, 0, 1], [3, 2, 1, 0]])
 _TIE_ORDER = np.array([1, 2, 0, 3])  # select_candidate's preference among equal scores
-
-
-def _clamp_many(x, lo, hi):
-    """``min(max(x, lo), hi)`` per element, keeping Python's pick on ties."""
-    x = np.where(lo > x, lo, x)
-    return np.where(hi < x, hi, x)
-
-
-def _slide_gaps_many(w, h, rs):
-    """:func:`slide_gaps` per row, for rs already in [0, 0.5]."""
-    wide = w >= h
-    big, small = np.where(wide, w, h), np.where(wide, h, w)
-    k = 4.0 * _rowwise(lambda v: v ** 2, small / big) * rs * (1.0 - rs)
-    g = 0.5 * big * k / (1.0 + np.sqrt(np.where(1.0 - k > 0.0, 1.0 - k, 0.0)))
-    return np.where(wide, g, rs * w), np.where(wide, rs * h, g)
 
 
 # Margin below 1 at which two candidates count as one.  The sign index picks
@@ -349,38 +348,6 @@ def _classify_many(p, c, s, m):
     return _scalar_rows(index, ties, lambda r: classify(OrientedBox(*r)), p)
 
 
-def _closed_forms_many(w, h, rs):
-    """:func:`_closed_forms` per row (w >= h)."""
-    d = 1.0 - 4.0 * (h * h) / (w * w) * rs * (1.0 - rs)
-    rsx = 0.5 * (1.0 - np.sqrt(np.where(d > 0.0, d, 0.0)))
-    rsy = rs
-    l1 = _rowwise(math.hypot, rsx * w, rsy * h)
-    l2 = _rowwise(math.hypot, (1.0 - rsx) * w, (1.0 - rsy) * h)
-    l3 = _rowwise(math.hypot, rsx * w, (1.0 - rsy) * h)
-    l4 = _rowwise(math.hypot, (1.0 - rsx) * w, rsy * h)
-
-    i01 = (1.0 - ((1.0 - 2.0 * rsx) * rsx * w * w) / ((1.0 - rsy) * h * h)) * l1 * l2
-    iou01 = i01 / (l1 * l2 + l3 * l4 - i01)
-
-    i02 = (1.0 - ((1.0 - 2.0 * rsy) * rsy * h * h) / ((1.0 - rsx) * w * w)) * l1 * l2
-    iou02 = i02 / (l1 * l2 + l3 * l4 - i02)
-
-    i03 = _rowwise(lambda v: v ** 2, rsx + rsy - 2.0 * rsx * rsy) / ((1.0 - rsx) * (1.0 - rsy)) * w * h / 2.0
-    iou03 = np.where(i03 != 0.0, i03 / (2.0 * l1 * l2 - i03), 0.0)
-
-    h1 = 0.5 * w - (0.5 - rsy) / (1.0 - rsy) * rsx * w
-    h2 = 0.5 * h - (0.5 - rsx) / (1.0 - rsx) * rsy * h
-    tana = ((0.5 - rsx) / (1.0 - rsx) * l4) / (l3 / (2.0 * (1.0 - rsy)))
-    tanb = ((0.5 - rsy) / (1.0 - rsy) * l3) / (l4 / (2.0 * (1.0 - rsx)))
-    i12 = 2.0 * tana * tanb / (tana + tanb) * (h1 * h1 + h2 * h2) + 2.0 * h1 * h2
-    iou12 = np.where(
-        tana * tanb != 0.0,
-        i12 / (2.0 * l3 * l4 - i12),
-        2.0 * h1 * h2 / (2.0 * l3 * l4 - 2.0 * h1 * h2),
-    )
-    return iou01, iou02, iou03, iou12
-
-
 def _encode_many(p):
     """Row-wise :func:`encode` of ``(N, 5)`` constructed-box fields: ``(N, 9)``
     rows ``(xc, yc, w, h, rs, s0, s1, s2, s3)``, and the mask."""
@@ -392,14 +359,11 @@ def _encode_many(p):
     # outer_hbb, sliding_ratio or iou_matrix rejects the extents
     ww, hh = w * w, h * h
     bad = ~((_SQUARE_MIN <= ww) & (ww <= _SQUARE_MAX) & (_SQUARE_MIN <= hh) & (hh <= _SQUARE_MAX))
-    # sliding_ratio
-    tall = w < h
-    a, b = np.where(tall, w_side * c, w_side * s), np.where(tall, h_side * s, h_side * c)
-    rs = _clamp_many(np.where(b < a, b, a) / np.where(tall, w, h), 0.0, 0.5)
+    rs = _ratio(w_side, h_side, c, s, w, h, _Arrays)
     # iou_matrix(w, h, rs)[classify(box)]
     wide = w >= h
-    m01, m02, m03, m12 = _closed_forms_many(np.where(wide, w, h), np.where(wide, h, w), rs)
-    m01, m02 = np.where(wide, m01, m02), np.where(wide, m02, m01)
+    m01, m02, m03, m12 = _closed_forms(*_Arrays.where(wide, (w, h), (h, w)), rs, _Arrays)
+    m01, m02 = _Arrays.where(wide, (m01, m02), (m02, m01))
     m = np.stack([np.ones_like(w), m01, m02, m03, m12], axis=1)
     bad |= ~np.isfinite(m).all(axis=1)  # where iou_matrix raises
     m = np.where((m < 0.0) | bad[:, None], 0.0, np.where(m > 1.0, 1.0, m))  # a masked row has no tie to classify
@@ -413,21 +377,11 @@ def _decode_many(xc, yc, w, h, rs, scores):
     ``(N, 5)`` constructed-box fields, and the mask."""
     bad = ~(np.isfinite(np.column_stack([xc, yc, w, h, rs, scores])).all(axis=1) & (w > 0.0) & (h > 0.0))
     w, h = np.where(bad, 1.0, w), np.where(bad, 1.0, h)  # so that no square below overflows
-    rs = _clamp_many(rs, 0.0, 0.5)
     # select_candidate
     best = scores == scores.max(axis=1, keepdims=True)
     i = _TIE_ORDER[np.argmax(best[:, _TIE_ORDER], axis=1)]
-    # candidate_box
-    gx, gy = _slide_gaps_many(w, h, rs)
-    fx, fy = w - gx, h - gy
-    # the top vertex is at +x_s in candidates 1 and 3, the right one at +y_s in 0, 1
-    top_plus, right_plus = (i == 1) | (i == 3), i <= 1
-    ax, bx = np.where(top_plus, gx, fx), np.where(top_plus, -fx, -gx)
-    ay, by = np.where(right_plus, fy, gy), np.where(right_plus, gy, fy)
-    la, lb = _rowwise(math.hypot, ax, ay), _rowwise(math.hypot, bx, by)
-    swap = la < lb
-    ax, ay, la, lb = np.where(swap, bx, ax), np.where(swap, by, ay), np.where(swap, lb, la), np.where(swap, la, lb)
-    fields = np.stack([xc, yc, la, lb, _rowwise(math.atan2, -ay, ax)], axis=1)
+    la, lb, theta = _candidate_sides(w, h, _Arrays.clamp(rs, 0.0, 0.5), i, _Arrays)
+    fields = np.stack([xc, yc, la, lb, theta], axis=1)
     # a zero-area candidate, or a side that overflows; masked rows stand in as unit boxes
     bad |= ~(lb > 0.0) | ~np.isfinite(fields).all(axis=1)
     return oriented_many(np.where(bad[:, None], 1.0, fields)), bad

@@ -11,7 +11,10 @@ All values are immutable; every function here is pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import astuple, dataclass
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -189,6 +192,34 @@ def _rowwise(fn, *cols) -> np.ndarray:
     such value from the scalar function.
     """
     return np.fromiter(map(fn, *(np.asarray(c, dtype=float).tolist() for c in cols)), float, len(cols[0]))
+
+
+# The operations that differ between a formula on Python floats and the same
+# formula on arrays, which it takes as ``xp``: written once over them, a
+# formula gives the same bits either way.  The float ``where`` evaluates both
+# of its branches, so neither may raise.  ``clamp`` picks what
+# ``min(max(x, lo), hi)`` picks (for ``lo <= hi``), ties and signed zeros
+# included, at a fifth of its cost on floats; the arrays take each ``math``
+# value and ``**`` per element, as :func:`_rowwise` explains.  Plain functions
+# in a namespace cost less per call than static methods of a class.
+_Floats = SimpleNamespace(
+    where=lambda c, a, b: a if c else b,
+    clamp=lambda x, lo, hi: lo if lo > x else (hi if hi < x else x),
+    sqrt=math.sqrt,
+    hypot=math.hypot,
+    atan2=math.atan2,
+    log2=math.log2,
+    pow=operator.pow,
+)
+_Arrays = SimpleNamespace(
+    where=np.where,  # on tuples of equal-length arrays, one row per pair
+    clamp=lambda x, lo, hi: np.where(lo > x, lo, np.where(hi < x, hi, x)),
+    sqrt=np.sqrt,
+    hypot=partial(_rowwise, math.hypot),
+    atan2=partial(_rowwise, math.atan2),
+    log2=partial(_rowwise, math.log2),
+    pow=lambda x, y: _rowwise(operator.pow, *np.broadcast_arrays(x, y)),  # one of the two may be a float
+)
 
 
 def _scalar_rows(out, bad, scalar, *rows) -> np.ndarray:

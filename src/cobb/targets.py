@@ -18,7 +18,7 @@ import numpy as np
 
 from cobb import codec
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError
-from cobb.geometry import HorizontalBox, OrientedBox, _rowwise, iou, rotate_about
+from cobb.geometry import HorizontalBox, OrientedBox, _Arrays, _Floats, _rowwise, iou, rotate_about
 
 DEFAULT_LAMBDA = {"sig": 2.0, "ln": 1.0}
 
@@ -65,28 +65,28 @@ class TargetVector:
         return (self.tx, self.ty, self.tw, self.th, self.rt) + self.st
 
 
-def _rt_from_rs(rs: float, ra: float, variant: str) -> float:
+def _rt_from_rs(rs, ra, variant: str, xp=_Floats):
+    """The ratio target of sliding ratio ``rs`` at area ratio ``ra``."""
     if variant == "sig":
         return 2.0 * rs
     if variant == "ln":
-        if ra < 0.5:
-            return 1.0 + math.log2(rs) if rs > 0.0 else -math.inf
-        return 1.0 + math.log2(1.0 - rs)
+        # log2's argument: rs below the area ratio one half, 1 - rs from
+        # there up; 0 (target -inf) where rs is below and not positive
+        x = xp.where(ra < 0.5, xp.where(rs > 0.0, rs, 0.0), 1.0 - rs)
+        return xp.where(x != 0.0, 1.0 + xp.log2(xp.where(x != 0.0, x, 1.0)), -math.inf)
     raise InvalidArgumentError(f"unknown variant {variant!r}")
 
 
-def _rs_from_rt(rt: float, variant: str) -> float:
+def _rs_from_rt(rt, variant: str, xp=_Floats):
     """Invert the ratio target; out-of-range predictions are clamped."""
     if variant == "sig":
-        rt = min(max(rt, 0.0), 1.0)
-        return 0.5 * rt
+        return 0.5 * xp.clamp(rt, 0.0, 1.0)
     if variant == "ln":
-        rt = min(rt, 1.0)
+        rt = xp.where(1.0 < rt, 1.0, rt)
+        e = xp.pow(2.0, rt - 1.0)
         # rt <= 0 comes from the ra < 0.5 branch, rt >= 0 from the other;
         # both agree at the rs = 0.5 merge point.
-        if rt <= 0.0:
-            return min(2.0 ** (rt - 1.0), 0.5)
-        return 1.0 - 2.0 ** (rt - 1.0)
+        return xp.where(rt <= 0.0, xp.where(0.5 < e, 0.5, e), 1.0 - e)
     raise InvalidArgumentError(f"unknown variant {variant!r}")
 
 
@@ -147,18 +147,12 @@ def _encode_targets_many(boxes, proposal: Proposal, variant: str):
     # division by zero, or an extent ratio encode_target rejects
     bad |= (p.theta_p != 0.0) | ~((w * h != 0.0) & (0.0 < rw) & (rw < math.inf) & (0.0 < rh) & (rh < math.inf))
     rw, rh = np.where(bad, 1.0, rw), np.where(bad, 1.0, rh)  # math.log raises outside its domain
-    if variant == "sig":
-        rt = 2.0 * rs
-    else:
-        below = boxes[:, 2] * boxes[:, 3] / (w * h) < 0.5
-        zero = below & ~(rs > 0.0)
-        rt = np.where(zero, -math.inf, 1.0 + _rowwise(math.log2, np.where(below, np.where(zero, 1.0, rs), 1.0 - rs)))
     return np.column_stack([
         (xc - p.xp) / p.wp,
         (yc - p.yp) / p.hp,
         _rowwise(math.log, rw),
         _rowwise(math.log, rh),
-        rt,
+        _rt_from_rs(rs, boxes[:, 2] * boxes[:, 3] / (w * h), variant, _Arrays),
         _rowwise(lambda s: s**lam, v[:, 5:].ravel()).reshape(-1, 4),
     ]), bad
 
@@ -171,13 +165,7 @@ def _decode_targets_many(rows, proposal: Proposal, variant: str):
     # a non-finite component, or an extent target that math.exp overflows on
     bad = (proposal.theta_p != 0.0) | ~(np.isfinite(rows).all(axis=1) & (tw <= _EXP_MAX) & (th <= _EXP_MAX))
     tw, th = np.where(bad, 0.0, tw), np.where(bad, 0.0, th)  # so that math.exp raises on no masked row
-    if variant == "sig":
-        rs = 0.5 * codec._clamp_many(rt, 0.0, 1.0)
-    else:
-        rt = np.where(1.0 < rt, 1.0, rt)
-        e = _rowwise(lambda x: 2.0 ** x, rt - 1.0)
-        rs = np.where(rt <= 0.0, np.where(0.5 < e, 0.5, e), 1.0 - e)
-    p = proposal
+    p, rs = proposal, _rs_from_rt(rt, variant, _Arrays)
     out, rejected = codec._decode_many(
         tx * p.wp + p.xp, ty * p.hp + p.yp, p.wp * _rowwise(math.exp, tw), p.hp * _rowwise(math.exp, th), rs, rows[:, 5:]
     )
@@ -201,6 +189,8 @@ def cobb_loss(pred: TargetVector, target: TargetVector) -> float:
     added as ``(box + ratio) + score``."""
     if pred.variant != target.variant or pred.lam != target.lam:
         raise InvalidArgumentError("pred/target variant or lambda mismatch")
+    if len(pred.st) != 4 or len(target.st) != 4:
+        raise InvalidArgumentError(f"need four scores, got {len(pred.st)} and {len(target.st)}")
     box_term = (
         smooth_l1(pred.tx - target.tx)
         + smooth_l1(pred.ty - target.ty)

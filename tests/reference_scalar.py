@@ -12,7 +12,14 @@ against bit for bit.
   candidates are built by the reference :func:`from_points`; the oracle
   ``iou`` clips with ``geometry.quad_intersection_area``, which a test
   patches to the reference walk.
+- :func:`slide_gaps`, :func:`closed_forms`, :func:`candidate_sides`,
+  :func:`rt_from_rs`, :func:`rs_from_rt`, :func:`acute` and
+  :func:`long_edge_angle`: the float formulas with ``if`` branches, which
+  the shared formulas of :mod:`cobb.codec`, :mod:`cobb.targets` and
+  :mod:`cobb.baselines` equal bit for bit, as floats and as arrays.
 """
+
+import math
 
 from cobb import codec, geometry
 from cobb._kern import shoelace2
@@ -111,3 +118,87 @@ def encode(box: OrientedBox) -> codec.CobbVector:
     rs = codec.sliding_ratio(box)
     row = codec.iou_matrix(hbb.w, hbb.h, rs)[classify(box)]
     return codec.CobbVector(hbb.xc, hbb.yc, hbb.w, hbb.h, rs, tuple(row))
+
+
+def slide_gaps(w, h, rs):
+    if w >= h:
+        k = 4.0 * (h / w) ** 2 * rs * (1.0 - rs)
+        return 0.5 * w * k / (1.0 + math.sqrt(max(0.0, 1.0 - k))), rs * h
+    k = 4.0 * (w / h) ** 2 * rs * (1.0 - rs)
+    return rs * w, 0.5 * h * k / (1.0 + math.sqrt(max(0.0, 1.0 - k)))
+
+
+def closed_forms(w, h, rs):
+    rsx = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * (h * h) / (w * w) * rs * (1.0 - rs))))
+    rsy = rs
+    l1 = math.hypot(rsx * w, rsy * h)
+    l2 = math.hypot((1.0 - rsx) * w, (1.0 - rsy) * h)
+    l3 = math.hypot(rsx * w, (1.0 - rsy) * h)
+    l4 = math.hypot((1.0 - rsx) * w, rsy * h)
+
+    i01 = (1.0 - ((1.0 - 2.0 * rsx) * rsx * w * w) / ((1.0 - rsy) * h * h)) * l1 * l2
+    iou01 = i01 / (l1 * l2 + l3 * l4 - i01)
+
+    i02 = (1.0 - ((1.0 - 2.0 * rsy) * rsy * h * h) / ((1.0 - rsx) * w * w)) * l1 * l2
+    iou02 = i02 / (l1 * l2 + l3 * l4 - i02)
+
+    i03 = (rsx + rsy - 2.0 * rsx * rsy) ** 2 / ((1.0 - rsx) * (1.0 - rsy)) * w * h / 2.0
+    iou03 = i03 / (2.0 * l1 * l2 - i03) if i03 != 0.0 else 0.0
+
+    h1 = 0.5 * w - (0.5 - rsy) / (1.0 - rsy) * rsx * w
+    h2 = 0.5 * h - (0.5 - rsx) / (1.0 - rsx) * rsy * h
+    tana = ((0.5 - rsx) / (1.0 - rsx) * l4) / (l3 / (2.0 * (1.0 - rsy)))
+    tanb = ((0.5 - rsy) / (1.0 - rsy) * l3) / (l4 / (2.0 * (1.0 - rsx)))
+    if tana * tanb != 0.0:
+        i12 = 2.0 * tana * tanb / (tana + tanb) * (h1 * h1 + h2 * h2) + 2.0 * h1 * h2
+        iou12 = i12 / (2.0 * l3 * l4 - i12)
+    else:
+        iou12 = 2.0 * h1 * h2 / (2.0 * l3 * l4 - 2.0 * h1 * h2)
+    return iou01, iou02, iou03, iou12
+
+
+def candidate_sides(w, h, rs, i):
+    """``(la, lb, theta)`` of candidate ``i`` for ``rs`` in [0, 0.5]."""
+    gx, gy = slide_gaps(w, h, rs)
+    fx, fy = w - gx, h - gy
+    ax, bx = (gx, -fx) if i in (1, 3) else (fx, -gx)
+    ay, by = (fy, gy) if i in (0, 1) else (gy, fy)
+    la, lb = math.hypot(ax, ay), math.hypot(bx, by)
+    if la < lb:
+        ax, ay, la, lb = bx, by, lb, la
+    return la, lb, math.atan2(-ay, ax)
+
+
+def rt_from_rs(rs, ra, variant):
+    if variant == "sig":
+        return 2.0 * rs
+    if ra < 0.5:
+        return 1.0 + math.log2(rs) if rs > 0.0 else -math.inf
+    return 1.0 + math.log2(1.0 - rs)
+
+
+def rs_from_rt(rt, variant):
+    if variant == "sig":
+        rt = min(max(rt, 0.0), 1.0)
+        return 0.5 * rt
+    rt = min(rt, 1.0)
+    if rt <= 0.0:
+        return min(2.0 ** (rt - 1.0), 0.5)
+    return 1.0 - 2.0 ** (rt - 1.0)
+
+
+def acute(w, h, t):
+    if t >= 0.25 * math.pi:
+        t -= 0.5 * math.pi
+        w, h = h, w
+    return w, h, t
+
+
+def long_edge_angle(w, h, theta):
+    if w >= h:
+        lng, shrt, t = w, h, theta
+    else:
+        lng, shrt, t = h, w, theta + 0.5 * math.pi
+    if t >= 0.5 * math.pi:
+        t -= math.pi
+    return lng, shrt, t

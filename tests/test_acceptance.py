@@ -200,7 +200,8 @@ def test_criterion_3b_gv_fails_near_horizontal():
 @pytest.mark.parametrize("codec_name", list(EXPECTED_VERDICTS))
 def test_criterion_4_verdict_table(audit_reports, codec_name):
     report = audit_reports[codec_name]
-    got = tuple(report.verdicts()[m] for m in METRIC_ORDER)
+    verdicts = {m.name: m.verdict for m in report.metrics}
+    got = tuple(verdicts[m] for m in METRIC_ORDER)
     want = EXPECTED_VERDICTS[codec_name]
     diffs = [
         f"{m}: got {g}, want {w}"

@@ -639,8 +639,26 @@ def test_loss_many_equals_the_scalar_loss(name):
     odd = np.where(rng.random(shape) < 0.1, rng.choice([math.inf, -math.inf, math.nan], shape), base)
     a = np.vstack([real_a, base, zeros_a, odd])
     b = np.vstack([real_b, base - knee, zeros_b, base])
-    want = np.array([codec.loss(x, y) for x, y in zip(a, b)])
+    if isinstance(codec, CobbCodec):
+        vec = lambda r: targets.TargetVector(*r[:5], tuple(r[5:]), codec.variant, codec.lam)
+        want = [targets.cobb_loss(vec(x), vec(y)) for x, y in zip(a.tolist(), b.tolist())]
+    else:
+        want = [sum(targets.smooth_l1(p - q) for p, q in zip(x, y)) for x, y in zip(a.tolist(), b.tolist())]
     got = codec.loss_many(a, b)
     assert got.shape == (len(a),)
-    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got, np.array(want), equal_nan=True)
+    assert np.array_equal([codec.loss(x, y) for x, y in zip(a, b)], got, equal_nan=True)
     assert np.array_equal(codec.loss_many(a[:0], b[:0]), np.empty(0))
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_loss_takes_one_row_of_the_codec_width(name):
+    codec = get_codec(name)
+    row = codec.encode(OrientedBox(0.0, 0.0, 1.0, 0.5, 0.1))
+    for short in (row[:3], row[:-1]):
+        with pytest.raises(InvalidArgumentError, match=f"need rows of {codec.dim} values"):
+            codec.loss(row, short)
+        with pytest.raises(InvalidArgumentError, match=f"need rows of {codec.dim} values"):
+            codec.loss(short, row)
+    with pytest.raises(InvalidArgumentError, match="loss takes one row, got 2"):
+        codec.loss(np.stack([row, row]), np.stack([row, row]))

@@ -259,6 +259,11 @@ class TestEncodeDecode:
         out = decode(CobbVector(0, 0, 4, 2, 0.0, (1, 1, 1, 1)))
         assert iou(out, OrientedBox(0, 0, 4, 2, 0)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("scores", [(), (1.0,), (1.0, 0.5, 0.0), (0.0, 0.0, 0.0, 0.5, 1.0)])
+    def test_decode_needs_four_scores(self, scores):
+        with pytest.raises(InvalidArgumentError, match=f"need four scores, got {len(scores)}"):
+            decode(CobbVector(0, 0, 1, 1, 0.2, scores))
+
     def test_roundtrip_seeded(self):
         worst = 1.0
         for box in seeded_boxes(500, seed=14):

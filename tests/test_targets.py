@@ -171,6 +171,12 @@ class TestDecodeTarget:
         with pytest.raises(InvalidArgumentError):
             decode_target(t, Proposal.horizontal(0, 0, 1, 1))
 
+    @pytest.mark.parametrize("st", [(1.0,), (0.0, 0.0, 0.0, 0.5, 1.0)])
+    def test_needs_four_scores(self, st):
+        t = TargetVector(0, 0, 0, 0, 0.5, st, "sig", 2.0)
+        with pytest.raises(InvalidArgumentError, match=f"need four scores, got {len(st)}"):
+            decode_target(t, Proposal.horizontal(0, 0, 1, 1))
+
     @pytest.mark.parametrize("variant", ["sig", "ln"])
     @pytest.mark.parametrize("tw, th", [(800.0, 0.0), (0.0, 710.0)])
     def test_overflowing_extent_target_is_typed(self, variant, tw, th):
@@ -247,6 +253,14 @@ class TestLoss:
         b = TargetVector(0, 0, 0, 0, 0, (0, 0, 0, 0), "ln", 1.0)
         with pytest.raises(InvalidArgumentError):
             cobb_loss(a, b)
+
+    @pytest.mark.parametrize("st", [(1.0,), (0.0, 0.0, 0.0, 0.5, 1.0)])
+    def test_needs_four_scores(self, st):
+        four = TargetVector(0, 0, 0, 0, 0, (1.0, 0.0, 0.0, 0.0), "sig", 2.0)
+        other = TargetVector(0, 0, 0, 0, 0, st, "sig", 2.0)
+        for pred, target in ((four, other), (other, four)):
+            with pytest.raises(InvalidArgumentError, match="need four scores"):
+                cobb_loss(pred, target)
 
     def test_smooth_l1_shape(self):
         assert smooth_l1(0.0) == 0.0
