@@ -52,40 +52,44 @@ def quad_intersection_area(a, b):
         return 0.0
     # the clip quad's corners, reversed where the shoelace sum is negative, and its first corner again
     if area_b2 < 0.0:
-        cx, cy = (b[6], b[4], b[2], b[0], b[6]), (b[7], b[5], b[3], b[1], b[7])
+        clip = ((b[6], b[7]), (b[4], b[5]), (b[2], b[3]), (b[0], b[1]), (b[6], b[7]))
     else:
-        cx, cy = (b[0], b[2], b[4], b[6], b[0]), (b[1], b[3], b[5], b[7], b[1])
-    # the clipped polygon's x and y, its first vertex repeated at the end
-    xs, ys = [a[0], a[2], a[4], a[6], a[0]], [a[1], a[3], a[5], a[7], a[1]]
-    for k in range(4):
-        ax, ay = cx[k], cy[k]
-        ex, ey = cx[k + 1] - ax, cy[k + 1] - ay
+        clip = ((b[0], b[1]), (b[2], b[3]), (b[4], b[5]), (b[6], b[7]), (b[0], b[1]))
+    # the clipped polygon's vertices, its first vertex repeated at the end
+    first = (a[0], a[1])
+    poly = [first, (a[2], a[3]), (a[4], a[5]), (a[6], a[7]), first]
+    bx, by = clip[0]
+    for c in clip[1:]:
+        ax, ay = bx, by
+        bx, by = c
+        ex, ey = bx - ax, by - ay
         if ex == 0.0 and ey == 0.0:
             continue
         # walk the edges p -> q; each vertex's side of the clip line is
         # computed once and carried to the next edge
-        ox, oy = [], []
-        walk = zip(xs, ys)
+        out = []
+        push = out.append
+        walk = iter(poly)
         px, py = next(walk)
         dp = ex * (py - ay) - ey * (px - ax)
         for qx, qy in walk:
             dq = ex * (qy - ay) - ey * (qx - ax)
             if dp >= 0.0:
-                ox.append(px)
-                oy.append(py)
-            if (dp > 0.0 and dq < 0.0) or (dp < 0.0 and dq > 0.0):
+                push((px, py))
+                if dp > 0.0 and dq < 0.0:
+                    t = dp / (dp - dq)
+                    push((px + t * (qx - px), py + t * (qy - py)))
+            elif dp < 0.0 and dq > 0.0:  # not ``else``: a NaN side crosses nothing
                 t = dp / (dp - dq)
-                ox.append(px + t * (qx - px))
-                oy.append(py + t * (qy - py))
+                push((px + t * (qx - px), py + t * (qy - py)))
             px, py, dp = qx, qy, dq
-        if not ox:
+        if not out:
             return 0.0
-        ox.append(ox[0])
-        oy.append(oy[0])
-        xs, ys = ox, oy
-    if len(xs) < 4:  # fewer than 3 vertices
+        push(out[0])
+        poly = out
+    if len(poly) < 4:  # fewer than 3 vertices
         return 0.0
-    walk = zip(xs, ys)
+    walk = iter(poly)
     px, py = next(walk)
     s = 0.0
     for qx, qy in walk:

@@ -142,10 +142,14 @@ def classify(box: OrientedBox) -> int:
 
     The box and the candidates are compared centred on the origin (the HBB
     centre is the box centre).  IoU does not depend on where the pair sits,
-    but the clipping arithmetic loses precision far from the origin.
+    but the clipping arithmetic loses precision far from the origin.  A box
+    whose area is below ``_RA_MIN`` of its HBB's is too thin for the oracle
+    to measure and takes :func:`_sign_index`, which names it exactly.
     """
     hbb = outer_hbb(box)
     cands = four_candidates(HorizontalBox(0.0, 0.0, hbb.w, hbb.h), _sliding_ratio(box, hbb))
+    if (box.w_side / hbb.w) * (box.h_side / hbb.h) < _RA_MIN:
+        return _sign_index(box.w_side, box.h_side, math.cos(box.theta), math.sin(box.theta))
     q = vertices_of(OrientedBox(0.0, 0.0, box.w_side, box.h_side, box.theta))
     best, best_iou = 0, -1.0
     for i, quad in enumerate(cands):
@@ -153,6 +157,22 @@ def classify(box: OrientedBox) -> int:
         if v > best_iou:
             best, best_iou = i, v
     return best
+
+
+# Box-to-HBB area ratio below which :func:`classify` skips the oracle: its
+# clipped areas err by about 1e-16 over this ratio, and near 1e-16 it picks
+# the box's mirror image or finds an empty union.  The quad's own area is no
+# test of this: at aspect 4.6e-17 it read 8.4e-4 off while the oracle picked
+# the wrong candidate.
+_RA_MIN = 1e-12
+
+
+def _sign_index(w_side, h_side, c, s):
+    """The candidate a box of sides ``w_side``, ``h_side`` at an angle of
+    cosine ``c`` and sine ``s`` is, in :func:`four_candidates` order: the
+    signs of its top vertex's x and of its right vertex's y, relative to the
+    centre; floats or equal-shape arrays."""
+    return (w_side * c - h_side * s > 0.0) + 2 * (h_side * c - w_side * s < 0.0)
 
 
 def _closed_forms(w, h, rs, xp=_Floats):
@@ -236,7 +256,17 @@ def select_candidate(scores) -> int:
     zero-area quad; unlike comparing areas, it does not depend on where the
     HBB sits.
     """
-    return min(range(4), key=lambda i: (-scores[i], i in (0, 3), i))
+    if len(scores) != 4:
+        raise InvalidArgumentError(f"need four scores, got {len(scores)}")
+    s0, s1, s2, s3 = scores
+    best, top = 1, s1
+    if s2 > top:
+        best, top = 2, s2
+    if s0 > top:
+        best, top = 0, s0
+    if s3 > top:
+        best = 3
+    return best
 
 
 def candidate_box(hbb: HorizontalBox, rs: float, i: int) -> OrientedBox:
@@ -337,13 +367,12 @@ def _classify_many(p, c, s, m):
     """:func:`classify` per row of ``(N, 5)`` constructed-box fields, from
     each row's cos ``c``, sin ``s`` and ``(1, m01, m02, m03, m12)``.
 
-    The signs of the top vertex's x and of the right vertex's y, relative to
-    the centre, name the candidate in :func:`four_candidates` order.  Rows
-    whose ``iou_matrix`` row at that index has a second entry within
+    Each row's :func:`_sign_index` names its candidate.  Rows whose
+    ``iou_matrix`` row at that index has a second entry within
     ``_TIE_MARGIN`` of 1 take the pick of :func:`classify`.
     """
     _, _, w_side, h_side, _ = p.T
-    index = (w_side * c - h_side * s > 0.0) + 2 * (h_side * c - w_side * s < 0.0)
+    index = _sign_index(w_side, h_side, c, s)
     ties = (np.take_along_axis(m, _MATRIX_ENTRIES[index], axis=1) >= 1.0 - _TIE_MARGIN).sum(axis=1) >= 2
     return _scalar_rows(index, ties, lambda r: classify(OrientedBox(*r)), p)
 

@@ -98,19 +98,28 @@ class ConvexQuad:
     Vertices run counterclockwise in the y-down frame and start at the
     lexicographically smallest (y, then x) vertex; :meth:`from_points` winds
     any four points' cycle that way, the constructor takes the tuple as given.
-    Zero-area (collinear) quads are representable; non-finite coordinates
-    and genuinely non-convex input are rejected.
+    Zero-area (collinear) quads are representable; coordinates that are not
+    finite real numbers and genuinely non-convex input are rejected.  The
+    coordinates are stored as a tuple, and ``area`` is set once here rather
+    than taken on every read.
     """
 
     flat: tuple[float, ...]
 
     def __post_init__(self):
         f = self.flat
-        if len(f) != 8:
-            raise InvalidArgumentError(f"quad needs 8 coordinates, got {len(f)}")
-        if not all(map(math.isfinite, f)):
-            _require_finite("coordinate", *f)
-        _validate_convex(f)
+        try:
+            if type(f) is not tuple:
+                f = tuple(f)
+                object.__setattr__(self, "flat", f)
+            if len(f) != 8:
+                raise InvalidArgumentError(f"quad needs 8 coordinates, got {len(f)}")
+            if not all(map(math.isfinite, f)):
+                _require_finite("coordinate", *f)
+            _validate_convex(f)
+            self.__dict__["area"] = quad_area(f)
+        except TypeError:  # not a sequence, or a string, complex or Decimal among the coordinates
+            raise InvalidArgumentError(f"quad coordinates must be a sequence of real numbers, got {f!r}") from None
 
     @staticmethod
     def from_points(points) -> "ConvexQuad":
@@ -121,22 +130,23 @@ class ConvexQuad:
         x0, y0, x1, y1, x2, y2, x3, y3 = p0[0], p0[1], p1[0], p1[1], p2[0], p2[1], p3[0], p3[1]
         # CCW in y-down frame <=> negative shoelace sum in raw coordinates.
         if x0 * y1 - x1 * y0 + (x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3) > 0:
-            x0, y0, x1, y1, x2, y2, x3, y3 = x3, y3, x2, y2, x1, y1, x0, y0
-        # start at the first min-(y, x) vertex; y values compare as in a
-        # tuple key, where one NaN object equals itself
-        start, ky, kx = 0, y0, x0
-        if y1 < ky or ((y1 is ky or y1 == ky) and x1 < kx):
-            start, ky, kx = 2, y1, x1
-        if y2 < ky or ((y2 is ky or y2 == ky) and x2 < kx):
-            start, ky, kx = 4, y2, x2
-        if y3 < ky or ((y3 is ky or y3 == ky) and x3 < kx):
-            start = 6
-        f = (x0, y0, x1, y1, x2, y2, x3, y3)
-        return ConvexQuad(f[start:] + f[:start])
+            return _from_min_yx(x3, y3, x2, y2, x1, y1, x0, y0)
+        return _from_min_yx(x0, y0, x1, y1, x2, y2, x3, y3)
 
-    @property
-    def area(self) -> float:
-        return quad_area(self.flat)
+
+def _from_min_yx(x0, y0, x1, y1, x2, y2, x3, y3) -> ConvexQuad:
+    """The quad of a counterclockwise cycle, started at its first min-(y, x)
+    vertex; y values compare as in a tuple key, where one NaN object
+    equals itself."""
+    start, ky, kx = 0, y0, x0
+    if y1 < ky or ((y1 is ky or y1 == ky) and x1 < kx):
+        start, ky, kx = 2, y1, x1
+    if y2 < ky or ((y2 is ky or y2 == ky) and x2 < kx):
+        start, ky, kx = 4, y2, x2
+    if y3 < ky or ((y3 is ky or y3 == ky) and x3 < kx):
+        start = 6
+    f = (x0, y0, x1, y1, x2, y2, x3, y3)
+    return ConvexQuad(f[start:] + f[:start])
 
 
 def _spans_and_turns(x0, y0, x1, y1, x2, y2, x3, y3):
@@ -176,11 +186,11 @@ def vertices_of(box: OrientedBox) -> ConvexQuad:
     c, s = math.cos(box.theta), math.sin(box.theta)
     hw, hh = 0.5 * box.w_side, 0.5 * box.h_side
     cx, cy = box.cx, box.cy
-    f = []
-    for dx, dy in ((-hw, hh), (hw, hh), (hw, -hh), (-hw, -hh)):
-        f += (cx + dx * c + dy * s, cy - dx * s + dy * c)
-    start = 2 * min(range(4), key=lambda i: (f[2 * i + 1], f[2 * i]))
-    return ConvexQuad(tuple(f[start:] + f[:start]))
+    # the offsets' products; adding -p is subtracting p, bit for bit
+    wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
+    return _from_min_yx(
+        cx - wc + hs, cy + ws + hc, cx + wc + hs, cy - ws + hc, cx + wc - hs, cy - ws - hc, cx - wc - hs, cy + ws - hc
+    )
 
 
 def _rowwise(fn, *cols) -> np.ndarray:
@@ -321,10 +331,10 @@ def rotate_about(box: OrientedBox, px: float, py: float, dtheta: float) -> Orien
 
 
 def _as_quad(shape) -> ConvexQuad:
-    if isinstance(shape, OrientedBox):
-        return vertices_of(shape)
     if isinstance(shape, ConvexQuad):
         return shape
+    if isinstance(shape, OrientedBox):
+        return vertices_of(shape)
     raise InvalidArgumentError(f"expected OrientedBox or ConvexQuad, got {type(shape).__name__}")
 
 
@@ -334,13 +344,13 @@ def iou(a, b) -> float:
     This is the brute-force oracle every closed form in the package is
     validated against.
     """
-    fa, fb = _as_quad(a).flat, _as_quad(b).flat
-    area_a, area_b = quad_area(fa), quad_area(fb)
+    qa, qb = _as_quad(a), _as_quad(b)
+    area_a, area_b = qa.area, qb.area
     if not (math.isfinite(area_a) and math.isfinite(area_b)):
         raise UndefinedIoUError("IoU of a shape whose area overflows float64 is undefined")
     if area_a == 0.0 and area_b == 0.0:
         raise UndefinedIoUError("IoU of two zero-area shapes is undefined")
-    inter = quad_intersection_area(fa, fb)
+    inter = quad_intersection_area(qa.flat, qb.flat)
     union = area_a + area_b - inter
     if union <= 0.0:
         raise UndefinedIoUError("empty union")

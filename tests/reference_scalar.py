@@ -6,12 +6,17 @@ against bit for bit.
 - :func:`quad_intersection_area`: the clipping walk on a list of
   ``(x, y)`` tuples, with a copy of the polygon per clip edge and a
   ``% n`` area sum.
+- :func:`vertices_of`: the corners built in a loop, the start found with a
+  ``min`` over tuple keys.
+- :func:`iou`: the oracle taking both quads' areas anew on every call,
+  clipping with the reference walk.
+- :func:`select_candidate`: the argmax as a ``min`` over tuple keys.
 - :func:`four_candidates`, :func:`classify` and :func:`encode`: each step
   takes the outer HBB and the sliding ratio anew (four ``outer_hbb`` calls
   per ``encode``), and ``rs`` is clamped twice per candidate set.  The
-  candidates are built by the reference :func:`from_points`; the oracle
-  ``iou`` clips with ``geometry.quad_intersection_area``, which a test
-  patches to the reference walk.
+  candidates are built by the reference :func:`from_points` and compared by
+  the reference :func:`vertices_of` and :func:`iou`, each quad's area taken
+  12 times per ``classify``.
 - :func:`slide_gaps`, :func:`closed_forms`, :func:`candidate_sides`,
   :func:`rt_from_rs`, :func:`rs_from_rt`, :func:`acute` and
   :func:`long_edge_angle`: the float formulas with ``if`` branches, which
@@ -22,8 +27,8 @@ against bit for bit.
 import math
 
 from cobb import codec, geometry
-from cobb._kern import shoelace2
-from cobb.errors import InvalidArgumentError
+from cobb._kern import quad_area, shoelace2
+from cobb.errors import InvalidArgumentError, UndefinedIoUError
 from cobb.geometry import ConvexQuad, HorizontalBox, OrientedBox
 
 
@@ -41,6 +46,44 @@ def from_points(points) -> ConvexQuad:
     start = min(range(4), key=lambda i: (pts[i][1], pts[i][0]))
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts[start:] + pts[:start]
     return ConvexQuad((x0, y0, x1, y1, x2, y2, x3, y3))
+
+
+def vertices_of(box) -> ConvexQuad:
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    hw, hh = 0.5 * box.w_side, 0.5 * box.h_side
+    cx, cy = box.cx, box.cy
+    f = []
+    for dx, dy in ((-hw, hh), (hw, hh), (hw, -hh), (-hw, -hh)):
+        f += (cx + dx * c + dy * s, cy - dx * s + dy * c)
+    start = 2 * min(range(4), key=lambda i: (f[2 * i + 1], f[2 * i]))
+    return ConvexQuad(tuple(f[start:] + f[:start]))
+
+
+def iou(a, b) -> float:
+    fa, fb = as_quad(a).flat, as_quad(b).flat
+    area_a, area_b = quad_area(fa), quad_area(fb)
+    if not (math.isfinite(area_a) and math.isfinite(area_b)):
+        raise UndefinedIoUError("IoU of a shape whose area overflows float64 is undefined")
+    if area_a == 0.0 and area_b == 0.0:
+        raise UndefinedIoUError("IoU of two zero-area shapes is undefined")
+    inter = quad_intersection_area(fa, fb)
+    union = area_a + area_b - inter
+    if union <= 0.0:
+        raise UndefinedIoUError("empty union")
+    v = inter / union
+    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+
+
+def as_quad(shape) -> ConvexQuad:
+    if isinstance(shape, OrientedBox):
+        return vertices_of(shape)
+    if isinstance(shape, ConvexQuad):
+        return shape
+    raise InvalidArgumentError(f"expected OrientedBox or ConvexQuad, got {type(shape).__name__}")
+
+
+def select_candidate(scores) -> int:
+    return min(range(4), key=lambda i: (-scores[i], i in (0, 3), i))
 
 
 def signed_area2(pts):
@@ -104,10 +147,10 @@ def four_candidates(hbb: HorizontalBox, rs: float) -> tuple[ConvexQuad, ...]:
 def classify(box: OrientedBox) -> int:
     hbb = geometry.outer_hbb(box)
     cands = four_candidates(HorizontalBox(0.0, 0.0, hbb.w, hbb.h), codec.sliding_ratio(box))
-    q = geometry.vertices_of(OrientedBox(0.0, 0.0, box.w_side, box.h_side, box.theta))
+    q = vertices_of(OrientedBox(0.0, 0.0, box.w_side, box.h_side, box.theta))
     best, best_iou = 0, -1.0
     for i, quad in enumerate(cands):
-        v = geometry.iou(q, quad) if quad.area > 0.0 else 0.0
+        v = iou(q, quad) if quad_area(quad.flat) > 0.0 else 0.0
         if v > best_iou:
             best, best_iou = i, v
     return best

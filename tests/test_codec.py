@@ -1,6 +1,8 @@
 """Codec math against the polygon oracle and hand-derived values."""
 
 import math
+import random
+from dataclasses import astuple
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -16,8 +18,10 @@ from cobb.codec import (
     four_candidates,
     iou_matrix,
     rs_from_ra,
+    select_candidate,
     sliding_ratio,
 )
+from cobb import codec as cobb_codec, geometry
 from cobb.baselines import get_codec
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError
 from cobb.geometry import (
@@ -190,6 +194,48 @@ class TestClassify:
         moved = OrientedBox(back.cx - far.cx, back.cy - far.cy, back.w_side, back.h_side, back.theta)
         assert 1.0 - iou(at_origin, moved) <= 1e-5
 
+    def test_four_oracle_calls_and_five_areas(self, monkeypatch):
+        """A pixel-scale box: one ``iou`` per candidate, through the module
+        binding a tracer wraps, and one area per quad, taken when it is built."""
+        calls = {"iou": 0, "quad_area": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(cobb_codec, "iou", counted("iou", cobb_codec.iou))
+        monkeypatch.setattr(geometry, "quad_area", counted("quad_area", geometry.quad_area))
+        classify(OrientedBox(512.3, 300.7, 120.5, 40.25, 0.37))
+        assert calls == {"iou": 4, "quad_area": 5}
+
+    def test_boxes_too_thin_for_the_oracle_take_the_sign_index(self):
+        """Centred boxes thinner than the oracle can measure: the scalar rows
+        equal the array rows, and decoding gives the box back.  At aspects
+        below about 1e-16 the oracle picked the mirror image or raised."""
+        rng = random.Random(41)
+        boxes = []
+        for _ in range(4000):
+            long = 10.0 ** rng.uniform(-3.0, 6.0)
+            boxes.append(OrientedBox(0.0, 0.0, long, long * 10.0 ** rng.uniform(-40.0, -10.0), rng.uniform(0.0, math.pi)))
+        rows, bad = cobb_codec._encode_many(as_fields(boxes))
+        assert not bad.any()
+        for box, row in zip(boxes, rows.tolist()):
+            v = encode(box)
+            assert v.as_tuple() == tuple(row), box
+            back = decode(v)
+            assert back.w_side == pytest.approx(box.w_side, rel=1e-12)
+            assert back.h_side == pytest.approx(box.h_side, rel=1e-12)
+            assert back.theta == pytest.approx(box.theta, rel=1e-12, abs=1e-12)
+        for box in (
+            OrientedBox(0.0, 0.0, 1e20, 1e-20, 0.3),
+            OrientedBox(0.0, 0.0, 2.0885495232468405, 1.3499466815114354e-16, 0.7801982157143852),
+        ):
+            back = decode(encode(box))
+            assert (back.w_side, back.h_side, back.theta) == pytest.approx(astuple(box)[2:], rel=1e-12)
+
 
 class TestIoUMatrix:
     def test_diamond_all_ones(self):
@@ -263,6 +309,8 @@ class TestEncodeDecode:
     def test_decode_needs_four_scores(self, scores):
         with pytest.raises(InvalidArgumentError, match=f"need four scores, got {len(scores)}"):
             decode(CobbVector(0, 0, 1, 1, 0.2, scores))
+        with pytest.raises(InvalidArgumentError, match=f"need four scores, got {len(scores)}"):
+            select_candidate(scores)
 
     def test_roundtrip_seeded(self):
         worst = 1.0

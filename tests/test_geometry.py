@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -278,6 +279,27 @@ def test_convex_quad_constructor_validates():
         ConvexQuad((0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0))  # bow-tie
     with pytest.raises(InvalidArgumentError, match="8 coordinates"):
         ConvexQuad((0.0, 0.0, 1.0, 0.0, 1.0, 1.0))
+
+
+def test_convex_quad_is_an_immutable_value():
+    square = ConvexQuad((0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0))
+    for given in ([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], iter(square.flat), np.array(square.flat)):
+        q = ConvexQuad(given)
+        assert type(q.flat) is tuple and q == square and hash(q) == hash(square)
+        assert q.area == square.area == 1.0
+    with pytest.raises(AttributeError):
+        square.flat = (0.0,) * 8
+    ints = ConvexQuad([0, 0, 4, 0, 4, 2, 0, 2])
+    assert ints.flat == (0, 0, 4, 0, 4, 2, 0, 2) and all(type(v) is int for v in ints.flat)
+
+
+@pytest.mark.parametrize(
+    "flat",
+    [(0, 0, 1, 0, 1, 1, 0, "x"), (0, 0, 1, 0, 1, 1, 0, None), (0, 0, 1, 0, 1, 1, 0, 1j), (Decimal(1),) * 8, 5, None],
+)
+def test_convex_quad_rejects_non_real_coordinates(flat):
+    with pytest.raises(InvalidArgumentError, match="quad coordinates must be"):
+        ConvexQuad(flat)
 
 
 def test_convex_quad_tolerance_does_not_grow_with_the_offset():

@@ -1,9 +1,15 @@
 """The scalar encode path against its reference forms (``reference_scalar``),
-bit for bit: quad ordering, the clipping walk, the candidate set, and
-``encode`` and ``classify`` on boundary boxes."""
+bit for bit: quad ordering, box corners, the clipping walk, the oracle
+``iou``, the candidate set, the decode argmax, and ``encode`` and
+``classify`` on boundary boxes."""
 
+import itertools
 import math
 import random
+from dataclasses import astuple
+from types import SimpleNamespace
+
+import numpy as np
 
 import reference_scalar as ref
 from cobb import _kern, codec, geometry
@@ -184,14 +190,97 @@ def boundary_boxes():
     return boxes
 
 
-def test_encode_and_classify_equal_the_reference_chain(monkeypatch):
+def too_thin_for_the_oracle(box):
+    hbb = geometry.outer_hbb(box)
+    return (box.w_side / hbb.w) * (box.h_side / hbb.h) < codec._RA_MIN
+
+
+def test_encode_and_classify_equal_the_reference_chain():
+    """Every box equals the reference chain, except the boxes too thin for
+    the oracle, which equal the array form (whose sign index names the
+    candidate exactly); the reference picks a wrong candidate for some."""
     boxes = boundary_boxes()
-    got = [(outcome(codec.encode, b), outcome(codec.classify, b)) for b in boxes]
-    monkeypatch.setattr(geometry, "quad_intersection_area", ref.quad_intersection_area)
-    monkeypatch.setattr(ConvexQuad, "from_points", staticmethod(ref.from_points))
-    want = [(outcome(ref.encode, b), outcome(ref.classify, b)) for b in boxes]
-    for box, g, w in zip(boxes, got, want):
-        assert g == w, box
+    thin = [too_thin_for_the_oracle(b) for b in boxes]
+    rows, bad = codec._encode_many(geometry.oriented_many([astuple(b) for b in boxes]))
+    wrong = 0
+    for box, is_thin, row, masked in zip(boxes, thin, rows.tolist(), bad.tolist()):
+        got = (outcome(codec.encode, box), outcome(codec.classify, box))
+        want = (outcome(ref.encode, box), outcome(ref.classify, box))
+        if is_thin:
+            assert not masked and got[0] == bits(tuple(row)), box
+            wrong += got != want
+        else:
+            assert got == want, box
     # every candidate index is picked, and some boxes are rejected
-    assert {c for _, c in got if isinstance(c, int)} == {0, 1, 2, 3}
-    assert len(boxes) >= 2000
+    assert {codec.classify(b) for b, t in zip(boxes, thin) if not t} == {0, 1, 2, 3}
+    assert len(boxes) >= 2000 and 0 < sum(thin) < 200 and wrong > 0
+
+
+def offset_boxes():
+    """The boundary boxes re-centred at offsets 0, 2e4 and 1e6."""
+    return [
+        OrientedBox(cx + o, cy + o, b.w_side, b.h_side, b.theta)
+        for b in boundary_boxes()[::2]
+        for o in (0.0, 2e4, 1e6)
+        for cx, cy in ((0.0, 0.0), (0.3, -0.7))
+    ]
+
+
+def test_vertices_of_equals_the_reference():
+    # boxes below an ulp of their centre, whose corners tie in y or coincide
+    specks = [
+        OrientedBox(o + 0.3, o - 0.7, w, h, theta)
+        for o in (0.0, 2e4, 1e6)
+        for w, h in ((1e-12, 1e-12), (1e-9, 1e-12), (1e-12, 1e-9))
+        for theta in (0.0, 0.3, QUARTER_PI)
+    ]
+    assert_same(geometry.vertices_of, ref.vertices_of, [(b,) for b in offset_boxes() + specks])
+
+
+def test_vertices_of_same_errors_on_non_finite_corners():
+    """Fields past the box's checks: the start vertex decides which
+    coordinate the error names, and NaN corners tie with nothing."""
+    cases = [(OrientedBox(1.7e308, 0, 1e308, 1, 0),), (OrientedBox(0, -1.7e308, 3.0, 1e308, 0.4),)]
+    fields = dict(cx=0.5, cy=-0.25, w_side=4.0, h_side=2.0, theta=0.3)
+    for name in fields:
+        for v in (math.nan, math.inf, -math.inf):
+            cases.append((SimpleNamespace(**{**fields, name: v}),))
+    for theta in (0.0, 0.3, QUARTER_PI, 1.2):
+        # inf - inf: some corners NaN, some infinite
+        cases.append((SimpleNamespace(cx=0.0, cy=0.0, w_side=math.inf, h_side=math.inf, theta=theta),))
+        cases.append((SimpleNamespace(cx=math.inf, cy=-math.inf, w_side=1.0, h_side=math.inf, theta=theta),))
+    assert_same(geometry.vertices_of, ref.vertices_of, cases)
+    assert {type(outcome(geometry.vertices_of, *c)[0]) for c in cases} == {type}
+
+
+def test_iou_equals_the_reference():
+    rng = random.Random(17)
+    boxes = offset_boxes()
+    cases = []
+    for box in boxes[::4]:
+        hbb = geometry.outer_hbb(box)
+        q = geometry.vertices_of(box)
+        for cand in codec.four_candidates(hbb, codec.sliding_ratio(box)):
+            cases += [(q, cand), (cand, q), (box, cand)]
+        cases.append((box, OrientedBox(box.cx + 0.25 * box.w_side, box.cy, box.h_side, box.w_side, box.theta)))
+    for offset in (0.0, 2e4, 1e6):
+        for _ in range(100):
+            a, b = (ConvexQuad(random_quad(rng, offset, rng.random() < 0.5)) for _ in range(2))
+            cases.append((a, b))
+    # zero areas, areas that overflow, and shapes iou does not take
+    point = ConvexQuad((1.0, 1.0) * 4)
+    line = ConvexQuad((0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0))
+    huge = ConvexQuad((0.0, 0.0, 1e200, 0.0, 1e200, 1e200, 0.0, 1e200))
+    square = ConvexQuad(UNIT)
+    cases += [(point, point), (line, point), (point, square), (huge, square), (square, huge), (square, UNIT)]
+    assert_same(geometry.iou, ref.iou, cases)
+    assert {type(outcome(geometry.iou, *c)) for c in cases} == {str, tuple}
+
+
+def test_select_candidate_equals_the_reference():
+    values = (0.0, 0.25, 1.0 - 2.0**-53, 1.0)
+    cases = [(scores,) for scores in itertools.product(values, repeat=4)]
+    cases += [(list(scores),) for (scores,) in cases[::7]] + [(np.array(scores),) for (scores,) in cases[::9]]
+    cases += [((-0.0, 0.0, -0.0, 0.0),), ((0.0, -0.0, 0.0, -0.0),), ((math.inf, 1.0, -math.inf, math.inf),)]
+    assert len(cases) > 256
+    assert_same(codec.select_candidate, ref.select_candidate, cases)
