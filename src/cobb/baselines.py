@@ -94,18 +94,17 @@ class BoxCodec:
 
     def loss_many(self, a, b) -> np.ndarray:
         """``(N,)``: the loss of each pair of rows of two ``(N, dim)``
-        arrays; by default smooth-L1 summed over the components.
+        arrays: smooth-L1 of each component, added by ``_add_terms``.
 
-        The components are added column by column, left to right, as a
-        scalar ``sum`` adds them; ``np.sum`` adds in pairs and can differ in
-        the last bit.
+        By default the components are added column by column, left to right,
+        by Python's ``sum``; ``np.sum`` adds in pairs and can differ in the
+        last bit.
         """
         a, b = _row_pairs(a, b, self.dim)
-        terms = targets._smooth_l1_many(a - b)
-        total = np.zeros(len(terms))
-        for column in terms.T:
-            total = total + column
-        return total
+        with np.errstate(over="ignore"):  # the branch a large difference does not take
+            return self._add_terms(targets._smooth_l1(a - b, _Arrays).T)
+
+    _add_terms = staticmethod(sum)
 
     def curve_components(self, fields: np.ndarray) -> np.ndarray:
         """``(N, len(names))`` components plotted by the sweep CSVs, one row
@@ -155,8 +154,7 @@ class CobbCodec(BoxCodec):
         out, bad = targets._decode_targets_many(rows, self.proposal, self.variant)
         return _scalar_rows(out, bad, lambda r: astuple(self.decode(r)), rows)
 
-    def loss_many(self, a, b) -> np.ndarray:
-        return targets._cobb_loss_many(*_row_pairs(a, b, self.dim))
+    _add_terms = staticmethod(targets._loss)  # as cobb_loss adds them
 
     def curve_components(self, fields: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):

@@ -56,6 +56,10 @@ class CobbVector:
     rs: float
     scores: tuple[float, float, float, float]
 
+    def __post_init__(self):
+        if type(self.scores) is not tuple:  # a list would break as_tuple() and hash()
+            object.__setattr__(self, "scores", tuple(self.scores))
+
     def as_tuple(self) -> tuple[float, ...]:
         return (self.xc, self.yc, self.w, self.h, self.rs) + self.scores
 
@@ -93,17 +97,10 @@ def _ratio(w_side, h_side, c, s, w, h, xp=_Floats):
     return xp.clamp(xp.where(b < a, b, a) / extent, 0.0, 0.5)
 
 
-def slide_gaps(w: float, h: float, rs: float) -> tuple[float, float]:
-    """Gaps (w/2 - x_s, h/2 - y_s) of the sliding vertices from the HBB corners.
-
-    Computed without cancellation, so a needle candidate's short side keeps
-    its relative precision as rs goes to 0.
-    """
-    return _slide_gaps(w, h, _clamp_rs(rs))
-
-
 def _slide_gaps(w, h, rs, xp=_Floats):
-    """:func:`slide_gaps` for ``rs`` already clamped into [0, 0.5]."""
+    """Gaps (w/2 - x_s, h/2 - y_s) of the sliding vertices from the HBB
+    corners, for ``rs`` already clamped into [0, 0.5]; without cancellation,
+    so a needle candidate's short side keeps its precision as rs goes to 0."""
     wide = w >= h
     big, small = xp.where(wide, (w, h), (h, w))
     k = 4.0 * xp.pow(small / big, 2.0) * rs * (1.0 - rs)
@@ -205,6 +202,16 @@ def _closed_forms(w, h, rs, xp=_Floats):
     return iou01, iou02, iou03, iou12
 
 
+def _pairwise(w, h, rs, xp=_Floats):
+    """The closed forms (0-1, 0-2, 0-3, 1-2) of any HBB: on the transposed
+    one where it is taller than wide, with the 0-1 and 0-2 entries swapped
+    back; not clamped into [0, 1]."""
+    wide = w >= h
+    m01, m02, m03, m12 = _closed_forms(*xp.where(wide, (w, h), (h, w)), rs, xp)
+    m01, m02 = xp.where(wide, (m01, m02), (m02, m01))
+    return m01, m02, m03, m12
+
+
 def iou_matrix(w: float, h: float, rs: float):
     """4x4 matrix of pairwise candidate IoUs.
 
@@ -222,14 +229,11 @@ def iou_matrix(w: float, h: float, rs: float):
     rs = _clamp_rs(rs)
     if not (_SQUARE_MIN <= w * w <= _SQUARE_MAX and _SQUARE_MIN <= h * h <= _SQUARE_MAX):
         raise DegenerateGeometryError(f"HBB extents {w!r} x {h!r} out of range for the candidate IoUs")
-    if w >= h:
-        m01, m02, m03, m12 = _closed_forms(w, h, rs)
-    else:
-        m02, m01, m03, m12 = _closed_forms(h, w, rs)
-    if not all(map(math.isfinite, (m01, m02, m03, m12))):
+    m01, m02, m03, m12 = m = _pairwise(w, h, rs)
+    if not all(map(math.isfinite, m)):
         raise DegenerateGeometryError(f"candidate IoUs of a {w!r} x {h!r} HBB at rs={rs!r} are not finite")
-    clamp = lambda v: 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
-    m01, m02, m03, m12 = clamp(m01), clamp(m02), clamp(m03), clamp(m12)
+    clamp = _Floats.clamp
+    m01, m02, m03, m12 = clamp(m01, 0.0, 1.0), clamp(m02, 0.0, 1.0), clamp(m03, 0.0, 1.0), clamp(m12, 0.0, 1.0)
     return [
         [1.0, m01, m02, m03],
         [m01, 1.0, m12, m02],
@@ -272,7 +276,7 @@ def select_candidate(scores) -> int:
 def candidate_box(hbb: HorizontalBox, rs: float, i: int) -> OrientedBox:
     """Candidate ``i`` of ``(hbb, rs)`` as a rectangle, in closed form.
 
-    The edge vectors come from the HBB extents and :func:`slide_gaps`, so the
+    The edge vectors come from the HBB extents and :func:`_slide_gaps`, so the
     sides and the angle do not depend on where the HBB sits and a needle's
     short side keeps its relative precision; the angle is read from the
     longer edge, which stays well defined as a candidate thins towards a
@@ -390,12 +394,9 @@ def _encode_many(p):
     bad = ~((_SQUARE_MIN <= ww) & (ww <= _SQUARE_MAX) & (_SQUARE_MIN <= hh) & (hh <= _SQUARE_MAX))
     rs = _ratio(w_side, h_side, c, s, w, h, _Arrays)
     # iou_matrix(w, h, rs)[classify(box)]
-    wide = w >= h
-    m01, m02, m03, m12 = _closed_forms(*_Arrays.where(wide, (w, h), (h, w)), rs, _Arrays)
-    m01, m02 = _Arrays.where(wide, (m01, m02), (m02, m01))
-    m = np.stack([np.ones_like(w), m01, m02, m03, m12], axis=1)
+    m = np.stack([np.ones_like(w), *_pairwise(w, h, rs, _Arrays)], axis=1)
     bad |= ~np.isfinite(m).all(axis=1)  # where iou_matrix raises
-    m = np.where((m < 0.0) | bad[:, None], 0.0, np.where(m > 1.0, 1.0, m))  # a masked row has no tie to classify
+    m = np.where(bad[:, None], 0.0, _Arrays.clamp(m, 0.0, 1.0))  # a masked row has no tie to classify
     index = _classify_many(p, c, s, m)
     scores = np.take_along_axis(m, _MATRIX_ENTRIES[index], axis=1)
     return np.column_stack([cx, cy, w, h, rs, scores]), bad

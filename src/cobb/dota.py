@@ -38,7 +38,8 @@ def parse_dota_line(line: str, line_no: int) -> DotaRecord:
     """Parse one annotation line; malformed input raises :class:`DotaParseError`.
 
     Bytes that are not UTF-8, which :func:`read_dota_file` passes on as lone
-    surrogates, make a line malformed.
+    surrogates, make a line malformed, and so does a number (a coordinate or
+    the difficulty) with an underscore or a character outside ASCII.
     """
     try:
         line.encode("utf-8")
@@ -47,6 +48,10 @@ def parse_dota_line(line: str, line_no: int) -> DotaRecord:
     tokens = line.split()
     if len(tokens) != 10:
         raise DotaParseError(f"expected 10 tokens, got {len(tokens)}", line_no)
+    numbers = "".join(tokens[:8]) + tokens[9]
+    if "_" in numbers or not numbers.isascii():  # float() and int() take 1_0 and fullwidth digits
+        tok = next(t for t in tokens[:8] + tokens[9:] if "_" in t or not t.isascii())
+        raise DotaParseError(f"number with an underscore or a non-ASCII character {tok!r}", line_no)
     coords = []
     for tok in tokens[:8]:
         try:

@@ -218,6 +218,8 @@ _Floats = SimpleNamespace(
     sqrt=math.sqrt,
     hypot=math.hypot,
     atan2=math.atan2,
+    exp=math.exp,
+    log=math.log,
     log2=math.log2,
     pow=operator.pow,
 )
@@ -227,6 +229,8 @@ _Arrays = SimpleNamespace(
     sqrt=np.sqrt,
     hypot=partial(_rowwise, math.hypot),
     atan2=partial(_rowwise, math.atan2),
+    exp=partial(_rowwise, math.exp),
+    log=partial(_rowwise, math.log),
     log2=partial(_rowwise, math.log2),
     pow=lambda x, y: _rowwise(operator.pow, *np.broadcast_arrays(x, y)),  # one of the two may be a float
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from cobb import codec
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError
-from cobb.geometry import HorizontalBox, OrientedBox, _Arrays, _Floats, _rowwise, iou, rotate_about
+from cobb.geometry import HorizontalBox, OrientedBox, _Arrays, _Floats, iou, rotate_about
 
 DEFAULT_LAMBDA = {"sig": 2.0, "ln": 1.0}
 
@@ -61,6 +61,10 @@ class TargetVector:
     variant: str
     lam: float
 
+    def __post_init__(self):
+        if type(self.st) is not tuple:  # a list would break as_tuple() and hash()
+            object.__setattr__(self, "st", tuple(self.st))
+
     def as_tuple(self) -> tuple[float, ...]:
         return (self.tx, self.ty, self.tw, self.th, self.rt) + self.st
 
@@ -90,6 +94,20 @@ def _rs_from_rt(rt, variant: str, xp=_Floats):
     raise InvalidArgumentError(f"unknown variant {variant!r}")
 
 
+def _target(xc, yc, w, h, rs, ra, scores, p: Proposal, variant: str, xp=_Floats):
+    """The target of the HBB ``(xc, yc, w, h)``, sliding ratio ``rs``, area
+    ratio ``ra`` and four ``scores`` against proposal ``p``: ``tx, ty, tw,
+    th, rt`` and the tuple of powered scores."""
+    lam = DEFAULT_LAMBDA[variant]
+    tw, th, rt = xp.log(w / p.wp), xp.log(h / p.hp), _rt_from_rs(rs, ra, variant, xp)
+    return (xc - p.xp) / p.wp, (yc - p.yp) / p.hp, tw, th, rt, tuple(xp.pow(s, lam) for s in scores)
+
+
+def _hbb_of(tx, ty, tw, th, rt, p: Proposal, variant: str, xp=_Floats):
+    """Invert :func:`_target` up to the scores: ``(xc, yc, w, h, rs)``."""
+    return tx * p.wp + p.xp, ty * p.hp + p.yp, p.wp * xp.exp(tw), p.hp * xp.exp(th), _rs_from_rt(rt, variant, xp)
+
+
 def encode_target(gt: OrientedBox, proposal: Proposal, variant: str) -> TargetVector:
     """Regression target of a ground-truth box relative to a proposal."""
     lam = DEFAULT_LAMBDA.get(variant)
@@ -97,21 +115,12 @@ def encode_target(gt: OrientedBox, proposal: Proposal, variant: str) -> TargetVe
         raise InvalidArgumentError(f"unknown variant {variant!r}")
     if proposal.theta_p != 0.0:
         gt = rotate_about(gt, proposal.xp, proposal.yp, -proposal.theta_p)
-    vec = codec.encode(gt)
-    rw, rh = vec.w / proposal.wp, vec.h / proposal.hp
+    v = codec.encode(gt)
+    rw, rh = v.w / proposal.wp, v.h / proposal.hp
     if not (0.0 < rw < math.inf and 0.0 < rh < math.inf):
         raise DegenerateGeometryError(f"degenerate ground-truth HBB: extent ratios {rw!r}, {rh!r} to the proposal")
-    ra = gt.area / (vec.w * vec.h)
-    return TargetVector(
-        tx=(vec.xc - proposal.xp) / proposal.wp,
-        ty=(vec.yc - proposal.yp) / proposal.hp,
-        tw=math.log(rw),
-        th=math.log(rh),
-        rt=_rt_from_rs(vec.rs, ra, variant),
-        st=tuple(s**lam for s in vec.scores),
-        variant=variant,
-        lam=lam,
-    )
+    ra = gt.area / (v.w * v.h)
+    return TargetVector(*_target(v.xc, v.yc, v.w, v.h, v.rs, ra, v.scores, proposal, variant), variant, lam)
 
 
 def decode_target(t: TargetVector, proposal: Proposal) -> OrientedBox:
@@ -122,66 +131,56 @@ def decode_target(t: TargetVector, proposal: Proposal) -> OrientedBox:
     target only carries the sliding ratio (its sign picks the inversion branch
     for the log variant).
     """
-    for v in (t.tx, t.ty, t.tw, t.th, t.rt, *t.st):
+    for v in t.as_tuple():
         if not math.isfinite(v):
             raise InvalidArgumentError(f"non-finite target component {v!r}")
-    p = proposal
     try:
-        w, h = p.wp * math.exp(t.tw), p.hp * math.exp(t.th)
+        hbb = _hbb_of(t.tx, t.ty, t.tw, t.th, t.rt, proposal, t.variant)
     except OverflowError:
         raise DegenerateGeometryError(f"extent targets {t.tw!r}, {t.th!r} overflow") from None
-    box = codec.decode(codec.CobbVector(t.tx * p.wp + p.xp, t.ty * p.hp + p.yp, w, h, _rs_from_rt(t.rt, t.variant), t.st))
-    if p.theta_p != 0.0:
-        box = rotate_about(box, p.xp, p.yp, p.theta_p)
+    box = codec.decode(codec.CobbVector(*hbb, t.st))
+    if proposal.theta_p != 0.0:
+        box = rotate_about(box, proposal.xp, proposal.yp, proposal.theta_p)
     return box
 
 
-def _encode_targets_many(boxes, proposal: Proposal, variant: str):
+def _encode_targets_many(boxes, p: Proposal, variant: str):
     """Row-wise ``encode_target(box, proposal, variant).as_tuple()`` of
     ``(N, 5)`` constructed-box fields, and the mask (see the array forms in
     :mod:`cobb.codec`); an oriented proposal masks every row."""
     v, bad = codec._encode_many(boxes)
     xc, yc, w, h, rs = v[:, :5].T
-    p, lam = proposal, DEFAULT_LAMBDA[variant]
     rw, rh = w / p.wp, h / p.hp
     # division by zero, or an extent ratio encode_target rejects
     bad |= (p.theta_p != 0.0) | ~((w * h != 0.0) & (0.0 < rw) & (rw < math.inf) & (0.0 < rh) & (rh < math.inf))
-    rw, rh = np.where(bad, 1.0, rw), np.where(bad, 1.0, rh)  # math.log raises outside its domain
-    return np.column_stack([
-        (xc - p.xp) / p.wp,
-        (yc - p.yp) / p.hp,
-        _rowwise(math.log, rw),
-        _rowwise(math.log, rh),
-        _rt_from_rs(rs, boxes[:, 2] * boxes[:, 3] / (w * h), variant, _Arrays),
-        _rowwise(lambda s: s**lam, v[:, 5:].ravel()).reshape(-1, 4),
-    ]), bad
+    ra = boxes[:, 2] * boxes[:, 3] / (w * h)
+    w, h = np.where(bad, p.wp, w), np.where(bad, p.hp, h)  # math.log raises outside its domain
+    tx, ty, tw, th, rt, st = _target(xc, yc, w, h, rs, ra, v[:, 5:].T, p, variant, _Arrays)
+    return np.column_stack([tx, ty, tw, th, rt, *st]), bad
 
 
-def _decode_targets_many(rows, proposal: Proposal, variant: str):
+def _decode_targets_many(rows, p: Proposal, variant: str):
     """Row-wise ``decode_target(TargetVector(*row), proposal)`` of ``(N, 9)``
     target rows as ``(N, 5)`` constructed-box fields, and the mask; an
     oriented proposal masks every row."""
     tx, ty, tw, th, rt = rows[:, :5].T
     # a non-finite component, or an extent target that math.exp overflows on
-    bad = (proposal.theta_p != 0.0) | ~(np.isfinite(rows).all(axis=1) & (tw <= _EXP_MAX) & (th <= _EXP_MAX))
+    bad = (p.theta_p != 0.0) | ~(np.isfinite(rows).all(axis=1) & (tw <= _EXP_MAX) & (th <= _EXP_MAX))
     tw, th = np.where(bad, 0.0, tw), np.where(bad, 0.0, th)  # so that math.exp raises on no masked row
-    p, rs = proposal, _rs_from_rt(rt, variant, _Arrays)
-    out, rejected = codec._decode_many(
-        tx * p.wp + p.xp, ty * p.hp + p.yp, p.wp * _rowwise(math.exp, tw), p.hp * _rowwise(math.exp, th), rs, rows[:, 5:]
-    )
+    out, rejected = codec._decode_many(*_hbb_of(tx, ty, tw, th, rt, p, variant, _Arrays), rows[:, 5:])
     return out, bad | rejected
 
 
-def smooth_l1(diff: float) -> float:
-    d = abs(diff)
-    return 0.5 * d * d if d < 1.0 else d - 0.5
+def _smooth_l1(d, xp=_Floats):
+    """Smooth-L1 of a difference ``d``, with its knee at 1."""
+    d = abs(d)
+    return xp.where(d < 1.0, 0.5 * d * d, d - 0.5)
 
 
-def _smooth_l1_many(diff) -> np.ndarray:
-    """:func:`smooth_l1` of each element of ``diff``."""
-    d = np.abs(diff)
-    with np.errstate(over="ignore"):  # the branch a large d does not take
-        return np.where(d < 1.0, 0.5 * d * d, d - 0.5)
+def _loss(terms):
+    """The nine smooth-L1 ``terms`` of a target, added as ``(box + ratio) + score``."""
+    t0, t1, t2, t3, t4, t5, t6, t7, t8 = terms
+    return t0 + t1 + t2 + t3 + t4 + (t5 + t6 + t7 + t8)
 
 
 def cobb_loss(pred: TargetVector, target: TargetVector) -> float:
@@ -191,24 +190,7 @@ def cobb_loss(pred: TargetVector, target: TargetVector) -> float:
         raise InvalidArgumentError("pred/target variant or lambda mismatch")
     if len(pred.st) != 4 or len(target.st) != 4:
         raise InvalidArgumentError(f"need four scores, got {len(pred.st)} and {len(target.st)}")
-    box_term = (
-        smooth_l1(pred.tx - target.tx)
-        + smooth_l1(pred.ty - target.ty)
-        + smooth_l1(pred.tw - target.tw)
-        + smooth_l1(pred.th - target.th)
-    )
-    r_term = smooth_l1(pred.rt - target.rt)
-    s_term = sum(smooth_l1(p - q) for p, q in zip(pred.st, target.st))
-    return box_term + r_term + s_term
-
-
-def _cobb_loss_many(pred, target) -> np.ndarray:
-    """:func:`cobb_loss` of each pair of ``(N, 9)`` target rows, bit for bit:
-    the terms are added in the scalar order, column by column."""
-    t = _smooth_l1_many(pred - target)
-    box_term = t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
-    s_term = t[:, 5] + t[:, 6] + t[:, 7] + t[:, 8]
-    return box_term + t[:, 4] + s_term
+    return _loss([_smooth_l1(a - b) for a, b in zip(pred.as_tuple(), target.as_tuple())])
 
 
 # ---------------------------------------------------------------------------

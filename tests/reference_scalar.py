@@ -17,8 +17,10 @@ against bit for bit.
   candidates are built by the reference :func:`from_points` and compared by
   the reference :func:`vertices_of` and :func:`iou`, each quad's area taken
   12 times per ``classify``.
-- :func:`slide_gaps`, :func:`closed_forms`, :func:`candidate_sides`,
-  :func:`rt_from_rs`, :func:`rs_from_rt`, :func:`acute` and
+- :func:`slide_gaps`, :func:`closed_forms`, :func:`pairwise`,
+  :func:`candidate_sides`, :func:`rt_from_rs`, :func:`rs_from_rt`,
+  :func:`target`, :func:`hbb_of`, :func:`smooth_l1`, :func:`cobb_loss`,
+  :func:`acute` and
   :func:`long_edge_angle`: the float formulas with ``if`` branches, which
   the shared formulas of :mod:`cobb.codec`, :mod:`cobb.targets` and
   :mod:`cobb.baselines` equal bit for bit, as floats and as arrays.
@@ -26,7 +28,7 @@ against bit for bit.
 
 import math
 
-from cobb import codec, geometry
+from cobb import codec, geometry, targets
 from cobb._kern import quad_area, shoelace2
 from cobb.errors import InvalidArgumentError, UndefinedIoUError
 from cobb.geometry import ConvexQuad, HorizontalBox, OrientedBox
@@ -132,7 +134,7 @@ def four_candidates(hbb: HorizontalBox, rs: float) -> tuple[ConvexQuad, ...]:
         raise InvalidArgumentError("HBB extents must be positive")
     rs = codec._clamp_rs(rs)
     xc, yc, w, h = hbb.xc, hbb.yc, hbb.w, hbb.h
-    gx, gy = codec.slide_gaps(w, h, rs)
+    gx, gy = slide_gaps(w, h, rs)
     xs, ys = 0.5 * w - gx, 0.5 * h - gy
     top, bot = yc - 0.5 * h, yc + 0.5 * h
     lef, rig = xc - 0.5 * w, xc + 0.5 * w
@@ -200,6 +202,13 @@ def closed_forms(w, h, rs):
     return iou01, iou02, iou03, iou12
 
 
+def pairwise(w, h, rs):
+    if w >= h:
+        return closed_forms(w, h, rs)
+    m02, m01, m03, m12 = closed_forms(h, w, rs)
+    return m01, m02, m03, m12
+
+
 def candidate_sides(w, h, rs, i):
     """``(la, lb, theta)`` of candidate ``i`` for ``rs`` in [0, 0.5]."""
     gx, gy = slide_gaps(w, h, rs)
@@ -228,6 +237,41 @@ def rs_from_rt(rt, variant):
     if rt <= 0.0:
         return min(2.0 ** (rt - 1.0), 0.5)
     return 1.0 - 2.0 ** (rt - 1.0)
+
+
+def target(xc, yc, w, h, rs, ra, scores, p, variant):
+    lam = targets.DEFAULT_LAMBDA[variant]
+    rw, rh = w / p.wp, h / p.hp
+    return (
+        (xc - p.xp) / p.wp,
+        (yc - p.yp) / p.hp,
+        math.log(rw),
+        math.log(rh),
+        rt_from_rs(rs, ra, variant),
+        tuple(s**lam for s in scores),
+    )
+
+
+def hbb_of(tx, ty, tw, th, rt, p, variant):
+    w, h = p.wp * math.exp(tw), p.hp * math.exp(th)
+    return tx * p.wp + p.xp, ty * p.hp + p.yp, w, h, rs_from_rt(rt, variant)
+
+
+def smooth_l1(diff):
+    d = abs(diff)
+    return 0.5 * d * d if d < 1.0 else d - 0.5
+
+
+def cobb_loss(pred, target):
+    box_term = (
+        smooth_l1(pred.tx - target.tx)
+        + smooth_l1(pred.ty - target.ty)
+        + smooth_l1(pred.tw - target.tw)
+        + smooth_l1(pred.th - target.th)
+    )
+    r_term = smooth_l1(pred.rt - target.rt)
+    s_term = sum(smooth_l1(p - q) for p, q in zip(pred.st, target.st))
+    return box_term + r_term + s_term
 
 
 def acute(w, h, t):

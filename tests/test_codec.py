@@ -280,6 +280,15 @@ class TestIoUMatrix:
             iou_matrix(1.0, 1.0, -0.2)
 
 
+def test_scores_given_as_a_list_are_stored_as_a_tuple():
+    v = CobbVector(1.0, 2.0, 4.0, 2.0, 0.25, [0.1, 0.9, 0.2, 0.0])
+    u = CobbVector(1.0, 2.0, 4.0, 2.0, 0.25, (0.1, 0.9, 0.2, 0.0))
+    assert v.scores == (0.1, 0.9, 0.2, 0.0) and type(v.scores) is tuple
+    assert v.as_tuple() == (1.0, 2.0, 4.0, 2.0, 0.25, 0.1, 0.9, 0.2, 0.0)
+    assert v == u and hash(v) == hash(u)
+    assert decode(v) == decode(u)
+
+
 class TestEncodeDecode:
     def test_axis_aligned(self):
         v = encode(OrientedBox(0, 0, 4, 2, 0))

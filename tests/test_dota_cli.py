@@ -52,6 +52,23 @@ class TestParse:
         with pytest.raises(DotaParseError, match="difficulty"):
             parse_dota_line("0 0 4 0 4 2 0 2 plane easy", 1)
 
+    @pytest.mark.parametrize("line", [
+        "1_0 0 4 0 4 4 0 4 plane 0",
+        "\uff11\uff10 0 4 0 4 4 0 4 plane 0",  # fullwidth 10
+        "0 0 4 0 4 4 0 \u0664 plane 0",  # Arabic-Indic 4
+        "0 0 4 0 4 4 0 4 plane 1_0",
+        "0 0 4 0 4 4 0 4 plane \uff11",
+        "0 0 4 0 4 4 0 4e1_0 plane 0",
+    ])
+    def test_number_not_plain_ascii(self, line):
+        # float() and int() read each of these numbers (x0 of the first as 10.0)
+        with pytest.raises(DotaParseError, match="line 3: number with an underscore or a non-ASCII character"):
+            parse_dota_line(line, 3)
+
+    def test_category_may_be_any_text(self):
+        rec = parse_dota_line("0 0 4 0 4 2 0 2 pl_ane\u00e9 1", 1)
+        assert rec.category == "pl_ane\u00e9" and rec.difficulty == 1
+
     def test_metadata_detection(self):
         assert is_metadata_line("imagesource:GoogleEarth")
         assert is_metadata_line("gsd:0.146")

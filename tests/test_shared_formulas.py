@@ -3,18 +3,27 @@ same bits on edge rows, and so do the reference float copies.
 
 Values are compared as ``float.hex`` strings, so that -0.0 and NaN count.
 Every float call must run without raising: a float ``where`` evaluates both
-of its branches.
+of its branches.  Every function of the package that takes ``xp`` is
+checked here, and :func:`test_every_shared_formula_is_checked` fails for one
+that is not.
 """
 
+import ast
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cobb
 import reference_scalar as ref
 from cobb import baselines, codec, targets
-from cobb.geometry import _Arrays
+from cobb.geometry import _Arrays, _Floats
 
 QUARTER_PI, HALF_PI = 0.25 * math.pi, 0.5 * math.pi
 HALF_BELOW = math.nextafter(0.5, 0.0)
@@ -42,18 +51,26 @@ RA = [0.0, 0.1, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 0.9, 1.
 
 
 def columns(rows):
-    return [np.array(c) for c in zip(*rows)]
+    """One array per argument; a tuple argument (the scores) as a tuple of
+    arrays, one per element."""
+    return [tuple(map(np.array, zip(*c))) if isinstance(c[0], tuple) else np.array(c) for c in zip(*rows)]
+
+
+def flat(out):
+    """The outputs of one call, a tuple among them (the scores) spread out."""
+    return [v for o in (out if isinstance(out, tuple) else (out,)) for v in (o if isinstance(o, tuple) else (o,))]
 
 
 def hexes(out):
-    return tuple(float(v).hex() for v in (out if isinstance(out, tuple) else (out,)))
+    return tuple(float(v).hex() for v in flat(out))
 
 
 def check(shared, rows, reference=None, **kw):
     """``shared`` of each row as floats equals ``shared`` of all rows as one
     array, and ``reference`` of each row, bit for bit."""
     floats = [hexes(shared(*row, **kw)) for row in rows]
-    arrays = np.array(shared(*columns(rows), xp=_Arrays, **kw), ndmin=2)  # one row per output
+    out = flat(shared(*columns(rows), xp=_Arrays, **kw))
+    arrays = [np.broadcast_to(a, len(rows)) for o in out for a in np.array(o, ndmin=2)]  # one per output
     assert floats == [tuple(float(a[k]).hex() for a in arrays) for k in range(len(rows))]
     if reference is not None:
         assert floats == [hexes(reference(*row, **kw)) for row in rows]
@@ -106,3 +123,107 @@ def test_acute_swap():
 
 def test_long_edge_angle():
     check(baselines._long_edge_angle, [(w, h, t) for w, h in SHAPES for t in ANGLES], ref.long_edge_angle)
+
+
+def test_pairwise():
+    check(codec._pairwise, [(w, h, rs) for w, h, rs, _ in GRID[::4]], ref.pairwise)
+
+
+# differences: the knee at 1 and 1 ulp either side, signed zeros, NaN, and
+# the sizes from which 0.5*d*d overflows (the branch such a d does not take)
+DIFFS = [0.0, -0.0, 5e-324, 0.5, -0.5, math.inf, -math.inf, math.nan, 1.8e154, 2e154, 1e155, -1e155, 1e300,
+         sys.float_info.max, -sys.float_info.max] + [
+    sign * v for sign in (1.0, -1.0) for v in (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0))
+] + _rng.uniform(-3.0, 3.0, 20).tolist()
+
+
+def test_smooth_l1():
+    assert 0.5 * 1e155 * 1e155 == math.inf
+    with np.errstate(over="ignore"):  # as the array callers take it
+        check(targets._smooth_l1, [(d,) for d in DIFFS], ref.smooth_l1)
+
+
+# targets whose components run through DIFFS
+LOSS_TARGETS = [
+    targets.TargetVector(*DIFFS[k:k + 5], DIFFS[k + 5:k + 9], "sig", 2.0) for k in range(0, len(DIFFS) - 8, 2)
+]
+
+
+def test_loss_adds_box_and_ratio_then_scores():
+    terms = [1.0] + [2.0**-53] * 8
+    assert sum(terms) == 1.0  # left to right, each 2^-53 rounds away
+    assert targets._loss(terms) == 1.0 + 2.0**-51  # the four score terms add up first
+    for pred, target in itertools.permutations(LOSS_TARGETS, 2):
+        assert float(targets.cobb_loss(pred, target)).hex() == float(ref.cobb_loss(pred, target)).hex()
+
+
+PROPOSALS = [targets.Proposal.horizontal(0.0, 0.0, 1.0, 1.0), targets.Proposal(3.5, -2.25, 7.0, 0.3, 0.0),
+             targets.Proposal(1e4 + 0.3, 2e4, 300.0, 120.0, 0.4)]
+SCORES = [(0.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0), (0.25, 1.0 - 2.0**-53, 0.5, -0.0),
+          (math.nan, 0.3, 0.7, 5e-324)] + [tuple(_rng.uniform(0.0, 1.0, 4).tolist()) for _ in range(4)]
+CENTRES = [(0.0, -0.0), (3.5, -2.25), (-1e4, 1e6 + 0.3), (math.nan, math.inf)]
+# (xc, yc, w, h, rs, ra, scores): every ratio against every area ratio (the
+# ln branch edges), the shapes, centres and scores in turn, and extents 600
+# orders of magnitude apart and infinite
+TARGET_ROWS = [
+    (*CENTRES[k % len(CENTRES)], *SHAPES[k % len(SHAPES)], rs, ra, SCORES[k % len(SCORES)])
+    for k, (rs, ra) in enumerate(itertools.product(RS + [math.nan], RA))
+] + [(0.0, 0.0, 1e-300, 1e300, 0.25, 0.5, SCORES[0]), (1.0, 1.0, math.inf, 2.0, 0.5, 1.0, SCORES[1])]
+
+
+@pytest.mark.parametrize("variant", ["sig", "ln"])
+@pytest.mark.parametrize("p", PROPOSALS)
+def test_target(p, variant):
+    check(targets._target, TARGET_ROWS, ref.target, p=p, variant=variant)
+
+
+# extent targets: 0, -0.0, the largest math.exp takes, exp to a subnormal
+# and to 0, and non-finite ones
+EXTENTS = [0.0, -0.0, 1.0, -2.5, targets._EXP_MAX, -745.0, -746.0, -1e300, -math.inf, math.inf, math.nan]
+HBB_ROWS = [
+    (*CENTRES[k % len(CENTRES)], EXTENTS[k % len(EXTENTS)], EXTENTS[(3 * k + 1) % len(EXTENTS)], rt)
+    for k, rt in enumerate(RT * 2)
+]
+
+
+@pytest.mark.parametrize("variant", ["sig", "ln"])
+@pytest.mark.parametrize("p", PROPOSALS)
+def test_hbb_of(p, variant):
+    with np.errstate(over="ignore"):  # an extent that overflows, as decode_many takes it
+        check(targets._hbb_of, HBB_ROWS, ref.hbb_of, p=p, variant=variant)
+
+
+def shared_formulas():
+    """Every function of the package whose ``xp`` parameter defaults to
+    ``_Floats``, by qualified name: module-level functions and methods of
+    classes.  (A proposal's ``xp`` is its x coordinate.)"""
+    found = {}
+    for info in pkgutil.iter_modules(cobb.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"cobb.{info.name}")
+        for obj in vars(module).values():
+            for f in [obj, *vars(obj).values()] if inspect.isclass(obj) else [obj]:
+                f = getattr(f, "__func__", f)  # static and class methods
+                if inspect.isfunction(f) and f.__module__ == module.__name__ and _takes_xp(f):
+                    found[f"{module.__name__}.{f.__qualname__}"] = f
+    return found
+
+
+def _takes_xp(f):
+    xp = inspect.signature(f).parameters.get("xp")
+    return xp is not None and xp.default is _Floats
+
+
+def checked_formulas():
+    """The functions this file passes to :func:`check`."""
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "check"]
+    return {eval(ast.unparse(c.args[0]), globals()) for c in calls if c.args}
+
+
+def test_every_shared_formula_is_checked():
+    found = shared_formulas()
+    assert {"cobb.codec._pairwise", "cobb.targets._target", "cobb.targets._smooth_l1"} <= set(found)
+    checked = checked_formulas()
+    assert sorted(name for name, f in found.items() if f not in checked) == []

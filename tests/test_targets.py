@@ -18,9 +18,9 @@ from cobb.targets import (
     decode_target,
     encode_target,
     sensitivity_probe,
-    smooth_l1,
     _encode_targets_many,
     _rs_from_rt,
+    _smooth_l1,
 )
 from test_codec import seeded_boxes
 
@@ -221,6 +221,16 @@ class TestEquivariance:
             assert np.allclose(base.as_tuple(), t2.as_tuple(), atol=1e-9)
 
 
+def test_scores_given_as_a_list_are_stored_as_a_tuple():
+    t = TargetVector(0.5, 0.0, 0.1, -0.1, 0.3, [0.0, 1.0, 1.0, 0.25], "sig", 2.0)
+    u = TargetVector(0.5, 0.0, 0.1, -0.1, 0.3, (0.0, 1.0, 1.0, 0.25), "sig", 2.0)
+    assert t.st == (0.0, 1.0, 1.0, 0.25) and type(t.st) is tuple
+    assert t.as_tuple() == (0.5, 0.0, 0.1, -0.1, 0.3, 0.0, 1.0, 1.0, 0.25)
+    assert t == u and hash(t) == hash(u)
+    assert cobb_loss(t, u) == 0.0
+    assert decode_target(t, Proposal.horizontal(0, 0, 2, 2)) == decode_target(u, Proposal.horizontal(0, 0, 2, 2))
+
+
 class TestLoss:
     def test_zero_iff_equal(self):
         gt = OrientedBox(0, 0, 4, 2, 0.8)
@@ -263,9 +273,9 @@ class TestLoss:
                 cobb_loss(pred, target)
 
     def test_smooth_l1_shape(self):
-        assert smooth_l1(0.0) == 0.0
-        assert smooth_l1(2.0) == pytest.approx(1.5)
-        assert smooth_l1(-0.5) == pytest.approx(0.125)
+        assert _smooth_l1(0.0) == 0.0
+        assert _smooth_l1(2.0) == pytest.approx(1.5)
+        assert _smooth_l1(-0.5) == pytest.approx(0.125)
 
 
 class TestSensitivityProbe:
