@@ -21,6 +21,7 @@ from cobb.errors import InvalidArgumentError
 from cobb.geometry import (
     OrientedBox,
     _Arrays,
+    _extents,
     _Floats,
     _rowwise,
     _scalar_rows,
@@ -301,7 +302,7 @@ class GlidingVertexCodec(BoxCodec):
     def _encode_rows(self, fields):
         cx, cy, w_side, h_side, theta = fields.T
         c, s = np.abs(_rowwise(math.cos, theta)), np.abs(_rowwise(math.sin, theta))
-        w, h = w_side * c + h_side * s, w_side * s + h_side * c
+        w, h = _extents(w_side, h_side, c, s)
         a_tb, a_rl = h_side * s / w, w_side * s / h
         out = np.stack([cx, cy, w, h, a_tb, a_rl, a_tb, a_rl], axis=1)
         # outer_hbb raises where an extent overflows: encode raises it for the first such row

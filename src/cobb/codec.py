@@ -23,13 +23,16 @@ from cobb.geometry import (
     HorizontalBox,
     OrientedBox,
     _Arrays,
+    _corners,
+    _extents,
     _Floats,
+    _from_min_yx,
+    _require_finite,
     _rowwise,
     _scalar_rows,
     iou,
     oriented_many,
     outer_hbb,
-    vertices_of,
 )
 
 # Text format of every number written to a report or CSV: 17 significant
@@ -58,7 +61,10 @@ class CobbVector:
 
     def __post_init__(self):
         if type(self.scores) is not tuple:  # a list would break as_tuple() and hash()
-            object.__setattr__(self, "scores", tuple(self.scores))
+            try:
+                object.__setattr__(self, "scores", tuple(self.scores))
+            except TypeError:  # not a sequence
+                raise InvalidArgumentError(f"scores must be finite numbers, got {self.scores!r}") from None
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.xc, self.yc, self.w, self.h, self.rs) + self.scores
@@ -145,9 +151,10 @@ def classify(box: OrientedBox) -> int:
     """
     hbb = outer_hbb(box)
     cands = four_candidates(HorizontalBox(0.0, 0.0, hbb.w, hbb.h), _sliding_ratio(box, hbb))
+    c, s = math.cos(box.theta), math.sin(box.theta)
     if (box.w_side / hbb.w) * (box.h_side / hbb.h) < _RA_MIN:
-        return _sign_index(box.w_side, box.h_side, math.cos(box.theta), math.sin(box.theta))
-    q = vertices_of(OrientedBox(0.0, 0.0, box.w_side, box.h_side, box.theta))
+        return _sign_index(box.w_side, box.h_side, c, s)
+    q = _from_min_yx(*_corners(0.0, 0.0, box.w_side, box.h_side, c, s))
     best, best_iou = 0, -1.0
     for i, quad in enumerate(cands):
         v = iou(q, quad) if quad.area > 0.0 else 0.0
@@ -224,7 +231,8 @@ def iou_matrix(w: float, h: float, rs: float):
     Extents whose squares leave the normal float range, or whose closed
     forms are not finite, raise :class:`DegenerateGeometryError`.
     """
-    if not (math.isfinite(w) and math.isfinite(h)) or w <= 0.0 or h <= 0.0:
+    _require_finite("HBB extent", w, h)
+    if w <= 0.0 or h <= 0.0:
         raise InvalidArgumentError("HBB extents must be positive")
     rs = _clamp_rs(rs)
     if not (_SQUARE_MIN <= w * w <= _SQUARE_MAX and _SQUARE_MIN <= h * h <= _SQUARE_MAX):
@@ -309,9 +317,7 @@ def decode(v: CobbVector) -> OrientedBox:
     """Decode nine parameters to the highest-scoring candidate box."""
     if len(v.scores) != 4:
         raise InvalidArgumentError(f"need four scores, got {len(v.scores)}")
-    for s in v.scores:
-        if not math.isfinite(s):
-            raise InvalidArgumentError(f"non-finite score {s!r}")
+    _require_finite("score", *v.scores)
     if not (v.w > 0.0 and v.h > 0.0):
         raise InvalidArgumentError("decoded HBB extents must be positive")
     hbb = HorizontalBox(v.xc, v.yc, v.w, v.h)
@@ -323,22 +329,20 @@ def decode(v: CobbVector) -> OrientedBox:
 # Relation between the sliding ratio and the area ratio
 
 
-def _aspect(w: float, h: float) -> float:
-    if not (math.isfinite(w) and math.isfinite(h)) or w <= 0.0 or h <= 0.0:
-        raise InvalidArgumentError("HBB extents must be positive")
-    return min(w / h, h / w)
-
-
 def rs_from_ra(ra: float, w: float, h: float) -> float:
     """Sliding ratio of the boxes whose area is ``ra`` times their HBB's.
 
     ``ra`` must lie in (0, 1]; the infimum 0 is the thin diagonal limit and is
     not attainable by a valid box.
     """
-    if not math.isfinite(ra) or ra <= 0.0 or ra > 1.0 + _RS_CLAMP_TOL:
+    _require_finite("area ratio", ra)
+    if ra <= 0.0 or ra > 1.0 + _RS_CLAMP_TOL:
         raise InvalidArgumentError(f"area ratio outside (0, 1]: {ra!r}")
+    _require_finite("HBB extent", w, h)
+    if w <= 0.0 or h <= 0.0:
+        raise InvalidArgumentError("HBB extents must be positive")
     ra = min(ra, 1.0)
-    r2 = _aspect(w, h) ** 2
+    r2 = min(w / h, h / w) ** 2
     disc = (r2 + 1.0) ** 2 - 16.0 * r2 * ra * (1.0 - ra)
     rhs = (r2 + 1.0 - math.sqrt(max(0.0, disc))) / (2.0 * r2)
     rhs = min(max(rhs, 0.0), 1.0)
@@ -386,9 +390,7 @@ def _encode_many(p):
     rows ``(xc, yc, w, h, rs, s0, s1, s2, s3)``, and the mask."""
     cx, cy, w_side, h_side, theta = p.T
     c, s = _rowwise(math.cos, theta), _rowwise(math.sin, theta)
-    # outer_hbb
-    w = w_side * np.abs(c) + h_side * np.abs(s)
-    h = w_side * np.abs(s) + h_side * np.abs(c)
+    w, h = _extents(w_side, h_side, c, s)  # outer_hbb
     # outer_hbb, sliding_ratio or iou_matrix rejects the extents
     ww, hh = w * w, h * h
     bad = ~((_SQUARE_MIN <= ww) & (ww <= _SQUARE_MAX) & (_SQUARE_MIN <= hh) & (hh <= _SQUARE_MAX))

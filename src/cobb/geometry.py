@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import astuple, dataclass
-from functools import partial
+from functools import partial, reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,8 +30,87 @@ _HALF_PI = 0.5 * math.pi
 
 def _require_finite(name: str, *values: float) -> None:
     for v in values:
-        if not math.isfinite(v):
-            raise InvalidArgumentError(f"{name} must be finite, got {v!r}")
+        try:
+            if math.isfinite(v):
+                continue
+        except TypeError:  # not a real number
+            pass
+        raise InvalidArgumentError(f"{name} must be finite, got {v!r}")
+
+
+def _rowwise(fn, *cols) -> np.ndarray:
+    """``fn`` of each row of equal-length float columns, as an array.
+
+    numpy's cos, sin, exp, log, log2, hypot and power can differ from
+    :mod:`math` and Python's float ``**`` in the last bit, so the batch
+    paths, which promise rows bit-identical to the scalar ones, take every
+    such value from the scalar function.
+    """
+    return np.fromiter(map(fn, *(np.asarray(c, dtype=float).tolist() for c in cols)), float, len(cols[0]))
+
+
+# The operations that differ between a formula on Python floats and the same
+# formula on arrays, which it takes as ``xp``: written once over them, a
+# formula gives the same bits either way.  The float ``where`` evaluates both
+# of its branches, so neither may raise.  ``clamp`` picks what
+# ``min(max(x, lo), hi)`` picks (for ``lo <= hi``), ties and signed zeros
+# included, at a fifth of its cost on floats.  ``max`` and ``min`` take one
+# sequence and pick its first greatest or least element, as Python's do (numpy's
+# ``maximum`` and ``minimum`` may pick either of two signed zeros).  ``fmod`` is
+# exact either way; the arrays take each other ``math`` value and ``**`` per
+# element, as :func:`_rowwise` explains.  Plain functions in a namespace cost
+# less per call than static methods of a class.
+_Floats = SimpleNamespace(
+    where=lambda c, a, b: a if c else b,
+    clamp=lambda x, lo, hi: lo if lo > x else (hi if hi < x else x),
+    sqrt=math.sqrt,
+    hypot=math.hypot,
+    atan2=math.atan2,
+    exp=math.exp,
+    log=math.log,
+    log2=math.log2,
+    pow=operator.pow,
+    fmod=math.fmod,
+    max=max,
+    min=min,
+)
+_Arrays = SimpleNamespace(
+    where=np.where,  # on tuples of equal-length arrays, one row per pair
+    clamp=lambda x, lo, hi: np.where(lo > x, lo, np.where(hi < x, hi, x)),
+    sqrt=np.sqrt,
+    hypot=partial(_rowwise, math.hypot),
+    atan2=partial(_rowwise, math.atan2),
+    exp=partial(_rowwise, math.exp),
+    log=partial(_rowwise, math.log),
+    log2=partial(_rowwise, math.log2),
+    pow=lambda x, y: _rowwise(operator.pow, *np.broadcast_arrays(x, y)),  # one of the two may be a float
+    fmod=np.fmod,
+    max=lambda seq: reduce(lambda a, b: np.where(b > a, b, a), seq),
+    min=lambda seq: reduce(lambda a, b: np.where(b < a, b, a), seq),
+)
+
+
+def _turned(w_side, h_side, theta, xp=_Floats):
+    """Sides and angle in constructed form: ``theta`` into [0, pi/2), a
+    quarter-turn absorbed by swapping the sides."""
+    t = xp.fmod(theta, math.pi)
+    t = xp.where(t < 0, (t + math.pi) % math.pi, t)  # % takes pi, where adding pi rounded to it, to 0
+    return xp.where(t >= _HALF_PI, (h_side, w_side, t - _HALF_PI), (w_side, h_side, t))
+
+
+def _extents(w_side, h_side, c, s):
+    """Outer HBB extents of sides ``w_side``, ``h_side`` at an angle of
+    cosine ``c`` and sine ``s``; floats or equal-shape arrays."""
+    c, s = abs(c), abs(s)
+    return w_side * c + h_side * s, w_side * s + h_side * c
+
+
+def _corners(x, y, w_side, h_side, c, s):
+    """The flat corners around ``(x, y)``, at offsets ``(-hw, hh), (hw, hh),
+    (hw, -hh), (-hw, -hh)``: counterclockwise on screen at every angle."""
+    hw, hh = 0.5 * w_side, 0.5 * h_side
+    wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
+    return x - wc + hs, y + ws + hc, x + wc + hs, y - ws + hc, x + wc - hs, y - ws - hc, x - wc - hs, y + ws - hc
 
 
 @dataclass(frozen=True)
@@ -70,17 +149,8 @@ class OrientedBox:
             raise DegenerateGeometryError(
                 f"sides must be positive: w_side={self.w_side}, h_side={self.h_side}"
             )
-        t = math.fmod(self.theta, math.pi)
-        if t < 0:
-            t += math.pi
-        if t >= math.pi:  # fmod rounding at the boundary
-            t -= math.pi
-        if t >= _HALF_PI:
-            t -= _HALF_PI
-            w, h = self.w_side, self.h_side
-            object.__setattr__(self, "w_side", h)
-            object.__setattr__(self, "h_side", w)
-        object.__setattr__(self, "theta", t)
+        d = self.__dict__
+        d["w_side"], d["h_side"], d["theta"] = _turned(self.w_side, self.h_side, self.theta)
 
     @property
     def diagonal(self) -> float:
@@ -116,7 +186,8 @@ class ConvexQuad:
                 raise InvalidArgumentError(f"quad needs 8 coordinates, got {len(f)}")
             if not all(map(math.isfinite, f)):
                 _require_finite("coordinate", *f)
-            _validate_convex(f)
+            if _concave(f):
+                raise InvalidArgumentError("vertices do not form a convex quadrilateral")
             self.__dict__["area"] = quad_area(f)
         except TypeError:  # not a sequence, or a string, complex or Decimal among the coordinates
             raise InvalidArgumentError(f"quad coordinates must be a sequence of real numbers, got {f!r}") from None
@@ -164,76 +235,23 @@ def _spans_and_turns(x0, y0, x1, y1, x2, y2, x3, y3):
     )
 
 
-def _validate_convex(f) -> None:
-    # the quad's own extent, so the tolerance does not grow with distance
-    # from the origin
+def _concave(f, xp=_Floats):
+    """Whether quad ``f`` turns both ways by more than ``GEOM_EPS`` times its
+    squared span (its own extent, however far from the origin it sits)."""
     spans, turns = _spans_and_turns(*f)
-    scale = max(spans) or 1.0
+    scale = xp.max(spans)
     tol = GEOM_EPS * scale * scale
-    if max(turns) > tol and min(turns) < -tol:
-        raise InvalidArgumentError("vertices do not form a convex quadrilateral")
+    return (xp.max(turns) > tol) & (xp.min(turns) < -tol)
 
 
 def vertices_of(box: OrientedBox) -> ConvexQuad:
     """The four corners of the rectangle, in canonical order.
 
-    Offsets ``(-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh)`` wind clockwise on
-    screen at every angle, so the corners are built in the reverse cycle and
-    only rotated to start at the min-(y, x) vertex.  No shoelace sum decides
-    the winding, so it stays counterclockwise however far from the origin
-    the box sits.
+    The :func:`_corners` cycle, only rotated to start at the min-(y, x)
+    vertex.  No shoelace sum decides the winding, so it stays
+    counterclockwise however far from the origin the box sits.
     """
-    c, s = math.cos(box.theta), math.sin(box.theta)
-    hw, hh = 0.5 * box.w_side, 0.5 * box.h_side
-    cx, cy = box.cx, box.cy
-    # the offsets' products; adding -p is subtracting p, bit for bit
-    wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
-    return _from_min_yx(
-        cx - wc + hs, cy + ws + hc, cx + wc + hs, cy - ws + hc, cx + wc - hs, cy - ws - hc, cx - wc - hs, cy + ws - hc
-    )
-
-
-def _rowwise(fn, *cols) -> np.ndarray:
-    """``fn`` of each row of equal-length float columns, as an array.
-
-    numpy's cos, sin, exp, log, log2, hypot and power can differ from
-    :mod:`math` and Python's float ``**`` in the last bit, so the batch
-    paths, which promise rows bit-identical to the scalar ones, take every
-    such value from the scalar function.
-    """
-    return np.fromiter(map(fn, *(np.asarray(c, dtype=float).tolist() for c in cols)), float, len(cols[0]))
-
-
-# The operations that differ between a formula on Python floats and the same
-# formula on arrays, which it takes as ``xp``: written once over them, a
-# formula gives the same bits either way.  The float ``where`` evaluates both
-# of its branches, so neither may raise.  ``clamp`` picks what
-# ``min(max(x, lo), hi)`` picks (for ``lo <= hi``), ties and signed zeros
-# included, at a fifth of its cost on floats; the arrays take each ``math``
-# value and ``**`` per element, as :func:`_rowwise` explains.  Plain functions
-# in a namespace cost less per call than static methods of a class.
-_Floats = SimpleNamespace(
-    where=lambda c, a, b: a if c else b,
-    clamp=lambda x, lo, hi: lo if lo > x else (hi if hi < x else x),
-    sqrt=math.sqrt,
-    hypot=math.hypot,
-    atan2=math.atan2,
-    exp=math.exp,
-    log=math.log,
-    log2=math.log2,
-    pow=operator.pow,
-)
-_Arrays = SimpleNamespace(
-    where=np.where,  # on tuples of equal-length arrays, one row per pair
-    clamp=lambda x, lo, hi: np.where(lo > x, lo, np.where(hi < x, hi, x)),
-    sqrt=np.sqrt,
-    hypot=partial(_rowwise, math.hypot),
-    atan2=partial(_rowwise, math.atan2),
-    exp=partial(_rowwise, math.exp),
-    log=partial(_rowwise, math.log),
-    log2=partial(_rowwise, math.log2),
-    pow=lambda x, y: _rowwise(operator.pow, *np.broadcast_arrays(x, y)),  # one of the two may be a float
-)
+    return _from_min_yx(*_corners(box.cx, box.cy, box.w_side, box.h_side, math.cos(box.theta), math.sin(box.theta)))
 
 
 def _scalar_rows(out, bad, scalar, *rows) -> np.ndarray:
@@ -249,8 +267,9 @@ def vertices_many(params) -> np.ndarray:
     """Row-wise ``vertices_of(box).flat`` of an ``(N, 5)`` array of box fields.
 
     Each row holds a constructed box's ``(cx, cy, w_side, h_side, theta)``.
-    The arithmetic is :func:`vertices_of`'s, with cos and sin taken per row
-    by :mod:`math`, so every row is bit-identical to the scalar corners.  A
+    The corners are :func:`vertices_of`'s :func:`_corners`, with cos and sin
+    taken per row by :mod:`math`, so every row is bit-identical to the scalar
+    corners; a stable sort picks the same start vertex.  A
     non-finite field, and corners that fail :class:`ConvexQuad`'s checks,
     raise the error the scalar path raises for the first such row.
     """
@@ -259,23 +278,13 @@ def vertices_many(params) -> np.ndarray:
     if bad.any():
         _require_finite("OrientedBox field", *p[np.argmax(bad)].tolist())
     cx, cy, w, h, theta = p.T
-    c, s = _rowwise(math.cos, theta), _rowwise(math.sin, theta)
-    hw, hh = 0.5 * w, 0.5 * h
-    corners = ((-hw, hh), (hw, hh), (hw, -hh), (-hw, -hh))
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.stack([cx + dx * c + dy * s for dx, dy in corners], axis=1)
-        y = np.stack([cy - dx * s + dy * c for dx, dy in corners], axis=1)
+        q = np.stack(_corners(cx, cy, w, h, _rowwise(math.cos, theta), _rowwise(math.sin, theta)), axis=1)
+        q = q.reshape(-1, 4, 2)
         # each cycle starts at its first min-(y, x) vertex (lexsort is stable)
-        order = (np.lexsort((x, y), axis=1)[:, :1] + np.arange(4)) % 4
-        f = np.empty((len(p), 8))
-        f[:, 0::2] = np.take_along_axis(x, order, axis=1)
-        f[:, 1::2] = np.take_along_axis(y, order, axis=1)
-        # ConvexQuad's finiteness and convexity checks
-        spans, turns = _spans_and_turns(*f.T)
-        scale = np.maximum.reduce(spans)
-        scale[scale == 0.0] = 1.0
-        tol = GEOM_EPS * scale * scale
-        bad = ~np.isfinite(f).all(axis=1) | ((np.maximum.reduce(turns) > tol) & (np.minimum.reduce(turns) < -tol))
+        order = (np.lexsort((q[..., 0], q[..., 1]), axis=1)[:, :1] + np.arange(4)) % 4
+        f = np.take_along_axis(q, order[..., None], axis=1).reshape(-1, 8)
+        bad = ~np.isfinite(f).all(axis=1) | _concave(f.T, _Arrays)  # ConvexQuad's checks
     if bad.any():
         ConvexQuad(tuple(f[np.argmax(bad)].tolist()))
     return f
@@ -284,31 +293,22 @@ def vertices_many(params) -> np.ndarray:
 def oriented_many(params) -> np.ndarray:
     """Row-wise ``OrientedBox(*row)`` fields of an ``(N, 5)`` array.
 
-    The angle is brought into [0, pi/2) with the constructor's float
-    operations (``fmod`` is exact in numpy too), so every row equals the
-    constructed box's ``(cx, cy, w_side, h_side, theta)``; the first row the
-    constructor rejects raises its error.
+    The sides and angle are the constructor's :func:`_turned`, so every row
+    equals the constructed box's ``(cx, cy, w_side, h_side, theta)``; the
+    first row the constructor rejects raises its error.
     """
     p = _rows(params, 5)
     cx, cy, w, h, theta = p.T
     bad = ~np.isfinite(p).all(axis=1) | ~((w > 0) & (h > 0))
     if bad.any():
         OrientedBox(*p[np.argmax(bad)].tolist())
-    t = np.fmod(theta, math.pi)
-    t = np.where(t < 0, t + math.pi, t)
-    t = np.where(t >= math.pi, t - math.pi, t)
-    quarter = t >= _HALF_PI
-    return np.stack(
-        [cx, cy, np.where(quarter, h, w), np.where(quarter, w, h), np.where(quarter, t - _HALF_PI, t)], axis=1
-    )
+    return np.stack([cx, cy, *_turned(w, h, theta, _Arrays)], axis=1)
 
 
 def outer_hbb(box: OrientedBox) -> HorizontalBox:
     """Smallest axis-aligned box containing the rectangle; an extent that
     overflows raises :class:`DegenerateGeometryError`."""
-    c, s = abs(math.cos(box.theta)), abs(math.sin(box.theta))
-    w = box.w_side * c + box.h_side * s
-    h = box.w_side * s + box.h_side * c
+    w, h = _extents(box.w_side, box.h_side, math.cos(box.theta), math.sin(box.theta))
     if not (math.isfinite(w) and math.isfinite(h)):
         raise DegenerateGeometryError("outer HBB extent is not finite")
     return HorizontalBox(box.cx, box.cy, w, h)
@@ -409,6 +409,23 @@ def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]
     return lower[:-1] + upper[:-1]
 
 
+def _calipers(ux, uy, points, xp=_Floats):
+    """Area, ``ux, uy`` and extremes ``lo_u, hi_u, lo_v, hi_v`` of the box
+    around ``(x, y)`` points along unit vector ``(ux, uy)``; each extreme is
+    the first point's that no later one passes, so even a zero keeps its sign."""
+    us = [x * ux + y * uy for x, y in points]
+    vs = [y * ux - x * uy for x, y in points]
+    lo_u, hi_u, lo_v, hi_v = xp.min(us), xp.max(us), xp.min(vs), xp.max(vs)
+    return (hi_u - lo_u) * (hi_v - lo_v), ux, uy, lo_u, hi_u, lo_v, hi_v
+
+
+def _rect_of(ux, uy, lo_u, hi_u, lo_v, hi_v, xp=_Floats):
+    """``(cx, cy, w_side, h_side, theta)`` of a :func:`_calipers` box: the u
+    axis ``(cos t, -sin t)`` carries ``w_side``, theta clockwise-positive."""
+    cu, cv = 0.5 * (lo_u + hi_u), 0.5 * (lo_v + hi_v)
+    return cu * ux - cv * uy, cu * uy + cv * ux, hi_u - lo_u, hi_v - lo_v, xp.atan2(-uy, ux)
+
+
 def min_area_rect(points) -> OrientedBox:
     """Minimum-area oriented rectangle enclosing the ``(x, y)`` points.
 
@@ -416,7 +433,10 @@ def min_area_rect(points) -> OrientedBox:
     overflows raises :class:`DegenerateGeometryError`; the optimum has one
     side flush with a hull edge, so only hull-edge orientations are scanned.
     """
-    pts = [(p[0], p[1]) for p in points]
+    try:
+        pts = [(p[0], p[1]) for p in points]
+    except (IndexError, TypeError):  # not a sequence of points, or a point without two coordinates
+        raise InvalidArgumentError(f"points must be (x, y) pairs of finite real numbers, got {points!r}") from None
     _require_finite("coordinate", *(v for p in pts for v in p))
     if len(pts) < 3:
         raise DegenerateGeometryError("min_area_rect needs at least 3 points")
@@ -425,36 +445,18 @@ def min_area_rect(points) -> OrientedBox:
         raise DegenerateGeometryError("points are collinear")
 
     best = None
-    n = len(hull)
-    for i in range(n):
-        (ax, ay), (bx, by) = hull[i], hull[(i + 1) % n]
+    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
         ex, ey = bx - ax, by - ay
         norm = math.hypot(ex, ey)
         if norm == 0.0:
             continue
-        ux, uy = ex / norm, ey / norm
-        lo_u = hi_u = lo_v = hi_v = None
-        for px, py in hull:
-            u = px * ux + py * uy
-            v = -px * uy + py * ux
-            lo_u = u if lo_u is None or u < lo_u else lo_u
-            hi_u = u if hi_u is None or u > hi_u else hi_u
-            lo_v = v if lo_v is None or v < lo_v else lo_v
-            hi_v = v if hi_v is None or v > hi_v else hi_v
-        area = (hi_u - lo_u) * (hi_v - lo_v)
-        if best is None or area < best[0]:
-            best = (area, ux, uy, lo_u, hi_u, lo_v, hi_v)
-
+        edge = _calipers(ex / norm, ey / norm, hull)
+        if best is None or edge[0] < best[0]:
+            best = edge
     if best is None or best[0] <= 0.0:
         raise DegenerateGeometryError("points are collinear")
-    _, ux, uy, lo_u, hi_u, lo_v, hi_v = best
-    cu, cv = 0.5 * (lo_u + hi_u), 0.5 * (lo_v + hi_v)
-    cx = cu * ux - cv * uy
-    cy = cu * uy + cv * ux
-    # the u axis (cos t, -sin t) carries w_side; theta is clockwise-positive
-    theta = math.atan2(-uy, ux)
     try:
-        return OrientedBox(cx, cy, hi_u - lo_u, hi_v - lo_v, theta)
+        return OrientedBox(*_rect_of(*best[1:]))
     except InvalidArgumentError:  # a field overflowed
         raise DegenerateGeometryError("rectangle fit is not finite") from None
 
@@ -468,10 +470,10 @@ def min_area_rect_many(x, y) -> np.ndarray:
     :class:`ConvexQuad`), with that square a normal float, is its own hull:
     every cross product the scalar hull takes then has its exact sign, so
     that hull is the row's cycle, wound with positive turns from its least
-    ``(x, y)`` point.  Such a row takes the scalar operations in the scalar
-    order: the four hull edges in hull order with ``hypot`` and ``atan2``
-    from :mod:`math`, and strict comparisons for the running extremes and
-    the best edge, so even the sign of a zero matches.  Every other row
+    ``(x, y)`` point.  Such a row takes the scalar fit's :func:`_calipers`
+    and :func:`_rect_of` on its four hull edges in hull order, ``hypot``
+    from :mod:`math` and a strict comparison for the best edge, so even the
+    sign of a zero matches.  Every other row
     (points out of cyclic order, a repeated or near-collinear point, a
     non-finite coordinate, a fit of non-positive area or with a non-finite
     field) goes to :func:`min_area_rect`, which raises for the first such
@@ -496,27 +498,13 @@ def _min_area_rect_fields(x0, y0):
         # the cycle from its least (x, y) point, reversed where it turns right
         step = np.where(left, 1, -1)[:, None]
         at = (np.lexsort((y0, x0), axis=1)[:, :1] + step * np.arange(4)) % 4
-        hx, hy = np.take_along_axis(x0, at, axis=1), np.take_along_axis(y0, at, axis=1)
-        best = None
-        for i in range(4):
-            ex, ey = hx[:, (i + 1) % 4] - hx[:, i], hy[:, (i + 1) % 4] - hy[:, i]
+        hull = list(zip(np.take_along_axis(x0, at, axis=1).T, np.take_along_axis(y0, at, axis=1).T))
+        for i, ((ax, ay), (bx, by)) in enumerate(zip(hull, hull[1:] + hull[:1])):
+            ex, ey = bx - ax, by - ay
             norm = _rowwise(math.hypot, ex, ey)
-            ux, uy = ex / norm, ey / norm
-            u = hx * ux[:, None] + hy * uy[:, None]
-            v = -hx * uy[:, None] + hy * ux[:, None]
-            lo_u, hi_u, lo_v, hi_v = u[:, 0], u[:, 0], v[:, 0], v[:, 0]
-            for m in range(1, 4):
-                lo_u = np.where(u[:, m] < lo_u, u[:, m], lo_u)
-                hi_u = np.where(u[:, m] > hi_u, u[:, m], hi_u)
-                lo_v = np.where(v[:, m] < lo_v, v[:, m], lo_v)
-                hi_v = np.where(v[:, m] > hi_v, v[:, m], hi_v)
-            edge = np.stack([(hi_u - lo_u) * (hi_v - lo_v), ux, uy, lo_u, hi_u, lo_v, hi_v])
-            best = edge if best is None else np.where(edge[0] < best[0], edge, best)
-        area, ux, uy, lo_u, hi_u, lo_v, hi_v = best
-        cu, cv = 0.5 * (lo_u + hi_u), 0.5 * (lo_v + hi_v)
-        fields = np.stack(
-            [cu * ux - cv * uy, cu * uy + cv * ux, hi_u - lo_u, hi_v - lo_v, _rowwise(math.atan2, -uy, ux)], axis=1
-        )
-        ok &= (area > 0.0) & np.isfinite(fields).all(axis=1)
+            edge = np.stack(_calipers(ex / norm, ey / norm, hull, _Arrays))
+            best = edge if i == 0 else np.where(edge[0] < best[0], edge, best)
+        fields = np.stack(_rect_of(*best[1:], _Arrays), axis=1)
+        ok &= (best[0] > 0.0) & np.isfinite(fields).all(axis=1)
     # every other row stands in as a unit box, which the constructor accepts
     return oriented_many(np.where(ok[:, None], fields, 1.0)), ~ok

@@ -18,7 +18,7 @@ import numpy as np
 
 from cobb import codec
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError
-from cobb.geometry import HorizontalBox, OrientedBox, _Arrays, _Floats, iou, rotate_about
+from cobb.geometry import HorizontalBox, OrientedBox, _Arrays, _Floats, _require_finite, iou, rotate_about
 
 DEFAULT_LAMBDA = {"sig": 2.0, "ln": 1.0}
 
@@ -36,8 +36,7 @@ class Proposal:
     theta_p: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.xp, self.yp, self.wp, self.hp, self.theta_p)):
-            raise InvalidArgumentError("proposal fields must be finite")
+        _require_finite("proposal field", self.xp, self.yp, self.wp, self.hp, self.theta_p)
         if not (self.wp > 0.0 and self.hp > 0.0):
             raise DegenerateGeometryError("proposal extents must be positive")
 
@@ -63,7 +62,10 @@ class TargetVector:
 
     def __post_init__(self):
         if type(self.st) is not tuple:  # a list would break as_tuple() and hash()
-            object.__setattr__(self, "st", tuple(self.st))
+            try:
+                object.__setattr__(self, "st", tuple(self.st))
+            except TypeError:  # not a sequence
+                raise InvalidArgumentError(f"scores must be finite numbers, got {self.st!r}") from None
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.tx, self.ty, self.tw, self.th, self.rt) + self.st
@@ -131,9 +133,7 @@ def decode_target(t: TargetVector, proposal: Proposal) -> OrientedBox:
     target only carries the sliding ratio (its sign picks the inversion branch
     for the log variant).
     """
-    for v in t.as_tuple():
-        if not math.isfinite(v):
-            raise InvalidArgumentError(f"non-finite target component {v!r}")
+    _require_finite("target component", *t.as_tuple())
     try:
         hbb = _hbb_of(t.tx, t.ty, t.tw, t.th, t.rt, proposal, t.variant)
     except OverflowError:
@@ -214,8 +214,7 @@ def _decode_ratio_param(fn: str, r: float, hbb: HorizontalBox) -> OrientedBox:
 
 def sensitivity_probe(variant_fn: str, r: float, eps: float, hbb: HorizontalBox) -> float:
     """Decoded-shape sensitivity (1 - IoU(dec(r), dec(r+eps))) / eps."""
-    if not math.isfinite(r):
-        raise InvalidArgumentError(f"r must be finite, got {r!r}")
+    _require_finite("r", r)
     if not 0.0 < eps < math.inf:
         raise InvalidArgumentError(f"eps must be positive and finite, got {eps!r}")
     a = _decode_ratio_param(variant_fn, r, hbb)

@@ -24,6 +24,13 @@ against bit for bit.
   :func:`long_edge_angle`: the float formulas with ``if`` branches, which
   the shared formulas of :mod:`cobb.codec`, :mod:`cobb.targets` and
   :mod:`cobb.baselines` equal bit for bit, as floats and as arrays.
+- :func:`turned`, :func:`extents`, :func:`corners`, :func:`concave`,
+  :func:`calipers` and :func:`rect_of`: the geometry formulas as the
+  ``OrientedBox`` constructor, ``outer_hbb``, ``vertices_of``, the
+  ``ConvexQuad`` convexity check and the ``min_area_rect`` edge loop wrote
+  them for floats before :mod:`cobb.geometry` shared them with the arrays
+  (``concave`` with its zero-span guard, ``calipers`` with ``None`` for
+  the empty extremes).
 """
 
 import math
@@ -289,3 +296,56 @@ def long_edge_angle(w, h, theta):
     if t >= 0.5 * math.pi:
         t -= math.pi
     return lng, shrt, t
+
+
+def turned(w, h, theta):
+    t = math.fmod(theta, math.pi)
+    if t < 0:
+        t += math.pi
+    if t >= math.pi:  # fmod rounding at the boundary
+        t -= math.pi
+    if t >= 0.5 * math.pi:
+        return h, w, t - 0.5 * math.pi
+    return w, h, t
+
+
+def extents(w_side, h_side, c, s):
+    c, s = abs(c), abs(s)
+    return w_side * c + h_side * s, w_side * s + h_side * c
+
+
+def corners(cx, cy, w_side, h_side, c, s):
+    hw, hh = 0.5 * w_side, 0.5 * h_side
+    f = []
+    for dx, dy in ((-hw, hh), (hw, hh), (hw, -hh), (-hw, -hh)):
+        f += (cx + dx * c + dy * s, cy - dx * s + dy * c)
+    return tuple(f)
+
+
+def concave(f):
+    x0, y0, x1, y1, x2, y2, x3, y3 = f
+    scale = max(abs(x1 - x0) + abs(y1 - y0), abs(x2 - x0) + abs(y2 - y0), abs(x3 - x0) + abs(y3 - y0)) or 1.0
+    tol = geometry.GEOM_EPS * scale * scale
+    pts = list(zip(f[0::2], f[1::2]))
+    turns = []
+    for i in range(4):
+        (ax, ay), (bx, by), (cx, cy) = pts[i], pts[(i + 1) % 4], pts[(i + 2) % 4]
+        turns.append((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    return max(turns) > tol and min(turns) < -tol
+
+
+def calipers(ux, uy, points):
+    lo_u = hi_u = lo_v = hi_v = None
+    for px, py in points:
+        u = px * ux + py * uy
+        v = -px * uy + py * ux
+        lo_u = u if lo_u is None or u < lo_u else lo_u
+        hi_u = u if hi_u is None or u > hi_u else hi_u
+        lo_v = v if lo_v is None or v < lo_v else lo_v
+        hi_v = v if hi_v is None or v > hi_v else hi_v
+    return (hi_u - lo_u) * (hi_v - lo_v), ux, uy, lo_u, hi_u, lo_v, hi_v
+
+
+def rect_of(ux, uy, lo_u, hi_u, lo_v, hi_v):
+    cu, cv = 0.5 * (lo_u + hi_u), 0.5 * (lo_v + hi_v)
+    return cu * ux - cv * uy, cu * uy + cv * ux, hi_u - lo_u, hi_v - lo_v, math.atan2(-uy, ux)

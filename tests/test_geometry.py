@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cobb.codec import four_candidates
-from cobb import _kern, geometry
+from cobb import _kern, codec, geometry, targets
 from cobb.errors import DegenerateGeometryError, InvalidArgumentError, UndefinedIoUError
 from cobb.geometry import (
     GEOM_EPS,
@@ -318,6 +318,35 @@ def test_quad_requires_finite():
         vertices_of(OrientedBox(1.7e308, 0, 1e308, 1, 0))  # a corner overflows
     with pytest.raises(InvalidArgumentError, match="coordinate must be finite"):
         min_area_rect([(0, 0), (1, 0), (math.nan, 1)])
+
+
+def _target(scores):
+    return targets.TargetVector(0.0, 0.0, 0.0, 0.0, 0.5, scores, "sig", 2.0)
+
+
+NOT_REAL = {
+    "OrientedBox": lambda: OrientedBox("1", 0, 1, 1, 0),
+    "HorizontalBox": lambda: HorizontalBox(None, 0, 1, 1),
+    "rotate_about": lambda: rotate_about(OrientedBox(0, 0, 1, 1, 0), "a", 0, 0),
+    "Proposal": lambda: targets.Proposal("a", 0, 1, 1, 0),
+    "min_area_rect string": lambda: min_area_rect([("a", 0), (1, 0), (0, 1)]),
+    "min_area_rect one coordinate": lambda: min_area_rect([(0,), (1, 0), (0, 1)]),
+    "min_area_rect no point": lambda: min_area_rect([0, (1, 0), (0, 1)]),
+    "CobbVector": lambda: codec.CobbVector(0, 0, 1, 1, 0.2, 5),
+    "TargetVector": lambda: _target(5),
+    "decode": lambda: codec.decode(codec.CobbVector(0, 0, 1, 1, 0.2, "abcd")),
+    "decode_target": lambda: targets.decode_target(_target("abcd"), targets.Proposal.horizontal(0, 0, 1, 1)),
+    "iou_matrix": lambda: codec.iou_matrix("a", 1, 0.2),
+    "rs_from_ra ratio": lambda: codec.rs_from_ra("a", 1, 1),
+    "rs_from_ra extent": lambda: codec.rs_from_ra(0.5, 1, "a"),
+    "sensitivity_probe": lambda: targets.sensitivity_probe("r_ln", "a", 1e-4, HorizontalBox(0, 0, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("call", NOT_REAL.values(), ids=NOT_REAL)
+def test_values_that_are_not_real_numbers_raise_a_typed_error(call):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Values are compared as ``float.hex`` strings, so that -0.0 and NaN count.
 Every float call must run without raising: a float ``where`` evaluates both
 of its branches.  Every function of the package that takes ``xp`` is
 checked here, and :func:`test_every_shared_formula_is_checked` fails for one
-that is not.
+that is not; a formula of plain arithmetic, which takes no ``xp``, is given
+the arrays as they are.
 """
 
 import ast
@@ -22,7 +23,7 @@ import pytest
 
 import cobb
 import reference_scalar as ref
-from cobb import baselines, codec, targets
+from cobb import baselines, codec, geometry, targets
 from cobb.geometry import _Arrays, _Floats
 
 QUARTER_PI, HALF_PI = 0.25 * math.pi, 0.5 * math.pi
@@ -51,9 +52,9 @@ RA = [0.0, 0.1, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 0.9, 1.
 
 
 def columns(rows):
-    """One array per argument; a tuple argument (the scores) as a tuple of
-    arrays, one per element."""
-    return [tuple(map(np.array, zip(*c))) if isinstance(c[0], tuple) else np.array(c) for c in zip(*rows)]
+    """One array per argument; a tuple argument (the scores, the points) as
+    a tuple of the columns of its elements."""
+    return [tuple(columns(c)) if isinstance(c[0], tuple) else np.array(c) for c in zip(*rows)]
 
 
 def flat(out):
@@ -69,7 +70,8 @@ def check(shared, rows, reference=None, **kw):
     """``shared`` of each row as floats equals ``shared`` of all rows as one
     array, and ``reference`` of each row, bit for bit."""
     floats = [hexes(shared(*row, **kw)) for row in rows]
-    out = flat(shared(*columns(rows), xp=_Arrays, **kw))
+    xp = {"xp": _Arrays} if _takes_xp(shared) else {}
+    out = flat(shared(*columns(rows), **xp, **kw))
     arrays = [np.broadcast_to(a, len(rows)) for o in out for a in np.array(o, ndmin=2)]  # one per output
     assert floats == [tuple(float(a[k]).hex() for a in arrays) for k in range(len(rows))]
     if reference is not None:
@@ -191,6 +193,73 @@ HBB_ROWS = [
 def test_hbb_of(p, variant):
     with np.errstate(over="ignore"):  # an extent that overflows, as decode_many takes it
         check(targets._hbb_of, HBB_ROWS, ref.hbb_of, p=p, variant=variant)
+
+
+# angles: signed zeros, the least subnormal below 0 (adding pi rounds to pi),
+# k*pi and pi/2 (and -pi/2) with 1 ulp either side, +-1e300, and uniform ones
+TURNS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300] + [
+    math.nextafter(t, t + d) for t in [k * math.pi for k in range(-3, 4)] + [HALF_PI, -HALF_PI] for d in (-1.0, 0.0, 1.0)
+] + _rng.uniform(-10.0, 10.0, 12).tolist()
+
+
+def test_turned():
+    assert math.fmod(-5e-324, math.pi) + math.pi == math.pi
+    check(geometry._turned, [(w, h, t) for w, h in SHAPES[:8] for t in TURNS], ref.turned)
+
+
+# (w_side, h_side, cos, sin) of every angle above, signed zeros among them
+TRIG = [(w, h, math.cos(t), math.sin(t)) for w, h in SHAPES[::3] for t in TURNS + ANGLES]
+
+
+def test_extents():
+    check(geometry._extents, TRIG, ref.extents)
+
+
+def test_corners():
+    centres = [(0.0, -0.0), (3.5, -2.25), (-1e4, 1e6 + 0.3)]
+    check(geometry._corners, [(*centres[k % 3], *row) for k, row in enumerate(TRIG)], ref.corners)
+
+
+def box_corners(n):
+    """``n`` counterclockwise quads: the corners of boxes at pixel scale."""
+    return [ref.corners(*_rng.uniform(-2e4, 2e4, 2), *_rng.uniform(4.0, 300.0, 2), math.cos(t), math.sin(t))
+            for t in _rng.uniform(0.0, HALF_PI, n).tolist()]
+
+
+def test_concave():
+    at = 1e4
+    quads = [
+        (0.0,) * 8, (at,) * 8,  # four equal points: every turn is exactly 0
+        (0.0, 0.0, 4.0, 0.0, 0.0, 4.0, 4.0, 4.0),  # a bow-tie
+        (0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0),  # clockwise on screen: it turns one way
+        (0.0, 0.0, 4.0, 0.0, 1.0, 1.0, 0.0, 4.0),  # a dart
+        (0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0),  # a repeated point
+    ] + [  # near-collinear at 1e4: the middle points off the line by up to 1e-3
+        (at, at, at + 1.0, at + d, at + 2.0, at - d, at + 3.0, at) for d in (0.0, 5e-324, 1e-12, 1e-9, 1e-6, 1e-3)
+    ] + box_corners(12)
+    got = [geometry._concave(q) for q in quads]
+    assert got[2:5] == [True, False, True] and not any(got[-12:])
+    check(geometry._concave, [(q,) for q in quads], ref.concave)
+
+
+# (ux, uy, points): unit vectors along the axes with signed zeros, over
+# points with signed-zero and tied projections (ties in either order), then
+# the hull edges of box corners
+ZEROS = ((0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0))
+TIED = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+UNITS = [(1.0, 0.0), (1.0, -0.0), (-0.0, 1.0), (0.0, -1.0), (-1.0, -0.0), (0.6, 0.8), (-0.8, 0.6)]
+CALIPERS = [(ux, uy, pts) for ux, uy in UNITS for pts in (ZEROS, TIED, TIED[::-1])] + [
+    ((bx - ax) / math.hypot(bx - ax, by - ay), (by - ay) / math.hypot(bx - ax, by - ay), tuple(zip(q[0::2], q[1::2])))
+    for q in box_corners(12) for ax, ay, bx, by in [q[2 * i:2 * i + 4] for i in range(3)]
+]
+
+
+def test_calipers():
+    check(geometry._calipers, CALIPERS, ref.calipers)
+
+
+def test_rect_of():
+    check(geometry._rect_of, [ref.calipers(*row)[1:] for row in CALIPERS], ref.rect_of)
 
 
 def shared_formulas():
