@@ -27,9 +27,12 @@ from cobb.geometry import (
     _extents,
     _Floats,
     _from_min_yx,
+    _outer_extents,
     _require_finite,
+    _require_hbb,
     _rowwise,
     _scalar_rows,
+    _wound,
     iou,
     oriented_many,
     outer_hbb,
@@ -71,9 +74,13 @@ class CobbVector:
 
 
 def _clamp_rs(rs: float, tol: float = _RS_CLAMP_TOL) -> float:
-    if not math.isfinite(rs) or rs < -tol or rs > 0.5 + tol:
-        raise InvalidArgumentError(f"sliding ratio outside [0, 0.5]: {rs!r}")
-    return _Floats.clamp(rs, 0.0, 0.5)
+    try:
+        if math.isfinite(rs) and -tol <= rs <= 0.5 + tol:
+            return _Floats.clamp(rs, 0.0, 0.5)
+    except TypeError:  # not a real number
+        _require_finite("sliding ratio", rs)
+        raise
+    raise InvalidArgumentError(f"sliding ratio outside [0, 0.5]: {rs!r}")
 
 
 def sliding_ratio(box: OrientedBox) -> float:
@@ -86,14 +93,16 @@ def sliding_ratio(box: OrientedBox) -> float:
     subtraction, so it keeps its precision however far the box sits from
     the origin.
     """
-    return _sliding_ratio(box, outer_hbb(box))
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    return _sliding_ratio(box.w_side, box.h_side, c, s, *_outer_extents(box.w_side, box.h_side, c, s))
 
 
-def _sliding_ratio(box: OrientedBox, hbb: HorizontalBox) -> float:
-    """:func:`sliding_ratio` of ``box``, whose outer HBB is ``hbb``."""
-    if hbb.w <= 0.0 or hbb.h <= 0.0:
+def _sliding_ratio(w_side, h_side, c, s, w, h) -> float:
+    """:func:`_ratio` of finite outer HBB extents ``w``, ``h``, with
+    :func:`sliding_ratio`'s raise where one of them is zero."""
+    if w <= 0.0 or h <= 0.0:
         raise DegenerateGeometryError("zero-extent outer HBB")
-    return _ratio(box.w_side, box.h_side, math.cos(box.theta), math.sin(box.theta), hbb.w, hbb.h)
+    return _ratio(w_side, h_side, c, s, w, h)
 
 
 def _ratio(w_side, h_side, c, s, w, h, xp=_Floats):
@@ -125,18 +134,23 @@ def four_candidates(hbb: HorizontalBox, rs: float) -> tuple[ConvexQuad, ...]:
     """
     if hbb.w <= 0.0 or hbb.h <= 0.0:
         raise InvalidArgumentError("HBB extents must be positive")
-    xc, yc, w, h = hbb.xc, hbb.yc, hbb.w, hbb.h
-    gx, gy = _slide_gaps(w, h, _clamp_rs(rs))
+    return _candidates(hbb.xc, hbb.yc, hbb.w, hbb.h, _clamp_rs(rs))
+
+
+def _candidates(xc, yc, w, h, rs) -> tuple[ConvexQuad, ...]:
+    """:func:`four_candidates` of the HBB ``(xc, yc, w, h)`` with positive
+    extents, for ``rs`` already clamped into [0, 0.5]."""
+    gx, gy = _slide_gaps(w, h, rs)
     xs, ys = 0.5 * w - gx, 0.5 * h - gy
     xl, xr = xc - xs, xc + xs  # x of the top and bottom vertices
     yu, yd = yc - ys, yc + ys  # y of the left and right vertices
     top, bot = yc - 0.5 * h, yc + 0.5 * h
     lef, rig = xc - 0.5 * w, xc + 0.5 * w
     return (
-        ConvexQuad.from_points(((xl, top), (rig, yd), (xr, bot), (lef, yu))),
-        ConvexQuad.from_points(((xr, top), (rig, yd), (xl, bot), (lef, yu))),
-        ConvexQuad.from_points(((xl, top), (rig, yu), (xr, bot), (lef, yd))),
-        ConvexQuad.from_points(((xr, top), (rig, yu), (xl, bot), (lef, yd))),
+        _wound(xl, top, rig, yd, xr, bot, lef, yu),
+        _wound(xr, top, rig, yd, xl, bot, lef, yu),
+        _wound(xl, top, rig, yu, xr, bot, lef, yd),
+        _wound(xr, top, rig, yu, xl, bot, lef, yd),
     )
 
 
@@ -148,15 +162,18 @@ def classify(box: OrientedBox) -> int:
     but the clipping arithmetic loses precision far from the origin.  A box
     whose area is below ``_RA_MIN`` of its HBB's is too thin for the oracle
     to measure and takes :func:`_sign_index`, which names it exactly.
+    The outer HBB extents and the sliding ratio come from the one cosine
+    and sine the corners take.
     """
-    hbb = outer_hbb(box)
-    cands = four_candidates(HorizontalBox(0.0, 0.0, hbb.w, hbb.h), _sliding_ratio(box, hbb))
+    w_side, h_side = box.w_side, box.h_side
     c, s = math.cos(box.theta), math.sin(box.theta)
-    if (box.w_side / hbb.w) * (box.h_side / hbb.h) < _RA_MIN:
-        return _sign_index(box.w_side, box.h_side, c, s)
-    q = _from_min_yx(*_corners(0.0, 0.0, box.w_side, box.h_side, c, s))
+    w, h = _outer_extents(w_side, h_side, c, s)
+    rs = _sliding_ratio(w_side, h_side, c, s, w, h)
+    if (w_side / w) * (h_side / h) < _RA_MIN:
+        return _sign_index(w_side, h_side, c, s)
+    q = _from_min_yx(*_corners(0.0, 0.0, w_side, h_side, c, s))
     best, best_iou = 0, -1.0
-    for i, quad in enumerate(cands):
+    for i, quad in enumerate(_candidates(0.0, 0.0, w, h, rs)):
         v = iou(q, quad) if quad.area > 0.0 else 0.0
         if v > best_iou:
             best, best_iou = i, v
@@ -234,7 +251,12 @@ def iou_matrix(w: float, h: float, rs: float):
     _require_finite("HBB extent", w, h)
     if w <= 0.0 or h <= 0.0:
         raise InvalidArgumentError("HBB extents must be positive")
-    rs = _clamp_rs(rs)
+    return _iou_matrix(w, h, _clamp_rs(rs))
+
+
+def _iou_matrix(w, h, rs):
+    """:func:`iou_matrix` of finite positive extents, for ``rs`` already
+    clamped into [0, 0.5]; extents out of range still raise here."""
     if not (_SQUARE_MIN <= w * w <= _SQUARE_MAX and _SQUARE_MIN <= h * h <= _SQUARE_MAX):
         raise DegenerateGeometryError(f"HBB extents {w!r} x {h!r} out of range for the candidate IoUs")
     m01, m02, m03, m12 = m = _pairwise(w, h, rs)
@@ -253,8 +275,8 @@ def iou_matrix(w: float, h: float, rs: float):
 def encode(box: OrientedBox) -> CobbVector:
     """Encode a box: outer HBB, sliding ratio, and its candidate's score row."""
     hbb = outer_hbb(box)
-    rs = _sliding_ratio(box, hbb)
-    row = iou_matrix(hbb.w, hbb.h, rs)[classify(box)]
+    rs = _sliding_ratio(box.w_side, box.h_side, math.cos(box.theta), math.sin(box.theta), hbb.w, hbb.h)
+    row = _iou_matrix(hbb.w, hbb.h, rs)[classify(box)]
     return CobbVector(hbb.xc, hbb.yc, hbb.w, hbb.h, rs, tuple(row))
 
 
@@ -293,10 +315,17 @@ def candidate_box(hbb: HorizontalBox, rs: float, i: int) -> OrientedBox:
     """
     if hbb.w <= 0.0 or hbb.h <= 0.0 or i not in range(4):
         raise InvalidArgumentError(f"need positive HBB extents and index 0..3, got {hbb}, {i!r}")
-    la, lb, theta = _candidate_sides(hbb.w, hbb.h, _clamp_rs(rs), i)
+    return _candidate(hbb.xc, hbb.yc, hbb.w, hbb.h, rs, i)
+
+
+def _candidate(xc, yc, w, h, rs, i) -> OrientedBox:
+    """:func:`candidate_box` of the HBB ``(xc, yc, w, h)`` with finite
+    positive extents and an index ``i`` in 0..3; ``rs`` is checked and
+    clamped here."""
+    la, lb, theta = _candidate_sides(w, h, _clamp_rs(rs), i)
     if lb == 0.0:
-        raise DegenerateGeometryError(f"candidate {i} of {hbb}, rs={rs!r} has zero area")
-    return OrientedBox(hbb.xc, hbb.yc, la, lb, theta)
+        raise DegenerateGeometryError(f"candidate {i} of {HorizontalBox(xc, yc, w, h)}, rs={rs!r} has zero area")
+    return OrientedBox(xc, yc, la, lb, theta)
 
 
 def _candidate_sides(w, h, rs, i, xp=_Floats):
@@ -315,14 +344,24 @@ def _candidate_sides(w, h, rs, i, xp=_Floats):
 
 def decode(v: CobbVector) -> OrientedBox:
     """Decode nine parameters to the highest-scoring candidate box."""
-    if len(v.scores) != 4:
-        raise InvalidArgumentError(f"need four scores, got {len(v.scores)}")
-    _require_finite("score", *v.scores)
-    if not (v.w > 0.0 and v.h > 0.0):
+    return _decode(v.xc, v.yc, v.w, v.h, v.rs, v.scores)
+
+
+def _decode(xc, yc, w, h, rs, scores) -> OrientedBox:
+    """:func:`decode` of the nine parameters as they are, with all its
+    checks, for callers that hold them as numbers (:func:`cobb.targets.decode_target`)."""
+    if len(scores) != 4:
+        raise InvalidArgumentError(f"need four scores, got {len(scores)}")
+    _require_finite("score", *scores)
+    try:
+        positive = w > 0.0 and h > 0.0
+    except TypeError:  # an extent that is not a real number
+        _require_finite("HBB extent", w, h)
+        raise
+    if not positive:
         raise InvalidArgumentError("decoded HBB extents must be positive")
-    hbb = HorizontalBox(v.xc, v.yc, v.w, v.h)
-    rs = _clamp_rs(v.rs, tol=math.inf)
-    return candidate_box(hbb, rs, select_candidate(v.scores))
+    _require_hbb(xc, yc, w, h)
+    return _candidate(xc, yc, w, h, _clamp_rs(rs, tol=math.inf), select_candidate(scores))
 
 
 # ---------------------------------------------------------------------------

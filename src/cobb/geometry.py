@@ -123,9 +123,15 @@ class HorizontalBox:
     h: float
 
     def __post_init__(self):
-        _require_finite("HorizontalBox field", self.xc, self.yc, self.w, self.h)
-        if self.w < 0 or self.h < 0:
-            raise InvalidArgumentError(f"negative extent: w={self.w}, h={self.h}")
+        _require_hbb(self.xc, self.yc, self.w, self.h)
+
+
+def _require_hbb(xc, yc, w, h) -> None:
+    """Raise unless ``(xc, yc, w, h)`` are finite with non-negative extents:
+    the checks of :class:`HorizontalBox`, for callers that need no box."""
+    _require_finite("HorizontalBox field", xc, yc, w, h)
+    if w < 0 or h < 0:
+        raise InvalidArgumentError(f"negative extent: w={w}, h={h}")
 
 
 @dataclass(frozen=True)
@@ -198,11 +204,17 @@ class ConvexQuad:
         if len(pts) != 4:
             raise InvalidArgumentError(f"quad needs 4 vertices, got {len(pts)}")
         p0, p1, p2, p3 = pts
-        x0, y0, x1, y1, x2, y2, x3, y3 = p0[0], p0[1], p1[0], p1[1], p2[0], p2[1], p3[0], p3[1]
-        # CCW in y-down frame <=> negative shoelace sum in raw coordinates.
-        if x0 * y1 - x1 * y0 + (x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3) > 0:
-            return _from_min_yx(x3, y3, x2, y2, x1, y1, x0, y0)
-        return _from_min_yx(x0, y0, x1, y1, x2, y2, x3, y3)
+        return _wound(p0[0], p0[1], p1[0], p1[1], p2[0], p2[1], p3[0], p3[1])
+
+
+def _wound(x0, y0, x1, y1, x2, y2, x3, y3) -> ConvexQuad:
+    """The quad of the cycle of four points, wound counterclockwise and
+    started at its min-(y, x) vertex: :meth:`ConvexQuad.from_points` of
+    loose coordinates."""
+    # CCW in y-down frame <=> negative shoelace sum in raw coordinates.
+    if x0 * y1 - x1 * y0 + (x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3) > 0:
+        return _from_min_yx(x3, y3, x2, y2, x1, y1, x0, y0)
+    return _from_min_yx(x0, y0, x1, y1, x2, y2, x3, y3)
 
 
 def _from_min_yx(x0, y0, x1, y1, x2, y2, x3, y3) -> ConvexQuad:
@@ -308,10 +320,17 @@ def oriented_many(params) -> np.ndarray:
 def outer_hbb(box: OrientedBox) -> HorizontalBox:
     """Smallest axis-aligned box containing the rectangle; an extent that
     overflows raises :class:`DegenerateGeometryError`."""
-    w, h = _extents(box.w_side, box.h_side, math.cos(box.theta), math.sin(box.theta))
+    w, h = _outer_extents(box.w_side, box.h_side, math.cos(box.theta), math.sin(box.theta))
+    return HorizontalBox(box.cx, box.cy, w, h)
+
+
+def _outer_extents(w_side, h_side, c, s):
+    """:func:`outer_hbb`'s extents from the cosine ``c`` and sine ``s`` of
+    the angle, with its raise where one overflows."""
+    w, h = _extents(w_side, h_side, c, s)
     if not (math.isfinite(w) and math.isfinite(h)):
         raise DegenerateGeometryError("outer HBB extent is not finite")
-    return HorizontalBox(box.cx, box.cy, w, h)
+    return w, h
 
 
 def rotate(box: OrientedBox, dtheta: float) -> OrientedBox:

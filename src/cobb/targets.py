@@ -128,17 +128,17 @@ def encode_target(gt: OrientedBox, proposal: Proposal, variant: str) -> TargetVe
 def decode_target(t: TargetVector, proposal: Proposal) -> OrientedBox:
     """Invert :func:`encode_target`.
 
-    Recovers the nine parameters and decodes them with :func:`codec.decode`,
-    so the candidate class comes solely from the score argmax; the ratio
-    target only carries the sliding ratio (its sign picks the inversion branch
-    for the log variant).
+    Recovers the nine parameters and decodes them as :func:`codec.decode`
+    does, so the candidate class comes solely from the score argmax; the
+    ratio target only carries the sliding ratio (its sign picks the
+    inversion branch for the log variant).
     """
     _require_finite("target component", *t.as_tuple())
     try:
         hbb = _hbb_of(t.tx, t.ty, t.tw, t.th, t.rt, proposal, t.variant)
     except OverflowError:
         raise DegenerateGeometryError(f"extent targets {t.tw!r}, {t.th!r} overflow") from None
-    box = codec.decode(codec.CobbVector(*hbb, t.st))
+    box = codec._decode(*hbb, t.st)
     if proposal.theta_p != 0.0:
         box = rotate_about(box, proposal.xp, proposal.yp, proposal.theta_p)
     return box

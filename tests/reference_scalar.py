@@ -24,6 +24,10 @@ against bit for bit.
   :func:`long_edge_angle`: the float formulas with ``if`` branches, which
   the shared formulas of :mod:`cobb.codec`, :mod:`cobb.targets` and
   :mod:`cobb.baselines` equal bit for bit, as floats and as arrays.
+- :func:`decode`, :func:`candidate_box` and :func:`decode_target`: the
+  decode chain as it built a :class:`cobb.codec.CobbVector` per target and
+  a :class:`HorizontalBox` per vector, each checked again on the way down,
+  with its own copy of the sliding-ratio clamp.
 - :func:`turned`, :func:`extents`, :func:`corners`, :func:`concave`,
   :func:`calipers` and :func:`rect_of`: the geometry formulas as the
   ``OrientedBox`` constructor, ``outer_hbb``, ``vertices_of``, the
@@ -37,7 +41,7 @@ import math
 
 from cobb import codec, geometry, targets
 from cobb._kern import quad_area, shoelace2
-from cobb.errors import InvalidArgumentError, UndefinedIoUError
+from cobb.errors import DegenerateGeometryError, InvalidArgumentError, UndefinedIoUError
 from cobb.geometry import ConvexQuad, HorizontalBox, OrientedBox
 
 
@@ -349,3 +353,41 @@ def calipers(ux, uy, points):
 def rect_of(ux, uy, lo_u, hi_u, lo_v, hi_v):
     cu, cv = 0.5 * (lo_u + hi_u), 0.5 * (lo_v + hi_v)
     return cu * ux - cv * uy, cu * uy + cv * ux, hi_u - lo_u, hi_v - lo_v, math.atan2(-uy, ux)
+
+
+def clamp_rs(rs, tol=1e-12):
+    if not math.isfinite(rs) or rs < -tol or rs > 0.5 + tol:
+        raise InvalidArgumentError(f"sliding ratio outside [0, 0.5]: {rs!r}")
+    return min(max(rs, 0.0), 0.5)
+
+
+def candidate_box(hbb, rs, i):
+    if hbb.w <= 0.0 or hbb.h <= 0.0 or i not in range(4):
+        raise InvalidArgumentError(f"need positive HBB extents and index 0..3, got {hbb}, {i!r}")
+    la, lb, theta = candidate_sides(hbb.w, hbb.h, clamp_rs(rs), i)
+    if lb == 0.0:
+        raise DegenerateGeometryError(f"candidate {i} of {hbb}, rs={rs!r} has zero area")
+    return OrientedBox(hbb.xc, hbb.yc, la, lb, theta)
+
+
+def decode(v):
+    if len(v.scores) != 4:
+        raise InvalidArgumentError(f"need four scores, got {len(v.scores)}")
+    geometry._require_finite("score", *v.scores)
+    if not (v.w > 0.0 and v.h > 0.0):
+        raise InvalidArgumentError("decoded HBB extents must be positive")
+    hbb = HorizontalBox(v.xc, v.yc, v.w, v.h)
+    rs = clamp_rs(v.rs, tol=math.inf)
+    return candidate_box(hbb, rs, select_candidate(v.scores))
+
+
+def decode_target(t, proposal):
+    geometry._require_finite("target component", *t.as_tuple())
+    try:
+        hbb = hbb_of(t.tx, t.ty, t.tw, t.th, t.rt, proposal, t.variant)
+    except OverflowError:
+        raise DegenerateGeometryError(f"extent targets {t.tw!r}, {t.th!r} overflow") from None
+    box = decode(codec.CobbVector(*hbb, t.st))
+    if proposal.theta_p != 0.0:
+        box = geometry.rotate_about(box, proposal.xp, proposal.yp, proposal.theta_p)
+    return box

@@ -335,8 +335,12 @@ NOT_REAL = {
     "CobbVector": lambda: codec.CobbVector(0, 0, 1, 1, 0.2, 5),
     "TargetVector": lambda: _target(5),
     "decode": lambda: codec.decode(codec.CobbVector(0, 0, 1, 1, 0.2, "abcd")),
+    "decode ratio": lambda: codec.decode(codec.CobbVector(0, 0, 1, 1, "a", (1, 0, 0, 0))),
+    "decode extent": lambda: codec.decode(codec.CobbVector(0, 0, "a", 1, 0.2, (1, 0, 0, 0))),
     "decode_target": lambda: targets.decode_target(_target("abcd"), targets.Proposal.horizontal(0, 0, 1, 1)),
     "iou_matrix": lambda: codec.iou_matrix("a", 1, 0.2),
+    "iou_matrix ratio": lambda: codec.iou_matrix(1, 1, "a"),
+    "four_candidates ratio": lambda: codec.four_candidates(HorizontalBox(0, 0, 1, 1), "a"),
     "rs_from_ra ratio": lambda: codec.rs_from_ra("a", 1, 1),
     "rs_from_ra extent": lambda: codec.rs_from_ra(0.5, 1, "a"),
     "sensitivity_probe": lambda: targets.sensitivity_probe("r_ln", "a", 1e-4, HorizontalBox(0, 0, 2, 1)),

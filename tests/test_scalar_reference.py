@@ -1,18 +1,20 @@
 """The scalar encode path against its reference forms (``reference_scalar``),
 bit for bit: quad ordering, box corners, the clipping walk, the oracle
-``iou``, the candidate set, the decode argmax, and ``encode`` and
-``classify`` on boundary boxes."""
+``iou``, the candidate set, the decode argmax, ``encode`` and
+``classify`` on boundary boxes, and the decode chain down from
+``decode_target``."""
 
 import itertools
 import math
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 import reference_scalar as ref
-from cobb import _kern, codec, geometry
+from cobb import _kern, codec, geometry, targets
+from cobb.errors import DegenerateGeometryError, InvalidArgumentError
 from cobb.geometry import ConvexQuad, HorizontalBox, OrientedBox
 from test_kernels import UNIT, random_quad, rect, reversed_winding
 
@@ -24,6 +26,8 @@ def bits(v):
     they are, so an int where a float was expected differs too."""
     if isinstance(v, ConvexQuad):
         v = v.flat
+    elif isinstance(v, OrientedBox):
+        v = astuple(v)
     elif isinstance(v, codec.CobbVector):
         v = v.as_tuple()
     if isinstance(v, tuple):
@@ -284,3 +288,63 @@ def test_select_candidate_equals_the_reference():
     cases += [((-0.0, 0.0, -0.0, 0.0),), ((0.0, -0.0, 0.0, -0.0),), ((math.inf, 1.0, -math.inf, math.inf),)]
     assert len(cases) > 256
     assert_same(codec.select_candidate, ref.select_candidate, cases)
+
+
+# -- decode, candidate_box and decode_target ---------------------------------
+
+PROPOSALS = (
+    targets.Proposal.horizontal(0.3, -0.2, 40.0, 25.0),
+    targets.Proposal.oriented(1e3 + 0.5, 5e2, 60.0, 20.0, 0.4),
+)
+
+
+def odd_targets(t):
+    """``t`` with a wrong score count, a component that is not finite, an
+    extent target ``exp`` overflows on or rounds to a zero extent, a ratio
+    target at or past the top of ``ln``, and the argmax at candidate 0 or
+    3 with the ratio target of rs = 0 (a zero-area candidate)."""
+    out = [replace(t, st=t.st[:3]), replace(t, st=t.st + (0.0,))]
+    for name in ("tx", "ty", "tw", "th", "rt"):
+        out += [replace(t, **{name: v}) for v in (math.nan, math.inf, -math.inf)]
+    out += [replace(t, st=t.st[:k] + (v,) + t.st[k + 1 :]) for k in range(4) for v in (math.nan, -math.inf)]
+    for name in ("tw", "th"):
+        out += [replace(t, **{name: v}) for v in (709.0, 710.0, 1e3, -745.0, -800.0, -1e3)]
+    out += [replace(t, tx=1e308), replace(t, ty=-1e308)]  # a centre that overflows
+    zero_rs = 0.0 if t.variant == "sig" else 1.0
+    out += [replace(t, rt=v) for v in (1.0, 1.0 + 2.0**-52, 1.5, 1e300, -1200.0)]
+    for st in ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0)):
+        out += [replace(t, rt=zero_rs, st=st), replace(t, rt=-0.0, st=st)]
+    return out
+
+
+def test_decode_target_equals_the_reference_chain():
+    cases = []
+    for box in boundary_boxes()[::5]:
+        for p in PROPOSALS:
+            for variant in ("sig", "ln"):
+                cases.append((targets.encode_target(box, p, variant), p))
+    for t, p in cases[:: len(cases) // 12]:
+        cases += [(odd, p) for odd in odd_targets(t)]
+    assert_same(targets.decode_target, ref.decode_target, cases)
+    got = [outcome(targets.decode_target, *c) for c in cases]
+    assert {o[0] for o in got if isinstance(o[0], type)} == {InvalidArgumentError, DegenerateGeometryError}
+    assert sum("zero area" in o[1] for o in got) > 0 and sum(isinstance(o[0], str) for o in got) > 400
+
+
+def test_decode_and_candidate_box_equal_the_reference():
+    vectors = []
+    for xc, yc, w, h in ((0.3, -0.2, 4.0, 2.0), (1e6, -2e4, 2.0, 4.0), (0.0, 0.0, 1e-300, 1e300)):
+        for rs in (0.0, -0.0, 1e-300, 0.2, 0.5, -1e-13, -3.0, 0.7, math.nan, math.inf):
+            for scores in ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.2, 0.1, 0.9, 0.3), (0.0, 0.0, 0.0, 1.0)):
+                vectors.append(codec.CobbVector(xc, yc, w, h, rs, scores))
+    good = codec.CobbVector(0.3, -0.2, 4.0, 2.0, 0.2, (0.0, 1.0, 0.0, 0.0))
+    for name in ("xc", "yc", "w", "h"):
+        vectors += [replace(good, **{name: v}) for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
+    vectors += [replace(good, w=math.nan, xc=math.inf), replace(good, w=math.inf, xc=math.nan)]
+    vectors += [replace(good, scores=good.scores[:3]), replace(good, scores=(math.nan,) * 3)]
+    assert_same(codec.decode, ref.decode, [(v,) for v in vectors])
+    boxes = []
+    for hbb in (HorizontalBox(0.3, -0.2, 4.0, 2.0), HorizontalBox(1e6, 0, 2, 4), HorizontalBox(0, 0, 0.0, 1.0)):
+        for rs in (0.0, -0.0, -1e-13, 0.2, 0.5 + 1e-13, 0.6, math.nan):
+            boxes += [(hbb, rs, i) for i in (0, 1, 2, 3, 4, -1)]
+    assert_same(codec.candidate_box, ref.candidate_box, boxes)
