@@ -22,7 +22,6 @@ from cobb.geometry import (
     OrientedBox,
     _Arrays,
     _extents,
-    _Floats,
     _rowwise,
     _scalar_rows,
     min_area_rect_many,
@@ -43,7 +42,9 @@ class BoxCodec:
     component_names: tuple[str, ...] = ()
 
     def encode(self, box: OrientedBox) -> np.ndarray:
-        raise NotImplementedError
+        """The ``(dim,)`` row of one constructed box: one row of :meth:`_encode_rows`."""
+        with np.errstate(all="ignore"):
+            return self._encode_rows(np.array([[box.cx, box.cy, box.w_side, box.h_side, box.theta]]))[0]
 
     def decode(self, vec) -> OrientedBox:
         """The box of one ``(dim,)`` row: one row of :meth:`decode_many`."""
@@ -81,9 +82,9 @@ class BoxCodec:
             return self._decode_rows(_rows(rows, self.dim))
 
     def _encode_rows(self, fields: np.ndarray) -> np.ndarray:
-        """Array form of :meth:`encode` on ``(N, 5)`` constructed-box fields;
-        by default :meth:`encode` of each row in turn."""
-        return np.array([self.encode(OrientedBox(*r)) for r in fields.tolist()], dtype=float).reshape(-1, self.dim)
+        """The codec's one encoder: ``(N, dim)`` rows of ``(N, 5)``
+        constructed-box fields; the first row it rejects raises."""
+        raise NotImplementedError
 
     def _decode_rows(self, rows: np.ndarray) -> np.ndarray:
         """The codec's one decoder: ``(N, 5)`` fields of ``(N, dim)`` rows; the first row it rejects raises."""
@@ -167,10 +168,10 @@ class CobbCodec(BoxCodec):
         return {"xy": [0, 1], "wh": [2, 3], "r": [4], "scores": [5, 6, 7, 8]}
 
 
-def _acute(w, h, t, xp=_Floats):
-    """Sides and angle in [-pi/4, pi/4) of a box with sides ``w``, ``h`` at
-    angle ``t`` in [0, pi/2): from pi/4 on, a quarter turn back."""
-    return xp.where(t >= _QUARTER_PI, (h, w, t - _HALF_PI), (w, h, t))
+def _acute(w, h, t):
+    """Sides and angle in [-pi/4, pi/4) of boxes with sides ``w``, ``h`` at
+    angles ``t`` in [0, pi/2): from pi/4 on, a quarter turn back."""
+    return np.where(t >= _QUARTER_PI, (h, w, t - _HALF_PI), (w, h, t))
 
 
 class AcuteAngleCodec(BoxCodec):
@@ -180,14 +181,11 @@ class AcuteAngleCodec(BoxCodec):
     dim = 5
     component_names = ("cx", "cy", "w", "h", "theta")
 
-    def encode(self, box: OrientedBox) -> np.ndarray:
-        return np.array([box.cx, box.cy, *_acute(box.w_side, box.h_side, box.theta)], dtype=float)
-
-    decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
+    encode, decode = BoxCodec.encode, BoxCodec.decode  # its own methods, as perfbench/spans.py traces each class's
 
     def _encode_rows(self, fields):
         cx, cy, w, h, t = fields.T
-        return np.column_stack([cx, cy, *_acute(w, h, t, _Arrays)])
+        return np.column_stack([cx, cy, *_acute(w, h, t)])
 
     def _decode_rows(self, rows):
         return oriented_many(rows)
@@ -196,11 +194,11 @@ class AcuteAngleCodec(BoxCodec):
         return {"xy": [0, 1], "wh": [2, 3], "angle": [4]}
 
 
-def _long_edge_angle(w, h, theta, xp=_Floats):
-    """Long side, short side and long-side angle in [-pi/2, pi/2) of a box
-    with sides ``w``, ``h`` at angle ``theta`` in [0, pi/2)."""
-    lng, shrt, t = xp.where(w >= h, (w, h, theta), (h, w, theta + _HALF_PI))
-    return lng, shrt, xp.where(t >= _HALF_PI, t - math.pi, t)
+def _long_edge_angle(w, h, theta):
+    """Long sides, short sides and long-side angles in [-pi/2, pi/2) of
+    boxes with sides ``w``, ``h`` at angles ``theta`` in [0, pi/2)."""
+    lng, shrt, t = np.where(w >= h, (w, h, theta), (h, w, theta + _HALF_PI))
+    return lng, shrt, np.where(t >= _HALF_PI, t - math.pi, t)
 
 
 class LongEdgeCodec(BoxCodec):
@@ -213,14 +211,11 @@ class LongEdgeCodec(BoxCodec):
     dim = 5
     component_names = ("cx", "cy", "long", "short", "theta")
 
-    def encode(self, box: OrientedBox) -> np.ndarray:
-        return np.array([box.cx, box.cy, *_long_edge_angle(box.w_side, box.h_side, box.theta)], dtype=float)
-
-    decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
+    encode, decode = BoxCodec.encode, BoxCodec.decode  # its own methods, as perfbench/spans.py traces each class's
 
     def _encode_rows(self, fields):
         cx, cy, w, h, theta = fields.T
-        return np.column_stack([cx, cy, *_long_edge_angle(w, h, theta, _Arrays)])
+        return np.column_stack([cx, cy, *_long_edge_angle(w, h, theta)])
 
     def _decode_rows(self, rows):
         return oriented_many(rows)
@@ -245,23 +240,18 @@ class CslCodec(BoxCodec):
     bin_width = math.pi / bins
     bin_centers = -_HALF_PI + bin_width * np.arange(bins)
 
-    def window(self, theta_long) -> np.ndarray:
-        """The label of one long-edge angle, or one label row per angle of an
-        ``(N,)`` array."""
-        d = np.abs(self.bin_centers - np.asarray(theta_long, dtype=float)[..., None])
+    def window(self, theta_long: np.ndarray) -> np.ndarray:
+        """One label row per long-edge angle of an ``(N,)`` array."""
+        d = np.abs(self.bin_centers - theta_long[:, None])
         d = np.minimum(d, math.pi - d)  # circular distance, period pi
         sigma = self.window_sigma * self.bin_width
         return np.exp(-0.5 * (d / sigma) ** 2)
 
-    def encode(self, box: OrientedBox) -> np.ndarray:
-        lng, shrt, t = _long_edge_angle(box.w_side, box.h_side, box.theta)
-        return np.concatenate([[box.cx, box.cy, lng, shrt], self.window(t)])
-
-    decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
+    encode, decode = BoxCodec.encode, BoxCodec.decode  # its own methods, as perfbench/spans.py traces each class's
 
     def _encode_rows(self, fields):
         cx, cy, w, h, theta = fields.T
-        lng, shrt, t = _long_edge_angle(w, h, theta, _Arrays)
+        lng, shrt, t = _long_edge_angle(w, h, theta)
         return np.column_stack([cx, cy, lng, shrt, self.window(t)])
 
     def _decode_rows(self, rows):
@@ -291,13 +281,7 @@ class GlidingVertexCodec(BoxCodec):
     dim = 8
     component_names = ("xc", "yc", "w", "h", "a_top", "a_right", "a_bottom", "a_left")
 
-    def encode(self, box: OrientedBox) -> np.ndarray:
-        hbb = outer_hbb(box)
-        s = abs(math.sin(box.theta))
-        a_tb, a_rl = box.h_side * s / hbb.w, box.w_side * s / hbb.h
-        return np.array([hbb.xc, hbb.yc, hbb.w, hbb.h, a_tb, a_rl, a_tb, a_rl], dtype=float)
-
-    decode = BoxCodec.decode  # a method of its own, as perfbench/spans.py traces each class's decode
+    encode, decode = BoxCodec.encode, BoxCodec.decode  # its own methods, as perfbench/spans.py traces each class's
 
     def _encode_rows(self, fields):
         cx, cy, w_side, h_side, theta = fields.T
@@ -305,8 +289,8 @@ class GlidingVertexCodec(BoxCodec):
         w, h = _extents(w_side, h_side, c, s)
         a_tb, a_rl = h_side * s / w, w_side * s / h
         out = np.stack([cx, cy, w, h, a_tb, a_rl, a_tb, a_rl], axis=1)
-        # outer_hbb raises where an extent overflows: encode raises it for the first such row
-        return _scalar_rows(out, ~(np.isfinite(w) & np.isfinite(h)), lambda r: self.encode(OrientedBox(*r)), fields)
+        # outer_hbb raises where an extent overflows: it raises for the first such row
+        return _scalar_rows(out, ~(np.isfinite(w) & np.isfinite(h)), lambda r: outer_hbb(OrientedBox(*r)), fields)
 
     def _decode_rows(self, rows):
         xc, yc, w, h, at, ar, ab, al = rows.T
@@ -341,7 +325,7 @@ def available_codecs() -> tuple[str, ...]:
 
 def get_codec(name: str) -> BoxCodec:
     """Instantiate a codec by registry name."""
-    factory = _CODECS.get(name)
+    factory = _CODECS.get(name) if isinstance(name, str) else None  # a list is not even hashable
     if factory is None:
         raise InvalidArgumentError(f"unknown codec {name!r}; available: {', '.join(_CODECS)}")
     return factory()

@@ -159,10 +159,6 @@ class OrientedBox:
         d["w_side"], d["h_side"], d["theta"] = _turned(self.w_side, self.h_side, self.theta)
 
     @property
-    def diagonal(self) -> float:
-        return math.hypot(self.w_side, self.h_side)
-
-    @property
     def area(self) -> float:
         return self.w_side * self.h_side
 

@@ -22,8 +22,9 @@ against bit for bit.
   :func:`target`, :func:`hbb_of`, :func:`smooth_l1`, :func:`cobb_loss`,
   :func:`acute` and
   :func:`long_edge_angle`: the float formulas with ``if`` branches, which
-  the shared formulas of :mod:`cobb.codec`, :mod:`cobb.targets` and
-  :mod:`cobb.baselines` equal bit for bit, as floats and as arrays.
+  the shared formulas of :mod:`cobb.codec` and :mod:`cobb.targets` equal
+  bit for bit, as floats and as arrays, and the array-only angle maps of
+  :mod:`cobb.baselines` equal row by row.
 - :func:`decode`, :func:`candidate_box` and :func:`decode_target`: the
   decode chain as it built a :class:`cobb.codec.CobbVector` per target and
   a :class:`HorizontalBox` per vector, each checked again on the way down,

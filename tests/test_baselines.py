@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference_scalar as ref
-from cobb import _kern, codec as cobb_codec, geometry, targets
+from cobb import _kern, baselines, codec as cobb_codec, geometry, targets
 from cobb.baselines import (
     AcuteAngleCodec,
     CobbCodec,
@@ -37,6 +37,20 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(InvalidArgumentError):
             get_codec("nope")
+
+    @pytest.mark.parametrize("name", [["cobb"], None, 3])
+    def test_a_name_that_is_not_a_string(self, name):
+        with pytest.raises(InvalidArgumentError, match="unknown codec"):
+            get_codec(name)
+
+    @pytest.mark.parametrize("name", available_codecs())
+    def test_each_codec_class_has_its_own_encode_and_decode(self, name):
+        cls = type(get_codec(name))
+        missing = [m for m in ("encode", "decode") if m not in vars(cls)]
+        assert not missing, (
+            f"{cls.__name__} inherits {missing}: perfbench/spans.py traces each codec class's "
+            "encode and decode from the class's own __dict__"
+        )
 
 
 class TestAcute:
@@ -241,7 +255,43 @@ def pixel_boxes(n, seed):
 BATCH_BOXES = pixel_boxes(2000, 41)
 
 
-# -- the scalar decoders, the reference the array decoders are checked against
+# -- the scalar encoders and decoders, the reference the array forms are checked against
+
+
+def acute_encode(box):
+    """``acute``: the sides and angle, a quarter turn back from pi/4 on."""
+    return np.array([box.cx, box.cy, *ref.acute(box.w_side, box.h_side, box.theta)], dtype=float)
+
+
+def long_edge_encode(box):
+    """``long-edge``: the long side, the short side and the long side's angle."""
+    return np.array([box.cx, box.cy, *ref.long_edge_angle(box.w_side, box.h_side, box.theta)], dtype=float)
+
+
+def csl_encode(box):
+    """``csl``: the long-edge sides, then the angle's periodic Gaussian
+    label over the bin centres."""
+    lng, shrt, t = ref.long_edge_angle(box.w_side, box.h_side, box.theta)
+    d = np.abs(CslCodec.bin_centers - t)
+    d = np.minimum(d, math.pi - d)
+    sigma = CslCodec.window_sigma * CslCodec.bin_width
+    return np.concatenate([[box.cx, box.cy, lng, shrt], np.exp(-0.5 * (d / sigma) ** 2)])
+
+
+def gv_encode(box):
+    """``gv``: the outer HBB and the four slide fractions."""
+    hbb = geometry.outer_hbb(box)
+    s = abs(math.sin(box.theta))
+    a_tb, a_rl = box.h_side * s / hbb.w, box.w_side * s / hbb.h
+    return np.array([hbb.xc, hbb.yc, hbb.w, hbb.h, a_tb, a_rl, a_tb, a_rl], dtype=float)
+
+
+def reference_encode(codec):
+    """The scalar encoder of ``codec``; the nine-parameter codecs keep theirs
+    in the package."""
+    return {"acute": acute_encode, "long-edge": long_edge_encode, "csl": csl_encode, "gv": gv_encode}.get(
+        codec.name, codec.encode
+    )
 
 
 def box_decode(vec):
@@ -314,8 +364,10 @@ def boundary_fields():
 @pytest.mark.parametrize("name", available_codecs())
 def test_array_forms_equal_the_scalar_ones_bit_for_bit(name):
     codec = get_codec(name)
-    want = np.array([codec.encode(b) for b in BATCH_BOXES])
+    encode = reference_encode(codec)
+    want = np.array([encode(b) for b in BATCH_BOXES])
     assert_same_bits(codec.encode_many(as_fields(BATCH_BOXES)), want)
+    assert_same_bits([codec.encode(b) for b in BATCH_BOXES[::7]], want[::7])
     # fields not in constructed form: negative angles, theta >= pi/2 and
     # >= pi, large multiples of pi; each row encodes as its constructed box
     raw = as_fields(BATCH_BOXES[:350])
@@ -323,9 +375,12 @@ def test_array_forms_equal_the_scalar_ones_bit_for_bit(name):
     assert (raw[:, 4] < 0.0).any() and (raw[:, 4] >= math.pi).any()
     edges = boundary_fields()
     for fields in (raw, edges):
-        assert_same_bits(codec.encode_many(fields), [codec.encode(OrientedBox(*r)) for r in fields.tolist()])
+        boxes = [OrientedBox(*r) for r in fields.tolist()]
+        scalar = [encode(b) for b in boxes]
+        assert_same_bits(codec.encode_many(fields), scalar)
+        assert_same_bits([codec.encode(b) for b in boxes], scalar)
     noise = np.random.Generator(np.random.PCG64(42)).normal(0.0, 1e-3, want.shape)
-    rows = np.vstack([want, want + noise, [codec.encode(OrientedBox(*r)) for r in edges.tolist()]])
+    rows = np.vstack([want, want + noise, scalar])  # the edges' rows
     outcomes = [scalar_outcome(reference_decode(codec), r) for r in rows]
     ok = [i for i, o in enumerate(outcomes) if isinstance(o, OrientedBox)]
     assert len(ok) > len(want)
@@ -494,13 +549,22 @@ ZERO_SIDE = [0.0, 0.0, 2.0, 0.0, 0.3]
     ],
 )
 def test_encode_many_raises_what_encode_raises(name, box):
-    """``box``, or each of two boxes in order, after a good row."""
+    """``box``, or each of two boxes in order, after a good row, against
+    the reference scalar encoder; ``encode`` of the first box too."""
     codec = get_codec(name)
+    encode = reference_encode(codec)
     boxes = np.atleast_2d(np.asarray(box, dtype=float)).tolist()
-    outcome = scalar_outcome(lambda rows: np.array([codec.encode(OrientedBox(*row)) for row in rows]), boxes)
+    first = scalar_outcome(lambda row: OrientedBox(*row), boxes[0])
+    if isinstance(first, OrientedBox):
+        want = scalar_outcome(encode, first)
+        if isinstance(want, np.ndarray):
+            assert_same_bits(codec.encode(first), want)
+        else:
+            assert_raises_like(want, codec.encode, first)
+    outcome = scalar_outcome(lambda rows: np.array([encode(OrientedBox(*row)) for row in rows]), boxes)
     good = as_fields([GOOD])[0]
     if isinstance(outcome, np.ndarray):
-        assert np.array_equal(codec.encode_many([good, *boxes])[1:], outcome, equal_nan=True)
+        assert_same_bits(codec.encode_many([good, *boxes])[1:], outcome)
         return
     # a later row the constructor rejects: the first rejected row still raises
     assert_raises_like(outcome, codec.encode_many, [good, *boxes, [0.0, 0.0, 1.0, math.inf, 0.3], good])
@@ -509,7 +573,7 @@ def test_encode_many_raises_what_encode_raises(name, box):
 ONE_REJECTED = {
     # array method: (owner and name of the scalar method it falls back on, the rejected row)
     "cobb.encode_many": ((CobbCodec, "encode"), UNDERFLOW),
-    "gv.encode_many": ((GlidingVertexCodec, "encode"), HBB_OVERFLOW),
+    "gv.encode_many": ((baselines, "outer_hbb"), HBB_OVERFLOW),
     "cobb.decode_many": ((targets, "decode_target"), EXP_OVERFLOW),
     "cobb.curve_components": ((cobb_codec, "encode"), UNDERFLOW),
 }
@@ -525,7 +589,8 @@ def test_only_the_rejected_row_reaches_the_scalar_method(case, monkeypatch):
     good = as_fields(BATCH_BOXES[:300])
     if method == "decode_many":
         good = codec.encode_many(good)
-    want = scalar_outcome(codec.decode if method == "decode_many" else lambda row: codec.encode(OrientedBox(*row)), bad)
+    encode = reference_encode(codec)
+    want = scalar_outcome(codec.decode if method == "decode_many" else lambda row: encode(OrientedBox(*row)), bad)
     scalar, calls = getattr(owner, attr), []
     monkeypatch.setattr(owner, attr, lambda *args: calls.append(args) or scalar(*args))
     assert_raises_like(want, getattr(codec, method), np.vstack([good, bad]))

@@ -143,10 +143,11 @@ class TestFourCandidates:
             if rs < 1e-3:
                 continue
             cands = four_candidates(hbb, rs)
+            tol = 1e-9 * math.hypot(box.w_side, box.h_side)
             for q in cands:
                 xs, ys = q.flat[0::2], q.flat[1::2]
-                assert max(xs) - min(xs) == pytest.approx(hbb.w, abs=1e-9 * box.diagonal)
-                assert max(ys) - min(ys) == pytest.approx(hbb.h, abs=1e-9 * box.diagonal)
+                assert max(xs) - min(xs) == pytest.approx(hbb.w, abs=tol)
+                assert max(ys) - min(ys) == pytest.approx(hbb.h, abs=tol)
                 assert quad_sliding_ratio(q, hbb) == pytest.approx(rs, abs=1e-9)
 
     def test_branch_area_split(self):
@@ -345,8 +346,9 @@ class TestEncodeDecode:
         for box in seeded_boxes(25, seed=16):
             mirror = OrientedBox(-box.cx, box.cy, box.w_side, box.h_side, math.pi - box.theta)
             v, vm = encode(box), encode(mirror)
-            assert vm.w == pytest.approx(v.w, abs=1e-9 * box.diagonal)
-            assert vm.h == pytest.approx(v.h, abs=1e-9 * box.diagonal)
+            tol = 1e-9 * math.hypot(box.w_side, box.h_side)
+            assert vm.w == pytest.approx(v.w, abs=tol)
+            assert vm.h == pytest.approx(v.h, abs=tol)
             assert vm.rs == pytest.approx(v.rs, abs=1e-9)
             assert sorted(vm.scores) == pytest.approx(sorted(v.scores), abs=1e-7)
 
@@ -354,7 +356,7 @@ class TestEncodeDecode:
         from cobb.geometry import rotate
 
         for box in seeded_boxes(15, seed=17):
-            s = 1.0 / box.diagonal
+            s = 1.0 / math.hypot(box.w_side, box.h_side)
             box = OrientedBox(0.0, 0.0, box.w_side * s, box.h_side * s, box.theta)
             gaps = []
             for step in (1e-3, 1e-4, 1e-5):

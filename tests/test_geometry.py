@@ -257,7 +257,7 @@ def test_min_area_rect_reproduces_box(b):
 def test_outer_hbb_lipschitz_in_theta(b):
     # one micro-radian of rotation moves no HBB field more than 1e-4 diagonals
     h0, h1 = outer_hbb(b), outer_hbb(rotate(b, 1e-6))
-    bound = 1e-4 * b.diagonal
+    bound = 1e-4 * math.hypot(b.w_side, b.h_side)
     for a, c in ((h0.w, h1.w), (h0.h, h1.h), (h0.xc, h1.xc), (h0.yc, h1.yc)):
         assert abs(a - c) <= bound
 

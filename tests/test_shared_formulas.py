@@ -66,14 +66,19 @@ def hexes(out):
     return tuple(float(v).hex() for v in flat(out))
 
 
+def array_hexes(f, rows, **kw):
+    """``f`` of all rows as one array, as :func:`hexes` of each row."""
+    out = flat(f(*columns(rows), **kw))
+    arrays = [np.broadcast_to(a, len(rows)) for o in out for a in np.array(o, ndmin=2)]  # one per output
+    return [tuple(float(a[k]).hex() for a in arrays) for k in range(len(rows))]
+
+
 def check(shared, rows, reference=None, **kw):
     """``shared`` of each row as floats equals ``shared`` of all rows as one
     array, and ``reference`` of each row, bit for bit."""
     floats = [hexes(shared(*row, **kw)) for row in rows]
     xp = {"xp": _Arrays} if _takes_xp(shared) else {}
-    out = flat(shared(*columns(rows), **xp, **kw))
-    arrays = [np.broadcast_to(a, len(rows)) for o in out for a in np.array(o, ndmin=2)]  # one per output
-    assert floats == [tuple(float(a[k]).hex() for a in arrays) for k in range(len(rows))]
+    assert floats == array_hexes(shared, rows, **xp, **kw)
     if reference is not None:
         assert floats == [hexes(reference(*row, **kw)) for row in rows]
 
@@ -119,12 +124,17 @@ def test_rs_from_rt(variant):
     check(targets._rs_from_rt, [(rt,) for rt in RT], ref.rs_from_rt, variant=variant)
 
 
+# The baseline angle maps take arrays only: the reference alone checks them.
+
+
 def test_acute_swap():
-    check(baselines._acute, [(w, h, t) for w, h in SHAPES for t in ANGLES], ref.acute)
+    rows = [(w, h, t) for w, h in SHAPES for t in ANGLES]
+    assert array_hexes(baselines._acute, rows) == [hexes(ref.acute(*row)) for row in rows]
 
 
 def test_long_edge_angle():
-    check(baselines._long_edge_angle, [(w, h, t) for w, h in SHAPES for t in ANGLES], ref.long_edge_angle)
+    rows = [(w, h, t) for w, h in SHAPES for t in ANGLES]
+    assert array_hexes(baselines._long_edge_angle, rows) == [hexes(ref.long_edge_angle(*row)) for row in rows]
 
 
 def test_pairwise():
