@@ -26,8 +26,7 @@ import numpy as np
 
 from cobb.baselines import BoxCodec
 from cobb.errors import InvalidArgumentError
-from cobb.geometry import HorizontalBox, OrientedBox, _rowwise, iou, iou_many, oriented_many, vertices_many
-from cobb.targets import sensitivity_probe
+from cobb.geometry import OrientedBox, _rowwise, iou, iou_many, oriented_many, vertices_many
 
 FAMILY_NAMES = ("near-horizontal", "near-square", "near-diagonal", "random")
 
@@ -365,7 +364,7 @@ def replay_witness(codec: BoxCodec, metric: str, witness: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Estimation-difficulty and ratio-sensitivity summaries
+# Estimation-difficulty summary
 
 
 def _nae_sample(cfg: ProbeConfig) -> np.ndarray:
@@ -406,7 +405,7 @@ def _nae_summary(codec: BoxCodec, rows: np.ndarray) -> dict[str, float]:
 
 
 def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:
-    """All six metrics for every codec, plus NAE / ratio-sensitivity extras.
+    """All six metrics for every codec, plus the NAE extra.
 
     The families, their twins and the NAE sample are built once.  Each codec
     encodes them in one ``encode_many`` call, which its six metrics and the
@@ -427,12 +426,5 @@ def run_audit(codecs: list[BoxCodec], cfg: ProbeConfig) -> list[MetricReport]:
         ]
         complete, robust = _decoding_gaps(codec, cfg, families, fields, rows, cfg.directions)
         metrics += [_completeness(fams, fields, complete), _robustness(codec, cfg, fams, fields, rows, robust)]
-        extras = {"nae": _nae_summary(codec, nae_rows)}
-        if codec.name in ("cobb", "cobb-ln"):
-            square = HorizontalBox(0.0, 0.0, 1.0, 1.0)
-            extras["ratio_sensitivity"] = {
-                "r_ln@1e-3": sensitivity_probe("r_ln", 1e-3, 1e-4, square),
-                "f_ln_ra@1e-3": sensitivity_probe("f_ln_of_ra", 1e-3, 1e-4, square),
-            }
-        reports.append(MetricReport(codec.name, cfg.seed, metrics, extras))
+        reports.append(MetricReport(codec.name, cfg.seed, metrics, {"nae": _nae_summary(codec, nae_rows)}))
     return reports

@@ -1,9 +1,9 @@
 """Command-line frontend.
 
 Subcommands: ``audit`` (continuity metrics), ``roundtrip`` (decoding
-completeness), ``iou-check`` (closed-form score matrix vs polygon oracle),
-``convert`` (DOTA annotations to codec encodings), ``curves`` (encoding
-sweeps).  Exit codes: 0 success, 1 failed verdict, 2 usage or parse errors.
+completeness), ``convert`` (DOTA annotations to codec encodings), ``curves``
+(encoding sweeps).  Exit codes: 0 success, 1 failed verdict, 2 usage or
+parse errors.
 
 A plain ``key=value`` config file may supply any long-flag default; explicit
 flags win.
@@ -14,10 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
-
-import numpy as np
 
 from cobb import audit as audit_mod
 from cobb import codec as codec_mod
@@ -25,7 +22,7 @@ from cobb import curves as curves_mod
 from cobb import dota as dota_mod
 from cobb.baselines import available_codecs, get_codec
 from cobb.errors import CobbError
-from cobb.geometry import HorizontalBox, OrientedBox, iou
+from cobb.geometry import OrientedBox
 
 
 def _fmt(v) -> str:
@@ -181,26 +178,6 @@ def _cmd_roundtrip(args) -> int:
     return status
 
 
-def _cmd_iou_check(args) -> int:
-    if args.samples < 1:
-        raise CobbError("--samples must be >= 1")
-    if args.seed < 0:
-        raise CobbError("--seed must be >= 0")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed, 7])))
-    worst = 0.0
-    for _ in range(args.samples):
-        w = float(np.exp(rng.uniform(math.log(0.2), math.log(5.0))))
-        h = float(np.exp(rng.uniform(math.log(0.2), math.log(5.0))))
-        rs = float(rng.uniform(1e-7, 0.5))
-        cands = codec_mod.four_candidates(HorizontalBox(0.0, 0.0, w, h), rs)
-        m = codec_mod.iou_matrix(w, h, rs)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                worst = max(worst, abs(m[i][j] - iou(cands[i], cands[j])))
-    print(f"max |closed-form - oracle| over {args.samples} samples: {_fmt(worst)}")
-    return 0 if worst <= 1e-7 else 1
-
-
 def _cmd_convert(args) -> int:
     import logging
 
@@ -247,12 +224,6 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
     p = sub.add_parser("roundtrip", help="decoding completeness check")
     common(p, 256)
     p.set_defaults(func=_cmd_roundtrip)
-
-    p = sub.add_parser("iou-check", help="closed-form score matrix vs polygon oracle")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=_cmd_iou_check)
 
     p = sub.add_parser("convert", help="DOTA annotations to codec encodings")
     p.add_argument("input")

@@ -310,27 +310,20 @@ def candidate_box(hbb: HorizontalBox, rs: float, i: int) -> OrientedBox:
     sides and the angle do not depend on where the HBB sits and a needle's
     short side keeps its relative precision; the angle is read from the
     longer edge, which stays well defined as a candidate thins towards a
-    diagonal.  A zero-area candidate raises
-    :class:`DegenerateGeometryError`.
+    diagonal.  A zero-area candidate, a diagonal of the HBB at rs = 0, is
+    its needle limit (see :func:`_candidate_sides`).
     """
     if hbb.w <= 0.0 or hbb.h <= 0.0 or i not in range(4):
         raise InvalidArgumentError(f"need positive HBB extents and index 0..3, got {hbb}, {i!r}")
-    return _candidate(hbb.xc, hbb.yc, hbb.w, hbb.h, rs, i)
-
-
-def _candidate(xc, yc, w, h, rs, i) -> OrientedBox:
-    """:func:`candidate_box` of the HBB ``(xc, yc, w, h)`` with finite
-    positive extents and an index ``i`` in 0..3; ``rs`` is checked and
-    clamped here."""
-    la, lb, theta = _candidate_sides(w, h, _clamp_rs(rs), i)
-    if lb == 0.0:
-        raise DegenerateGeometryError(f"candidate {i} of {HorizontalBox(xc, yc, w, h)}, rs={rs!r} has zero area")
-    return OrientedBox(xc, yc, la, lb, theta)
+    return OrientedBox(hbb.xc, hbb.yc, *_candidate_sides(hbb.w, hbb.h, _clamp_rs(rs), i))
 
 
 def _candidate_sides(w, h, rs, i, xp=_Floats):
     """Longer side, shorter side and angle of candidate ``i`` of a ``w`` x
-    ``h`` HBB, for ``rs`` already clamped into [0, 0.5]."""
+    ``h`` HBB, for ``rs`` already clamped into [0, 0.5].  A zero short side
+    (candidates 0 and 3 at rs = 0, the HBB's diagonals) becomes the least
+    positive float: the needle that is the candidate's limit as rs goes to
+    0, so that every pick decodes to a box."""
     gx, gy = _slide_gaps(w, h, rs, xp)
     fx, fy = w - gx, h - gy  # hw + x_s, hh + y_s
     # edges top -> right and right -> bottom (the bottom vertex is -top); the
@@ -339,7 +332,7 @@ def _candidate_sides(w, h, rs, i, xp=_Floats):
     ay, by = xp.where(i <= 1, (fy, gy), (gy, fy))
     la, lb = xp.hypot(ax, ay), xp.hypot(bx, by)
     ax, ay, la, lb = xp.where(la < lb, (bx, by, lb, la), (ax, ay, la, lb))
-    return la, lb, xp.atan2(-ay, ax)
+    return la, xp.where(lb == 0.0, 5e-324, lb), xp.atan2(-ay, ax)
 
 
 def decode(v: CobbVector) -> OrientedBox:
@@ -361,7 +354,7 @@ def _decode(xc, yc, w, h, rs, scores) -> OrientedBox:
     if not positive:
         raise InvalidArgumentError("decoded HBB extents must be positive")
     _require_hbb(xc, yc, w, h)
-    return _candidate(xc, yc, w, h, _clamp_rs(rs, tol=math.inf), select_candidate(scores))
+    return OrientedBox(xc, yc, *_candidate_sides(w, h, _clamp_rs(rs, tol=math.inf), select_candidate(scores)))
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +444,7 @@ def _decode_many(xc, yc, w, h, rs, scores):
     # select_candidate
     best = scores == scores.max(axis=1, keepdims=True)
     i = _TIE_ORDER[np.argmax(best[:, _TIE_ORDER], axis=1)]
-    la, lb, theta = _candidate_sides(w, h, _Arrays.clamp(rs, 0.0, 0.5), i, _Arrays)
-    fields = np.stack([xc, yc, la, lb, theta], axis=1)
-    # a zero-area candidate, or a side that overflows; masked rows stand in as unit boxes
-    bad |= ~(lb > 0.0) | ~np.isfinite(fields).all(axis=1)
+    fields = np.stack([xc, yc, *_candidate_sides(w, h, _Arrays.clamp(rs, 0.0, 0.5), i, _Arrays)], axis=1)
+    # a side that overflows; masked rows stand in as unit boxes
+    bad |= ~np.isfinite(fields).all(axis=1)
     return oriented_many(np.where(bad[:, None], 1.0, fields)), bad

@@ -230,6 +230,8 @@ def candidate_sides(w, h, rs, i):
     la, lb = math.hypot(ax, ay), math.hypot(bx, by)
     if la < lb:
         ax, ay, la, lb = bx, by, lb, la
+    if lb == 0.0:  # an HBB diagonal: its needle limit
+        lb = 5e-324
     return la, lb, math.atan2(-ay, ax)
 
 
@@ -366,8 +368,6 @@ def candidate_box(hbb, rs, i):
     if hbb.w <= 0.0 or hbb.h <= 0.0 or i not in range(4):
         raise InvalidArgumentError(f"need positive HBB extents and index 0..3, got {hbb}, {i!r}")
     la, lb, theta = candidate_sides(hbb.w, hbb.h, clamp_rs(rs), i)
-    if lb == 0.0:
-        raise DegenerateGeometryError(f"candidate {i} of {hbb}, rs={rs!r} has zero area")
     return OrientedBox(hbb.xc, hbb.yc, la, lb, theta)
 
 

@@ -373,11 +373,6 @@ class TestRunAudit:
         # the alpha channel is the discontinuous one: hardest to estimate
         assert rep.extras["nae"]["alpha"] > rep.extras["nae"]["wh"]
 
-    def test_cobb_extras_include_ratio_sensitivity(self):
-        rep = run_audit([get_codec("cobb")], CFG)[0]
-        rs = rep.extras["ratio_sensitivity"]
-        assert rs["f_ln_ra@1e-3"] >= 10 * rs["r_ln@1e-3"]
-
     @pytest.mark.parametrize("name", available_codecs())
     def test_same_results_as_the_metrics_on_a_bare_codec(self, name):
         cfg = ProbeConfig(samples=4, seed=5)
@@ -392,8 +387,9 @@ class TestRunAudit:
             check_decoding_completeness(codec, cfg),
             probe_decoding_robustness(codec, cfg),
         ]
-        # the NAE rows of the shared batch equal the NAE sample encoded on its own
-        assert rep.extras["nae"] == _nae_summary(codec, codec.encode_many(_nae_sample(cfg)))
+        # the NAE rows of the shared batch equal the NAE sample encoded on its own,
+        # and NAE is the one extra of every codec
+        assert rep.extras == {"nae": _nae_summary(codec, codec.encode_many(_nae_sample(cfg)))}
 
     def test_each_twin_built_once(self, monkeypatch):
         # per run, whatever the number of codecs: one _twins call per
@@ -494,10 +490,10 @@ class TestRunAudit:
     def test_builds_no_box_per_family_twin_or_nae_row(self, monkeypatch):
         """A cobb run passes field arrays from families to twins to NAE.  It
         builds boxes only for the tie rows it hands to the scalar oracle,
-        inside the oracle, the scalar decode and ``sensitivity_probe``, and
-        for the robustness note's two re-decodes of the witness.  It used to
-        build 330: 56 family boxes, 140 twins, 128 NAE rows, 4 in the ratio
-        probes and 2 in the note."""
+        inside the oracle and the scalar decode, and for the robustness
+        note's two re-decodes of the witness.  It used to build 330: 56
+        family boxes, 140 twins, 128 NAE rows, 4 in the ratio probes (no
+        longer run) and 2 in the note."""
         built, seen, post_init = [], [], OrientedBox.__post_init__
 
         def exempt(fn, record=None):
@@ -515,7 +511,6 @@ class TestRunAudit:
         codec = get_codec("cobb")
         monkeypatch.setattr(OrientedBox, "__post_init__", lambda box: built.append(box) or post_init(box))
         monkeypatch.setattr(cobb_codec, "classify", exempt(cobb_codec.classify, seen))
-        monkeypatch.setattr(audit, "sensitivity_probe", exempt(audit.sensitivity_probe))
         monkeypatch.setattr(codec, "decode", exempt(codec.decode))
         rep = run_audit([codec], ProbeConfig(samples=4, seed=5, steps=(1e-4,)))[0]
         got = list(built)

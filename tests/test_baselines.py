@@ -477,7 +477,7 @@ GOOD = OrientedBox(3.0, 4.0, 2.0, 1.0, 0.3)
 NAN_TARGET = [0.0, 0.0, 0.0, 0.0, 0.5, math.nan, 0.0, 0.0, 1.0]
 EXP_OVERFLOW = [0.0, 0.0, 800.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0]
 ZERO_EXTENT = [0.0, 0.0, -800.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0]
-ZERO_AREA = {  # rs = 0 and score row [1, 0, 0, 0]: the diagonal candidate 0
+ZERO_AREA = {  # rs = 0 and score row [1, 0, 0, 0]: the diagonal candidate 0, which decodes to its needle
     "cobb": [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
     "cobb-ln": [0.0, 0.0, 0.0, 0.0, -2000.0, 1.0, 0.0, 0.0, 0.0],
 }
@@ -491,7 +491,7 @@ GV_ZERO_EXTENT = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
         ("cobb", NAN_TARGET),  # a non-finite target component
         ("cobb-ln", [0.0, 0.0, 0.0, 0.0, math.inf, 1.0, 0.0, 0.0, 0.0]),
         ("cobb", [0.0, 0.0, -800.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0]),  # a zero-extent decoded HBB
-        ("cobb", ZERO_AREA["cobb"]),  # rs = 0 and a zero-area candidate
+        ("cobb", [ZERO_AREA["cobb"], EXP_OVERFLOW]),  # a zero-area candidate decodes; exp overflows
         ("cobb", EXP_OVERFLOW),  # exp overflows
         ("acute", [0.0, 0.0, 0.0, 1.0, 0.2]),  # non-positive or non-finite sides
         ("acute", [0.0, 0.0, math.nan, 1.0, 0.2]),
@@ -513,12 +513,13 @@ GV_ZERO_EXTENT = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 )
 def test_decode_many_raises_what_decode_raises_for_the_first_bad_row(name, row):
     """``row``, or each of two rows in order, between good rows and before a
-    later rejected row."""
+    later rejected row: the error of the first of them that the scalar
+    decoder rejects (a zero-area pick is not rejected)."""
     codec = get_codec(name)
     good = codec.encode(GOOD)
     bad = np.atleast_2d(np.asarray(row, dtype=float))
-    outcome = scalar_outcome(reference_decode(codec), bad[0])
-    assert not isinstance(outcome, OrientedBox)
+    outcomes = (scalar_outcome(reference_decode(codec), r) for r in bad)
+    outcome = next(o for o in outcomes if not isinstance(o, OrientedBox))
     later = NAN_TARGET if name.startswith("cobb") else [0.0] * codec.dim
     assert_raises_like(outcome, codec.decode_many, [good, *bad, later, good])
 

@@ -419,10 +419,17 @@ class TestCandidateBox:
                 box = candidate_box(HorizontalBox(0.0, 0.0, 4.0, 2.0), rs, 0)
                 assert abs(Decimal(min(box.w_side, box.h_side)) / short - 1) <= Decimal("4e-16")
 
-    def test_zero_area_candidate_raises(self):
-        # rs = 0 makes candidate 0 the HBB diagonal
-        with pytest.raises(DegenerateGeometryError):
-            decode(CobbVector(0, 0, 4, 2, 0.0, (1, 0, 0, 0)))
+    def test_zero_area_candidate_decodes_to_its_needle(self):
+        # rs = 0 makes candidates 0 and 3 the HBB diagonals: each decodes to
+        # its limit as rs goes to 0, the needle along that diagonal, with the
+        # least positive float as its short side
+        hbb = HorizontalBox(0.0, 0.0, 4.0, 2.0)
+        for i, scores in ((0, (1, 0, 0, 0)), (3, (0, 0, 0, 1))):
+            needle = decode(CobbVector(0.0, 0.0, 4.0, 2.0, 0.0, scores))
+            assert needle == candidate_box(hbb, 0.0, i)
+            assert sorted((needle.w_side, needle.h_side)) == [5e-324, math.hypot(4.0, 2.0)]
+            near = candidate_box(hbb, 1e-300, i)
+            assert needle.theta == near.theta and (needle.w_side < needle.h_side) == (near.w_side < near.h_side)
 
     def test_invalid_index_or_extents(self):
         with pytest.raises(InvalidArgumentError):

@@ -26,7 +26,7 @@ from cobb.geometry import OrientedBox, iou, min_area_rect, vertices_of
 GOOD = "0 0 4 0 4 2 0 2 plane 0"
 
 # sha256 of `cobb audit --codec all --seed 7 --samples 4` (JSON), x86-64 Linux
-AUDIT_SEED7_SAMPLES4_SHA256 = "66e00f9b27afa3e4696b8fbf33fe400be830d228a83dc48c2355a5583e6173a3"
+AUDIT_SEED7_SAMPLES4_SHA256 = "c81bf9565e5a015d38b5755ed060e4996862830b002a96fccbb55715a0ba50bf"
 # sha256 of `cobb curves --codec cobb --sweep <sweep> --box 0,0,4,2,0` (CSV, default grid), x86-64 Linux
 CURVES_SHA256 = {
     "rotation": "39231792b46c7647411a7a8bcf39e7d5f0811c827e4a2f060a86b1ee49658e7b",
@@ -244,11 +244,6 @@ class TestCli:
     def test_unknown_codec_exits_2(self, capsys):
         assert main(["roundtrip", "--codec", "nope"]) == 2
 
-    def test_iou_check(self, capsys):
-        assert main(["iou-check", "--samples", "300", "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        assert "max |closed-form - oracle|" in out
-
     def test_roundtrip_pass_and_fail(self, capsys):
         assert main(["roundtrip", "--codec", "acute", "--samples", "16", "--seed", "1"]) == 0
         assert main(["roundtrip", "--codec", "csl", "--samples", "16", "--seed", "1"]) == 1
@@ -318,15 +313,16 @@ class TestCli:
         assert err.startswith(f"error: {flag[2:]} must be")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["audit", "roundtrip", "iou-check"])
+    @pytest.mark.parametrize("command", ["audit", "roundtrip"])
     def test_negative_seed_exits_2(self, capsys, command):
         assert main([command, "--seed", "-1", "--samples", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["audit", "roundtrip"])
     @pytest.mark.parametrize("samples", ["0", "-3"])
-    def test_iou_check_without_samples_exits_2(self, capsys, samples):
-        assert main(["iou-check", "--samples", samples]) == 2
-        assert capsys.readouterr().err.startswith("error: --samples must be >= 1")
+    def test_samples_below_one_exits_2(self, capsys, command, samples):
+        assert main([command, "--samples", samples]) == 2
+        assert capsys.readouterr().err.startswith("error: samples must be >= 1")
 
     def test_every_probe_setting_is_an_audit_flag(self, tmp_path):
         # a ProbeConfig field no flag sets is a setting no caller changes;
@@ -366,13 +362,13 @@ class TestCli:
     def test_config_key_no_subcommand_defines(self, tmp_path, capsys):
         cfgfile = tmp_path / "bins.cfg"
         cfgfile.write_text("bins=45\n")
-        assert main(["iou-check", "--samples", "1", "--config", str(cfgfile)]) == 2
+        assert main(["roundtrip", "--samples", "1", "--config", str(cfgfile)]) == 2
         assert "error: unknown config key 'bins'" in capsys.readouterr().err
 
     def test_config_value_goes_through_the_flag_type(self, tmp_path, capsys):
         cfgfile = tmp_path / "seed.cfg"
         cfgfile.write_text("seed=abc\n")
-        assert main(["iou-check", "--samples", "1", "--config", str(cfgfile)]) == 2
+        assert main(["roundtrip", "--samples", "1", "--config", str(cfgfile)]) == 2
         assert "error: bad config value seed='abc'" in capsys.readouterr().err
         # a flag type that raises the package's own error is reported the same way
         cfgfile.write_text("steps=abc\n")
@@ -397,9 +393,10 @@ class TestCli:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        assert main(["iou-check", "--samples", "1"]) == 0
+        args = ["roundtrip", "--codec", "acute", "--samples", "1"]
+        assert main(args) == 0
         first = len(built)
-        assert main(["iou-check", "--samples", "1"]) == 0
+        assert main(args) == 0
         assert len(built) == first
 
     def test_config_does_not_reach_the_next_call(self, tmp_path, capsys):
@@ -581,7 +578,7 @@ class TestCli:
         # run the package this suite imported, whether installed or not
         env = dict(os.environ, PYTHONPATH=str(Path(cobb.__file__).resolve().parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-m", "cobb", "iou-check", "--samples", "50"],
+            [sys.executable, "-m", "cobb", "roundtrip", "--codec", "acute", "--samples", "2"],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0

@@ -1,5 +1,5 @@
 """The size of the public API that ROADMAP aim 2 tracks: the names
-``cobb`` exports and the settable values."""
+``cobb`` exports, the settable values and the CLI's subcommands."""
 
 import dataclasses
 import importlib
@@ -7,6 +7,7 @@ import inspect
 import pkgutil
 
 import cobb
+from cobb import cli
 
 # Every name in ``cobb.__all__``.  A change that adds or removes one updates
 # this list and the count in ROADMAP and README.
@@ -50,6 +51,10 @@ SETTABLE_VALUES = [
     "cobb.audit.ProbeConfig.seed",
     "cobb.audit.ProbeConfig.steps",
 ]
+
+# Every subcommand of the ``cobb`` command line.  A change that adds or
+# removes one updates this list and the count in README.
+SUBCOMMANDS = ["audit", "convert", "curves", "roundtrip"]
 
 
 def _defaulted(qualname, fn):
@@ -107,3 +112,7 @@ def test_exports_are_the_listed_ones():
     assert sorted(cobb.__all__) == EXPORTS  # 26
     assert len(set(cobb.__all__)) == len(cobb.__all__)
     assert all(hasattr(cobb, name) for name in cobb.__all__)
+
+
+def test_subcommands_are_the_listed_ones():
+    assert sorted(cli._parsers()[1]) == SUBCOMMANDS  # 4

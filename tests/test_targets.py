@@ -1,10 +1,12 @@
 """Regression targets: bias formulas, variant ratio maps, loss, sensitivity."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import reference_scalar as ref
 from cobb import codec
 from cobb.codec import four_candidates
 from cobb.baselines import get_codec
@@ -23,6 +25,7 @@ from cobb.targets import (
     _smooth_l1,
 )
 from test_codec import seeded_boxes
+from test_scalar_reference import bits
 
 
 def box_with_rs(rs, w=4.0, h=2.0, branch="below"):
@@ -189,6 +192,63 @@ class TestDecodeTarget:
             cobb.decode(row)
         with pytest.raises(DegenerateGeometryError, match="overflow"):
             cobb.decode_many([cobb.encode(OrientedBox(3.0, 4.0, 2.0, 1.0, 0.3)), row])
+
+
+class TestEveryFinitePredictionDecodes:
+    """A detector head decodes whatever it predicts.  A pick of candidate 0
+    or 3 at rs = 0 (a ``sig`` ratio target at or below 0, an ``ln`` one at
+    or above 1) is an HBB diagonal, and decodes to its needle, with the
+    least positive float as its short side, so no such row makes
+    ``decode_many`` raise for its batch."""
+
+    PROPOSALS = (Proposal.horizontal(1000.5, 600.25, 40.0, 12.0), Proposal.oriented(1000.5, 600.25, 40.0, 12.0, 0.7))
+
+    @pytest.mark.parametrize("variant", ["sig", "ln"])
+    def test_random_predictions_equal_the_reference_chain(self, variant):
+        # components N(0, sigma) and scores U(-0.2, 1.2) against pixel proposals:
+        # a quarter of the sig rows pick a needle at every sigma, and about a
+        # sixth of the ln rows at sigma 3.  The reference chain has the needle
+        # where the earlier decode chain raised and is that chain elsewhere, so
+        # every other row keeps its bits
+        rng = np.random.Generator(np.random.PCG64(31))
+        needles = 0
+        for sigma in (0.1, 1.0, 3.0):
+            for p in self.PROPOSALS:
+                for c, s in zip(rng.normal(0.0, sigma, (250, 5)).tolist(), rng.uniform(-0.2, 1.2, (250, 4)).tolist()):
+                    t = TargetVector(*c, tuple(s), variant, DEFAULT_LAMBDA[variant])
+                    box = decode_target(t, p)
+                    assert bits(box) == bits(ref.decode_target(t, p))
+                    needles += min(box.w_side, box.h_side) == 5e-324
+        assert needles > 100
+
+    @pytest.mark.parametrize("name", ["cobb", "cobb-ln"])
+    def test_noisy_encodings_of_thin_boxes(self, name):
+        # DOTA-like thin boxes (aspect 0.05-0.2, any angle, unit diagonal) plus
+        # noise of sigma 0.1: about 1 % of the sig rows pick a needle, no ln row
+        cobb = get_codec(name)
+        rng = np.random.Generator(np.random.PCG64(32))
+        a = np.exp(rng.uniform(math.log(0.05), math.log(0.2), 20_000))
+        w = 1.0 / np.hypot(1.0, a)
+        fields = np.column_stack([np.zeros_like(a), np.zeros_like(a), w, a * w, rng.uniform(0.0, math.pi, a.size)])
+        rows = cobb.encode_many(fields) + rng.normal(0.0, 0.1, (a.size, 9))
+        boxes = cobb.decode_many(rows)
+        assert np.isfinite(boxes).all() and (boxes[:, 2:4] > 0.0).all()
+        needles = np.flatnonzero(boxes[:, 2:4].min(axis=1) == 5e-324)
+        assert len(needles) > 100 if name == "cobb" else len(needles) == 0
+        for i in needles[:20]:
+            assert bits(tuple(boxes[i].tolist())) == bits(astuple(cobb.decode(rows[i])))
+
+    def test_audit_perturbations_of_a_thin_diagonal_box(self):
+        # the audit's perturbation norm, 1e-4, in 256 random directions takes
+        # the sig ratio target of a diagonal box of aspect 1e-5 (2e-5) below 0
+        cobb = get_codec("cobb")
+        a = 1e-5
+        w = 1.0 / math.hypot(1.0, a)
+        row = cobb.encode(OrientedBox(0.0, 0.0, w, a * w, math.pi / 4))
+        directions = np.random.Generator(np.random.PCG64(33)).standard_normal((256, 9))
+        rows = row + 1e-4 * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        boxes = cobb.decode_many(rows)
+        assert np.isfinite(boxes).all() and (boxes[:, 2:4].min(axis=1) == 5e-324).any()
 
 
 class TestEquivariance:
